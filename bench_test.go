@@ -124,12 +124,14 @@ func BenchmarkFig4bThroughputSweep(b *testing.B) {
 // proxy → remote deliver — on the calibrated USB link with the cost
 // model off. Window=1 is the seed's stop-and-wait on every hop;
 // larger windows let both the publish hop and the proxy's pipelined
-// delivery hop fill the link. BENCH_PR2.json records the series.
+// delivery hop fill the link. Proxy coalescing is pinned off
+// (BatchEvents: 1) so the sweep isolates the window. BENCH_PR2.json
+// records the series.
 func BenchmarkReliableWindowE2E(b *testing.B) {
 	for _, window := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			env, err := bench.NewEnv(bench.FastRaw, bench.EnvConfig{
-				Link: netsim.USBLink, Subscribers: 1, Window: window,
+				Link: netsim.USBLink, Subscribers: 1, Window: window, BatchEvents: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -175,8 +177,8 @@ func BenchmarkReliableWindowE2EBatched(b *testing.B) {
 		name          string
 		window, batch int
 	}{
-		{"stop-and-wait", 1, 0},
-		{"window=16", 16, 0},
+		{"stop-and-wait", 1, 1}, // batch 1: proxy coalescing off
+		{"window=16", 16, 1},
 		{"window=16/batch=16", 16, 16},
 	}
 	for _, v := range variants {

@@ -45,7 +45,7 @@ func run() error {
 		busAddr    = flag.String("addr", "127.0.0.1:0", "bus listen address (host:port; port 0: OS chooses)")
 		discAddr   = flag.String("disc-addr", "127.0.0.1:0", "discovery listen address (host:port; port 0: OS chooses)")
 		drain      = flag.Duration("drain", 5*time.Second, "in-flight delivery drain budget on shutdown")
-		batch      = flag.Int("batch", 0, "coalesce up to N events per outbound packet (0: off)")
+		batch      = flag.Int("batch", 0, "coalesce up to N events per outbound packet, holding a partial batch up to 1ms (0: up to 16 already-queued events, never waits; 1: off)")
 		verbose    = flag.Bool("v", false, "log policy actions and membership changes")
 
 		durable      = flag.Bool("durable", false, "retain published events in a durable log for replay to durable consumers")
@@ -82,6 +82,11 @@ func run() error {
 		Lease:   *lease,
 		Grace:   *grace,
 		Batch:   smc.BatchConfig{Events: *batch},
+	}
+	if *batch > 1 {
+		// An explicit cap keeps its flush-on-deadline behaviour; only
+		// the default coalesces without ever waiting.
+		cfg.Batch.FlushDelay = time.Millisecond
 	}
 	if *durable || *durableDir != "" {
 		cfg.Durable = &store.Config{

@@ -114,6 +114,9 @@ func run() error {
 		select {
 		case <-sig:
 			fmt.Printf("\n%d events observed\n", count)
+			if d := dev.Client.Stats().InboxDropped; d > 0 {
+				fmt.Printf("%d more dropped at the tap's inbox (tap slower than the stream)\n", d)
+			}
 			return dev.Leave()
 		case e, ok := <-dev.Client.Events():
 			if !ok {

@@ -70,12 +70,16 @@ type EnvConfig struct {
 	// SubscribeAll: when false, subscribers are members but install
 	// no filters (the quench workload).
 	NoSubscriptions bool
-	// BatchEvents > 1 turns on wire-level event coalescing at both
-	// ends: the bus proxies gather up to BatchEvents frames per packet
-	// and the publisher's client batches its publishes the same way.
+	// BatchEvents tunes wire-level event coalescing. Zero is the
+	// product default: the bus proxies coalesce whatever is already
+	// queued (up to 16 events per packet, never waiting) and publishes
+	// travel one per packet. 1 turns proxy coalescing off — the
+	// baseline of the window and batching ablations. > 1 caps the
+	// proxies' batches at BatchEvents frames and makes the publisher's
+	// client batch its publishes the same way.
 	BatchEvents int
-	// BatchFlush is the flush-on-deadline for partial batches (0 uses
-	// the layer defaults).
+	// BatchFlush is the flush-on-deadline for partial batches (0: the
+	// proxies never wait, the publish batcher waits its default 1ms).
 	BatchFlush time.Duration
 }
 
@@ -106,7 +110,7 @@ func NewEnv(flavor Flavor, cfg EnvConfig) (*Env, error) {
 	if cfg.Shards > 0 {
 		opts = append(opts, bus.WithShards(cfg.Shards))
 	}
-	if cfg.BatchEvents > 1 {
+	if cfg.BatchEvents > 0 || cfg.BatchFlush > 0 {
 		opts = append(opts, bus.WithBatching(cfg.BatchEvents, 0, cfg.BatchFlush))
 	}
 	b := bus.New(reliable.New(busTr, relConfig(cfg.Window)), m, bootstrap.NewRegistry(), opts...)

@@ -180,13 +180,16 @@ func WithProxyConfig(cfg proxy.Config) Option {
 	return func(b *Bus) { b.proxyCfg = cfg }
 }
 
-// WithBatching enables outbound event coalescing on every member
-// proxy: up to events frames or maxBytes of payload per batch packet,
-// partial batches flushed after delay (see proxy.Config). It adjusts
-// only the batching knobs, composing with WithProxyConfig regardless
-// of option order. events <= 1 disables batching.
+// WithBatching tunes outbound coalescing on every member proxy: up to
+// events deliveries or maxBytes of payload per batch packet, a partial
+// batch waiting delay for more once the queue runs dry. Zeros take the
+// proxy defaults — 16 events, 8 KiB, and no wait at all (opportunistic:
+// only what is already queued coalesces); events == 1 turns coalescing
+// off (see proxy.Config). It adjusts only the batching knobs, composing
+// with WithProxyConfig regardless of option order.
 func WithBatching(events, maxBytes int, delay time.Duration) Option {
 	return func(b *Bus) {
+		b.batchSet = true
 		b.batchEvents, b.batchBytes, b.batchDelay = events, maxBytes, delay
 	}
 }
@@ -255,6 +258,7 @@ type Bus struct {
 	auth       Authorizer
 	cost       Cost
 	quenchOn   bool
+	batchSet   bool // WithBatching was given: fold the overlay below into proxyCfg
 	proxyCfg   proxy.Config
 	queueDepth int
 	shards     int
@@ -344,7 +348,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 	for _, o := range opts {
 		o(b)
 	}
-	if b.batchEvents > 0 {
+	if b.batchSet {
 		b.proxyCfg.BatchEvents = b.batchEvents
 		b.proxyCfg.BatchBytes = b.batchBytes
 		b.proxyCfg.FlushDelay = b.batchDelay

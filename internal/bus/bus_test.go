@@ -93,10 +93,47 @@ func waitForSubs(t *testing.T, b *Bus, n int) {
 	}
 }
 
+// packetEvents decodes every event a PktEvent packet carries: the bare
+// payload, or — for a coalesced delivery (wire.FlagBatch) — each frame
+// in order.
+func packetEvents(pkt *wire.Packet) ([]*event.Event, error) {
+	if pkt.Flags&wire.FlagBatch == 0 {
+		e, err := wire.DecodeEvent(pkt.Payload)
+		return []*event.Event{e}, err
+	}
+	r, err := wire.NewBatchReader(pkt.Payload)
+	if err != nil {
+		return nil, err
+	}
+	var out []*event.Event
+	for r.More() {
+		frame, err := r.Next()
+		if err != nil {
+			return nil, err
+		}
+		e, err := wire.DecodeEvent(frame)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// unread holds events a raw test receiver unpacked from a coalesced
+// packet but has not handed out yet, per channel.
+var unread = struct {
+	sync.Mutex
+	m map[*reliable.Channel][]*event.Event
+}{m: make(map[*reliable.Channel][]*event.Event)}
+
 func expectEvent(t *testing.T, ch *reliable.Channel, timeout time.Duration) *event.Event {
 	t.Helper()
+	unread.Lock()
+	events := unread.m[ch]
+	unread.Unlock()
 	deadline := time.Now().Add(timeout)
-	for {
+	for len(events) == 0 {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			t.Fatal("no event delivered")
@@ -108,12 +145,14 @@ func expectEvent(t *testing.T, ch *reliable.Channel, timeout time.Duration) *eve
 		if pkt.Type != wire.PktEvent {
 			continue
 		}
-		e, err := wire.DecodeEvent(pkt.Payload)
-		if err != nil {
+		if events, err = packetEvents(pkt); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		return e
 	}
+	unread.Lock()
+	unread.m[ch] = events[1:]
+	unread.Unlock()
+	return events[0]
 }
 
 func TestBusRoutesToRemoteSubscriber(t *testing.T) {

@@ -80,28 +80,31 @@ func TestPooledEventThroughMemberPath(t *testing.T) {
 	const n = 100
 	done := make(chan error, 1)
 	go func() {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n; {
 			pkt, err := ch.Recv()
 			if err != nil {
 				done <- err
 				return
 			}
-			e, err := wire.DecodeEvent(pkt.Payload)
+			events, err := packetEvents(pkt)
 			pkt.Release()
 			if err != nil {
 				done <- err
 				return
 			}
-			if v, ok := e.Get("k"); !ok {
-				done <- fmt.Errorf("delivery %d: attribute missing (recycled too early?)", i)
-				return
-			} else if iv, _ := v.Int(); iv != int64(i) {
-				done <- fmt.Errorf("delivery %d: k = %d (event corrupted by recycling)", i, iv)
-				return
-			}
-			if e.Type() != "pooled" {
-				done <- fmt.Errorf("delivery %d: type = %q", i, e.Type())
-				return
+			for _, e := range events {
+				if v, ok := e.Get("k"); !ok {
+					done <- fmt.Errorf("delivery %d: attribute missing (recycled too early?)", i)
+					return
+				} else if iv, _ := v.Int(); iv != int64(i) {
+					done <- fmt.Errorf("delivery %d: k = %d (event corrupted by recycling)", i, iv)
+					return
+				}
+				if e.Type() != "pooled" {
+					done <- fmt.Errorf("delivery %d: type = %q", i, e.Type())
+					return
+				}
+				i++
 			}
 		}
 		done <- nil
@@ -153,24 +156,27 @@ func TestPooledEventSharedFanout(t *testing.T) {
 	recv := func(ch interface {
 		Recv() (*wire.Packet, error)
 	}, errs chan<- error) {
-		for i := 0; i < n; i++ {
+		for i := 0; i < n; {
 			pkt, err := ch.Recv()
 			if err != nil {
 				errs <- err
 				return
 			}
-			e, err := wire.DecodeEvent(pkt.Payload)
+			events, err := packetEvents(pkt)
 			pkt.Release()
 			if err != nil {
 				errs <- err
 				return
 			}
-			if v, ok := e.Get("k"); !ok {
-				errs <- fmt.Errorf("delivery %d: missing attr", i)
-				return
-			} else if iv, _ := v.Int(); iv != int64(i) {
-				errs <- fmt.Errorf("delivery %d: k = %d", i, iv)
-				return
+			for _, e := range events {
+				if v, ok := e.Get("k"); !ok {
+					errs <- fmt.Errorf("delivery %d: missing attr", i)
+					return
+				} else if iv, _ := v.Int(); iv != int64(i) {
+					errs <- fmt.Errorf("delivery %d: k = %d", i, iv)
+					return
+				}
+				i++
 			}
 		}
 		errs <- nil

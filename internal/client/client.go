@@ -30,6 +30,11 @@ type Stats struct {
 	QuenchSuppressed uint64
 	EventsReceived   uint64
 	DataReceived     uint64
+	// InboxDropped counts live events decoded (and counted in
+	// EventsReceived) but shed because the Events() inbox was full —
+	// drop-newest, the bounded memory of the target platform. Durable
+	// deliveries block instead and are never counted here.
+	InboxDropped uint64
 	// DurableReceived counts durable deliveries handed to Events();
 	// DurableDeduped counts redeliveries dropped by the cursor floor
 	// (splice-boundary duplicates). DurableReceived deliveries are
@@ -51,6 +56,9 @@ type Client struct {
 	// evFree recycles inbound decoded events owner-locally instead of
 	// through the global event pool (see event.FreeList).
 	evFree *event.FreeList
+	// liveScratch gathers one inbound packet's decoded live events
+	// between decode and inbox hand-off; owned by the receive loop.
+	liveScratch []*event.Event
 
 	mu    sync.Mutex
 	stats Stats
@@ -259,7 +267,7 @@ func (c *Client) flushLocked() {
 	}
 	bp, comps := b.bp, b.comps
 	b.bp, b.comps = nil, nil
-	bc := c.ch.SendBatchAsync(c.bus, *bp)
+	bc := c.ch.SendBatchAsync(c.bus, wire.PktEvent, *bp)
 	wire.PutEncodeBuf(bp)
 	go func() {
 		err := bc.Wait()
@@ -412,17 +420,7 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 		}
 		// Origin sender/seq travel inside the payload; the packet
 		// header identifies only the relaying bus.
-		c.mu.Lock()
-		c.stats.EventsReceived++
-		c.mu.Unlock()
-		select {
-		case c.inbox <- e:
-		case <-c.done:
-			e.Release()
-			return true
-		default: // inbox overflow: drop oldest semantics not needed; drop new
-			e.Release()
-		}
+		return c.pushLive(append(c.liveScratch[:0], e))
 	case wire.PktData:
 		cp := make([]byte, len(pkt.Payload))
 		copy(cp, pkt.Payload)
@@ -436,6 +434,9 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 		default:
 		}
 	case wire.PktEventDurable:
+		if pkt.Flags&wire.FlagBatch != 0 {
+			return c.handleDurableBatch(pkt)
+		}
 		return c.handleDurableEvent(pkt)
 	case wire.PktDurableAck:
 		c.handleDurableAck(pkt)
@@ -449,37 +450,64 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 	return false
 }
 
+// pushLive counts one packet's worth of decoded live events — one
+// lock per packet, however many frames it carried — and hands them to
+// the inbox in order. A full inbox drops the new event (counted in
+// Stats.InboxDropped); stop reports that the client is shutting down.
+// events must be built on liveScratch, which is cleared for reuse.
+func (c *Client) pushLive(events []*event.Event) (stop bool) {
+	c.mu.Lock()
+	c.stats.EventsReceived += uint64(len(events))
+	c.mu.Unlock()
+	var dropped uint64
+push:
+	for i, e := range events {
+		select {
+		case c.inbox <- e:
+		case <-c.done:
+			for _, rest := range events[i:] {
+				rest.Release()
+			}
+			stop = true
+			break push
+		default:
+			e.Release()
+			dropped++
+		}
+	}
+	if dropped > 0 {
+		c.mu.Lock()
+		c.stats.InboxDropped += dropped
+		c.mu.Unlock()
+	}
+	clear(events)
+	c.liveScratch = events[:0]
+	return stop
+}
+
 // handleEventBatch unpacks a batch delivery from the member's proxy:
 // every frame decodes — borrowing — into its own pooled event holding
 // an independent reference on the shared packet, and is pushed to the
-// inbox under the same consumer contract as a single delivery. It
-// reports true when the client is shutting down.
+// inbox under the same consumer contract as a single delivery. A
+// malformed frame ends the batch; the frames before it are delivered.
+// It reports true when the client is shutting down.
 func (c *Client) handleEventBatch(pkt *wire.Packet) (stop bool) {
 	r, err := wire.NewBatchReader(pkt.Payload)
 	if err != nil {
 		return false
 	}
+	events := c.liveScratch[:0]
 	for r.More() {
 		frame, err := r.Next()
 		if err != nil {
-			return false
+			break
 		}
 		e := c.evFree.Acquire()
 		if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
 			e.Release()
-			return false
+			break
 		}
-		c.mu.Lock()
-		c.stats.EventsReceived++
-		c.mu.Unlock()
-		select {
-		case c.inbox <- e:
-		case <-c.done:
-			e.Release()
-			return true
-		default: // inbox overflow: drop the new event, as single path does
-			e.Release()
-		}
+		events = append(events, e)
 	}
-	return false
+	return c.pushLive(events)
 }

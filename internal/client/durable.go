@@ -86,6 +86,32 @@ func (c *Client) handleDurableEvent(pkt *wire.Packet) (stop bool) {
 	if err != nil {
 		return false
 	}
+	return c.deliverDurable(cursor, frame, pkt)
+}
+
+// handleDurableBatch unpacks a coalesced run of durable deliveries
+// (PktEventDurable + wire.FlagBatch): every frame is one unchanged
+// cursor-prefixed delivery and goes through exactly the single-delivery
+// path — cursor floor, dedup counter, blocking inbox hand-off — in
+// frame order.
+func (c *Client) handleDurableBatch(pkt *wire.Packet) (stop bool) {
+	r, err := wire.NewBatchReader(pkt.Payload)
+	if err != nil {
+		return false
+	}
+	for r.More() && !stop {
+		cursor, frame, err := r.NextDurable()
+		if err != nil {
+			return false
+		}
+		stop = c.deliverDurable(cursor, frame, pkt)
+	}
+	return stop
+}
+
+// deliverDurable applies the cursor floor to one durable delivery and
+// hands it to the inbox (blocking: see the package comment above).
+func (c *Client) deliverDurable(cursor uint64, frame []byte, pkt *wire.Packet) (stop bool) {
 	if cursor <= c.durFloor.Load() {
 		// Redelivery across the splice/rebind boundary: already seen.
 		c.mu.Lock()

@@ -57,6 +57,9 @@ func pingEvent(n int64) *event.Event {
 	return e
 }
 
+// recvPings collects ping numbers from the member's channel until want
+// have arrived or the timeout lapses. A coalesced packet yields all its
+// pings, so the result can run past want.
 func recvPings(t *testing.T, ch *reliable.Channel, want int, timeout time.Duration) []int64 {
 	t.Helper()
 	var got []int64
@@ -69,13 +72,10 @@ func recvPings(t *testing.T, ch *reliable.Channel, want int, timeout time.Durati
 		if pkt.Type != wire.PktEvent {
 			continue
 		}
-		e, err := wire.DecodeEvent(pkt.Payload)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+		batched := pkt.Flags&wire.FlagBatch != 0
+		for _, d := range (recordedSend{pkt.Type, batched, pkt.Payload}).unpack(t) {
+			got = append(got, d.n)
 		}
-		v, _ := e.Get("n")
-		n, _ := v.Int()
-		got = append(got, n)
 	}
 	return got
 }

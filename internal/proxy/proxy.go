@@ -45,22 +45,15 @@ type Sender interface {
 // whose sender implements AsyncSender keeps up to Config.Pipeline
 // deliveries in flight instead of waiting out one network round trip
 // per queued event — the member-enqueue half of the sliding-window
-// pipeline. reliable.Channel is the canonical implementation.
+// pipeline — and coalesces runs of queued deliveries of one packet type
+// into pre-framed batches (wire.FlagBatch payloads) sent through
+// SendBatchAsync: one reliable packet, one acknowledgement, one network
+// crossing for the whole run. reliable.Channel is the canonical
+// implementation.
 type AsyncSender interface {
 	Sender
 	SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion
-}
-
-// BatchAsyncSender is implemented by senders that additionally accept
-// pre-framed event batches (wire.FlagBatch payloads). A proxy with
-// batching enabled (Config.BatchEvents > 1) coalesces consecutive
-// event deliveries into one batch payload and sends it through
-// SendBatchAsync — one reliable packet, one acknowledgement, one
-// network crossing for the whole run of events. reliable.Channel is
-// the canonical implementation.
-type BatchAsyncSender interface {
-	AsyncSender
-	SendBatchAsync(dst ident.ID, payload []byte) *reliable.Completion
+	SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion
 }
 
 // Publisher lets a proxy inject translated device data into the bus.
@@ -147,19 +140,22 @@ type Config struct {
 	// when its sender implements AsyncSender (default 8). Pipeline=1
 	// forces the sequential one-at-a-time loop.
 	Pipeline int
-	// BatchEvents enables outbound event coalescing when > 1 and the
-	// sender implements BatchAsyncSender: up to this many consecutive
-	// event deliveries are framed into one batch packet (flush on
-	// size). 0 or 1 disables batching.
+	// BatchEvents caps how many consecutive queued deliveries of one
+	// packet type (live events, or durable deliveries) the pipelined
+	// loop coalesces into one batch packet. Zero means the default (16);
+	// 1 turns coalescing off. A run of one is always sent as the plain
+	// single-delivery packet, so an idle proxy's traffic is
+	// byte-identical with or without coalescing.
 	BatchEvents int
 	// BatchBytes caps a batch payload's size in bytes; a frame that
-	// would push the batch past it flushes first. Defaults to 8 KiB
-	// when batching is enabled.
+	// would push the batch past it flushes first. Zero means 8 KiB.
 	BatchBytes int
-	// FlushDelay bounds how long a partially filled batch waits for
-	// more queued events once the queue runs dry before being flushed
-	// anyway (flush on deadline). Defaults to 1ms when batching is
-	// enabled.
+	// FlushDelay is how long a partially filled batch waits for more
+	// queued events once the queue runs dry. Zero — the default — never
+	// waits: the run gathered from what was already queued goes out at
+	// once, so coalescing costs no latency and only a busy proxy
+	// batches. A positive delay trades latency for fuller batches
+	// (flush on deadline).
 	FlushDelay time.Duration
 }
 
@@ -169,6 +165,8 @@ func DefaultConfig() Config {
 		QueueCap:           512,
 		RedeliveryInterval: 250 * time.Millisecond,
 		Pipeline:           8,
+		BatchEvents:        16,
+		BatchBytes:         8 << 10,
 	}
 }
 
@@ -205,8 +203,8 @@ type Proxy struct {
 
 	// Batch-gathering state, owned exclusively by the delivery worker
 	// goroutine: a one-slot holdover for the item that forced a flush
-	// (device-native data or a frame that would overflow BatchBytes)
-	// and the reusable frame-gathering scratch.
+	// (a different packet type, or a frame that would overflow
+	// BatchBytes) and the reusable frame-gathering scratch.
 	held         outItem
 	hasHeld      bool
 	batchScratch []outItem
@@ -228,13 +226,11 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = DefaultConfig().Pipeline
 	}
-	if cfg.BatchEvents > 1 {
-		if cfg.BatchBytes <= 0 {
-			cfg.BatchBytes = 8 << 10
-		}
-		if cfg.FlushDelay <= 0 {
-			cfg.FlushDelay = time.Millisecond
-		}
+	if cfg.BatchEvents <= 0 {
+		cfg.BatchEvents = DefaultConfig().BatchEvents
+	}
+	if cfg.BatchBytes <= 0 {
+		cfg.BatchBytes = DefaultConfig().BatchBytes
 	}
 	p := &Proxy{
 		member: member,
@@ -264,7 +260,8 @@ func (p *Proxy) InitialSubscriptions() []*event.Filter {
 }
 
 // Start launches the delivery worker. Senders that can pipeline get
-// the windowed delivery loop; plain Senders keep the sequential one.
+// the windowed, coalescing delivery loop; plain Senders keep the
+// sequential one — one Send per event.
 func (p *Proxy) Start() {
 	if as, ok := p.sender.(AsyncSender); ok && p.cfg.Pipeline > 1 {
 		go p.deliverLoopAsync(as)
@@ -439,7 +436,7 @@ type outItem struct {
 	payload []byte
 	bufp    *[]byte // pooled event-encode buffer; nil for device-native data
 	comp    *reliable.Completion
-	batched bool // payload is a framed batch; send via SendBatchAsync
+	batched bool // payload is a framed batch of ptype; send via SendBatchAsync
 	events  int  // events inside a batch payload (1 otherwise)
 }
 
@@ -486,24 +483,29 @@ func (p *Proxy) translateOut(e *event.Event) (outItem, bool) {
 	}
 }
 
-// gatherBatch builds the next delivery for the batching pipeline: a
-// run of consecutive event deliveries coalesced into one batch
-// payload, or a single item when coalescing does not apply. It flushes
-// on size (Config.BatchEvents frames or Config.BatchBytes bytes), on
-// FIFO breaks (device-native data must not overtake the events queued
-// before it, so it flushes the run and is held over for the next
-// call), and on deadline (a partial batch waits at most
-// Config.FlushDelay for the queue to refill before going out as-is).
-// ok=false means the queue is empty and nothing is pending; the caller
-// waits on wake.
+// batchable reports whether deliveries of this packet type may share a
+// batch packet: live events and durable deliveries do (each with its
+// own kind only); device-native data never does.
+func batchable(t wire.PacketType) bool {
+	return t == wire.PktEvent || t == wire.PktEventDurable
+}
+
+// gatherBatch builds the next delivery for the pipelined loop: the run
+// of consecutive same-type deliveries already queued, coalesced into
+// one batch payload, or a single item when there is nothing to coalesce
+// with. It flushes on size (Config.BatchEvents frames or
+// Config.BatchBytes bytes), on FIFO breaks (a delivery of another
+// packet type must not overtake the run queued before it, so it flushes
+// the run and is held over for the next call), and when the queue runs
+// dry — at once with the default zero Config.FlushDelay, otherwise after
+// waiting at most that long for the queue to refill. ok=false means the
+// queue is empty and nothing is pending; the caller waits on wake.
 func (p *Proxy) gatherBatch() (outItem, bool) {
 	items := p.batchScratch[:0]
 	size := wire.BatchHeaderLen
 	if p.hasHeld {
 		p.hasHeld = false
-		if p.held.ptype != wire.PktEvent {
-			// Device-native data and durable deliveries (cursor-framed
-			// payloads) never join a batch.
+		if !batchable(p.held.ptype) {
 			return p.held, true
 		}
 		items = append(items, p.held)
@@ -522,6 +524,9 @@ gather:
 			if len(items) == 0 {
 				return outItem{}, false
 			}
+			if p.cfg.FlushDelay <= 0 {
+				break // opportunistic: never wait for a fuller batch
+			}
 			// Partial batch, empty queue: flush on deadline.
 			if timer == nil {
 				timer = time.NewTimer(p.cfg.FlushDelay)
@@ -539,14 +544,12 @@ gather:
 		if !ok {
 			continue
 		}
-		if it.ptype != wire.PktEvent {
-			if len(items) == 0 {
+		if len(items) == 0 {
+			if !batchable(it.ptype) {
 				return it, true
 			}
-			p.held, p.hasHeld = it, true
-			break
-		}
-		if len(items) > 0 && size+wire.BatchFrameSize(len(it.payload)) > p.cfg.BatchBytes {
+		} else if it.ptype != items[0].ptype ||
+			size+wire.BatchFrameSize(len(it.payload)) > p.cfg.BatchBytes {
 			p.held, p.hasHeld = it, true
 			break
 		}
@@ -560,7 +563,8 @@ gather:
 // flushBatch turns a gathered run into one delivery. A run of one
 // stays a plain single-event send — byte-identical to the unbatched
 // path, no framing overhead; longer runs are framed into a fresh batch
-// payload and the per-event encode buffers are returned to the pool.
+// payload of the run's packet type and the per-event encode buffers are
+// returned to the pool.
 func (p *Proxy) flushBatch(items []outItem) outItem {
 	if len(items) == 1 {
 		return items[0]
@@ -577,7 +581,7 @@ func (p *Proxy) flushBatch(items []outItem) outItem {
 	p.stats.BatchedEvents += uint64(len(items))
 	p.mu.Unlock()
 	return outItem{
-		ptype:   wire.PktEvent,
+		ptype:   items[0].ptype,
 		payload: buf,
 		bufp:    bp,
 		batched: true,
@@ -586,18 +590,14 @@ func (p *Proxy) flushBatch(items []outItem) outItem {
 }
 
 // deliverLoopAsync is the windowed delivery worker: it keeps up to
-// Config.Pipeline sends in flight on the reliable channel and resolves
-// them in FIFO order. When the channel gives up on the member the
-// whole outstanding tail fails together (cumulative acks: a later
-// packet cannot be acknowledged without its predecessors), so the
-// failed items are re-sent in order after the redelivery pause —
-// byte-identical, see outItem.
+// Config.Pipeline sends — each one gathered run, see gatherBatch — in
+// flight on the reliable channel and resolves them in FIFO order. When
+// the channel gives up on the member the whole outstanding tail fails
+// together (cumulative acks: a later packet cannot be acknowledged
+// without its predecessors), so the failed items are re-sent in order
+// after the redelivery pause — byte-identical, see outItem.
 func (p *Proxy) deliverLoopAsync(as AsyncSender) {
 	defer close(p.done)
-	bs, _ := as.(BatchAsyncSender)
-	if p.cfg.BatchEvents <= 1 {
-		bs = nil
-	}
 	var inflight []outItem // sent, awaiting acknowledgement (FIFO)
 	var retry []outItem    // failed, to re-send before new queue work
 	releaseAll := func() {
@@ -615,28 +615,20 @@ func (p *Proxy) deliverLoopAsync(as AsyncSender) {
 	for {
 		for len(inflight) < p.cfg.Pipeline {
 			var it outItem
-			var ok bool
 			if len(retry) > 0 {
 				it = retry[0]
 				retry = retry[1:]
 				p.mu.Lock()
 				p.stats.Redeliveries++
 				p.mu.Unlock()
-			} else if bs != nil {
+			} else {
+				var ok bool
 				if it, ok = p.gatherBatch(); !ok {
 					break
 				}
-			} else {
-				var e *event.Event
-				if e, ok = p.next(); !ok {
-					break
-				}
-				if it, ok = p.translateOut(e); !ok {
-					continue
-				}
 			}
 			if it.batched {
-				it.comp = bs.SendBatchAsync(p.member, it.payload)
+				it.comp = as.SendBatchAsync(p.member, it.ptype, it.payload)
 			} else {
 				it.comp = as.SendAsync(p.member, it.ptype, it.payload)
 			}

@@ -82,7 +82,7 @@ func TestBatchSendDeliversAndPiggybacksAck(t *testing.T) {
 	}
 
 	events, payload := testBatchEvents(t, 3)
-	if err := a.SendBatchAsync(b.LocalID(), payload).Wait(); err != nil {
+	if err := a.SendBatchAsync(b.LocalID(), wire.PktEvent, payload).Wait(); err != nil {
 		t.Fatalf("batch send: %v", err)
 	}
 	recvBatch(t, b, events)
@@ -129,14 +129,14 @@ func TestBatchResumeAfterGiveUp(t *testing.T) {
 
 	n.Partition(a.LocalID(), b.LocalID())
 	events, payload := testBatchEvents(t, 4)
-	if err := a.SendBatchAsync(b.LocalID(), payload).Wait(); !errors.Is(err, ErrGaveUp) {
+	if err := a.SendBatchAsync(b.LocalID(), wire.PktEvent, payload).Wait(); !errors.Is(err, ErrGaveUp) {
 		t.Fatalf("partitioned batch send: %v, want ErrGaveUp", err)
 	}
 	n.Heal(a.LocalID(), b.LocalID())
 
 	// Redeliver: same events, freshly framed (zero prologue).
 	_, again := testBatchEvents(t, 4)
-	if err := a.SendBatchAsync(b.LocalID(), again).Wait(); err != nil {
+	if err := a.SendBatchAsync(b.LocalID(), wire.PktEvent, again).Wait(); err != nil {
 		t.Fatalf("redelivered batch: %v", err)
 	}
 	recvBatch(t, b, events)
@@ -152,5 +152,62 @@ func TestBatchResumeAfterGiveUp(t *testing.T) {
 	// And exactly one batch arrives: no duplicate delivery.
 	if pkt, err := b.RecvTimeout(100 * time.Millisecond); err == nil {
 		t.Fatalf("unexpected extra packet %s", pkt)
+	}
+}
+
+// TestDurableBatchSendDeliversAndPiggybacksAck: a batch may carry
+// durable deliveries instead of bare events — the packet keeps its
+// PktEventDurable type alongside FlagBatch, every frame is the
+// unchanged cursor-prefixed payload, and the prologue's piggybacked ack
+// is honoured exactly as on a PktEvent batch.
+func TestDurableBatchSendDeliversAndPiggybacksAck(t *testing.T) {
+	a, b := pair(t, netsim.Perfect, 33, fastCfg())
+	if err := b.Send(a.LocalID(), wire.PktEvent, []byte("prime")); err != nil {
+		t.Fatalf("prime send: %v", err)
+	}
+	if pkt, err := a.RecvTimeout(time.Second); err != nil {
+		t.Fatalf("prime recv: %v", err)
+	} else {
+		pkt.Release()
+	}
+
+	events, _ := testBatchEvents(t, 3)
+	payload := wire.AppendBatchHeader(nil)
+	for i, e := range events {
+		payload = wire.AppendBatchFrame(payload, wire.AppendDurableEvent(nil, uint64(40+i), e))
+	}
+	if err := a.SendBatchAsync(b.LocalID(), wire.PktEventDurable, payload).Wait(); err != nil {
+		t.Fatalf("batch send: %v", err)
+	}
+	pkt, err := b.RecvTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	defer pkt.Release()
+	if pkt.Type != wire.PktEventDurable || pkt.Flags&wire.FlagBatch == 0 {
+		t.Fatalf("got %s, want a durable batch packet", pkt)
+	}
+	r, err := wire.NewBatchReader(pkt.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range events {
+		cursor, frame, err := r.NextDurable()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		e, err := wire.DecodeEvent(frame)
+		if err != nil {
+			t.Fatalf("frame %d decode: %v", i, err)
+		}
+		if cursor != uint64(40+i) || !e.Equal(want) {
+			t.Fatalf("frame %d: cursor %d, event %s", i, cursor, e)
+		}
+	}
+	if r.More() {
+		t.Fatal("extra frames")
+	}
+	if st := b.Stats(); st.PiggybackAcks == 0 {
+		t.Error("receiver applied no piggybacked ack from a durable batch")
 	}
 }

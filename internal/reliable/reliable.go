@@ -554,16 +554,19 @@ func (c *Channel) SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte)
 }
 
 // SendBatchAsync enqueues a reliable batch packet (wire.FlagBatch) of
-// already-framed events for dst: the payload must begin with a batch
-// prologue (wire.AppendBatchHeader) followed by event frames
-// (wire.AppendBatchEvent). The channel stamps the freshest piggybacked
+// already-framed deliveries for dst: the payload must begin with a
+// batch prologue (wire.AppendBatchHeader) followed by frames
+// (wire.AppendBatchEvent / AppendBatchFrame). ptype names what the
+// frames are — wire.PktEvent for bare event encodings,
+// wire.PktEventDurable for cursor-prefixed ones — and a batch is
+// homogeneous in it. The channel stamps the freshest piggybacked
 // cumulative ack for dst's inbound stream into the prologue at every
 // transmission, so a bidirectional flow acknowledges without dedicated
 // ack packets. Like SendAsync the payload is copied before return, the
 // batch gets one sequence number (acknowledged and retransmitted as a
 // unit), and the completion resolves when the whole batch is acked.
-func (c *Channel) SendBatchAsync(dst ident.ID, payload []byte) *Completion {
-	comp, err := c.sendReliable(dst, wire.PktEvent, wire.FlagBatch, payload, true)
+func (c *Channel) SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *Completion {
+	comp, err := c.sendReliable(dst, ptype, wire.FlagBatch, payload, true)
 	if err != nil {
 		return failedCompletion(err)
 	}
@@ -1158,7 +1161,7 @@ func (c *Channel) handle(pkt *wire.Packet) {
 		c.ctr.unreliableIn.Add(1)
 		c.deliver(pkt)
 	default:
-		if pkt.Flags&wire.FlagBatch != 0 && pkt.Type == wire.PktEvent {
+		if pkt.Flags&wire.FlagBatch != 0 && (pkt.Type == wire.PktEvent || pkt.Type == wire.PktEventDurable) {
 			// A batch prologue may piggyback the peer's cumulative ack
 			// for our own outbound stream: apply it before the data
 			// path, exactly as if a standalone PktAck had arrived.
@@ -1249,10 +1252,17 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		// retransmit, so the gap is unfillable: its cumulative state
 		// regressed (the receiver restarted, or its state was purged).
 		// One stray reordered ack must not reset a healthy stream, so
-		// demand a persistent signal: repeated regressed acks with a
-		// retransmission round behind them and no progress in between.
+		// demand a persistent signal: repeated regressed acks, every one
+		// of them arriving behind a retransmission round, with no
+		// progress in between. Regressed acks seen while no round is
+		// outstanding are reordered stragglers of settled packets and do
+		// not count — otherwise they pile up harmlessly and the first
+		// straggler after the next timer round resets a healthy stream.
+		if ds.attempts == 0 {
+			break
+		}
 		ds.gapAcks++
-		if ds.gapAcks >= 3 && ds.attempts > 0 {
+		if ds.gapAcks >= 3 {
 			c.resetStreamLocked(ds)
 			ds.kick()
 		}

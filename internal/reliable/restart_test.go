@@ -489,3 +489,97 @@ func TestDrainWaitsForAcks(t *testing.T) {
 		t.Fatalf("drain after give-up: %v", err)
 	}
 }
+
+// TestStaleAcksAheadOfRetransmitRoundDoNotResetStream pins the false
+// stream reset the benchmark verifier caught on a reordering link
+// (gapAcks=4 attempts=1): regressed acks that arrive while no
+// retransmission round is outstanding are reordered stragglers of
+// packets long settled, not evidence of a restarted receiver. They must
+// not be banked, or the first straggler after the next timer round
+// resets a healthy stream and re-sends a window the receiver has
+// already delivered — under a new epoch, so it is delivered twice.
+func TestStaleAcksAheadOfRetransmitRoundDoNotResetStream(t *testing.T) {
+	sw := transport.NewSwitch()
+	defer sw.Close()
+	senderID, recvID := ident.New(1), ident.New(2)
+	senderTr, err := sw.Attach(senderID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvTr, err := sw.Attach(recvID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		RetryTimeout:    200 * time.Millisecond,
+		MaxRetryTimeout: 200 * time.Millisecond,
+		MaxRetries:      8,
+		Window:          16,
+	}
+	sender, recv := New(senderTr, cfg), New(recvTr, cfg)
+	defer sender.Close()
+	defer recv.Close()
+
+	expect := func(want byte) {
+		t.Helper()
+		pkt, err := recv.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("recv %d: %v", want, err)
+		}
+		if got := pkt.Payload[0]; got != want {
+			t.Fatalf("recv payload %d, want %d", got, want)
+		}
+		pkt.Release()
+	}
+
+	// A healthy, fully acknowledged prefix: the window base moves to 6.
+	for i := byte(1); i <= 5; i++ {
+		if err := sender.Send(recvID, 100, []byte{i}); err != nil {
+			t.Fatalf("prefix send %d: %v", i, err)
+		}
+		expect(i)
+	}
+
+	// Two more packets reach the receiver, but their acks are lost.
+	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		return from == recvID && to == senderID, 0
+	})
+	c6 := sender.SendAsync(recvID, 100, []byte{6})
+	c7 := sender.SendAsync(recvID, 100, []byte{7})
+	expect(6)
+	expect(7)
+
+	// Reordered stragglers — acks for packets settled long ago — trickle
+	// in before any retransmission round.
+	for i := 0; i < 4; i++ {
+		sender.applyAck(recvID, 0, 2)
+	}
+	if st := sender.Stats(); st.Retransmits != 0 {
+		t.Skipf("box too slow: a retransmission round fired before the stale acks (%+v)", st)
+	}
+
+	// One timer round goes by, then one more straggler.
+	deadline := time.Now().Add(5 * time.Second)
+	for sender.Stats().Retransmits < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no retransmission round")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sender.applyAck(recvID, 0, 2)
+
+	// The link heals: the next round's acks get through.
+	sw.SetDeliveryHook(nil)
+	if err := c6.Wait(); err != nil {
+		t.Fatalf("send 6: %v", err)
+	}
+	if err := c7.Wait(); err != nil {
+		t.Fatalf("send 7: %v", err)
+	}
+	if st := sender.Stats(); st.StreamResets != 0 {
+		t.Fatalf("healthy stream was reset: %+v", st)
+	}
+	if pkt, err := recv.RecvTimeout(150 * time.Millisecond); err == nil {
+		t.Fatalf("duplicate delivery of %v after a false reset", pkt.Payload)
+	}
+}

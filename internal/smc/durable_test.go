@@ -99,11 +99,14 @@ func assertSequence(t *testing.T, out []int64, from int) {
 // durable member disconnects, misses well over 1000 published events,
 // rejoins with its saved position — at a different network identity —
 // and receives every missed event exactly once, in order, spliced
-// into live traffic.
+// into live traffic. The replay is a bulk read of the log into the
+// member's proxy, so it crosses the wire coalesced (PktEventDurable
+// batches): the cursor floor, the dedup counter and the exactly-once
+// order must be what they are for one delivery per packet.
 func TestDurableRejoinReplaysMissedEvents(t *testing.T) {
 	net := netsim.New(netsim.Perfect, netsim.WithSeed(11))
 	defer net.Close()
-	newTestCell(t, net, durableCellConfig())
+	cell := newTestCell(t, net, durableCellConfig())
 
 	pub, err := smc.JoinCell(attach(t, net, 0x20001), smc.DeviceConfig{
 		Type: "generic", Name: "publisher", Secret: testSecret,
@@ -151,8 +154,19 @@ func TestDurableRejoinReplaysMissedEvents(t *testing.T) {
 		t.Fatalf("rejoin: %v", err)
 	}
 	defer sub2.Leave()
-	got, _ = collectReadings(t, sub2.Client, 1100, 60*time.Second)
+	got, last := collectReadings(t, sub2.Client, 1100, 60*time.Second)
 	assertSequence(t, got, 50)
+	if px := cell.Bus.MemberProxy(sub2.Client.ID()); px == nil {
+		t.Fatal("no proxy for the rejoined member")
+	} else if st := px.Stats(); st.Batches == 0 || st.BatchedEvents < 500 {
+		t.Errorf("replay of 1100 events was not coalesced: proxy %+v", st)
+	}
+	if busCh, _ := cell.ChannelStats(); busCh.BatchesSent == 0 {
+		t.Errorf("bus channel sent no batch packets: %+v", busCh)
+	}
+	if pos2 := sub2.Client.DurablePosition(); pos2.Epoch != pos.Epoch || pos2.Cursor != last {
+		t.Errorf("position after replay = %+v, want epoch %d cursor %d", pos2, pos.Epoch, last)
+	}
 
 	// Phase 4: splice into live — new publishes arrive on the same
 	// stream, still in order, no gap and no repeat at the boundary.
@@ -160,8 +174,8 @@ func TestDurableRejoinReplaysMissedEvents(t *testing.T) {
 	got, _ = collectReadings(t, sub2.Client, 50, 10*time.Second)
 	assertSequence(t, got, 1150)
 
-	if st := sub2.Client.Stats(); st.DurableReceived < 1150 {
-		t.Fatalf("DurableReceived=%d, want >= 1150", st.DurableReceived)
+	if st := sub2.Client.Stats(); st.DurableReceived != 1150 || st.DurableDeduped != 0 {
+		t.Fatalf("DurableReceived=%d DurableDeduped=%d, want exactly 1150 and 0", st.DurableReceived, st.DurableDeduped)
 	}
 }
 

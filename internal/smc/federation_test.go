@@ -544,3 +544,91 @@ func TestFederationCursorFilePersistsAcrossLinks(t *testing.T) {
 	}
 	_ = src
 }
+
+// TestFederationImportsBacklogOverBatchedLink: a link established after
+// the remote cell has retained a long backlog imports it as a durable
+// consumer, so the remote cell's walker bulk-feeds the link's proxy and
+// the backlog crosses coalesced (PktEventDurable batches). Every alarm
+// must reach the home cell exactly once, in order, and the link's
+// resume cursor must land on the last one.
+func TestFederationImportsBacklogOverBatchedLink(t *testing.T) {
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(86))
+	defer net.Close()
+
+	src := newDurableNamedCell(t, net, "src", 0x110000, &store.Config{})
+	dst := newDurableNamedCell(t, net, "dst", 0x120000, &store.Config{})
+
+	const backlog = 1200
+	pub, err := smc.JoinCell(attach(t, net, 0x130001), smc.DeviceConfig{
+		Type: "generic", Name: "pub", Secret: testSecret, Cell: "src",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	comps := make([]*reliable.Completion, 0, 200)
+	for n := 1; n <= backlog; n++ {
+		comp, err := pub.Client.PublishAsync(event.NewTyped("alarm").SetInt("n", int64(n)))
+		if err != nil {
+			t.Fatalf("publish %d: %v", n, err)
+		}
+		if comps = append(comps, comp); len(comps) == cap(comps) || n == backlog {
+			for _, c := range comps {
+				if err := c.Wait(); err != nil {
+					t.Fatalf("publish not acked: %v", err)
+				}
+			}
+			comps = comps[:0]
+		}
+	}
+
+	var mu sync.Mutex
+	var order []int64
+	obs := dst.Bus.Local("observer")
+	if err := obs.Subscribe(event.NewFilter().WhereType("alarm"), func(e *event.Event) {
+		if v, ok := e.Get("n"); ok {
+			n, _ := v.Int()
+			mu.Lock()
+			order = append(order, n)
+			mu.Unlock()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	link, err := smc.Federate(dst, attach(t, net, 0x130002), smc.FederateConfig{
+		Name:         "dst-gw",
+		RemoteSecret: testSecret,
+		RemoteCell:   "src",
+		Import:       event.NewFilter().WhereType("alarm"),
+	})
+	if err != nil {
+		t.Fatalf("federate: %v", err)
+	}
+	defer link.Close()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for link.Imported() < backlog {
+		if time.Now().After(deadline) {
+			t.Fatalf("imported %d/%d", link.Imported(), backlog)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond) // nothing further may trickle in
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != backlog {
+		t.Fatalf("home cell saw %d alarms, want %d", len(order), backlog)
+	}
+	for i, n := range order {
+		if n != int64(i+1) {
+			t.Fatalf("position %d: alarm %d (dup, loss or reorder)", i, n)
+		}
+	}
+	if st := link.Stats(); st.Skipped != 0 || st.Dropped != 0 || st.ResumeCursor == 0 {
+		t.Errorf("link stats = %+v", st)
+	}
+	if busCh, _ := src.ChannelStats(); busCh.BatchesSent == 0 {
+		t.Errorf("remote cell sent no batch packets: the backlog crossed one delivery per packet (%+v)", busCh)
+	}
+}

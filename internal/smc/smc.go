@@ -49,8 +49,8 @@ type Config struct {
 	PolicyOptions []policy.Option
 	// Epoch distinguishes cell restarts in beacons.
 	Epoch uint32
-	// Batch enables wire-level event batching on the cell's member
-	// proxies (bus.WithBatching).
+	// Batch tunes outbound coalescing on the cell's member proxies
+	// (bus.WithBatching); the zero value is opportunistic coalescing.
 	Batch BatchConfig
 	// Durable, when non-nil, attaches a durable event log to the bus
 	// (bus.WithDurableLog): every admitted publish is retained under
@@ -61,17 +61,24 @@ type Config struct {
 }
 
 // BatchConfig tunes wire-level event batching: up to Events frames or
-// Bytes of payload per batch packet, with partial batches flushed
-// after FlushDelay. Events <= 1 leaves batching off; zero Bytes and
-// FlushDelay take the layer defaults (8 KiB, 1ms).
+// Bytes of payload per batch packet.
+//
+// On a cell (Config.Batch) it tunes the member proxies' outbound
+// coalescing, which is always on: the zero value coalesces whatever is
+// already queued for a member — up to 16 events / 8 KiB — and never
+// waits for more, so an idle cell sends every event at once as the
+// plain single-event packet and only a busy one batches. Events == 1
+// turns coalescing off; FlushDelay > 0 makes a partial batch wait that
+// long for more events (fuller batches, added latency).
+//
+// On a device (DeviceConfig.Batch) it enables publish batching, which
+// stays opt-in: Events <= 1 leaves it off; zero Bytes and FlushDelay
+// take 8 KiB and 1ms (client.WithPublishBatching).
 type BatchConfig struct {
 	Events     int
 	Bytes      int
 	FlushDelay time.Duration
 }
-
-// enabled reports whether the config turns batching on.
-func (bc BatchConfig) enabled() bool { return bc.Events > 1 }
 
 // Cell is a running Self-Managed Cell.
 type Cell struct {
@@ -111,7 +118,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 	RegisterStandardDevices(reg)
 
 	busOpts := cfg.BusOptions
-	if cfg.Batch.enabled() {
+	if cfg.Batch != (BatchConfig{}) {
 		busOpts = append(busOpts[:len(busOpts):len(busOpts)],
 			bus.WithBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
 	}
@@ -331,7 +338,7 @@ type DeviceConfig struct {
 // clientOpts converts the device config into client options.
 func (cfg DeviceConfig) clientOpts() []client.Option {
 	var opts []client.Option
-	if cfg.Batch.enabled() {
+	if cfg.Batch.Events > 1 {
 		opts = append(opts,
 			client.WithPublishBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
 	}

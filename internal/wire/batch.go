@@ -18,6 +18,12 @@ import (
 // layered strictly above it: each frame body is exactly what
 // AppendEvent would have produced for a standalone packet.
 //
+// Durable deliveries batch the same way: a PktEventDurable packet with
+// FlagBatch set carries the same prologue and frames, each frame body
+// the unchanged standalone PktEventDurable payload (8-byte cursor, then
+// the event encoding — AppendDurableEvent). A batch is homogeneous:
+// the packet type says what every frame is.
+//
 // Batch payload layout (big endian):
 //
 //	offset  size  field
@@ -31,9 +37,9 @@ import (
 // re-encoding or shifting the frames — the same in-place patching
 // trick PatchHeader uses for retransmit renumbering.
 
-// FlagBatch marks a PktEvent packet whose payload is a batch of
-// length-prefixed event frames behind a BatchHeaderLen prologue,
-// rather than one bare event encoding.
+// FlagBatch marks a PktEvent or PktEventDurable packet whose payload
+// is a batch of length-prefixed frames behind a BatchHeaderLen
+// prologue, rather than one bare payload.
 const FlagBatch byte = 1 << 3
 
 // BatchHeaderLen is the fixed batch prologue size in bytes.
@@ -177,6 +183,17 @@ func (r *BatchReader) Next() ([]byte, error) {
 	f := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
 	return f, nil
+}
+
+// NextDurable returns the next frame of a PktEventDurable batch split
+// into its log cursor and the inner event encoding (which decodes with
+// DecodeBatchFrameInto against the carrying packet, like Next's).
+func (r *BatchReader) NextDurable() (cursor uint64, frame []byte, err error) {
+	f, err := r.Next()
+	if err != nil {
+		return 0, nil, err
+	}
+	return SplitDurableEvent(f)
 }
 
 // DecodeBatchFrameInto decodes one batch frame (as returned by

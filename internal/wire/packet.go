@@ -21,11 +21,11 @@
 //	24      n     payload
 //	24+n    4     CRC-32 (IEEE) over bytes [0, 24+n)
 //
-// A PktEvent packet whose FlagBatch flag bit is set carries, instead of
-// one bare event encoding, the batch payload documented in batch.go: a
-// 10-byte prologue (optional piggybacked cumulative ack) followed by
-// length-prefixed event frames, each frame byte-identical to the
-// standalone encoding of that event.
+// A PktEvent or PktEventDurable packet whose FlagBatch flag bit is set
+// carries, instead of one bare payload, the batch payload documented in
+// batch.go: a 10-byte prologue (optional piggybacked cumulative ack)
+// followed by length-prefixed frames, each frame byte-identical to the
+// standalone payload of that delivery.
 package wire
 
 import (
@@ -89,7 +89,8 @@ const (
 	PktDurableAck
 	// PktEventDurable carries one durable delivery: an 8-byte log
 	// cursor followed by the unchanged single-event encoding — the
-	// same strict layering over the frozen format as FlagBatch.
+	// same strict layering over the frozen format as FlagBatch. With
+	// FlagBatch set it carries a run of them, one per batch frame.
 	PktEventDurable
 )
 
@@ -149,9 +150,9 @@ const (
 	// including Seq, not just the one packet carrying that number.
 	FlagCumAck
 
-	// FlagBatch (1 << 3) marks a PktEvent carrying a batch of event
-	// frames; it is defined in batch.go next to the batch framing
-	// layout it governs.
+	// FlagBatch (1 << 3) marks a PktEvent or PktEventDurable carrying
+	// a batch of frames; it is defined in batch.go next to the batch
+	// framing layout it governs.
 )
 
 // Version is the current wire format version.
