@@ -90,9 +90,13 @@ func (c Cost) enabled() bool {
 // Matched+NoMatch while a shard is between the two increments). On a
 // quiesced bus all invariants hold exactly.
 type Stats struct {
-	Published      uint64
-	Matched        uint64
-	NoMatch        uint64
+	Published uint64
+	Matched   uint64
+	NoMatch   uint64
+	// DeliveredLocal counts local handler invocations: one per handler
+	// whose filter the event satisfied, so a service with three matching
+	// handlers adds three. EnqueuedRemote counts one per matching member,
+	// however many of its filters matched.
 	DeliveredLocal uint64
 	EnqueuedRemote uint64
 	Quenches       uint64
@@ -221,25 +225,14 @@ func WithShards(n int) Option {
 // membership is the immutable copy-on-write membership snapshot read
 // lock-free by the receive and dispatch paths; it is rebuilt under
 // Bus.mu whenever a member or local service is added or removed.
-// targets unions members and locals so dispatch resolves each match
-// with a single map probe.
 type membership struct {
 	members map[ident.ID]*memberState
-	locals  map[ident.ID]*LocalService
-	targets map[ident.ID]target
+	// locals is indexed by service number − 1 (see localIDBase), so a
+	// matched local handler's identity resolves without a map probe.
+	locals []*LocalService
 }
 
-// target is one dispatch destination: exactly one field is set.
-type target struct {
-	ls *LocalService
-	ms *memberState
-}
-
-var emptyMembership = &membership{
-	members: map[ident.ID]*memberState{},
-	locals:  map[ident.ID]*LocalService{},
-	targets: map[ident.ID]target{},
-}
+var emptyMembership = &membership{members: map[ident.ID]*memberState{}}
 
 // Bus is the event bus.
 type Bus struct {
@@ -274,10 +267,9 @@ type Bus struct {
 
 	mu       sync.Mutex
 	members  map[ident.ID]*memberState
-	locals   map[ident.ID]*LocalService
+	locals   []*LocalService // append-only; service number n is locals[n-1]
 	quenched map[ident.ID]bool
 	extra    []*reliable.Channel
-	nextLoc  uint64
 	closed   atomic.Bool // written under mu; read lock-free
 
 	// Durable subscriptions (durable.go). log is set once by
@@ -338,7 +330,6 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 		queueDepth:  4096,
 		shards:      runtime.GOMAXPROCS(0),
 		members:     make(map[ident.ID]*memberState),
-		locals:      make(map[ident.ID]*LocalService),
 		quenched:    make(map[ident.ID]bool),
 		durables:    make(map[string]*durableState),
 		durByMember: make(map[ident.ID]*durableState),
@@ -451,7 +442,8 @@ func (b *Bus) Close() error {
 		members = append(members, ms)
 	}
 	b.members = make(map[ident.ID]*memberState)
-	b.locals = make(map[ident.ID]*LocalService)
+	// b.locals stays: service numbers index it, and a Local call after
+	// Close must not reissue one whose handlers the matcher still holds.
 	b.snap.Store(emptyMembership)
 	extra := b.extra
 	b.extra = nil
@@ -482,16 +474,13 @@ func (b *Bus) Close() error {
 func (b *Bus) rebuildSnapshot() {
 	snap := &membership{
 		members: make(map[ident.ID]*memberState, len(b.members)),
-		locals:  make(map[ident.ID]*LocalService, len(b.locals)),
-		targets: make(map[ident.ID]target, len(b.members)+len(b.locals)),
+		// b.locals only ever grows by append, so the snapshot can share
+		// its backing array: capping the slice keeps later appends out
+		// of the elements a reader of this snapshot can reach.
+		locals: b.locals[:len(b.locals):len(b.locals)],
 	}
 	for id, ms := range b.members {
 		snap.members[id] = ms
-		snap.targets[id] = target{ms: ms}
-	}
-	for id, ls := range b.locals {
-		snap.locals[id] = ls
-		snap.targets[id] = target{ls: ls}
 	}
 	b.snap.Store(snap)
 }
@@ -818,9 +807,14 @@ func (b *Bus) shardLoop(w *shardWorker) {
 }
 
 // process matches one event and dispatches it to every interested
-// subscriber's proxy or local handler. The event is delivered shared
-// and immutable: proxies and handlers must not mutate it (proxies
-// whose devices do mutate clone on write — see proxy.EventMutator).
+// subscriber's proxy or local handler. Every local handler is a
+// subscriber of its own (see localIDBase), so the matcher's verdict
+// names exactly the handlers to call and no filter is evaluated twice;
+// a hit that no longer resolves — a member purged or a handler
+// unsubscribed between match and dispatch — is skipped. The event is
+// delivered shared and immutable: proxies and handlers must not mutate
+// it (proxies whose devices do mutate clone on write — see
+// proxy.EventMutator).
 //
 // The bus owns the publisher's reference on the event for the duration
 // of dispatch: each proxy takes its own reference when it enqueues the
@@ -869,20 +863,20 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 	snap := b.snap.Load()
 	var nLocal, nRemote uint64
 	for _, t := range w.targets {
-		tgt, ok := snap.targets[t]
-		switch {
-		case !ok:
-			continue // purged between match and dispatch
-		case tgt.ls != nil:
-			tgt.ls.dispatch(item.e)
+		if fn := snap.localHandler(t); fn != nil {
+			fn(item.e)
 			nLocal++
-		default:
-			if b.cost.enabled() {
-				sleepCost(b.cost.DeliverPerEvent + time.Duration(item.size)*b.cost.PerByte)
-			}
-			tgt.ms.px.Enqueue(item.e)
-			nRemote++
+			continue
 		}
+		ms, ok := snap.members[t]
+		if !ok {
+			continue
+		}
+		if b.cost.enabled() {
+			sleepCost(b.cost.DeliverPerEvent + time.Duration(item.size)*b.cost.PerByte)
+		}
+		ms.px.Enqueue(item.e)
+		nRemote++
 	}
 	if nLocal > 0 {
 		w.ctr.deliveredLocal.Add(nLocal)

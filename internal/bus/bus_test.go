@@ -33,12 +33,18 @@ type rig struct {
 
 func newRig(t *testing.T, opts ...Option) *rig {
 	t.Helper()
+	return newRigOver(t, matcher.NewFast(), opts...)
+}
+
+// newRigOver is newRig with the matching mechanism of the caller's
+// choice.
+func newRigOver(t *testing.T, m matcher.Matcher, opts ...Option) *rig {
+	t.Helper()
 	n := netsim.New(netsim.Perfect, netsim.WithSeed(21))
 	tr, err := n.Attach(ident.New(busID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := matcher.NewFast()
 	b := New(reliable.New(tr, testCfg()), m, bootstrap.NewRegistry(), opts...)
 	b.Start()
 	t.Cleanup(func() {

@@ -1,12 +1,15 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
+	"github.com/amuse/smc/internal/matcher"
 )
 
 // LocalService is a core service co-located with the bus (discovery,
@@ -19,21 +22,45 @@ type LocalService struct {
 	name string
 	b    *Bus
 
-	mu       sync.Mutex                     // serialises handler mutations and publishes
-	handlers atomic.Pointer[[]localHandler] // copy-on-write; read lock-free
-	seq      uint64                         // guarded by mu
+	mu sync.Mutex // serialises handler mutations and publishes
+	// handlers is the copy-on-write handler table, read lock-free by
+	// dispatch. Handler identities only ever ascend, so appending keeps
+	// it sorted by id.
+	handlers    atomic.Pointer[[]localHandler]
+	lastHandler ident.ID // guarded by mu; handler numbers handed out so far
+	seq         uint64   // guarded by mu
 }
 
+// localHandler is one subscription of a local service. It is installed
+// in the matcher under an identity of its own, so a match reports the
+// handlers to call, not just the service.
 type localHandler struct {
+	id     ident.ID
 	filter *event.Filter
 	fn     Handler
 }
 
-// localIDBase marks locally allocated service IDs: the top octet is
-// 0xFE, outside the address-derived ID space used by transports.
-const localIDBase = ident.ID(0xFE) << 40
+// Local subscriber identities have a space of their own: the top octet
+// is 0xFE, outside the address-derived IDs transports hand out; the
+// next 12 bits number the service (from 1) and the low 28 the handler
+// within it (from 1; 0 is the service itself, its publisher identity).
+// Handler numbers are never reused: a match computed just before an
+// Unsubscribe names an identity that resolves to nothing, never to a
+// handler installed since.
+const (
+	localIDBase      = ident.ID(0xFE) << 40
+	localHandlerBits = 28
+	maxLocalHandlers = 1<<localHandlerBits - 1
+	maxLocalServices = 1<<(40-localHandlerBits) - 1
+)
+
+// errLocalHandlers reports a local service that has used up its
+// handler numbers.
+var errLocalHandlers = errors.New("bus: local service out of subscription identities")
 
 // Local registers (or returns) a local service with the given name.
+// A bus numbers at most maxLocalServices of them; asking for more
+// panics.
 func (b *Bus) Local(name string) *LocalService {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -42,12 +69,42 @@ func (b *Bus) Local(name string) *LocalService {
 			return ls
 		}
 	}
-	b.nextLoc++
-	id := localIDBase | ident.ID(b.nextLoc)
+	if len(b.locals) == maxLocalServices {
+		panic(fmt.Sprintf("bus: more than %d local services", maxLocalServices))
+	}
+	id := localIDBase | ident.ID(len(b.locals)+1)<<localHandlerBits
 	ls := &LocalService{id: id, name: name, b: b}
-	b.locals[id] = ls
+	b.locals = append(b.locals, ls)
 	b.rebuildSnapshot()
 	return ls
+}
+
+// localHandler resolves a matched subscriber identity to the local
+// handler installed under it; nil when id is not one, or not any more.
+func (s *membership) localHandler(id ident.ID) Handler {
+	if id>>40 != localIDBase>>40 {
+		return nil
+	}
+	n := int(id>>localHandlerBits) & maxLocalServices
+	if n == 0 || n > len(s.locals) {
+		return nil
+	}
+	tab := s.locals[n-1].table()
+	// Hand-rolled: this runs once per matched handler, and the
+	// comparison callback of slices.BinarySearchFunc measured half as
+	// fast again.
+	lo, hi := 0, len(tab)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); tab[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(tab) || tab[lo].id != id {
+		return nil
+	}
+	return tab[lo].fn
 }
 
 // ID returns the local service's synthetic ID.
@@ -56,50 +113,72 @@ func (l *LocalService) ID() ident.ID { return l.id }
 // Name returns the service name.
 func (l *LocalService) Name() string { return l.name }
 
-// Subscribe installs a filter whose matches are delivered to fn. The
-// handler runs on a bus shard goroutine and must not block; the event
-// it receives is shared with other subscribers and must be treated as
+// Subscribe installs a filter whose matches are delivered to fn, once
+// per event, whatever else the service has subscribed to: installing
+// an equal filter twice gives two handlers and two calls. The handler
+// runs on a bus shard goroutine and must not block; the event it
+// receives is shared with other subscribers and must be treated as
 // read-only.
 func (l *LocalService) Subscribe(f *event.Filter, fn Handler) error {
 	if f == nil || fn == nil {
 		return fmt.Errorf("bus: local subscribe needs filter and handler")
 	}
-	if err := l.b.match.Subscribe(l.id, f); err != nil {
-		return err
-	}
 	l.mu.Lock()
-	var hs []localHandler
-	if cur := l.handlers.Load(); cur != nil {
-		hs = append(hs, *cur...)
+	if l.lastHandler == maxLocalHandlers {
+		l.mu.Unlock()
+		return errLocalHandlers
 	}
-	hs = append(hs, localHandler{filter: f.Clone(), fn: fn})
+	l.lastHandler++
+	h := localHandler{id: l.id | l.lastHandler, filter: f.Clone(), fn: fn}
+	// Into the table before into the matcher: every hit the matcher
+	// can report finds its handler.
+	hs := append(slices.Clone(l.table()), h)
 	l.handlers.Store(&hs)
 	l.mu.Unlock()
+	if err := l.b.match.Subscribe(h.id, h.filter); err != nil {
+		l.mu.Lock()
+		// Unless a racing Unsubscribe of an equal filter took it first.
+		if i := slices.IndexFunc(l.table(), func(have localHandler) bool { return have.id == h.id }); i >= 0 {
+			l.removeAt(i)
+		}
+		l.mu.Unlock()
+		return err
+	}
 	l.b.ctl().subscriptions.Add(1)
 	l.b.unquenchAll()
 	return nil
 }
 
-// Unsubscribe removes a previously installed filter.
+// Unsubscribe removes the oldest handler installed with a filter equal
+// to f; it reports matcher.ErrNoSuchSubscription when there is none.
 func (l *LocalService) Unsubscribe(f *event.Filter) error {
-	if err := l.b.match.Unsubscribe(l.id, f); err != nil {
-		return err
-	}
 	l.mu.Lock()
-	if cur := l.handlers.Load(); cur != nil {
-		hs := make([]localHandler, 0, len(*cur))
-		removed := false
-		for _, h := range *cur {
-			if !removed && h.filter.Equal(f) {
-				removed = true
-				continue
-			}
-			hs = append(hs, h)
-		}
-		l.handlers.Store(&hs)
+	i := slices.IndexFunc(l.table(), func(have localHandler) bool { return have.filter.Equal(f) })
+	if i < 0 {
+		l.mu.Unlock()
+		return matcher.ErrNoSuchSubscription
 	}
+	h := l.removeAt(i)
 	l.mu.Unlock()
+	return l.b.match.Unsubscribe(h.id, h.filter)
+}
+
+// table returns the current handler table; it is shared with dispatch
+// and must not be modified.
+func (l *LocalService) table() []localHandler {
+	if cur := l.handlers.Load(); cur != nil {
+		return *cur
+	}
 	return nil
+}
+
+// removeAt drops handler i from the table and returns it. Caller
+// holds l.mu.
+func (l *LocalService) removeAt(i int) localHandler {
+	cur := l.table()
+	hs := slices.Delete(slices.Clone(cur), i, i+1)
+	l.handlers.Store(&hs)
+	return cur[i]
 }
 
 // Publish injects an event into the bus under this service's ID. A
@@ -116,22 +195,4 @@ func (l *LocalService) Publish(e *event.Event) error {
 	err := l.b.enqueuePublish(e)
 	l.mu.Unlock()
 	return err
-}
-
-// dispatch fans a matched event out to the handlers whose filters it
-// satisfies. It runs on a shard goroutine and reads the copy-on-write
-// handler list without locking or copying. Every handler's filter is
-// re-evaluated — the matcher's verdict is per service, and during a
-// subscribe/unsubscribe window the handler list may not correspond to
-// the filter set that verdict was computed against.
-func (l *LocalService) dispatch(e *event.Event) {
-	hs := l.handlers.Load()
-	if hs == nil {
-		return
-	}
-	for _, h := range *hs {
-		if h.filter.Matches(e) {
-			h.fn(e)
-		}
-	}
 }

@@ -352,19 +352,23 @@ func TestLeavePurgesImmediately(t *testing.T) {
 	if err := Leave(ch, res.Discovery); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
+	// purge drops the member before it publishes the event, so the
+	// member's absence does not yet mean the event is out: poll for both.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := f.svc.Member(ch.LocalID()); !ok {
-			purges := f.sink.ofType(event.TypePurgeMember)
-			if len(purges) != 1 {
-				t.Fatalf("purge events = %d", len(purges))
-			}
-			if v, _ := purges[0].Get("reason"); !v.Equal(event.Str("leave")) {
-				t.Errorf("reason = %s", v)
-			}
-			return
+		_, member := f.svc.Member(ch.LocalID())
+		purges := f.sink.ofType(event.TypePurgeMember)
+		if member || len(purges) == 0 {
+			time.Sleep(10 * time.Millisecond)
+			continue
 		}
-		time.Sleep(10 * time.Millisecond)
+		if len(purges) != 1 {
+			t.Fatalf("purge events = %d", len(purges))
+		}
+		if v, _ := purges[0].Get("reason"); !v.Equal(event.Str("leave")) {
+			t.Errorf("reason = %s", v)
+		}
+		return
 	}
 	t.Fatal("leave did not purge")
 }

@@ -94,7 +94,9 @@ type Constraint struct {
 }
 
 // MatchValue reports whether a single value satisfies the constraint.
-func (c Constraint) MatchValue(v Value) bool {
+// The receiver is a pointer so the per-constraint calls of the match
+// loops do not copy the 80-byte struct.
+func (c *Constraint) MatchValue(v Value) bool {
 	switch c.Op {
 	case OpExists:
 		return v.IsValid()
@@ -264,7 +266,8 @@ func (f *Filter) Len() int { return len(f.constraints) }
 
 // Matches reports whether the event satisfies every constraint.
 func (f *Filter) Matches(e *Event) bool {
-	for _, c := range f.constraints {
+	for i := range f.constraints {
+		c := &f.constraints[i]
 		v, ok := e.Get(c.Name)
 		if c.Op == OpExists {
 			if !ok {
@@ -284,8 +287,8 @@ func (f *Filter) Validate() error {
 	if len(f.constraints) > MaxAttrs {
 		return fmt.Errorf("%w: %d constraints", ErrBadFilter, len(f.constraints))
 	}
-	for _, c := range f.constraints {
-		if err := c.Validate(); err != nil {
+	for i := range f.constraints {
+		if err := f.constraints[i].Validate(); err != nil {
 			return err
 		}
 	}
@@ -300,8 +303,8 @@ func (f *Filter) Equal(o *Filter) bool {
 	if len(f.constraints) != len(o.constraints) {
 		return false
 	}
-	for i, c := range f.constraints {
-		oc := o.constraints[i]
+	for i := range f.constraints {
+		c, oc := &f.constraints[i], &o.constraints[i]
 		if c.Name != oc.Name || c.Op != oc.Op || !c.Value.Equal(oc.Value) {
 			return false
 		}

@@ -157,12 +157,12 @@ func TestFilterStringRendering(t *testing.T) {
 // arithmetic on the operands.
 func TestNumericConstraintProperty(t *testing.T) {
 	err := quick.Check(func(bound, val int64) bool {
-		lt := Constraint{"x", OpLt, Int(bound)}.MatchValue(Int(val)) == (val < bound)
-		le := Constraint{"x", OpLe, Int(bound)}.MatchValue(Int(val)) == (val <= bound)
-		gt := Constraint{"x", OpGt, Int(bound)}.MatchValue(Int(val)) == (val > bound)
-		ge := Constraint{"x", OpGe, Int(bound)}.MatchValue(Int(val)) == (val >= bound)
-		eq := Constraint{"x", OpEq, Int(bound)}.MatchValue(Int(val)) == (val == bound)
-		ne := Constraint{"x", OpNe, Int(bound)}.MatchValue(Int(val)) == (val != bound)
+		lt := (&Constraint{"x", OpLt, Int(bound)}).MatchValue(Int(val)) == (val < bound)
+		le := (&Constraint{"x", OpLe, Int(bound)}).MatchValue(Int(val)) == (val <= bound)
+		gt := (&Constraint{"x", OpGt, Int(bound)}).MatchValue(Int(val)) == (val > bound)
+		ge := (&Constraint{"x", OpGe, Int(bound)}).MatchValue(Int(val)) == (val >= bound)
+		eq := (&Constraint{"x", OpEq, Int(bound)}).MatchValue(Int(val)) == (val == bound)
+		ne := (&Constraint{"x", OpNe, Int(bound)}).MatchValue(Int(val)) == (val != bound)
 		return lt && le && gt && ge && eq && ne
 	}, nil)
 	if err != nil {

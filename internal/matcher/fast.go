@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,20 @@ import (
 
 // FastMatcher implements Siena's fast forwarding counting algorithm
 // (Carzaniga & Wolf, SIGCOMM 2003) directly over the bus-native event
-// types: per-attribute constraint indexes, a single pass over the
-// event's attributes, and a counter per filter. A filter matches when
-// its counter reaches its constraint count.
+// types, clustered by access predicate (Fabret et al., SIGMOD 2001).
+//
+// The index has two levels. At install every filter is filed under one
+// access predicate: the one of its hashable equality constraints whose
+// partition currently holds the fewest filters. A partition is the
+// counting index proper — per-attribute constraint indexes and a
+// counter per filter — over the filter's remaining constraints. A
+// filter with no equality constraint lives in the root partition, which
+// every event is counted against. A match probes the (attribute, value)
+// partitions of the event's own attributes and runs the counting pass
+// only inside the partitions it hits, so a filter whose access
+// predicate the event does not satisfy costs nothing at all, and inside
+// a partition the sorted range indexes still reject a non-matching
+// filter without evaluating it.
 //
 // The matcher is read-mostly — dispatch matches millions of events
 // against a subscription set that changes at human/device timescales —
@@ -22,10 +34,10 @@ import (
 // mutex, exactly like the attribute-name intern table. Shard workers
 // on different cores therefore never serialise on a shared read lock
 // or bounce its cache line. Subscribe/Unsubscribe build the next
-// snapshot copy-on-write under a writer mutex and swap it in; the
-// delta path clones only the per-attribute indexes the changed filter
-// actually names (plus flat memcpy of the dense slot table), so
-// subscription churn does not rebuild the whole index.
+// snapshot copy-on-write under a writer mutex and swap it in: they
+// clone the one partition the changed filter is filed in (plus the
+// flat dense slot table), so subscription churn costs the size of a
+// partition, not of the index.
 type FastMatcher struct {
 	// idx is the immutable index snapshot the lock-free read path
 	// loads. Everything reachable from it is frozen: writers replace
@@ -38,7 +50,7 @@ type FastMatcher struct {
 	// (writer-side bookkeeping for idempotence and Unsubscribe).
 	subs map[ident.ID][]*fastFilter
 	// free lists recyclable dense slots (writer-side).
-	free []int
+	free []int32
 
 	// scratch pools per-match counting state for callers that do not
 	// supply their own Scratch.
@@ -53,136 +65,129 @@ var _ ScratchMatcher = (*FastMatcher)(nil)
 // never mutated afterwards; readers may hold it across an arbitrary
 // window (they only ever see a consistent subscription set).
 type fastIndex struct {
-	// index maps attribute name to the per-operator constraint index.
-	index map[string]*attrIndex
+	// parts maps an access predicate — attribute name, then bound — to
+	// the partition of the filters filed under it.
+	parts map[string]map[valueKey]*partition
+	// root holds the filters with no hashable equality constraint; nil
+	// while there are none.
+	root *partition
 	// dense assigns every installed filter a small integer slot so
 	// that matching can count satisfied constraints in a flat array
-	// instead of a map (the hot path of the counting algorithm).
-	// Freed slots are nil until reused.
-	dense []*fastFilter
+	// instead of a map (the hot path of the counting algorithm), and
+	// holds what a match reports of the filter there: its subscriber.
+	// Freed slots are Nil until reused.
+	dense []ident.ID
 	// empties lists installed filters with no constraints; they never
-	// enter the attribute index (they match everything) and keeping
-	// them separate spares Match a scan over every subscriber.
-	empties []*fastFilter
+	// enter a partition (they match everything) and keeping them
+	// separate spares Match a scan over every subscriber.
+	empties []slot
 	// count is the number of installed (subscriber, filter) pairs.
 	count int
 }
 
 // emptyFastIndex is the snapshot of a matcher with no subscriptions.
-var emptyFastIndex = &fastIndex{index: map[string]*attrIndex{}}
+var emptyFastIndex = &fastIndex{}
 
-// fastFilter is one installed filter with its constraint count. It is
-// immutable after construction, so snapshots share the nodes.
+// fastFilter is one installed filter. It is immutable after
+// construction, so snapshots share the nodes.
 type fastFilter struct {
 	sub    ident.ID
 	filter *event.Filter
-	need   int32
-	idx    int
+	// cs is the filter's constraint list; access indexes the one the
+	// filter is filed under, or is -1 for a filter in the root
+	// partition.
+	cs     []event.Constraint
+	access int
+	slot   slot
 }
 
-// constraintRef ties a constraint back to its filter. Immutable.
-type constraintRef struct {
-	c event.Constraint
-	f *fastFilter
+// slot is what the counting pass needs of a filter, stored by value in
+// every index bucket so that bumping a counter never dereferences the
+// filter itself: idx is its dense slot, need the number of constraints
+// its partition counts — all of them in the root partition, all but the
+// access predicate elsewhere.
+type slot struct {
+	idx, need int32
+}
+
+// partition is the counting index over the constraints its filters
+// carry besides their common access predicate. Immutable once
+// published; a writer clones the one it changes.
+type partition struct {
+	// index maps attribute name to the per-operator constraint index.
+	index map[string]*attrIndex
+	// direct lists the filters whose only constraint is the access
+	// predicate: hitting the partition matches them.
+	direct []slot
+	// size is the number of filters filed here.
+	size int
 }
 
 // attrIndex indexes the constraints that name one attribute, organised
 // by operator class so that matching touches as few constraints as
-// possible. Within a published snapshot an attrIndex is immutable;
-// writers clone the (few) indexes a subscription delta touches.
+// possible.
 type attrIndex struct {
-	// eq maps a hashable value key to refs with that exact bound.
-	eq map[valueKey][]*constraintRef
+	// eq maps a hashable value key to the filters with that exact bound.
+	eq map[valueKey][]slot
 	// ordered holds <,<=,>,>= refs sorted by numeric bound (numeric
 	// bounds only; non-numeric ordered constraints fall into linear).
 	less    []orderedRef // OpLt, OpLe
 	greater []orderedRef // OpGt, OpGe
 	// linear holds everything without a sub-linear index: string
-	// ops, Ne, exists, and non-numeric ordered constraints.
-	linear []*constraintRef
-	// exists holds OpExists refs (satisfied by presence alone).
-	exists []*constraintRef
-}
-
-// clone deep-copies the attrIndex structure (the constraintRefs inside
-// are immutable and shared between snapshots).
-func (ai *attrIndex) clone() *attrIndex {
-	c := &attrIndex{eq: make(map[valueKey][]*constraintRef, len(ai.eq))}
-	for k, refs := range ai.eq {
-		c.eq[k] = append([]*constraintRef(nil), refs...)
-	}
-	c.less = append([]orderedRef(nil), ai.less...)
-	c.greater = append([]orderedRef(nil), ai.greater...)
-	c.linear = append([]*constraintRef(nil), ai.linear...)
-	c.exists = append([]*constraintRef(nil), ai.exists...)
-	return c
-}
-
-// empty reports whether the index holds no constraints at all.
-func (ai *attrIndex) empty() bool {
-	return len(ai.eq) == 0 && len(ai.less) == 0 && len(ai.greater) == 0 &&
-		len(ai.linear) == 0 && len(ai.exists) == 0
+	// ops, Ne, and unhashable or non-numeric bounds.
+	linear []linearRef
+	// exists holds OpExists filters (satisfied by presence alone).
+	exists []slot
 }
 
 type orderedRef struct {
 	bound float64
 	incl  bool // bound satisfies the constraint (Le/Ge)
-	ref   *constraintRef
+	slot  slot
 }
 
-// valueKey is a hashable projection of a Value for equality indexing.
+// linearRef ties a constraint that must be evaluated back to its
+// filter's slot; c points into that filter's cs.
+type linearRef struct {
+	c    *event.Constraint
+	slot slot
+}
+
+// valueKey is a hashable projection of a Value for equality indexing:
+// two values have the same key exactly when they are equal for
+// matching.
 type valueKey struct {
+	// t is TypeFloat for both numeric types, which compare by magnitude
+	// (Int(1) equals Float(1)).
 	t event.Type
-	n float64 // numeric values keyed by magnitude (Int(1)==Float(1) for matching)
+	n float64 // the magnitude; 0 or 1 for a bool
 	s string
-	b bool
 }
 
+// keyOf projects a constraint bound or an event value onto its
+// equality-index key. Bytes are not hashable cheaply, and NaN is no map
+// key at all — it equals nothing, itself included, so a partition filed
+// under it could never be found again to be removed: both report false,
+// and such a bound is neither an access predicate nor indexed.
 func keyOf(v event.Value) (valueKey, bool) {
 	switch v.Type() {
 	case event.TypeInt:
 		i, _ := v.Int()
-		return valueKey{t: event.TypeInt, n: float64(i)}, true
+		return valueKey{t: event.TypeFloat, n: float64(i)}, true
 	case event.TypeFloat:
 		f, _ := v.Float()
-		return valueKey{t: event.TypeFloat, n: f}, true
+		return valueKey{t: event.TypeFloat, n: f}, f == f
 	case event.TypeString:
 		s, _ := v.Str()
 		return valueKey{t: event.TypeString, s: s}, true
 	case event.TypeBool:
-		b, _ := v.Bool()
-		return valueKey{t: event.TypeBool, b: b}, true
+		k := valueKey{t: event.TypeBool}
+		if b, _ := v.Bool(); b {
+			k.n = 1
+		}
+		return k, true
 	default:
-		return valueKey{}, false // bytes: not hashable cheaply, use linear
-	}
-}
-
-// probeKeys returns the equality-index keys an event value should
-// probe: numeric values match both int- and float-keyed constraints of
-// the same magnitude. The keys are returned by value (array + count)
-// so the per-attribute probe never allocates.
-func probeKeys(v event.Value) (keys [2]valueKey, n int) {
-	switch v.Type() {
-	case event.TypeInt:
-		i, _ := v.Int()
-		keys[0] = valueKey{t: event.TypeInt, n: float64(i)}
-		keys[1] = valueKey{t: event.TypeFloat, n: float64(i)}
-		return keys, 2
-	case event.TypeFloat:
-		f, _ := v.Float()
-		keys[0] = valueKey{t: event.TypeFloat, n: f}
-		keys[1] = valueKey{t: event.TypeInt, n: f}
-		return keys, 2
-	case event.TypeString:
-		s, _ := v.Str()
-		keys[0] = valueKey{t: event.TypeString, s: s}
-		return keys, 1
-	case event.TypeBool:
-		b, _ := v.Bool()
-		keys[0] = valueKey{t: event.TypeBool, b: b}
-		return keys, 1
-	default:
-		return keys, 0
+		return valueKey{}, false
 	}
 }
 
@@ -199,39 +204,129 @@ func NewFast() *FastMatcher {
 // Name implements Matcher.
 func (m *FastMatcher) Name() string { return string(KindFast) }
 
-// cloneDelta starts the next snapshot from cur: the index map is
-// shallow-copied (attrIndex values shared), dense and empties are
-// copied flat. Callers then clone the individual attrIndexes they
-// change via indexForWrite before mutating them — everything reachable
-// from the currently published snapshot stays frozen.
-func cloneDelta(cur *fastIndex) *fastIndex {
-	next := &fastIndex{
-		index:   make(map[string]*attrIndex, len(cur.index)+1),
-		dense:   append([]*fastFilter(nil), cur.dense...),
-		empties: append([]*fastFilter(nil), cur.empties...),
-		count:   cur.count,
-	}
-	for name, ai := range cur.index {
-		next.index[name] = ai
-	}
-	return next
+// fastDelta is the next snapshot while a writer builds it. It starts as
+// a copy of the published one that shares every value map and
+// partition; partitionFor copies the ones a change touches, once, and
+// own remembers which already belong to this delta — everything
+// reachable from the published snapshot stays frozen.
+type fastDelta struct {
+	*fastIndex
+	own map[interface{}]bool // *partition, or attribute name for its value map
 }
 
-// indexForWrite returns a mutable attrIndex for name inside the
-// snapshot under construction, cloning the one shared with the
-// previous snapshot on first touch.
-func (next *fastIndex) indexForWrite(name string, cloned map[string]bool) *attrIndex {
-	ai, ok := next.index[name]
-	switch {
-	case !ok:
-		ai = &attrIndex{eq: make(map[valueKey][]*constraintRef)}
-		next.index[name] = ai
-	case !cloned[name]:
-		ai = ai.clone()
-		next.index[name] = ai
+func newDelta(cur *fastIndex) *fastDelta {
+	return &fastDelta{
+		fastIndex: &fastIndex{
+			parts:   copyMap(cur.parts),
+			root:    cur.root,
+			dense:   slices.Clone(cur.dense),
+			empties: slices.Clone(cur.empties),
+			count:   cur.count,
+		},
+		own: make(map[interface{}]bool, 2),
 	}
-	cloned[name] = true
-	return ai
+}
+
+// copyMap returns a shallow copy of m, never nil, with room for one
+// more entry.
+func copyMap[K comparable, V any](m map[K]V) map[K]V {
+	c := make(map[K]V, len(m)+1)
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
+}
+
+// accessFor picks the filter's access predicate: among its hashable
+// equality constraints, the one whose partition is smallest now. It
+// returns -1 when the filter has none.
+func (idx *fastIndex) accessFor(cs []event.Constraint) int {
+	best, bestSize := -1, 0
+	for i := range cs {
+		if cs[i].Op != event.OpEq {
+			continue
+		}
+		k, ok := keyOf(cs[i].Value)
+		if !ok {
+			continue
+		}
+		size := 0
+		if p := idx.parts[cs[i].Name][k]; p != nil {
+			size = p.size
+		}
+		if best < 0 || size < bestSize {
+			best, bestSize = i, size
+		}
+	}
+	return best
+}
+
+// partitionFor returns the partition ff is filed in, private to the
+// delta and so free to mutate; a partition that does not exist yet is
+// created.
+func (d *fastDelta) partitionFor(ff *fastFilter) *partition {
+	own := func(p *partition) *partition {
+		switch {
+		case p == nil:
+			p = &partition{index: make(map[string]*attrIndex)}
+		case !d.own[p]:
+			p = p.clone()
+		}
+		d.own[p] = true
+		return p
+	}
+	if ff.access < 0 {
+		d.root = own(d.root)
+		return d.root
+	}
+	c := &ff.cs[ff.access]
+	k, _ := keyOf(c.Value)
+	byVal := d.parts[c.Name]
+	if !d.own[c.Name] {
+		byVal = copyMap(byVal)
+		d.parts[c.Name] = byVal
+		d.own[c.Name] = true
+	}
+	p := own(byVal[k])
+	byVal[k] = p
+	return p
+}
+
+// install files ff in the delta.
+func (d *fastDelta) install(ff *fastFilter) {
+	d.dense[ff.slot.idx] = ff.sub
+	d.count++
+	if len(ff.cs) == 0 {
+		d.empties = append(d.empties, ff.slot)
+		return
+	}
+	d.partitionFor(ff).add(ff)
+}
+
+// remove detaches ff from the delta, dropping a partition it leaves
+// empty. The caller returns the dense slot to the writer-side free list.
+func (d *fastDelta) remove(ff *fastFilter) {
+	d.dense[ff.slot.idx] = ident.Nil
+	d.count--
+	if len(ff.cs) == 0 {
+		d.empties = dropSlot(d.empties, ff.slot)
+		return
+	}
+	p := d.partitionFor(ff)
+	p.remove(ff)
+	if p.size > 0 {
+		return
+	}
+	if ff.access < 0 {
+		d.root = nil
+		return
+	}
+	c := &ff.cs[ff.access]
+	k, _ := keyOf(c.Value)
+	delete(d.parts[c.Name], k)
+	if len(d.parts[c.Name]) == 0 {
+		delete(d.parts, c.Name)
+	}
 }
 
 // Subscribe implements Matcher.
@@ -249,99 +344,147 @@ func (m *FastMatcher) Subscribe(sub ident.ID, f *event.Filter) error {
 			return nil // idempotent
 		}
 	}
-	next := cloneDelta(m.idx.Load())
-	ff := &fastFilter{sub: sub, filter: f.Clone(), need: int32(f.Len())}
+	next := newDelta(m.idx.Load())
+	ff := &fastFilter{sub: sub, filter: f.Clone()}
+	ff.cs = ff.filter.Constraints()
+	ff.access = next.accessFor(ff.cs)
+	ff.slot.need = int32(len(ff.cs))
+	if ff.access >= 0 {
+		ff.slot.need--
+	}
 	if n := len(m.free); n > 0 {
-		ff.idx = m.free[n-1]
+		ff.slot.idx = m.free[n-1]
 		m.free = m.free[:n-1]
-		next.dense[ff.idx] = ff
 	} else {
-		ff.idx = len(next.dense)
-		next.dense = append(next.dense, ff)
+		ff.slot.idx = int32(len(next.dense))
+		next.dense = append(next.dense, ident.Nil)
 	}
 	m.subs[sub] = append(m.subs[sub], ff)
-	next.count++
-	if ff.need == 0 {
-		next.empties = append(next.empties, ff)
-	}
-	cloned := make(map[string]bool, f.Len())
-	for _, c := range ff.filter.Constraints() {
-		next.indexForWrite(c.Name, cloned).add(&constraintRef{c: c, f: ff})
-	}
-	m.idx.Store(next)
+	next.install(ff)
+	m.idx.Store(next.fastIndex)
 	return nil
 }
 
-func (ai *attrIndex) add(ref *constraintRef) {
-	switch ref.c.Op {
-	case event.OpEq:
-		if k, ok := keyOf(ref.c.Value); ok {
-			ai.eq[k] = append(ai.eq[k], ref)
-			return
+// clone deep-copies the partition.
+func (p *partition) clone() *partition {
+	c := &partition{
+		index:  make(map[string]*attrIndex, len(p.index)),
+		direct: slices.Clone(p.direct),
+		size:   p.size,
+	}
+	for name, ai := range p.index {
+		ci := &attrIndex{
+			less:    slices.Clone(ai.less),
+			greater: slices.Clone(ai.greater),
+			linear:  slices.Clone(ai.linear),
+			exists:  slices.Clone(ai.exists),
 		}
-		ai.linear = append(ai.linear, ref)
-	case event.OpExists:
-		ai.exists = append(ai.exists, ref)
-	case event.OpLt, event.OpLe:
-		if bound, ok := numericBound(ref.c.Value); ok {
-			ai.less = insertOrdered(ai.less, orderedRef{
-				bound: bound, incl: ref.c.Op == event.OpLe, ref: ref,
-			})
-			return
+		if len(ai.eq) > 0 {
+			ci.eq = make(map[valueKey][]slot, len(ai.eq))
+			for k, ss := range ai.eq {
+				ci.eq[k] = slices.Clone(ss)
+			}
 		}
-		ai.linear = append(ai.linear, ref)
-	case event.OpGt, event.OpGe:
-		if bound, ok := numericBound(ref.c.Value); ok {
-			ai.greater = insertOrdered(ai.greater, orderedRef{
-				bound: bound, incl: ref.c.Op == event.OpGe, ref: ref,
-			})
-			return
+		c.index[name] = ci
+	}
+	return c
+}
+
+// add files ff's counted constraints — all but its access predicate —
+// in the partition.
+func (p *partition) add(ff *fastFilter) {
+	p.size++
+	if ff.slot.need == 0 {
+		p.direct = append(p.direct, ff.slot)
+		return
+	}
+	for i := range ff.cs {
+		if i == ff.access {
+			continue
 		}
-		ai.linear = append(ai.linear, ref)
-	default:
-		ai.linear = append(ai.linear, ref)
+		c := &ff.cs[i]
+		ai := p.index[c.Name]
+		if ai == nil {
+			ai = &attrIndex{}
+			p.index[c.Name] = ai
+		}
+		ai.add(c, ff.slot)
 	}
 }
 
-func numericBound(v event.Value) (float64, bool) {
-	switch v.Type() {
-	case event.TypeInt:
-		i, _ := v.Int()
-		return float64(i), true
-	case event.TypeFloat:
-		f, _ := v.Float()
-		return f, true
-	default:
-		return 0, false
+// remove is the inverse of add.
+func (p *partition) remove(ff *fastFilter) {
+	p.size--
+	if ff.slot.need == 0 {
+		p.direct = dropSlot(p.direct, ff.slot)
+		return
 	}
+	for i := range ff.cs {
+		if i == ff.access {
+			continue
+		}
+		c := &ff.cs[i]
+		ai := p.index[c.Name]
+		if ai == nil {
+			continue // emptied by an earlier constraint on the same attribute
+		}
+		ai.remove(ff.slot)
+		if len(ai.eq) == 0 && len(ai.less) == 0 && len(ai.greater) == 0 &&
+			len(ai.linear) == 0 && len(ai.exists) == 0 {
+			delete(p.index, c.Name)
+		}
+	}
+}
+
+func (ai *attrIndex) add(c *event.Constraint, sl slot) {
+	switch c.Op {
+	case event.OpEq:
+		if k, ok := keyOf(c.Value); ok {
+			if ai.eq == nil {
+				ai.eq = make(map[valueKey][]slot)
+			}
+			ai.eq[k] = append(ai.eq[k], sl)
+			return
+		}
+	case event.OpExists:
+		ai.exists = append(ai.exists, sl)
+		return
+	case event.OpLt, event.OpLe:
+		if bound, ok := valueAsNumeric(c.Value); ok {
+			ai.less = insertOrdered(ai.less, orderedRef{bound: bound, incl: c.Op == event.OpLe, slot: sl})
+			return
+		}
+	case event.OpGt, event.OpGe:
+		if bound, ok := valueAsNumeric(c.Value); ok {
+			ai.greater = insertOrdered(ai.greater, orderedRef{bound: bound, incl: c.Op == event.OpGe, slot: sl})
+			return
+		}
+	}
+	ai.linear = append(ai.linear, linearRef{c: c, slot: sl})
+}
+
+// remove drops every reference to the slot from the index.
+func (ai *attrIndex) remove(sl slot) {
+	for k, ss := range ai.eq {
+		if ss = dropSlot(ss, sl); len(ss) > 0 {
+			ai.eq[k] = ss
+		} else {
+			delete(ai.eq, k)
+		}
+	}
+	ai.exists = dropSlot(ai.exists, sl)
+	ai.less = slices.DeleteFunc(ai.less, func(r orderedRef) bool { return r.slot == sl })
+	ai.greater = slices.DeleteFunc(ai.greater, func(r orderedRef) bool { return r.slot == sl })
+	ai.linear = slices.DeleteFunc(ai.linear, func(r linearRef) bool { return r.slot == sl })
+}
+
+func dropSlot(s []slot, sl slot) []slot {
+	return slices.DeleteFunc(s, func(have slot) bool { return have == sl })
 }
 
 func insertOrdered(s []orderedRef, r orderedRef) []orderedRef {
 	i := sort.Search(len(s), func(i int) bool { return s[i].bound >= r.bound })
-	s = append(s, orderedRef{})
-	copy(s[i+1:], s[i:])
-	s[i] = r
-	return s
-}
-
-func removeRef(s []*constraintRef, ff *fastFilter) []*constraintRef {
-	out := s[:0]
-	for _, r := range s {
-		if r.f != ff {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func removeOrdered(s []orderedRef, ff *fastFilter) []orderedRef {
-	out := s[:0]
-	for _, r := range s {
-		if r.ref.f != ff {
-			out = append(out, r)
-		}
-	}
-	return out
+	return slices.Insert(s, i, r)
 }
 
 // Unsubscribe implements Matcher.
@@ -360,10 +503,10 @@ func (m *FastMatcher) Unsubscribe(sub ident.ID, f *event.Filter) error {
 		if len(m.subs[sub]) == 0 {
 			delete(m.subs, sub)
 		}
-		next := cloneDelta(m.idx.Load())
-		next.removeFilter(ff)
-		m.free = append(m.free, ff.idx)
-		m.idx.Store(next)
+		next := newDelta(m.idx.Load())
+		next.remove(ff)
+		m.free = append(m.free, ff.slot.idx)
+		m.idx.Store(next.fastIndex)
 		return nil
 	}
 	return ErrNoSuchSubscription
@@ -378,50 +521,13 @@ func (m *FastMatcher) UnsubscribeAll(sub ident.ID) {
 		delete(m.subs, sub)
 		return
 	}
-	next := cloneDelta(m.idx.Load())
+	next := newDelta(m.idx.Load())
 	for _, ff := range list {
-		next.removeFilter(ff)
-		m.free = append(m.free, ff.idx)
+		next.remove(ff)
+		m.free = append(m.free, ff.slot.idx)
 	}
 	delete(m.subs, sub)
-	m.idx.Store(next)
-}
-
-// removeFilter detaches ff from the snapshot under construction:
-// affected attribute indexes are cloned on first touch, the dense slot
-// cleared, empties pruned. Caller holds m.mu and returns ff.idx to the
-// writer-side free list.
-func (next *fastIndex) removeFilter(ff *fastFilter) {
-	next.dense[ff.idx] = nil
-	next.count--
-	if ff.need == 0 {
-		for i, have := range next.empties {
-			if have == ff {
-				next.empties = append(next.empties[:i], next.empties[i+1:]...)
-				break
-			}
-		}
-	}
-	cloned := make(map[string]bool, ff.filter.Len())
-	for _, c := range ff.filter.Constraints() {
-		if _, ok := next.index[c.Name]; !ok {
-			continue
-		}
-		ai := next.indexForWrite(c.Name, cloned)
-		if k, ok2 := keyOf(c.Value); ok2 && c.Op == event.OpEq {
-			ai.eq[k] = removeRef(ai.eq[k], ff)
-			if len(ai.eq[k]) == 0 {
-				delete(ai.eq, k)
-			}
-		}
-		ai.less = removeOrdered(ai.less, ff)
-		ai.greater = removeOrdered(ai.greater, ff)
-		ai.linear = removeRef(ai.linear, ff)
-		ai.exists = removeRef(ai.exists, ff)
-		if ai.empty() {
-			delete(next.index, c.Name)
-		}
-	}
+	m.idx.Store(next.fastIndex)
 }
 
 // SubscriptionCount implements Matcher. Lock-free: it reads the
@@ -444,81 +550,87 @@ func (m *FastMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
 	return dst
 }
 
-// MatchAppendScratch implements ScratchMatcher via the counting
-// algorithm: one pass over the event's attributes, bumping a counter
-// per touched filter; filters whose every constraint is satisfied
-// match. Empty filters match everything. The entire match runs against
-// one immutable index snapshot loaded through an atomic pointer — no
-// lock is taken, so concurrent matches on different cores share
-// nothing but read-only memory and scale with cores. Counters, the
-// matched list and the dedup set live in the caller's epoch-stamped
-// scratch so the hot path performs no per-match allocation.
+// MatchAppendScratch implements ScratchMatcher: the event's attributes
+// are probed against the access predicates, and the counting pass —
+// one walk over the event's attributes, bumping a counter per touched
+// filter; a filter whose every counted constraint is satisfied matches
+// — runs inside the root partition and each partition hit. Empty
+// filters match everything. The entire match runs against one
+// immutable index snapshot loaded through an atomic pointer — no lock
+// is taken, so concurrent matches on different cores share nothing but
+// read-only memory and scale with cores. Counters, the matched list and
+// the dedup set live in the caller's epoch-stamped scratch so the hot
+// path performs no per-match allocation; a filter is filed in exactly
+// one partition, so one epoch serves the whole match.
 func (m *FastMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID {
 	idx := m.idx.Load()
+	sc.begin(len(idx.dense))
 
-	if len(sc.counts) < len(idx.dense) {
-		sc.counts = make([]int32, len(idx.dense)+16)
-		sc.stamps = make([]uint32, len(idx.dense)+16)
-		sc.epoch = 0
+	if idx.root != nil {
+		idx.root.count(e, sc)
 	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stamps are stale, reset
-		for i := range sc.stamps {
-			sc.stamps[i] = 0
-		}
-		sc.epoch = 1
-	}
-	if sc.seen == nil {
-		sc.seen = make(map[ident.ID]struct{}, 8)
-	}
-	sc.matched = sc.matched[:0]
-	defer func() {
-		for id := range sc.seen {
-			delete(sc.seen, id)
-		}
-		sc.matched = sc.matched[:0]
-	}()
-
-	bump := func(ref *constraintRef) {
-		i := ref.f.idx
-		if sc.stamps[i] != sc.epoch {
-			sc.stamps[i] = sc.epoch
-			sc.counts[i] = 0
-		}
-		sc.counts[i]++
-		if sc.counts[i] == ref.f.need {
-			sc.matched = append(sc.matched, ref.f)
-		}
-	}
-
-	// One pass over the event's attributes via the index accessors —
-	// no closure, no name-slice materialisation (the inline event
-	// representation stores attributes sorted, so At is a direct
-	// array read).
 	for ei, en := 0, e.Len(); ei < en; ei++ {
 		name, v := e.At(ei)
-		ai, ok := idx.index[name]
+		byVal, ok := idx.parts[name]
 		if !ok {
 			continue
 		}
-		for _, ref := range ai.exists {
-			bump(ref)
-		}
-		keys, kn := probeKeys(v)
-		for ki := 0; ki < kn; ki++ {
-			for _, ref := range ai.eq[keys[ki]] {
-				bump(ref)
+		if k, ok := keyOf(v); ok {
+			if p := byVal[k]; p != nil {
+				sc.matched = append(sc.matched, p.direct...)
+				if len(p.index) > 0 {
+					p.count(e, sc)
+				}
 			}
 		}
-		if n, ok := valueAsNumeric(v); ok {
+	}
+	// Empty filters never enter a partition; they match all.
+	sc.matched = append(sc.matched, idx.empties...)
+
+	for _, sl := range sc.matched {
+		sub := idx.dense[sl.idx]
+		if _, dup := sc.seen[sub]; !dup {
+			sc.seen[sub] = struct{}{}
+			dst = append(dst, sub)
+		}
+	}
+	for id := range sc.seen {
+		delete(sc.seen, id)
+	}
+	sc.matched = sc.matched[:0]
+	return dst
+}
+
+// count is the counting pass over one partition: one walk over the
+// event's attributes via the index accessors — no closure, no
+// name-slice materialisation (the inline event representation stores
+// attributes sorted, so At is a direct array read).
+func (p *partition) count(e *event.Event, sc *Scratch) {
+	for ei, en := 0, e.Len(); ei < en; ei++ {
+		name, v := e.At(ei)
+		ai, ok := p.index[name]
+		if !ok {
+			continue
+		}
+		for _, sl := range ai.exists {
+			sc.bump(sl)
+		}
+		if len(ai.eq) > 0 {
+			if k, ok := keyOf(v); ok {
+				for _, sl := range ai.eq[k] {
+					sc.bump(sl)
+				}
+			}
+		}
+		if n, ok := valueAsNumeric(v); ok && len(ai.less)+len(ai.greater) > 0 {
 			// less: satisfied when n < bound (or <= for incl).
 			i := sort.Search(len(ai.less), func(i int) bool {
 				return ai.less[i].bound >= n
 			})
 			for ; i < len(ai.less); i++ {
-				r := ai.less[i]
+				r := &ai.less[i]
 				if n < r.bound || (r.incl && n == r.bound) {
-					bump(r.ref)
+					sc.bump(r.slot)
 				}
 			}
 			// greater: satisfied when n > bound (or >= for incl).
@@ -526,33 +638,18 @@ func (m *FastMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scr
 				return ai.greater[i].bound > n
 			})
 			for k := 0; k < j; k++ {
-				r := ai.greater[k]
+				r := &ai.greater[k]
 				if n > r.bound || (r.incl && n == r.bound) {
-					bump(r.ref)
+					sc.bump(r.slot)
 				}
 			}
 		}
-		for _, ref := range ai.linear {
-			if ref.c.MatchValue(v) {
-				bump(ref)
+		for i := range ai.linear {
+			if r := &ai.linear[i]; r.c.MatchValue(v) {
+				sc.bump(r.slot)
 			}
 		}
 	}
-
-	for _, ff := range sc.matched {
-		if _, dup := sc.seen[ff.sub]; !dup {
-			sc.seen[ff.sub] = struct{}{}
-			dst = append(dst, ff.sub)
-		}
-	}
-	// Empty filters (need == 0) never enter the index; they match all.
-	for _, ff := range idx.empties {
-		if _, dup := sc.seen[ff.sub]; !dup {
-			sc.seen[ff.sub] = struct{}{}
-			dst = append(dst, ff.sub)
-		}
-	}
-	return dst
 }
 
 // valueAsNumeric mirrors the event package's numeric projection (ints

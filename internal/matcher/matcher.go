@@ -11,7 +11,9 @@
 //     blames for the Siena bus's lower performance.
 //   - FastMatcher mirrors the dedicated replacement built on Siena's
 //     fast forwarding (counting) algorithm, operating directly on the
-//     bus-native types with per-constraint indexes and no translation.
+//     bus-native types with no translation: filters are partitioned by
+//     one equality constraint each, and the per-constraint counting
+//     indexes run only inside the partitions an event hits.
 package matcher
 
 import (

@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -286,12 +287,100 @@ func makeWorkload(seed int64, nFilters, nEvents int) randomWorkload {
 	return w
 }
 
+// partitionWorkload is the table of cases FastMatcher's access-predicate
+// partitioning could get wrong where the random workloads rarely tread.
+// Subscribers are one per filter except where a case says otherwise.
+func partitionWorkload() randomWorkload {
+	var w randomWorkload
+	next := uint64(5000)
+	add := func(f *event.Filter) {
+		next++
+		w.filters = append(w.filters, f)
+		w.subs = append(w.subs, ident.New(next))
+	}
+	eq := func(name string, v event.Value) *event.Filter {
+		return event.NewFilter().Where(name, event.OpEq, v)
+	}
+
+	// Int and float bounds of one magnitude are the same access
+	// predicate; a bool is not the number 1.
+	add(eq("x", event.Int(1)))
+	add(eq("x", event.Float(1)))
+	add(eq("x", event.Float(1.5)))
+	add(eq("x", event.Bool(true)))
+	add(eq("x", event.Int(1)).Where("y", event.OpEq, event.Float(2)))
+	// Two equality constraints on one attribute: satisfiable across
+	// int/float, satisfiable as a plain duplicate, and never.
+	add(eq("x", event.Int(1)).Where("x", event.OpEq, event.Float(1)))
+	add(eq("x", event.Int(1)).Where("x", event.OpEq, event.Int(1)))
+	add(eq("kind", event.Str("a")).Where("kind", event.OpEq, event.Str("b")))
+	// No equality constraint at all: the root partition.
+	add(event.NewFilter().Where("value", event.OpGt, event.Int(3)))
+	add(event.NewFilter().Where("value", event.OpLe, event.Float(3)).Where("flag", event.OpExists, event.Value{}))
+	add(event.NewFilter().Where("kind", event.OpPrefix, event.Str("a")))
+	add(event.NewFilter().Where("x", event.OpNe, event.Int(1)))
+	// Equality on bounds the index cannot hash — bytes, NaN — is no
+	// access predicate either.
+	add(eq("raw", event.Bytes([]byte("a"))))
+	add(eq("x", event.Float(math.NaN())))
+	add(eq("x", event.Float(math.NaN())).Where("kind", event.OpEq, event.Str("a")))
+	// Single-constraint filters match on the partition hit alone.
+	add(eq("kind", event.Str("a")))
+	add(eq("kind", event.Str("b")))
+	add(event.NewFilter())
+	// One event hits 20 partitions, each holding a filter that matches
+	// on the hit, one that counts and matches, and one that counts and
+	// does not.
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("a%02d", i)
+		add(eq(name, event.Int(int64(i))))
+		add(eq(name, event.Int(int64(i))).Where("value", event.OpGe, event.Int(int64(i))))
+		add(eq(name, event.Int(int64(i))).Where("value", event.OpLt, event.Int(int64(i))))
+	}
+	// The same filter installed by many subscribers.
+	for i := 0; i < 40; i++ {
+		add(eq("kind", event.Str("a")).Where("value", event.OpGe, event.Int(5)))
+	}
+	// One subscriber with filters in two partitions is reported once.
+	add(eq("kind", event.Str("a")).Where("value", event.OpGe, event.Int(0)))
+	add(eq("x", event.Int(1)).Where("value", event.OpGe, event.Int(0)))
+	w.subs[len(w.subs)-1] = w.subs[len(w.subs)-2]
+
+	wide := event.New().SetInt("value", 10)
+	for i := 0; i < 20; i++ {
+		wide.SetInt(fmt.Sprintf("a%02d", i), int64(i))
+	}
+	w.events = []*event.Event{
+		event.New(),
+		event.New().SetInt("x", 1),
+		event.New().SetFloat("x", 1),
+		event.New().SetFloat("x", 1.5),
+		event.New().SetBool("x", true),
+		event.New().SetFloat("x", math.NaN()),
+		event.New().SetInt("x", 1).SetInt("y", 2),
+		event.New().SetInt("x", 2).SetFloat("y", 2),
+		event.New().SetStr("kind", "a"),
+		event.New().SetStr("kind", "b").SetInt("value", 5),
+		event.New().SetStr("kind", "a").SetInt("value", 5).SetInt("x", 1),
+		event.New().SetStr("kind", "a").SetFloat("value", 4.5).SetBool("flag", false),
+		event.New().SetStr("kind", "ab").SetInt("value", 3),
+		event.New().SetBytes("raw", []byte("a")),
+		event.New().SetBytes("raw", []byte("b")).SetInt("value", 2).SetStr("flag", ""),
+		wide,
+		wide.Clone().SetInt("value", 0).SetInt("a07", 8),
+	}
+	return w
+}
+
 // TestEngineEquivalence is the core differential property: both
 // matching engines must produce identical results for any workload —
 // the paper's two buses differ in mechanism, not semantics.
 func TestEngineEquivalence(t *testing.T) {
+	workloads := []randomWorkload{partitionWorkload()}
 	for seed := int64(0); seed < 8; seed++ {
-		w := makeWorkload(seed, 60, 200)
+		workloads = append(workloads, makeWorkload(seed, 60, 200))
+	}
+	for wi, w := range workloads {
 		siena, fast := NewSiena(), NewFast()
 		for i, f := range w.filters {
 			if err := siena.Subscribe(w.subs[i], f); err != nil {
@@ -309,7 +398,7 @@ func TestEngineEquivalence(t *testing.T) {
 					want := f.Matches(e)
 					t.Logf("filter %d (%s) direct=%v", j, f, want)
 				}
-				t.Fatalf("seed %d event %d (%s): siena=%v fast=%v", seed, i, e, gs, gf)
+				t.Fatalf("workload %d event %d (%s): siena=%v fast=%v", wi, i, e, gs, gf)
 			}
 			// Both must agree with direct evaluation.
 			var want []ident.ID
@@ -321,54 +410,88 @@ func TestEngineEquivalence(t *testing.T) {
 				}
 			}
 			if !idsEqual(gf, want) {
-				t.Fatalf("seed %d event %d: engines=%v direct=%v", seed, i, gf, want)
+				t.Fatalf("workload %d event %d (%s): engines=%v direct=%v", wi, i, e, gf, want)
 			}
 		}
 	}
 }
 
 // TestEngineEquivalenceUnderChurn interleaves subscribes, unsubscribes
-// and matches.
+// and matches, over the random filters and the partition table
+// together; it ends by emptying the matcher — every partition must go
+// with its last filter — and filling it again.
 func TestEngineEquivalenceUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	w := makeWorkload(42, 40, 1)
+	w, pw := makeWorkload(42, 40, 1), partitionWorkload()
+	w.filters = append(w.filters, pw.filters...)
+	w.subs = append(w.subs, pw.subs...)
 	siena, fast := NewSiena(), NewFast()
 	installed := map[int]bool{}
 
-	for step := 0; step < 800; step++ {
-		i := rng.Intn(len(w.filters))
-		switch {
-		case !installed[i]:
-			if err := siena.Subscribe(w.subs[i], w.filters[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := fast.Subscribe(w.subs[i], w.filters[i]); err != nil {
-				t.Fatal(err)
-			}
-			installed[i] = true
-		case rng.Intn(2) == 0:
-			if err := siena.Unsubscribe(w.subs[i], w.filters[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := fast.Unsubscribe(w.subs[i], w.filters[i]); err != nil {
-				t.Fatal(err)
-			}
-			installed[i] = false
-		default:
-			fast.UnsubscribeAll(w.subs[i])
-			siena.UnsubscribeAll(w.subs[i])
-			installed[i] = false
+	subscribe := func(i int) {
+		t.Helper()
+		if err := siena.Subscribe(w.subs[i], w.filters[i]); err != nil {
+			t.Fatal(err)
 		}
+		if err := fast.Subscribe(w.subs[i], w.filters[i]); err != nil {
+			t.Fatal(err)
+		}
+		installed[i] = true
+	}
+	unsubscribe := func(i int) {
+		t.Helper()
+		if err := siena.Unsubscribe(w.subs[i], w.filters[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fast.Unsubscribe(w.subs[i], w.filters[i]); err != nil {
+			t.Fatal(err)
+		}
+		installed[i] = false
+	}
+	check := func(step int, events []*event.Event) {
+		t.Helper()
 		if siena.SubscriptionCount() != fast.SubscriptionCount() {
 			t.Fatalf("count divergence: %d vs %d", siena.SubscriptionCount(), fast.SubscriptionCount())
 		}
-		ew := makeWorkload(int64(step), 0, 3)
-		for _, e := range ew.events {
+		for _, e := range events {
 			if gs, gf := siena.Match(e), fast.Match(e); !idsEqual(gs, gf) {
 				t.Fatalf("step %d: siena=%v fast=%v for %s", step, gs, gf, e)
 			}
 		}
 	}
+
+	for step := 0; step < 2400; step++ {
+		i := rng.Intn(len(w.filters))
+		switch {
+		case !installed[i]:
+			subscribe(i)
+		case rng.Intn(2) == 0:
+			unsubscribe(i)
+		default:
+			fast.UnsubscribeAll(w.subs[i])
+			siena.UnsubscribeAll(w.subs[i])
+			for j := range w.subs {
+				if w.subs[j] == w.subs[i] {
+					installed[j] = false
+				}
+			}
+		}
+		check(step, append(makeWorkload(int64(step), 0, 3).events, pw.events[step%len(pw.events)]))
+	}
+
+	for i := range w.filters {
+		if installed[i] {
+			unsubscribe(i)
+		}
+	}
+	check(-1, pw.events)
+	if idx := fast.idx.Load(); len(idx.parts) != 0 || idx.root != nil || len(idx.empties) != 0 {
+		t.Fatalf("empty matcher kept partitions: parts=%d root=%v empties=%d", len(idx.parts), idx.root, len(idx.empties))
+	}
+	for i := range w.filters {
+		subscribe(i)
+	}
+	check(-2, pw.events)
 }
 
 func TestConcurrentMatchAndSubscribe(t *testing.T) {

@@ -311,7 +311,8 @@ func (m *TypedMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Sc
 }
 
 func guardsMatch(guards []event.Constraint, e *event.Event) bool {
-	for _, c := range guards {
+	for i := range guards {
+		c := &guards[i]
 		v, ok := e.Get(c.Name)
 		if c.Op == event.OpExists {
 			if !ok {
