@@ -1,3 +1,5 @@
+//go:build !race
+
 // Benchmarks regenerating the paper's evaluation (§V), one per figure
 // plus the ablations of §VI. Run:
 //
@@ -8,10 +10,15 @@
 // iPAQ↔laptop link); the reported ns/op at each payload size is the
 // ordinate of the corresponding figure. cmd/benchfig prints the full
 // series in one shot instead.
+//
+// The file is left out under the race detector: its instrumentation
+// allocates and slows the hops unevenly, so neither the benchmarks nor
+// the pins that read them mean anything there.
 package smc_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,8 +96,7 @@ func BenchmarkFig4bThroughput(b *testing.B) {
 // payload streaming at fan-outs of 1–8 subscribers across pipeline
 // shard counts, with the host-cost model off so the bus pipeline
 // itself — not the simulated 2006 PDA — is the measurand. The win of
-// the sharded zero-copy pipeline (PR 1) shows up here; BENCH_PR1.json
-// records the before/after numbers.
+// the sharded zero-copy pipeline (PR 1) shows up here.
 func BenchmarkFig4bThroughputSweep(b *testing.B) {
 	for _, fan := range []int{1, 4, 8} {
 		for _, shards := range []int{1, 4} {
@@ -125,28 +131,70 @@ func BenchmarkFig4bThroughputSweep(b *testing.B) {
 // model off. Window=1 is the seed's stop-and-wait on every hop;
 // larger windows let both the publish hop and the proxy's pipelined
 // delivery hop fill the link. Proxy coalescing is pinned off
-// (BatchEvents: 1) so the sweep isolates the window. BENCH_PR2.json
-// records the series.
+// (BatchEvents: 1) so the sweep isolates the window.
 func BenchmarkReliableWindowE2E(b *testing.B) {
 	for _, window := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			env, err := bench.NewEnv(bench.FastRaw, bench.EnvConfig{
-				Link: netsim.USBLink, Subscribers: 1, Window: window, BatchEvents: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
+			stream := windowE2E(b, window)
 			var eps float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eps, err = env.StreamAsync(250, 200, 2*window, 30*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
+				eps = stream(200)
 			}
 			b.ReportMetric(eps, "events/sec")
 		})
+	}
+}
+
+// windowE2E is the member path on the USB link at the given window,
+// proxy coalescing off.
+func windowE2E(tb testing.TB, window int) (stream func(count int) float64) {
+	return memberStream(tb, bench.EnvConfig{
+		Link: netsim.USBLink, Window: window, BatchEvents: 1,
+	}, 2*window)
+}
+
+// memberStream builds a one-publisher, one-subscriber deployment and
+// returns its unit of work: stream count 250-byte events through it,
+// at most inflight of them unacknowledged, for the events/sec end to
+// end.
+func memberStream(tb testing.TB, cfg bench.EnvConfig, inflight int) (stream func(count int) float64) {
+	cfg.Subscribers = 1
+	env, err := bench.NewEnv(bench.FastRaw, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(env.Close)
+	return func(count int) float64 {
+		eps, err := env.StreamAsync(250, count, inflight, 60*time.Second)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return eps
+	}
+}
+
+// TestReliableWindowE2E pins, inside one run, what the window buys the
+// full member path on the USB link — window=16 streams at least twice
+// the events/sec of stop-and-wait (PR 2) — and what that stream may
+// allocate: 200 events through a fresh deployment, pools cold, in at
+// most 1 560 mallocs (PR 4 measured 1 300).
+func TestReliableWindowE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	stopAndWait := windowE2E(t, 1)(200)
+	stream := windowE2E(t, 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	windowed := stream(200)
+	runtime.ReadMemStats(&after)
+	if windowed < 2*stopAndWait {
+		t.Errorf("window=16 streams %.0f events/sec, stop-and-wait %.0f: %.1f×, want ≥ 2×",
+			windowed, stopAndWait, windowed/stopAndWait)
+	}
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 1560 {
+		t.Errorf("window=16 stream of 200 events made %d allocations, want ≤ 1560", mallocs)
 	}
 }
 
@@ -170,44 +218,59 @@ var lossyLAN = netsim.Profile{
 // of BenchmarkReliableWindowE2E on the lossy latency-bound profile:
 // stop-and-wait (the seed's behaviour), the PR 2 sliding window alone,
 // and the window combined with 16-event coalescing at both the client
-// publish hop and the proxy delivery hop. BENCH_PR7.json pins the
-// batched/stop-and-wait ratio at ≥10×.
+// publish hop and the proxy delivery hop.
 func BenchmarkReliableWindowE2EBatched(b *testing.B) {
 	variants := []struct {
 		name          string
 		window, batch int
 	}{
-		{"stop-and-wait", 1, 1}, // batch 1: proxy coalescing off
+		{"stop-and-wait", 1, 1},
 		{"window=16", 16, 1},
 		{"window=16/batch=16", 16, 16},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			env, err := bench.NewEnv(bench.FastRaw, bench.EnvConfig{
-				Link: lossyLAN, Subscribers: 1,
-				Window: v.window, BatchEvents: v.batch,
-				BatchFlush: 200 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			// Enough in flight that size — not the flush deadline —
-			// cuts the batches.
-			inflight := 2 * v.window
-			if v.batch > 1 {
-				inflight = 2 * v.window * v.batch
-			}
+			stream := batchedE2E(b, v.window, v.batch)
 			var eps float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eps, err = env.StreamAsync(250, 400, inflight, 60*time.Second)
-				if err != nil {
-					b.Fatal(err)
-				}
+				eps = stream(400)
 			}
 			b.ReportMetric(eps, "events/sec")
 		})
+	}
+}
+
+// batchedE2E is the member path on lossyLAN; batch 1 turns proxy
+// coalescing off. Enough events are in flight that size — not the
+// flush deadline — cuts the batches.
+func batchedE2E(tb testing.TB, window, batch int) (stream func(count int) float64) {
+	return memberStream(tb, bench.EnvConfig{
+		Link: lossyLAN, Window: window, BatchEvents: batch,
+		BatchFlush: 200 * time.Microsecond,
+	}, 2*window*batch)
+}
+
+// TestBatchingE2E pins PR 7's acceptance criteria inside one run: on
+// the lossy latency-bound link, the window with 16-event coalescing
+// streams at least 10× the events/sec of stop-and-wait and at least 3×
+// the window alone.
+func TestBatchingE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	// Stop-and-wait pays a lossy round trip per event on each hop: a
+	// quarter of the benchmark's stream measures its rate as well.
+	stopAndWait := batchedE2E(t, 1, 1)(100)
+	windowed := batchedE2E(t, 16, 1)(400)
+	batched := batchedE2E(t, 16, 16)(400)
+	if batched < 10*stopAndWait {
+		t.Errorf("batched streams %.0f events/sec, stop-and-wait %.0f: %.1f×, want ≥ 10×",
+			batched, stopAndWait, batched/stopAndWait)
+	}
+	if batched < 3*windowed {
+		t.Errorf("batched streams %.0f events/sec, window alone %.0f: %.1f×, want ≥ 3×",
+			batched, windowed, batched/windowed)
 	}
 }
 

@@ -1,5 +1,7 @@
-// Command benchfig regenerates the paper's evaluation figures as text
-// series (see DESIGN.md §4 for the experiment index).
+// Command benchfig regenerates the paper's evaluation figures (§V,
+// Fig. 4) and the §VI ablations as text series; EXPERIMENTS.md indexes
+// the experiments. Throughput and latency of the event service itself
+// are measured by the repository's benchmark, see benchmark/README.md.
 //
 // Usage:
 //
@@ -10,246 +12,24 @@
 //	benchfig -fig quench      # ablation: quenching savings
 //	benchfig -fig redelivery  # ablation: disconnect/redeliver cycle
 //	benchfig -fig all -full   # everything, figure-quality sweeps
-//
-// It doubles as the CI benchmark regression gate: feed it the text
-// output of `go test -bench` and a committed baseline, and it fails
-// (exit 1) when a gated metric regresses beyond the tolerance or a
-// required ratio (e.g. windowed ≥2× stop-and-wait) is not met:
-//
-//	go test -run '^$' -bench ... | tee bench.txt
-//	benchfig -gate bench.txt -baseline BENCH_PR4.json -gate-out bench.json
-//
-// A third mode measures CPU scaling: `benchfig -cpus` reruns the bus
-// hot-path benchmark (local dispatch and member fan-out) under each
-// GOMAXPROCS in -cpus-list (via `go test -cpu`) and prints throughput
-// per (delivery, GOMAXPROCS, shards) point plus speedups against the
-// single-processor single-shard baseline — the sweep the ROADMAP calls
-// for before believing any shard-scalability claim. -cpus-out writes
-// the machine-readable "cpus" section, -cpus-merge folds it into a
-// committed baseline, and -cpus-gate fails the run when speedups do
-// not scale monotonically — enforced only on hosts with ≥4 hardware
-// CPUs; on smaller hosts (1-CPU CI) the sweep is informational, since
-// oversubscribed GOMAXPROCS on one core measures scheduling overhead,
-// not parallel speedup:
-//
-//	benchfig -cpus -cpus-list 1,2,4 -cpus-merge BENCH_PR8.json -cpus-gate
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/amuse/smc/internal/bench"
 )
 
 func main() {
-	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 4a, 4b, link, fanout, quench, redelivery, all")
-		full      = flag.Bool("full", false, "figure-quality sweep (slower); default is a quick sweep")
-		gate      = flag.String("gate", "", "gate mode: path to `go test -bench` output (\"-\" for stdin)")
-		baseline  = flag.String("baseline", "BENCH_PR4.json", "gate mode: committed baseline JSON with a \"gate\" section")
-		gateOut   = flag.String("gate-out", "", "gate mode: write the machine-readable report JSON here")
-		cpus      = flag.Bool("cpus", false, "CPU-scaling mode: run BenchmarkBusHotPath (local and member delivery) under each -cpus-list GOMAXPROCS value")
-		cpusList  = flag.String("cpus-list", "1,2,4", "cpus mode: comma-separated GOMAXPROCS values to sweep")
-		cpusOut   = flag.String("cpus-out", "", "cpus mode: write the machine-readable \"cpus\" section JSON here")
-		cpusMerge = flag.String("cpus-merge", "", "cpus mode: merge the \"cpus\" section into this baseline JSON in place")
-		cpusGate  = flag.Bool("cpus-gate", false, "cpus mode: fail unless speedups scale monotonically (only enforced on hosts with ≥4 hardware CPUs)")
-	)
+	fig := flag.String("fig", "all", "figure to regenerate: 4a, 4b, link, fanout, quench, redelivery, all")
+	full := flag.Bool("full", false, "figure-quality sweep (slower); default is a quick sweep")
 	flag.Parse()
-	if *cpus {
-		if err := runCPUSweep(*cpusList, *cpusOut, *cpusMerge, *cpusGate); err != nil {
-			fmt.Fprintln(os.Stderr, "benchfig:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *gate != "" {
-		if err := runGate(*gate, *baseline, *gateOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchfig:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*fig, *full); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
 		os.Exit(1)
 	}
-}
-
-// cpuSweepBench is the benchmark pattern the -cpus mode measures:
-// both delivery modes at 8-subscriber fan-out, every shards variant.
-const cpuSweepBench = "BenchmarkBusHotPath/delivery=(local|member)/fanout=8"
-
-// runCPUSweep executes the bus hot-path benchmark (local dispatch and
-// member fan-out) across the requested GOMAXPROCS values, prints an
-// events/sec table per (delivery, GOMAXPROCS, shards) point with
-// speedups relative to the single-processor single-shard baseline,
-// and optionally emits/merges the machine-readable "cpus" section and
-// gates on scaling monotonicity.
-func runCPUSweep(list, outPath, mergePath string, gate bool) error {
-	var procsSeen []int
-	for _, s := range strings.Split(list, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || p < 1 {
-			return fmt.Errorf("bad -cpus-list entry %q", s)
-		}
-		procsSeen = append(procsSeen, p)
-	}
-	if len(procsSeen) == 0 {
-		return fmt.Errorf("-cpus-list is empty")
-	}
-	fmt.Fprintf(os.Stderr, "running %s under -cpu %s (hardware CPUs: %d)...\n",
-		cpuSweepBench, list, runtime.NumCPU())
-
-	// One `go test` invocation per -cpu value: sub-benchmark discovery
-	// runs shardCounts() under that GOMAXPROCS, so the shards=GOMAXPROCS
-	// point exists at every processor count (a single -cpu 1,2,4 run
-	// discovers the tree once, under the first value only). The loop
-	// variable already identifies the processor count, so the standard
-	// suffix-stripping parser does.
-	var points []bench.CPUPoint
-	for _, procs := range procsSeen {
-		cmd := exec.Command("go", "test", "./internal/bus", "-run", "^$",
-			"-bench", cpuSweepBench, "-benchtime", "1s",
-			"-cpu", strconv.Itoa(procs))
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return fmt.Errorf("go test -cpu %d: %w", procs, err)
-		}
-		meas, err := bench.ParseGoBench(bytes.NewReader(out))
-		if err != nil {
-			return fmt.Errorf("parse bench output: %w", err)
-		}
-		for name, m := range meas {
-			delivery := ""
-			switch {
-			case strings.Contains(name, "delivery=local"):
-				delivery = "local"
-			case strings.Contains(name, "delivery=member"):
-				delivery = "member"
-			default:
-				continue
-			}
-			j := strings.LastIndex(name, "shards=")
-			if j < 0 {
-				continue
-			}
-			shards, err := strconv.Atoi(name[j+len("shards="):])
-			if err != nil {
-				continue
-			}
-			points = append(points, bench.CPUPoint{
-				Delivery: delivery, Procs: procs, Shards: shards,
-				EventsPerSec: m.Metrics["events/sec"],
-			})
-		}
-	}
-	if len(points) == 0 {
-		return fmt.Errorf("no benchmark results")
-	}
-	sweep := bench.BuildCPUSweep(cpuSweepBench, runtime.NumCPU(), points)
-
-	fmt.Printf("# CPU scaling sweep: %s (events/sec)\n", cpuSweepBench)
-	fmt.Printf("# hardware CPUs: %d\n", runtime.NumCPU())
-	sort.Slice(points, func(i, j int) bool {
-		a, b := points[i], points[j]
-		if a.Delivery != b.Delivery {
-			return a.Delivery < b.Delivery
-		}
-		if a.Procs != b.Procs {
-			return a.Procs < b.Procs
-		}
-		return a.Shards < b.Shards
-	})
-	for _, p := range points {
-		fmt.Printf("delivery=%s GOMAXPROCS=%d shards=%d %.0f\n",
-			p.Delivery, p.Procs, p.Shards, p.EventsPerSec)
-	}
-	for _, delivery := range []string{"local", "member"} {
-		for _, procs := range procsSeen {
-			if sp, ok := sweep.Speedups[delivery][strconv.Itoa(procs)]; ok {
-				fmt.Printf("delivery=%s GOMAXPROCS=%d speedup vs 1-proc/1-shard: %.2fx\n",
-					delivery, procs, sp)
-			}
-		}
-	}
-	if runtime.NumCPU() == 1 {
-		fmt.Printf("# NOTE: single hardware CPU — GOMAXPROCS>1 points oversubscribe one core\n")
-		fmt.Printf("# and measure scheduling overhead, not parallel speedup. Re-run on a\n")
-		fmt.Printf("# multi-core host before drawing shard-scalability conclusions.\n")
-	}
-
-	if outPath != "" {
-		data, err := json.MarshalIndent(sweep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if mergePath != "" {
-		if err := bench.MergeCPUSection(mergePath, sweep); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "merged cpus section into %s\n", mergePath)
-	}
-	if gate {
-		rep := bench.GateCPUSweep(sweep, runtime.NumCPU())
-		rep.Fprint(os.Stdout)
-		if !rep.Pass {
-			return fmt.Errorf("cpu-scaling gate failed")
-		}
-	}
-	return nil
-}
-
-func runGate(benchPath, baselinePath, outPath string) error {
-	var in io.Reader = os.Stdin
-	if benchPath != "-" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	measured, err := bench.ParseGoBench(in)
-	if err != nil {
-		return fmt.Errorf("parse bench output: %w", err)
-	}
-	if len(measured) == 0 {
-		return fmt.Errorf("no benchmark results in %s", benchPath)
-	}
-	spec, err := bench.LoadGateSpec(baselinePath)
-	if err != nil {
-		return err
-	}
-	rep := bench.RunGate(measured, spec)
-	rep.Fprint(os.Stdout)
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	if !rep.Pass {
-		return fmt.Errorf("benchmark gate failed")
-	}
-	return nil
 }
 
 func run(fig string, full bool) error {

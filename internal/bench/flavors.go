@@ -1,7 +1,7 @@
 // Package bench is the measurement harness that regenerates every
 // figure of the paper's evaluation (§V) plus the ablations §VI calls
-// for. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results.
+// for. EXPERIMENTS.md indexes the experiments and sets the measured
+// results against the paper's.
 package bench
 
 import (

@@ -163,11 +163,6 @@ func foldStats(blocks []busCounters) Stats {
 // Option configures a Bus.
 type Option func(*Bus)
 
-// WithAuthorizer installs an authorisation hook.
-func WithAuthorizer(a Authorizer) Option {
-	return func(b *Bus) { b.auth = a }
-}
-
 // WithCost installs a host processing-cost model.
 func WithCost(c Cost) Option {
 	return func(b *Bus) { b.cost = c }

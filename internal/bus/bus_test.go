@@ -40,13 +40,21 @@ func newRig(t *testing.T, opts ...Option) *rig {
 // choice.
 func newRigOver(t *testing.T, m matcher.Matcher, opts ...Option) *rig {
 	t.Helper()
+	r := newStoppedRig(t, m, opts...)
+	r.bus.Start()
+	return r
+}
+
+// newStoppedRig leaves Start to the caller, for what must be installed
+// on the bus before it runs.
+func newStoppedRig(t *testing.T, m matcher.Matcher, opts ...Option) *rig {
+	t.Helper()
 	n := netsim.New(netsim.Perfect, netsim.WithSeed(21))
 	tr, err := n.Attach(ident.New(busID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := New(reliable.New(tr, testCfg()), m, bootstrap.NewRegistry(), opts...)
-	b.Start()
 	t.Cleanup(func() {
 		b.Close()
 		n.Close()
@@ -371,7 +379,9 @@ func (denyAll) AuthorizeSubscribe(ident.ID, string, *event.Filter) error {
 }
 
 func TestAuthorizerBlocksPublishAndSubscribe(t *testing.T) {
-	r := newRig(t, WithAuthorizer(denyAll{}))
+	r := newStoppedRig(t, matcher.NewFast())
+	r.bus.SetAuthorizer(denyAll{})
+	r.bus.Start()
 	m := r.member(t, 1, "generic")
 	subscribe(t, m, event.NewFilter().WhereType("x")) // acked but denied
 	publish(t, m, event.NewTyped("x"))

@@ -17,22 +17,28 @@ import (
 //
 // Four modes over two shapes. delivery=member/fanout=8 is the
 // representative remote fan-out pipeline a durable ward cell actually
-// runs, and is the gated configuration; delivery=local/fanout=1 is the
-// harshest possible denominator — pure in-process dispatch with
-// nothing to amortise against — and is tracked as informational.
+// runs; delivery=local/fanout=1 is the harshest possible denominator —
+// pure in-process dispatch with nothing to amortise against.
 //
 //   - log=off: no log attached.
-//   - log=on: memory-backed log. Gated at ≥0.85× log=off (PR 9).
+//   - log=on: memory-backed log. PR 9 accepted it at ≥0.85× log=off on
+//     the member shape.
 //   - log=disk: disk-backed log, segment-granular sync only (sealed
 //     segments written+fsynced by the flusher). This is disk-bandwidth
 //     bound at hot-path rates — the number measures the host's storage,
-//     not the code — so it is the denominator for the sync-policy gate,
-//     not gated absolutely.
+//     not the code — so it is only the denominator for log=sync.
 //   - log=sync: log=disk plus the write-behind tail-sync policy
 //     (SyncInterval fsyncs of the active segment's appended tail).
 //     Because the fsync runs on the flusher goroutine off the publish
 //     path, the policy must be nearly free relative to plain disk
-//     backing: gated at log=sync ≥ 0.85× log=disk on the member shape.
+//     backing: PR 10 accepted it at ≥0.85× log=disk.
+//
+// All four member rows are pinned at no allocation by
+// TestBusHotPathZeroAlloc. The two 0.85 ratios are not tests: on a
+// 2-vCPU host this pipeline's events/sec swings ±15 % between
+// back-to-back runs and the ratios sit near 0.9, so compare best of
+// -count 3 or more, and claim with the benchmark's durable_roam
+// workload (EXPERIMENTS.md, "Per-PR baselines and the retired gate").
 func BenchmarkDurablePublish(b *testing.B) {
 	for _, shape := range []struct {
 		delivery string
@@ -44,24 +50,31 @@ func BenchmarkDurablePublish(b *testing.B) {
 		for _, mode := range []string{"off", "on", "disk", "sync"} {
 			name := fmt.Sprintf("delivery=%s/fanout=%d/log=%s", shape.delivery, shape.fan, mode)
 			b.Run(name, func(b *testing.B) {
-				opts := []Option{}
-				cfg := store.Config{MaxEvents: 65536}
-				switch mode {
-				case "disk":
-					cfg.Dir = b.TempDir()
-				case "sync":
-					cfg.Dir = b.TempDir()
-					cfg.SyncInterval = 2 * time.Millisecond
-				}
-				if mode != "off" {
-					l, err := store.Open(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					opts = append(opts, WithDurableLog(l)) // closed by bus.Close
-				}
-				benchHotPath(b, shape.delivery, shape.fan, opts...)
+				benchHotPath(b, shape.delivery, shape.fan, durableLogOpts(b, mode)...)
 			})
 		}
 	}
+}
+
+// durableLogOpts returns the bus options of one BenchmarkDurablePublish
+// log mode.
+func durableLogOpts(tb testing.TB, mode string) []Option {
+	cfg := store.Config{MaxEvents: 65536}
+	switch mode {
+	case "off":
+		return nil
+	case "on":
+	case "disk":
+		cfg.Dir = tb.TempDir()
+	case "sync":
+		cfg.Dir = tb.TempDir()
+		cfg.SyncInterval = 2 * time.Millisecond
+	default:
+		tb.Fatalf("unknown log mode %q", mode)
+	}
+	l, err := store.Open(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []Option{WithDurableLog(l)} // closed by bus.Close
 }

@@ -23,8 +23,6 @@ import (
 // services (pure dispatch) or member proxies (the enqueue side of
 // remote delivery). ns/op is per published event; the events/sec
 // metric is the published-event throughput of the whole pipeline.
-//
-// BENCH_PR1.json records the before/after numbers for PR 1.
 func BenchmarkBusHotPath(b *testing.B) {
 	for _, delivery := range []string{"local", "member"} {
 		for _, fan := range []int{1, 8} {
@@ -54,16 +52,28 @@ func shardCounts() []int {
 }
 
 func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
+	flood := newHotPath(b, delivery, fan, opts...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	flood(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// newHotPath builds the benchmark's bus and fan-out and returns its
+// unit of work: flood(n) publishes n pooled events from GOMAXPROCS
+// publishers and returns once every one has been fully dispatched.
+func newHotPath(tb testing.TB, delivery string, fan int, opts ...Option) (flood func(n int)) {
 	n := netsim.New(netsim.Perfect, netsim.WithSeed(11))
-	defer n.Close()
+	tb.Cleanup(func() { n.Close() })
 	tr, err := n.Attach(ident.New(busID))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts = append([]Option{WithQueueDepth(8192)}, opts...)
 	bus := New(reliable.New(tr, testCfg()), matcher.NewFast(), bootstrap.NewRegistry(), opts...)
 	bus.Start()
-	defer bus.Close()
+	tb.Cleanup(func() { bus.Close() })
 
 	filter := event.NewFilter().WhereType("bench")
 	var delivered atomic.Uint64
@@ -74,7 +84,7 @@ func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
 			if err := svc.Subscribe(filter, func(*event.Event) {
 				delivered.Add(1)
 			}); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	case "member":
@@ -85,14 +95,20 @@ func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
 		for i := 0; i < fan; i++ {
 			id := ident.New(uint64(0x200 + i))
 			if err := bus.AddMember(id, "generic", fmt.Sprintf("sub-%d", i)); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if err := bus.match.Subscribe(id, filter); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	default:
-		b.Fatalf("unknown delivery %q", delivery)
+		tb.Fatalf("unknown delivery %q", delivery)
+	}
+	dispatched := func() uint64 {
+		if delivery == "local" {
+			return delivered.Load()
+		}
+		return bus.Stats().EnqueuedRemote
 	}
 
 	pubs := runtime.GOMAXPROCS(0)
@@ -100,60 +116,48 @@ func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
 	for p := range svcs {
 		svcs[p] = bus.Local(fmt.Sprintf("pub-%d", p))
 	}
-	baseEnq := bus.Stats().EnqueuedRemote
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for p := 0; p < pubs; p++ {
-		quota := b.N / pubs
-		if p < b.N%pubs {
-			quota++
-		}
-		wg.Add(1)
-		go func(svc *LocalService, quota int) {
-			defer wg.Done()
-			for i := 0; i < quota; i++ {
-				// The pooled-event lifecycle: the bus releases the
-				// event once dispatch completes and the struct
-				// recycles, so a small (≤ InlineAttrs-attribute)
-				// publish allocates nothing in steady state.
-				e := event.Acquire().SetStr(event.AttrType, "bench").SetInt("k", int64(i))
-				for {
-					err := svc.Publish(e)
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, ErrBusy) {
-						e.Release()
-						b.Error(err)
-						return
-					}
-					runtime.Gosched() // backpressure: queue full
-				}
+	return func(n int) {
+		want := dispatched() + uint64(n)*uint64(fan)
+		var wg sync.WaitGroup
+		for p := 0; p < pubs; p++ {
+			quota := n / pubs
+			if p < n%pubs {
+				quota++
 			}
-		}(svcs[p], quota)
-	}
-	wg.Wait()
+			wg.Add(1)
+			go func(svc *LocalService, quota int) {
+				defer wg.Done()
+				for i := 0; i < quota; i++ {
+					// The pooled-event lifecycle: the bus releases the
+					// event once dispatch completes and the struct
+					// recycles, so a small (≤ InlineAttrs-attribute)
+					// publish allocates nothing in steady state.
+					e := event.Acquire().SetStr(event.AttrType, "bench").SetInt("k", int64(i))
+					for {
+						err := svc.Publish(e)
+						if err == nil {
+							break
+						}
+						if !errors.Is(err, ErrBusy) {
+							e.Release()
+							tb.Error(err)
+							return
+						}
+						runtime.Gosched() // backpressure: queue full
+					}
+				}
+			}(svcs[p], quota)
+		}
+		wg.Wait()
 
-	// Wait until every published event has been fully dispatched.
-	want := uint64(b.N) * uint64(fan)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var got uint64
-		if delivery == "local" {
-			got = delivered.Load()
-		} else {
-			got = bus.Stats().EnqueuedRemote - baseEnq
+		// Wait until every published event has been fully dispatched.
+		deadline := time.Now().Add(60 * time.Second)
+		for dispatched() < want {
+			if time.Now().After(deadline) {
+				tb.Fatalf("dispatched %d events short of %d", want-dispatched(), uint64(n)*uint64(fan))
+			}
+			runtime.Gosched()
 		}
-		if got >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("dispatched %d of %d events", got, want)
-		}
-		runtime.Gosched()
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,11 +57,10 @@ func (r *batchRig) client(t *testing.T, id uint64, opts ...client.Option) (*clie
 
 // drainOrdered receives n events and checks the per-publisher FIFO
 // contract: the "n" attribute (and the client-stamped Seq) must arrive
-// strictly ascending, batched or not. It returns rather than fails so
-// it can run concurrently with publishing (the subscriber inbox is a
-// bounded buffer; a test that publishes everything before draining
-// would overflow it).
-func drainOrdered(sub *client.Client, n int) error {
+// strictly ascending, batched or not. It counts what it has received in
+// drained and returns rather than fails, so it can run concurrently
+// with publishing.
+func drainOrdered(sub *client.Client, n int, drained *atomic.Int64) error {
 	next := int64(0)
 	for next < int64(n) {
 		e, err := sub.NextEvent(20 * time.Second)
@@ -77,8 +77,36 @@ func drainOrdered(sub *client.Client, n int) error {
 		}
 		e.Release()
 		next++
+		drained.Store(next)
 	}
 	return nil
+}
+
+// publishBurst publishes n events asynchronously and waits for every
+// acknowledgement. The subscriber's inbox holds 256 events and sheds
+// what does not fit, so the burst never runs more than 200 ahead of
+// what drainOrdered has taken out: with the drainer keeping up the
+// barrier never closes and the burst is n back-to-back publishes; on a
+// loaded host it holds the publisher instead of losing events.
+func publishBurst(t *testing.T, pub *client.Client, n int, drained *atomic.Int64) {
+	t.Helper()
+	comps := make([]*reliable.Completion, 0, n)
+	for i := 0; i < n; i++ {
+		for int64(i)-drained.Load() >= 200 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		comp, err := pub.PublishAsync(event.NewTyped("x").SetInt("n", int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps = append(comps, comp)
+	}
+	for i, comp := range comps {
+		if err := comp.Wait(); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+		comp.Recycle()
+	}
 }
 
 // TestBatchingEndToEnd drives the full member→bus→member path with
@@ -106,23 +134,11 @@ func TestBatchingEndToEnd(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				drained := make(chan error, 1)
-				go func() { drained <- drainOrdered(sub, n) }()
+				var drained atomic.Int64
+				done := make(chan error, 1)
+				go func() { done <- drainOrdered(sub, n, &drained) }()
 				if mode == "burst" {
-					comps := make([]*reliable.Completion, 0, n)
-					for i := 0; i < n; i++ {
-						comp, err := pub.PublishAsync(event.NewTyped("x").SetInt("n", int64(i)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						comps = append(comps, comp)
-					}
-					for i, comp := range comps {
-						if err := comp.Wait(); err != nil {
-							t.Fatalf("publish %d: %v", i, err)
-						}
-						comp.Recycle()
-					}
+					publishBurst(t, pub, n, &drained)
 				} else {
 					for i := 0; i < n; i++ {
 						if err := pub.Publish(event.NewTyped("x").SetInt("n", int64(i))); err != nil {
@@ -130,7 +146,7 @@ func TestBatchingEndToEnd(t *testing.T) {
 						}
 					}
 				}
-				if err := <-drained; err != nil {
+				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
 
@@ -161,23 +177,11 @@ func TestProxyBatchDeliveryUnderTorture(t *testing.T) {
 	if err := sub.Subscribe(event.NewFilter().WhereType("x")); err != nil {
 		t.Fatal(err)
 	}
-	drained := make(chan error, 1)
-	go func() { drained <- drainOrdered(sub, events) }()
-	comps := make([]*reliable.Completion, 0, events)
-	for i := 0; i < events; i++ {
-		comp, err := pub.PublishAsync(event.NewTyped("x").SetInt("n", int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps = append(comps, comp)
-	}
-	for i, comp := range comps {
-		if err := comp.Wait(); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		comp.Recycle()
-	}
-	if err := <-drained; err != nil {
+	var drained atomic.Int64
+	done := make(chan error, 1)
+	go func() { done <- drainOrdered(sub, events, &drained) }()
+	publishBurst(t, pub, events, &drained)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 

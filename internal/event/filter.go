@@ -3,6 +3,7 @@ package event
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -200,6 +201,14 @@ func (c Constraint) Validate() error {
 	if c.Op != OpExists {
 		if err := validateValue(c.Value); err != nil {
 			return err
+		}
+	}
+	// NaN orders with nothing: as a range bound it matches no event,
+	// and the matchers' sorted range indexes lose their order around it.
+	switch c.Op {
+	case OpLt, OpLe, OpGt, OpGe:
+		if f, ok := c.Value.Float(); ok && math.IsNaN(f) {
+			return fmt.Errorf("%w: NaN bound on %q %s", ErrBadFilter, c.Name, c.Op)
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package event
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -140,6 +142,17 @@ func TestFilterValidate(t *testing.T) {
 	badVal := NewFilter().Where("x", OpEq, Value{})
 	if err := badVal.Validate(); err == nil {
 		t.Error("invalid value accepted")
+	}
+	// NaN is no bound for an ordered operator; as an equality operand
+	// it is merely unsatisfiable.
+	for _, op := range []Op{OpLt, OpLe, OpGt, OpGe} {
+		nan := NewFilter().Where("x", op, Float(math.NaN()))
+		if err := nan.Validate(); !errors.Is(err, ErrBadFilter) {
+			t.Errorf("NaN bound on %s: got %v, want ErrBadFilter", op, err)
+		}
+	}
+	if err := NewFilter().Where("x", OpEq, Float(math.NaN())).Validate(); err != nil {
+		t.Errorf("NaN equality operand rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -235,6 +236,8 @@ type randomWorkload struct {
 	subs    []ident.ID
 	filters []*event.Filter
 	events  []*event.Event
+	// rejected filters must be refused by every engine.
+	rejected []*event.Filter
 }
 
 func makeWorkload(seed int64, nFilters, nEvents int) randomWorkload {
@@ -324,6 +327,12 @@ func partitionWorkload() randomWorkload {
 	add(eq("raw", event.Bytes([]byte("a"))))
 	add(eq("x", event.Float(math.NaN())))
 	add(eq("x", event.Float(math.NaN())).Where("kind", event.OpEq, event.Str("a")))
+	// NaN as a range bound orders with nothing — it would sit in the
+	// sorted range index among the "value" bounds above and break
+	// their binary search — so no engine installs it.
+	w.rejected = append(w.rejected,
+		event.NewFilter().Where("value", event.OpLt, event.Float(math.NaN())),
+		eq("kind", event.Str("a")).Where("value", event.OpGe, event.Float(math.NaN())))
 	// Single-constraint filters match on the partition hit alone.
 	add(eq("kind", event.Str("a")))
 	add(eq("kind", event.Str("b")))
@@ -388,6 +397,13 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			if err := fast.Subscribe(w.subs[i], f); err != nil {
 				t.Fatalf("fast subscribe: %v", err)
+			}
+		}
+		for _, f := range w.rejected {
+			for _, m := range []Matcher{siena, fast, NewTypedMatcher()} {
+				if err := m.Subscribe(ident.New(1), f); !errors.Is(err, event.ErrBadFilter) {
+					t.Fatalf("workload %d: %T subscribe %s: got %v, want ErrBadFilter", wi, m, f, err)
+				}
 			}
 		}
 		for i, e := range w.events {

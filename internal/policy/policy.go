@@ -9,7 +9,8 @@
 //
 // The full Ponder language is substituted by a small text DSL
 // ("Ponder-lite") preserving the ECA and authorisation semantics the
-// paper relies on; see DESIGN.md for the substitution note.
+// paper relies on; the grammar below is all of it. The chaos harness
+// reloads policies on running cells, see test/e2e/README.md.
 //
 // Grammar:
 //

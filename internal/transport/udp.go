@@ -47,11 +47,6 @@ type udpConfig struct {
 	queueDepth int
 }
 
-// WithListenIP sets the local IP to bind (default 127.0.0.1).
-func WithListenIP(ip net.IP) UDPOption {
-	return func(c *udpConfig) { c.listenIP = ip }
-}
-
 // WithPort pins the local port (default 0: OS chooses, as in the
 // prototype's unicast socket).
 func WithPort(port int) UDPOption {

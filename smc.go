@@ -6,8 +6,10 @@
 //
 // It reproduces the system of Strowes et al., "An Event Service
 // Supporting Autonomic Management of Ubiquitous Systems for e-Health"
-// (ICDCS Workshops 2006). See README.md for a tour and DESIGN.md for
-// the architecture.
+// (ICDCS Workshops 2006). EXPERIMENTS.md sets what was measured
+// against the paper's evaluation, benchmark/README.md describes the
+// benchmark of the service itself, and test/e2e/README.md the
+// black-box chaos harness over the real daemons.
 //
 // # Quick start
 //
