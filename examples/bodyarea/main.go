@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	_ "embed"
 	"fmt"
 	"log"
 	"time"
@@ -15,37 +16,11 @@ import (
 	"github.com/amuse/smc/internal/sensor"
 )
 
-const policies = `
-# Raise an alarm event for dangerously high heart rate readings.
-obligation hr-high for "hr-sensor" {
-  on type = "reading" && kind = "heart-rate"
-  when value > 180
-  do publish(type = "alarm", source = "hr", severity = 3),
-     log("tachycardia detected")
-}
-
-# On any severity-3 alarm, ask the defibrillator to analyse the rhythm.
-obligation defib-analyse {
-  on type = "alarm" && severity >= 3
-  do publish(type = "actuate", target = "defib-1", action = "analyse")
-}
-
-# Watch oxygen saturation too.
-obligation spo2-low for "spo2-sensor" {
-  on type = "reading" && kind = "spo2"
-  when value < 90
-  do publish(type = "alarm", source = "spo2", severity = 2),
-     log("hypoxaemia detected")
-}
-
-# Sensors must never command actuators themselves.
-authorization no-sensor-actuation {
-  effect deny
-  subject "hr-sensor"
-  action publish
-  target type = "actuate"
-}
-`
+// policies is the cell's Ponder-lite policy file, shipped beside this
+// program.
+//
+//go:embed bodyarea.pol
+var policies string
 
 func main() {
 	if err := run(); err != nil {

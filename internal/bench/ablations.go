@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/amuse/smc/internal/event"
-	"github.com/amuse/smc/internal/netsim"
 )
 
 // FanoutCounts are the subscriber counts of the fan-out ablation
@@ -200,6 +199,3 @@ func NewMatcherWorkload(n int) MatcherWorkload {
 	}
 	return w
 }
-
-// DefaultLink returns the calibrated paper link.
-func DefaultLink() netsim.Profile { return netsim.USBLink }

@@ -184,12 +184,11 @@ func WithProxyConfig(cfg proxy.Config) Option {
 // batch waiting delay for more once the queue runs dry. Zeros take the
 // proxy defaults — 16 events, 8 KiB, and no wait at all (opportunistic:
 // only what is already queued coalesces); events == 1 turns coalescing
-// off (see proxy.Config). It adjusts only the batching knobs, composing
-// with WithProxyConfig regardless of option order.
+// off (see proxy.Config). It sets the three batching fields of the
+// proxy configuration, so give it after WithProxyConfig, not before.
 func WithBatching(events, maxBytes int, delay time.Duration) Option {
 	return func(b *Bus) {
-		b.batchSet = true
-		b.batchEvents, b.batchBytes, b.batchDelay = events, maxBytes, delay
+		b.proxyCfg.BatchEvents, b.proxyCfg.BatchBytes, b.proxyCfg.FlushDelay = events, maxBytes, delay
 	}
 }
 
@@ -234,27 +233,13 @@ type Bus struct {
 	ch       *reliable.Channel
 	match    matcher.Matcher
 	registry *bootstrap.Registry
-	// scratchMatch is match when it supports caller-owned scratch
-	// (every in-tree matcher does); nil otherwise. Resolved once in
-	// New so the hot path pays no per-event type assertion.
-	scratchMatch matcher.ScratchMatcher
-	// evFree recycles the receive loop's decoded events owner-locally:
-	// remote traffic circulates through this bus's own events instead
-	// of crossing the global event pool per packet.
-	evFree *event.FreeList
 
 	auth       Authorizer
 	cost       Cost
 	quenchOn   bool
-	batchSet   bool // WithBatching was given: fold the overlay below into proxyCfg
 	proxyCfg   proxy.Config
 	queueDepth int
 	shards     int
-
-	// WithBatching overlay, folded into proxyCfg after options run.
-	batchEvents int
-	batchBytes  int
-	batchDelay  time.Duration
 
 	// snap is the membership snapshot for the hot path; members and
 	// locals below are the canonical maps, mutated under mu only.
@@ -293,7 +278,7 @@ type memberState struct {
 	// via is the channel the member is reachable on (the proxy's
 	// sender); control replies like PktDurableAck go through it so
 	// they share the proxy's per-destination FIFO stream.
-	via proxy.Sender
+	via proxy.AsyncSender
 }
 
 // shardWorker is one pipeline worker: its own bounded queue plus
@@ -334,16 +319,9 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 	for _, o := range opts {
 		o(b)
 	}
-	if b.batchSet {
-		b.proxyCfg.BatchEvents = b.batchEvents
-		b.proxyCfg.BatchBytes = b.batchBytes
-		b.proxyCfg.FlushDelay = b.batchDelay
-	}
 	if b.shards < 1 {
 		b.shards = 1
 	}
-	b.scratchMatch, _ = m.(matcher.ScratchMatcher)
-	b.evFree = event.NewFreeList(b.queueDepth / 4)
 	b.ctrs = make([]busCounters, b.shards+1)
 	b.workers = make([]*shardWorker, b.shards)
 	for i := range b.workers {
@@ -419,7 +397,7 @@ func (b *Bus) AttachChannel(ch *reliable.Channel) {
 // channel instead of the bus's main endpoint (per-proxy transport,
 // §III-B). The channel must have been attached with AttachChannel for
 // the member's inbound traffic to reach the bus.
-func (b *Bus) AddMemberVia(id ident.ID, deviceType, name string, via proxy.Sender) error {
+func (b *Bus) AddMemberVia(id ident.ID, deviceType, name string, via proxy.AsyncSender) error {
 	return b.addMember(id, deviceType, name, via)
 }
 
@@ -487,7 +465,7 @@ func (b *Bus) AddMember(id ident.ID, deviceType, name string) error {
 	return b.addMember(id, deviceType, name, b.ch)
 }
 
-func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.Sender) error {
+func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSender) error {
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
@@ -497,16 +475,20 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.Sender) 
 		b.mu.Unlock()
 		return fmt.Errorf("bus: member %s already present", id)
 	}
-	dev := b.registry.Make(deviceType, id, name)
-	px := proxy.New(id, dev, via, func(e *event.Event) error {
-		return b.enqueuePublish(e)
+	ms := &memberState{deviceType: deviceType, via: via}
+	// Device data the proxy translates into events is a member publish
+	// like any other: it enters through admit, which counts a refusal
+	// itself, so the proxy carries on with the reading's other events.
+	ms.px = proxy.New(id, b.registry.Make(deviceType, id, name), via, func(e *event.Event) error {
+		b.admit(ms, e)
+		return nil
 	}, b.proxyCfg)
-	b.members[id] = &memberState{deviceType: deviceType, px: px, via: via}
+	b.members[id] = ms
 	b.rebuildSnapshot()
 	b.mu.Unlock()
 
-	px.Start()
-	for _, f := range px.InitialSubscriptions() {
+	ms.px.Start()
+	for _, f := range ms.px.InitialSubscriptions() {
 		if err := b.match.Subscribe(id, f); err != nil {
 			return fmt.Errorf("bus: initial subscription for %s: %w", id, err)
 		}
@@ -630,37 +612,55 @@ func (b *Bus) handlePacket(pkt *wire.Packet) {
 	}
 }
 
+// handleEventPacket is the bus's one event loop: each frame the packet
+// carries (wire.PacketFrames: its lone payload, or every frame of a
+// FlagBatch one) decodes — borrowing — into its own pooled event holding
+// an independent reference on the shared packet, and is admitted. Names
+// and strings resolve through the intern table or alias the packet
+// payload, so the deliver-and-drop path copies no strings; downstream
+// this means remote-published events follow the pooled-event contract
+// local pooled publishes already set: subscribers Clone whatever they
+// keep past the handler callback. A corrupt frame stops the packet
+// (frame bounds are length-prefixed, so nothing after a bad prefix can
+// be trusted) but events already admitted stay admitted, matching the
+// sender's FIFO prefix semantics.
 func (b *Bus) handleEventPacket(pkt *wire.Packet) {
 	ms, ok := b.memberState(pkt.Sender)
 	if !ok {
 		b.ctl().nonMember.Add(1)
 		return
 	}
-	if pkt.Flags&wire.FlagBatch != 0 {
-		b.handleEventBatch(ms, pkt)
-		return
+	r, err := wire.PacketFrames(pkt)
+	for err == nil && r.More() {
+		var frame []byte
+		if frame, err = r.Next(); err != nil {
+			break
+		}
+		e := event.Acquire()
+		if err = wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
+			e.Release()
+			break
+		}
+		// Anti-spoofing, per frame: a member's events carry its own
+		// identity, no matter what the payload claims.
+		e.Sender = pkt.Sender
+		if e.Seq == 0 {
+			e.Seq = pkt.Seq
+		}
+		b.admit(ms, e)
 	}
-	// Borrowing decode into a pooled event: attribute names resolve
-	// through the intern table or alias the packet payload (the event
-	// holds a packet reference until its own storage is reclaimed), so
-	// the deliver-and-drop path copies no strings. Downstream this
-	// means remote-published events follow the pooled-event contract
-	// local pooled publishes already set: subscribers Clone whatever
-	// they keep past the handler callback.
-	e := b.evFree.Acquire()
-	if err := wire.DecodeEventInto(e, pkt); err != nil {
-		e.Release()
+	if err != nil {
 		b.ctl().badPackets.Add(1)
-		return
 	}
-	// Anti-spoofing: a member's events carry its own identity, no
-	// matter what the payload claims.
-	e.Sender = pkt.Sender
-	if e.Seq == 0 {
-		e.Seq = pkt.Seq
-	}
+}
+
+// admit is the one gate in front of every member publish (§II-A) —
+// frames decoded off the wire and device data a proxy translated
+// alike: authorise, hand to the publisher's shard, count. It owns e:
+// an event refused for any reason is released here.
+func (b *Bus) admit(ms *memberState, e *event.Event) {
 	if b.auth != nil {
-		if err := b.auth.AuthorizePublish(pkt.Sender, ms.deviceType, e); err != nil {
+		if err := b.auth.AuthorizePublish(e.Sender, ms.deviceType, e); err != nil {
 			e.Release()
 			b.ctl().authDenied.Add(1)
 			return
@@ -676,56 +676,6 @@ func (b *Bus) handleEventPacket(pkt *wire.Packet) {
 	}
 }
 
-// handleEventBatch unpacks a FlagBatch payload: each frame decodes —
-// borrowing — into its own pooled event carrying an independent
-// reference on the shared packet, then runs the same per-event
-// admission (anti-spoofing, authorisation, shard enqueue) as a
-// standalone publish. A corrupt frame stops the batch (frame bounds
-// are length-prefixed, so nothing after a bad prefix can be trusted)
-// but events already admitted stay admitted, matching the sender's
-// FIFO prefix semantics.
-func (b *Bus) handleEventBatch(ms *memberState, pkt *wire.Packet) {
-	r, err := wire.NewBatchReader(pkt.Payload)
-	if err != nil {
-		b.ctl().badPackets.Add(1)
-		return
-	}
-	for r.More() {
-		frame, err := r.Next()
-		if err != nil {
-			b.ctl().badPackets.Add(1)
-			return
-		}
-		e := b.evFree.Acquire()
-		if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
-			e.Release()
-			b.ctl().badPackets.Add(1)
-			return
-		}
-		// Anti-spoofing, per frame: the batch's events carry the
-		// member's own identity no matter what each frame claims.
-		e.Sender = pkt.Sender
-		if e.Seq == 0 {
-			e.Seq = pkt.Seq
-		}
-		if b.auth != nil {
-			if err := b.auth.AuthorizePublish(pkt.Sender, ms.deviceType, e); err != nil {
-				e.Release()
-				b.ctl().authDenied.Add(1)
-				continue
-			}
-		}
-		if err := b.enqueuePublish(e); err != nil {
-			e.Release()
-			if errors.Is(err, ErrBusy) {
-				b.ctl().dropped.Add(1)
-			} else {
-				b.ctl().badPackets.Add(1)
-			}
-		}
-	}
-}
-
 func (b *Bus) handleDataPacket(pkt *wire.Packet) {
 	ms, ok := b.memberState(pkt.Sender)
 	if !ok {
@@ -733,13 +683,11 @@ func (b *Bus) handleDataPacket(pkt *wire.Packet) {
 		return
 	}
 	// Raw device bytes: the member's proxy performs the
-	// pre-processing into fully fledged event objects (§III-B).
+	// pre-processing into fully fledged event objects (§III-B) and
+	// publishes them through admit; what is left to fail is the
+	// translation itself.
 	if err := ms.px.HandleInbound(pkt.Payload); err != nil {
-		if errors.Is(err, ErrBusy) {
-			b.ctl().dropped.Add(1)
-		} else {
-			b.ctl().badPackets.Add(1)
-		}
+		b.ctl().badPackets.Add(1)
 	}
 }
 
@@ -842,11 +790,7 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 		}
 	}
 
-	if b.scratchMatch != nil {
-		w.targets = b.scratchMatch.MatchAppendScratch(item.e, w.targets[:0], w.sc)
-	} else {
-		w.targets = b.match.MatchAppend(item.e, w.targets[:0])
-	}
+	w.targets = b.match.MatchAppendScratch(item.e, w.targets[:0], w.sc)
 	if len(w.targets) == 0 {
 		w.ctr.noMatch.Add(1)
 		b.maybeQuench(item.e.Sender)

@@ -3,10 +3,12 @@ package bus
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/amuse/smc/internal/bootstrap"
+	"github.com/amuse/smc/internal/client"
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/matcher"
@@ -398,6 +400,40 @@ func TestAuthorizerBlocksPublishAndSubscribe(t *testing.T) {
 	}
 	if r.bus.match.SubscriptionCount() != 0 {
 		t.Error("denied subscription installed")
+	}
+}
+
+// TestAuthorizerBlocksTranslatedData: device data a member sends as
+// PktData is translated into events by its proxy and published on its
+// behalf — through the same authorisation as a PktEvent publish. A
+// generic member's PktData payload is simply an encoded event, so
+// without the gate it is a way round any publish rule.
+func TestAuthorizerBlocksTranslatedData(t *testing.T) {
+	r := newStoppedRig(t, matcher.NewFast())
+	r.bus.SetAuthorizer(denyAll{})
+	var dispatched atomic.Int64
+	if err := r.bus.Local("watch").Subscribe(event.NewFilter().WhereType("actuate"), func(*event.Event) {
+		dispatched.Add(1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.bus.Start()
+	c := client.New(r.member(t, 1, "generic"), ident.New(busID))
+	if err := c.PublishRaw(wire.EncodeEvent(event.NewTyped("actuate").SetStr("command", "shock"))); err != nil {
+		t.Fatal(err) // acked by the hop; the refusal is the bus's
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && r.bus.Stats().AuthDenied == 0 && dispatched.Load() == 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := r.bus.Stats()
+	if st.AuthDenied != 1 || st.Published != 0 || dispatched.Load() != 0 {
+		t.Errorf("AuthDenied = %d, Published = %d, dispatched = %d; want 1, 0, 0",
+			st.AuthDenied, st.Published, dispatched.Load())
+	}
+	if px := r.bus.MemberProxy(ident.New(1)); px.Stats().TranslatedIn != 1 {
+		t.Errorf("TranslatedIn = %d, want 1: the data never reached the proxy", px.Stats().TranslatedIn)
 	}
 }
 

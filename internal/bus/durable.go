@@ -168,12 +168,7 @@ func (b *Bus) handleDurableResume(pkt *wire.Packet) {
 // the receive loop (a synchronous reliable send from here would wait
 // on an ack only this same loop can process).
 func (b *Bus) sendDurableAck(ms *memberState, to ident.ID, a wire.DurableAck) {
-	buf := wire.AppendDurableAck(nil, a)
-	if as, ok := ms.via.(proxy.AsyncSender); ok {
-		as.SendAsync(to, wire.PktDurableAck, buf)
-		return
-	}
-	go func() { _ = ms.via.Send(to, wire.PktDurableAck, buf) }()
+	ms.via.SendAsync(to, wire.PktDurableAck, wire.AppendDurableAck(nil, a))
 }
 
 // walk is the per-consumer walker: it reads the log in cursor order

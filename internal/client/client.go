@@ -53,9 +53,6 @@ type Client struct {
 
 	inbox chan *event.Event
 	data  chan []byte
-	// evFree recycles inbound decoded events owner-locally instead of
-	// through the global event pool (see event.FreeList).
-	evFree *event.FreeList
 	// liveScratch gathers one inbound packet's decoded live events
 	// between decode and inbox hand-off; owned by the receive loop.
 	liveScratch []*event.Event
@@ -110,12 +107,11 @@ func WithPublishBatching(maxEvents, maxBytes int, delay time.Duration) Option {
 // bus's service ID, and starts the receive loop.
 func New(ch *reliable.Channel, busID ident.ID, opts ...Option) *Client {
 	c := &Client{
-		ch:     ch,
-		bus:    busID,
-		evFree: event.NewFreeList(64),
-		inbox:  make(chan *event.Event, 256),
-		data:   make(chan []byte, 256),
-		done:   make(chan struct{}),
+		ch:    ch,
+		bus:   busID,
+		inbox: make(chan *event.Event, 256),
+		data:  make(chan []byte, 256),
+		done:  make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -407,20 +403,7 @@ func (c *Client) recvLoop() {
 func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 	switch pkt.Type {
 	case wire.PktEvent:
-		if pkt.Flags&wire.FlagBatch != 0 {
-			return c.handleEventBatch(pkt)
-		}
-		// Borrowing decode into a pooled event (see Events for the
-		// consumer contract): the event keeps the packet alive, so
-		// nothing is copied here.
-		e := c.evFree.Acquire()
-		if err := wire.DecodeEventInto(e, pkt); err != nil {
-			e.Release()
-			return false
-		}
-		// Origin sender/seq travel inside the payload; the packet
-		// header identifies only the relaying bus.
-		return c.pushLive(append(c.liveScratch[:0], e))
+		return c.handleLive(pkt)
 	case wire.PktData:
 		cp := make([]byte, len(pkt.Payload))
 		copy(cp, pkt.Payload)
@@ -434,10 +417,7 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 		default:
 		}
 	case wire.PktEventDurable:
-		if pkt.Flags&wire.FlagBatch != 0 {
-			return c.handleDurableBatch(pkt)
-		}
-		return c.handleDurableEvent(pkt)
+		return c.handleDurable(pkt)
 	case wire.PktDurableAck:
 		c.handleDurableAck(pkt)
 	case wire.PktQuench:
@@ -450,12 +430,35 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 	return false
 }
 
-// pushLive counts one packet's worth of decoded live events — one
-// lock per packet, however many frames it carried — and hands them to
-// the inbox in order. A full inbox drops the new event (counted in
-// Stats.InboxDropped); stop reports that the client is shutting down.
-// events must be built on liveScratch, which is cleared for reuse.
-func (c *Client) pushLive(events []*event.Event) (stop bool) {
+// handleLive is the one live delivery loop: every frame the packet
+// carries (wire.PacketFrames: its lone payload, or each frame of a
+// batch from the member's proxy) decodes — borrowing — into its own
+// pooled event holding an independent reference on the shared packet
+// (see Events for the consumer contract; origin sender/seq travel
+// inside the payload, the packet header identifies only the relaying
+// bus). A malformed frame ends the packet; the frames before it are
+// delivered. They are counted under one lock per packet, however many
+// it carried, then handed to the inbox in order; a full inbox drops
+// the new event (counted in Stats.InboxDropped). It reports true when
+// the client is shutting down.
+func (c *Client) handleLive(pkt *wire.Packet) (stop bool) {
+	r, err := wire.PacketFrames(pkt)
+	if err != nil {
+		return false
+	}
+	events := c.liveScratch[:0]
+	for r.More() {
+		frame, err := r.Next()
+		if err != nil {
+			break
+		}
+		e := event.Acquire()
+		if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
+			e.Release()
+			break
+		}
+		events = append(events, e)
+	}
 	c.mu.Lock()
 	c.stats.EventsReceived += uint64(len(events))
 	c.mu.Unlock()
@@ -483,31 +486,4 @@ push:
 	clear(events)
 	c.liveScratch = events[:0]
 	return stop
-}
-
-// handleEventBatch unpacks a batch delivery from the member's proxy:
-// every frame decodes — borrowing — into its own pooled event holding
-// an independent reference on the shared packet, and is pushed to the
-// inbox under the same consumer contract as a single delivery. A
-// malformed frame ends the batch; the frames before it are delivered.
-// It reports true when the client is shutting down.
-func (c *Client) handleEventBatch(pkt *wire.Packet) (stop bool) {
-	r, err := wire.NewBatchReader(pkt.Payload)
-	if err != nil {
-		return false
-	}
-	events := c.liveScratch[:0]
-	for r.More() {
-		frame, err := r.Next()
-		if err != nil {
-			break
-		}
-		e := c.evFree.Acquire()
-		if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
-			e.Release()
-			break
-		}
-		events = append(events, e)
-	}
-	return c.pushLive(events)
 }

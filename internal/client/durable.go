@@ -1,6 +1,7 @@
 package client
 
 import (
+	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/wire"
 )
 
@@ -44,9 +45,6 @@ func WithDurable(name string, pos DurablePosition) Option {
 	}
 }
 
-// DurableName reports the durable consumer name ("" when not durable).
-func (c *Client) DurableName() string { return c.durName }
-
 // DurablePosition snapshots the resume position: persist it and pass
 // it to WithDurable on the next session. Epoch zero means the bus has
 // not acknowledged the binding yet (or durability is off cell-side).
@@ -79,62 +77,47 @@ func (c *Client) sendDurableResume() {
 	}()
 }
 
-// handleDurableEvent processes one PktEventDurable delivery; it
-// reports true when the client is shutting down.
-func (c *Client) handleDurableEvent(pkt *wire.Packet) (stop bool) {
-	cursor, frame, err := wire.SplitDurableEvent(pkt.Payload)
+// handleDurable is the one durable delivery loop: every frame the
+// packet carries (wire.PacketFrames: the lone delivery of a plain
+// PktEventDurable, or each one of a coalesced run) is an unchanged
+// cursor-prefixed delivery and takes the same path in frame order —
+// cursor floor, dedup counter, blocking inbox hand-off (see the
+// package comment above). It reports true when the client is shutting
+// down.
+func (c *Client) handleDurable(pkt *wire.Packet) (stop bool) {
+	r, err := wire.PacketFrames(pkt)
 	if err != nil {
 		return false
 	}
-	return c.deliverDurable(cursor, frame, pkt)
-}
-
-// handleDurableBatch unpacks a coalesced run of durable deliveries
-// (PktEventDurable + wire.FlagBatch): every frame is one unchanged
-// cursor-prefixed delivery and goes through exactly the single-delivery
-// path — cursor floor, dedup counter, blocking inbox hand-off — in
-// frame order.
-func (c *Client) handleDurableBatch(pkt *wire.Packet) (stop bool) {
-	r, err := wire.NewBatchReader(pkt.Payload)
-	if err != nil {
-		return false
-	}
-	for r.More() && !stop {
+	for r.More() {
 		cursor, frame, err := r.NextDurable()
 		if err != nil {
 			return false
 		}
-		stop = c.deliverDurable(cursor, frame, pkt)
-	}
-	return stop
-}
-
-// deliverDurable applies the cursor floor to one durable delivery and
-// hands it to the inbox (blocking: see the package comment above).
-func (c *Client) deliverDurable(cursor uint64, frame []byte, pkt *wire.Packet) (stop bool) {
-	if cursor <= c.durFloor.Load() {
-		// Redelivery across the splice/rebind boundary: already seen.
+		if cursor <= c.durFloor.Load() {
+			// Redelivery across the splice/rebind boundary: already seen.
+			c.mu.Lock()
+			c.stats.DurableDeduped++
+			c.mu.Unlock()
+			continue
+		}
+		e := event.Acquire()
+		if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
+			e.Release()
+			continue
+		}
+		e.Cursor = cursor
 		c.mu.Lock()
-		c.stats.DurableDeduped++
+		c.stats.EventsReceived++
+		c.stats.DurableReceived++
 		c.mu.Unlock()
-		return false
-	}
-	e := c.evFree.Acquire()
-	if err := wire.DecodeBatchFrameInto(e, frame, pkt); err != nil {
-		e.Release()
-		return false
-	}
-	e.Cursor = cursor
-	c.mu.Lock()
-	c.stats.EventsReceived++
-	c.stats.DurableReceived++
-	c.mu.Unlock()
-	select {
-	case c.inbox <- e:
-		c.durFloor.Store(cursor)
-	case <-c.done:
-		e.Release()
-		return true
+		select {
+		case c.inbox <- e:
+			c.durFloor.Store(cursor)
+		case <-c.done:
+			e.Release()
+			return true
+		}
 	}
 	return false
 }

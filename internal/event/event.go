@@ -104,10 +104,6 @@ type Event struct {
 	// stays copyable (Clone copies the struct).
 	pooled bool
 	refs   int32
-	// home, when non-nil, is the owner-local FreeList this event was
-	// acquired from; the final Release routes it back there instead of
-	// the global pool (see FreeList).
-	home *FreeList
 
 	// borrowed/backing implement the borrow-from-packet decode: the
 	// attribute names and string/bytes payloads of a borrowed event

@@ -65,14 +65,10 @@ func (e *Event) Release() {
 	if atomic.AddInt32(&e.refs, -1) != 0 {
 		return
 	}
-	home := e.home
 	e.dropSpill()
 	e.releaseBacking() // borrowed decode: let the backing packet recycle
 	*e = Event{}       // clear attribute names/values so recycled events pin nothing
 	poolRecycled.Add(1)
-	if home != nil && home.put(e) {
-		return
-	}
 	eventPool.Put(e)
 }
 

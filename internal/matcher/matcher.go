@@ -45,6 +45,11 @@ type Matcher interface {
 	// caller can reuse one target slice across matches and keep the
 	// dispatch hot path allocation-free. dst may be nil.
 	MatchAppend(e *event.Event, dst []ident.ID) []ident.ID
+	// MatchAppendScratch is MatchAppend running on caller-owned working
+	// state instead of internally pooled state: the bus gives each
+	// shard worker a private Scratch. sc must not be shared between
+	// concurrent calls.
+	MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID
 	// SubscriptionCount reports the number of installed filters.
 	SubscriptionCount() int
 }

@@ -1,9 +1,6 @@
 package matcher
 
-import (
-	"github.com/amuse/smc/internal/event"
-	"github.com/amuse/smc/internal/ident"
-)
+import "github.com/amuse/smc/internal/ident"
 
 // Scratch is caller-owned per-match working state. The bus gives every
 // shard worker its own Scratch so the dispatch hot path reuses one set
@@ -74,12 +71,6 @@ func (sc *Scratch) bump(sl slot) {
 	}
 }
 
-// ScratchMatcher is implemented by matchers whose match path can run
-// on caller-owned scratch instead of internally pooled state. All
-// in-tree matchers implement it; the bus type-asserts once and gives
-// each shard worker a private Scratch.
-type ScratchMatcher interface {
-	// MatchAppendScratch is MatchAppend running on sc. sc must not be
-	// shared between concurrent calls.
-	MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID
-}
+// ScratchMatcher names the scratch-capable part of Matcher. Every
+// engine has it, so it is the same interface.
+type ScratchMatcher = Matcher

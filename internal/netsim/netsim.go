@@ -177,12 +177,7 @@ func (n *Network) Attach(id ident.ID) (*Endpoint, error) {
 	if _, dup := n.eps[id]; dup {
 		return nil, fmt.Errorf("netsim: duplicate endpoint ID %s", id)
 	}
-	ep := &Endpoint{
-		id:     id,
-		net:    n,
-		queue:  make(chan transport.Datagram, 8192),
-		closed: make(chan struct{}),
-	}
+	ep := &Endpoint{id: id, net: n, inbox: transport.NewDatagramInbox(8192)}
 	n.eps[id] = ep
 	return ep, nil
 }
@@ -257,7 +252,7 @@ func (n *Network) Close() error {
 	schedOn, wake, done := n.schedOn, n.schedWake, n.schedDone
 	n.mu.Unlock()
 	for _, ep := range eps {
-		ep.closeLocal()
+		ep.inbox.Close()
 	}
 	if schedOn {
 		select {
@@ -369,7 +364,7 @@ func (n *Network) scheduleLocked(from, to ident.ID, data []byte, delay time.Dura
 		ep, ok := n.eps[to]
 		if ok {
 			n.stats.Delivered++
-			ep.enqueue(dg)
+			ep.inbox.Put(dg)
 		} else {
 			dg.Recycle()
 		}
@@ -421,7 +416,7 @@ func (n *Network) schedLoop() {
 			n.putDelLocked(d)
 			if ep, ok := n.eps[to]; ok {
 				n.stats.Delivered++
-				ep.enqueue(dg) // non-blocking: drops on overflow
+				ep.inbox.Put(dg) // non-blocking: drops on overflow
 			} else {
 				dg.Recycle()
 			}
@@ -448,21 +443,21 @@ func (n *Network) schedLoop() {
 	}
 }
 
-func (n *Network) detach(id ident.ID) {
+// detach removes an endpoint; a successor attached under the same ID
+// since is left alone.
+func (n *Network) detach(ep *Endpoint) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.eps, id)
+	if n.eps[ep.id] == ep {
+		delete(n.eps, ep.id)
+	}
 }
 
 // Endpoint is one attachment point on the simulated network.
 type Endpoint struct {
-	id  ident.ID
-	net *Network
-
-	queue chan transport.Datagram
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	id    ident.ID
+	net   *Network
+	inbox *transport.Inbox[transport.Datagram]
 }
 
 var _ transport.Transport = (*Endpoint)(nil)
@@ -472,10 +467,8 @@ func (e *Endpoint) LocalID() ident.ID { return e.id }
 
 // Send implements transport.Transport.
 func (e *Endpoint) Send(dst ident.ID, data []byte) error {
-	select {
-	case <-e.closed:
+	if e.inbox.Closed() {
 		return transport.ErrClosed
-	default:
 	}
 	return e.net.send(e.id, dst, data)
 }
@@ -499,62 +492,17 @@ func (e *Endpoint) MaxDatagram() int { return 0 }
 
 var _ transport.BatchSender = (*Endpoint)(nil)
 
-func (e *Endpoint) enqueue(d transport.Datagram) {
-	select {
-	case <-e.closed:
-		d.Recycle()
-	case e.queue <- d:
-	default:
-		// Receive-buffer overflow: drop.
-		d.Recycle()
-	}
-}
-
 // Recv implements transport.Transport.
-func (e *Endpoint) Recv() (transport.Datagram, error) {
-	select {
-	case d := <-e.queue:
-		return d, nil
-	case <-e.closed:
-		select {
-		case d := <-e.queue:
-			return d, nil
-		default:
-			return transport.Datagram{}, transport.ErrClosed
-		}
-	}
-}
+func (e *Endpoint) Recv() (transport.Datagram, error) { return e.inbox.Get() }
 
 // RecvTimeout implements transport.Transport.
 func (e *Endpoint) RecvTimeout(d time.Duration) (transport.Datagram, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case dg := <-e.queue:
-		return dg, nil
-	case <-timer.C:
-		return transport.Datagram{}, transport.ErrTimeout
-	case <-e.closed:
-		select {
-		case dg := <-e.queue:
-			return dg, nil
-		default:
-			return transport.Datagram{}, transport.ErrClosed
-		}
-	}
+	return e.inbox.GetTimeout(d)
 }
 
 // Close implements transport.Transport.
 func (e *Endpoint) Close() error {
-	e.closeOnce.Do(func() {
-		e.net.detach(e.id)
-		close(e.closed)
-	})
+	e.net.detach(e)
+	e.inbox.Close()
 	return nil
-}
-
-func (e *Endpoint) closeLocal() {
-	e.closeOnce.Do(func() {
-		close(e.closed)
-	})
 }

@@ -6,20 +6,19 @@ import (
 	"testing"
 )
 
-// TestShippedPolicyFileParses keeps examples/policies/ward.pol valid:
-// it is referenced by the README and loaded by smcd in demos.
+// TestShippedPolicyFileParses keeps the one policy file the tree ships,
+// examples/bodyarea/bodyarea.pol (embedded by that example), valid.
 func TestShippedPolicyFileParses(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "policies", "ward.pol")
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(filepath.Join("..", "..", "examples", "bodyarea", "bodyarea.pol"))
 	if err != nil {
-		t.Skipf("shipped policy file unavailable: %v", err)
+		t.Fatalf("shipped policy file: %v", err)
 	}
 	f, err := Parse(string(b))
 	if err != nil {
-		t.Fatalf("ward.pol does not parse: %v", err)
+		t.Fatalf("bodyarea.pol does not parse: %v", err)
 	}
-	if len(f.Obligations) < 5 || len(f.Authorizations) < 2 {
-		t.Errorf("ward.pol content shrank: %d obligations, %d authorizations",
+	if len(f.Obligations) < 3 || len(f.Authorizations) < 1 {
+		t.Errorf("bodyarea.pol content shrank: %d obligations, %d authorizations",
 			len(f.Obligations), len(f.Authorizations))
 	}
 	for _, o := range f.Obligations {

@@ -128,3 +128,46 @@ func TestPacketPoolLeakDetection(t *testing.T) {
 			got, st.PacketsAcquired, st.PacketsRecycled, n)
 	}
 }
+
+// TestReliableInboxOverflowCounted: a receiver nobody reads from fills
+// its QueueDepth; every further packet has already been acknowledged
+// to the sender, so shedding it is a loss on this hop — it must be
+// counted, and the shed packets must go back to the pool.
+func TestReliableInboxOverflowCounted(t *testing.T) {
+	sw := transport.NewSwitch()
+	defer sw.Close()
+	ta, err := sw.Attach(ident.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := sw.Attach(ident.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(ta, Config{RetryTimeout: 20 * time.Millisecond})
+	b := New(tb, Config{RetryTimeout: 20 * time.Millisecond, QueueDepth: 4})
+	defer a.Close()
+
+	const n, depth = 10, 4
+	for i := 0; i < n; i++ {
+		if err := a.Send(b.LocalID(), wire.PktEvent, []byte("nobody-reads-this")); err != nil {
+			t.Fatal(err) // acknowledged all the same
+		}
+	}
+	if st := b.Stats(); st.Received != n || st.InboxDropped != n-depth {
+		t.Fatalf("Received = %d, InboxDropped = %d; want %d, %d", st.Received, st.InboxDropped, n, n-depth)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	queued := 0
+	for pkt, err := b.Recv(); err == nil; pkt, err = b.Recv() {
+		pkt.Release()
+		queued++
+	}
+	st := b.Stats()
+	if queued != depth || st.PacketsAcquired != st.PacketsRecycled {
+		t.Errorf("drained %d after Close (want %d); acquired %d, recycled %d",
+			queued, depth, st.PacketsAcquired, st.PacketsRecycled)
+	}
+}

@@ -77,6 +77,11 @@ type Stats struct {
 	// packets.
 	BatchesSent   uint64
 	PiggybackAcks uint64
+	// InboxDropped counts packets accepted by the ARQ (acknowledged, in
+	// order) but shed because the inbound queue was full — Recv's
+	// consumer fell Config.QueueDepth packets behind — or the channel
+	// was closing. Local to this endpoint, like BatchesSent.
+	InboxDropped uint64
 	// PacketsAcquired/PacketsRecycled expose the inbound packet pool:
 	// every received packet is decoded into a pooled wire.Packet that
 	// the consumer releases after delivery. On a quiesced channel the
@@ -106,8 +111,9 @@ type counters struct {
 	acked, received, dupsDropped, buffered atomic.Uint64
 	staleAcks, staleEpoch                  atomic.Uint64
 	unreliableIn, piggybackAcks            atomic.Uint64
+	inboxDropped                           atomic.Uint64
 
-	_ [128 - (8*8)%128]byte
+	_ [128 - (9*8)%128]byte
 }
 
 func (c *counters) snapshot(pool *wire.PacketPool) Stats {
@@ -131,6 +137,7 @@ func (c *counters) snapshot(pool *wire.PacketPool) Stats {
 		UnreliableOut:   c.unreliableOut.Load(),
 		BatchesSent:     c.batchesSent.Load(),
 		PiggybackAcks:   c.piggybackAcks.Load(),
+		InboxDropped:    c.inboxDropped.Load(),
 	}
 }
 
@@ -173,7 +180,7 @@ func DefaultConfig() Config {
 }
 
 // Completion is the handle returned by SendAsync: it resolves when the
-// send is acknowledged or fails. Completions come from a free list and
+// send is acknowledged or fails. Completions come from a pool and
 // a caller that has observed the outcome (Wait returned, or Done fired
 // and Err was read) may hand the handle back with Recycle; the wake
 // channel underneath is created lazily, only when a waiter arrives
@@ -184,11 +191,6 @@ type Completion struct {
 	done     chan struct{} // lazily created; closed on resolution
 	resolved bool
 	err      error
-	// home, when non-nil, is the per-destination free list this
-	// completion came from; Recycle routes it back there so one
-	// destination's send churn circulates through its own completions
-	// instead of rendezvousing on the global pool (see compFreeList).
-	home *compFreeList
 }
 
 // closedChan is returned by Done for already-resolved completions.
@@ -246,7 +248,7 @@ func (c *Completion) settle(err error) {
 	c.mu.Unlock()
 }
 
-// Recycle returns a resolved completion to the free list. Optional:
+// Recycle returns a resolved completion to the pool. Optional:
 // callers that drop completions leave them to the garbage collector.
 // The caller must not touch the completion afterwards; an unresolved
 // completion is left alone.
@@ -257,65 +259,14 @@ func (c *Completion) Recycle() {
 		c.done, c.err, c.resolved = nil, nil, false
 	}
 	c.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		completionPool.Put(c)
 	}
-	if fl := c.home; fl != nil {
-		if fl.put(c) {
-			return
-		}
-		c.home = nil // overflow: don't carry a stale home through the global pool
-	}
-	completionPool.Put(c)
 }
 
 var completionPool = sync.Pool{New: func() interface{} { return new(Completion) }}
 
 func newCompletion() *Completion { return completionPool.Get().(*Completion) }
-
-// compFreeList is a bounded per-destination Completion free list with
-// its own mutex: the sender acquires under the destination lock while
-// callers Recycle from arbitrary goroutines, and neither touches
-// global pool state for steady-state traffic. Lock order is always
-// destState.mu → compFreeList.mu (get) or compFreeList.mu alone (put),
-// so the two never deadlock.
-type compFreeList struct {
-	mu   sync.Mutex
-	free []*Completion
-}
-
-// maxFreeComps bounds a destination's completion free list; churn
-// beyond it falls through to the global pool.
-const maxFreeComps = 256
-
-// get pops a recycled completion or falls back to the global pool,
-// stamping the home so Recycle finds its way back.
-func (fl *compFreeList) get() *Completion {
-	var c *Completion
-	fl.mu.Lock()
-	if n := len(fl.free); n > 0 {
-		c = fl.free[n-1]
-		fl.free[n-1] = nil
-		fl.free = fl.free[:n-1]
-	}
-	fl.mu.Unlock()
-	if c == nil {
-		c = completionPool.Get().(*Completion)
-	}
-	c.home = fl
-	return c
-}
-
-// put files a reset completion; reports false when the list is full.
-func (fl *compFreeList) put(c *Completion) bool {
-	fl.mu.Lock()
-	ok := len(fl.free) < maxFreeComps
-	if ok {
-		fl.free = append(fl.free, c)
-	}
-	fl.mu.Unlock()
-	return ok
-}
 
 func failedCompletion(err error) *Completion {
 	c := newCompletion()
@@ -391,10 +342,6 @@ type destState struct {
 	deadline time.Time // retransmit deadline while inflight > 0
 	gone     bool      // forgotten or channel closed
 
-	// comps recycles this destination's completions (its own lock; see
-	// compFreeList).
-	comps compFreeList
-
 	notify chan struct{} // kicks the sender goroutine, cap 1
 }
 
@@ -463,9 +410,10 @@ type Channel struct {
 	rmu sync.Mutex
 	rst map[ident.ID]*recvState
 
-	inbound chan *wire.Packet
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// inbox queues released packets for Recv; its Done channel is the
+	// channel's stop signal.
+	inbox *transport.Inbox[*wire.Packet]
+	wg    sync.WaitGroup
 }
 
 // New wraps a transport endpoint and starts the receive loop. Close the
@@ -502,8 +450,7 @@ func New(tr transport.Transport, cfg Config) *Channel {
 		dests:   make(map[ident.ID]*destState),
 		rst:     make(map[ident.ID]*recvState),
 		epochs:  make(map[ident.ID]byte),
-		inbound: make(chan *wire.Packet, cfg.QueueDepth),
-		done:    make(chan struct{}),
+		inbox:   transport.NewInbox(cfg.QueueDepth, ErrClosed, (*wire.Packet).Release),
 	}
 	if bs, ok := tr.(transport.BatchSender); ok {
 		c.bs, c.mtu = bs, bs.MaxDatagram()
@@ -673,7 +620,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 		op.bufp = bp
 	}
 	if wantComp {
-		comp = ds.comps.get()
+		comp = newCompletion()
 	}
 	op.comp = comp
 	ds.queue.push(op)
@@ -888,7 +835,7 @@ func (c *Channel) runSender(ds *destState) {
 		case <-ds.notify:
 		case <-timer.C:
 			timerArmed = false
-		case <-c.done:
+		case <-c.inbox.Done():
 			return
 		}
 	}
@@ -972,38 +919,10 @@ func (c *Channel) SendUnreliable(dst ident.ID, ptype wire.PacketType, payload []
 // keeping the steady-state receive path allocation-free. Not releasing
 // is safe — the packet just falls to the garbage collector — but shows
 // up as an acquired/recycled gap in Stats.
-func (c *Channel) Recv() (*wire.Packet, error) {
-	select {
-	case p := <-c.inbound:
-		return p, nil
-	case <-c.done:
-		select {
-		case p := <-c.inbound:
-			return p, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
+func (c *Channel) Recv() (*wire.Packet, error) { return c.inbox.Get() }
 
 // RecvTimeout is Recv with a deadline.
-func (c *Channel) RecvTimeout(d time.Duration) (*wire.Packet, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case p := <-c.inbound:
-		return p, nil
-	case <-timer.C:
-		return nil, transport.ErrTimeout
-	case <-c.done:
-		select {
-		case p := <-c.inbound:
-			return p, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
+func (c *Channel) RecvTimeout(d time.Duration) (*wire.Packet, error) { return c.inbox.GetTimeout(d) }
 
 // Pending reports how many reliable sends are still unresolved: queued
 // or in flight towards any destination, not yet acknowledged and not
@@ -1043,11 +962,9 @@ func (c *Channel) Drain(timeout time.Duration) error {
 		if c.Pending() == 0 {
 			return nil
 		}
-		select {
-		case <-c.done:
+		if c.inbox.Closed() {
 			// Close already ran: every pending send has been failed.
 			return nil
-		default:
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w: %d sends still pending", ErrDrainTimeout, c.Pending())
@@ -1104,7 +1021,7 @@ func (c *Channel) Close() error {
 		dests = append(dests, ds)
 	}
 	c.mu.Unlock()
-	close(c.done)
+	c.inbox.Close()
 	// Wake blocked senders before tearing the transport down: no new
 	// op can be enqueued (closed is set), and marking each dest gone
 	// resolves the races with in-progress enqueues.
@@ -1395,15 +1312,11 @@ func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
 	putBuf(bp)
 }
 
+// deliver queues a packet for Recv. The sender has already been acked,
+// so a packet a full inbox sheds is lost to this hop — the bounded
+// memory of the target platform — and counted.
 func (c *Channel) deliver(pkt *wire.Packet) {
-	select {
-	case c.inbound <- pkt:
-	case <-c.done:
-		pkt.Release()
-	default:
-		// Inbound overflow: drop. The sender has already been acked;
-		// this models the bounded memory of the target platform.
-		// Sized queues make this effectively unreachable in tests.
-		pkt.Release()
+	if !c.inbox.Put(pkt) {
+		c.ctr.inboxDropped.Add(1)
 	}
 }

@@ -1,6 +1,7 @@
 package smc_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -67,6 +68,20 @@ func TestJoinTimeoutWithoutCell(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Error("join timeout not respected")
+	}
+}
+
+// TestJoinRetryTinyBaseDelay: a sub-2ns BaseDelay has no room for
+// jitter; the backoff must wait (next to) nothing, not panic.
+func TestJoinRetryTinyBaseDelay(t *testing.T) {
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(205))
+	defer net.Close()
+	_, err := smc.JoinCellWithRetry(context.Background(), attach(t, net, 10), smc.DeviceConfig{
+		Type: "generic", Name: "orphan", Secret: testSecret,
+		JoinTimeout: 50 * time.Millisecond,
+	}, smc.RetryConfig{Attempts: 3, BaseDelay: 1, MaxDelay: 1})
+	if !errors.Is(err, discovery.ErrNoCell) {
+		t.Fatalf("err = %v", err)
 	}
 }
 

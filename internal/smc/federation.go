@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -443,7 +442,7 @@ func (l *FederationLink) publishHome(e *event.Event) bool {
 // Dial + JoinCellWithRetry + re-Subscribe (durable filter state on the
 // remote bus is in-memory and gone after a remote restart).
 func (l *FederationLink) reconnect() (*Device, bool) {
-	delay := l.cfg.Retry.BaseDelay
+	bo := l.cfg.Retry.backoff()
 	for {
 		if tr, err := l.cfg.Dial(); err == nil {
 			// A failed join closes the channel and transport itself.
@@ -455,14 +454,10 @@ func (l *FederationLink) reconnect() (*Device, bool) {
 				_ = dev.Close()
 			}
 		}
-		sleep := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
 		select {
 		case <-l.stop:
 			return nil, false
-		case <-time.After(sleep):
-		}
-		if delay *= 2; delay > l.cfg.Retry.MaxDelay {
-			delay = l.cfg.Retry.MaxDelay
+		case <-time.After(bo.next()):
 		}
 	}
 }

@@ -360,28 +360,10 @@ type Device struct {
 
 // JoinCell performs the full device-side flow on one transport
 // endpoint: discover a cell via beacons, authenticate, join, start
-// heartbeats, and return a ready client bound to the cell's bus.
+// heartbeats, and return a ready client bound to the cell's bus. It is
+// JoinCellWithRetry with a single attempt.
 func JoinCell(tr transport.Transport, cfg DeviceConfig) (*Device, error) {
-	ch := reliable.New(tr, cfg.Reliable)
-	res, err := discovery.Join(ch, discovery.JoinConfig{
-		DeviceType: cfg.Type,
-		DeviceName: cfg.Name,
-		Secret:     cfg.Secret,
-		Cell:       cfg.Cell,
-		Discovery:  cfg.Discovery,
-		Timeout:    cfg.JoinTimeout,
-	})
-	if err != nil {
-		_ = ch.Close()
-		return nil, err
-	}
-	hb := discovery.StartHeartbeats(ch, res.Discovery, res.Lease/3)
-	return &Device{
-		Client: client.New(ch, res.Bus, cfg.clientOpts()...),
-		Join:   res,
-		ch:     ch,
-		hb:     hb,
-	}, nil
+	return JoinCellWithRetry(context.Background(), tr, cfg, RetryConfig{Attempts: 1})
 }
 
 // RetryConfig bounds JoinCellWithRetry's backoff.
@@ -390,9 +372,7 @@ type RetryConfig struct {
 	Attempts int
 	// BaseDelay is the first backoff (default 150 ms); it doubles per
 	// failed attempt up to MaxDelay (default 3 s). The actual sleep is
-	// jittered uniformly over [delay/2, delay) so that a cell restart
-	// does not resynchronise every waiting device into one thundering
-	// join burst.
+	// jittered (see backoff.next).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 }
@@ -409,32 +389,47 @@ func (rc *RetryConfig) fillDefaults() {
 	}
 }
 
-// JoinCellWithRetry is JoinCell with bounded exponential backoff and
-// jitter around the admission exchange: the paper's devices join over
-// lossy wireless links where a beacon or verdict is routinely lost, so
-// a single attempt is the wrong default for anything unattended. The
-// reliable channel (and its stream state) is created once and reused
-// across attempts; ctx cancels both the backoff sleeps and further
-// attempts. On final failure the channel — and with it the transport —
-// is closed, exactly like a failed JoinCell.
+// backoff is the retry delay JoinCellWithRetry and the federation
+// supervisor share: it starts at RetryConfig.BaseDelay and doubles per
+// wait up to MaxDelay.
+type backoff struct{ delay, max time.Duration }
+
+func (rc RetryConfig) backoff() backoff { return backoff{rc.BaseDelay, rc.MaxDelay} }
+
+// next returns the coming wait — jittered uniformly over
+// [delay/2, delay], so that a cell restart does not resynchronise
+// every waiting device into one thundering join burst — and doubles
+// the delay behind it.
+func (b *backoff) next() time.Duration {
+	wait := b.delay/2 + time.Duration(rand.Int63n(int64(b.delay/2)+1))
+	if b.delay *= 2; b.delay > b.max {
+		b.delay = b.max
+	}
+	return wait
+}
+
+// JoinCellWithRetry is the device-side join with bounded exponential
+// backoff and jitter around the admission exchange: the paper's
+// devices join over lossy wireless links where a beacon or verdict is
+// routinely lost, so a single attempt is the wrong default for anything
+// unattended. The reliable channel (and its stream state) is created
+// once and reused across attempts; ctx cancels both the backoff sleeps
+// and further attempts. On final failure the channel — and with it the
+// transport — is closed.
 func JoinCellWithRetry(ctx context.Context, tr transport.Transport, cfg DeviceConfig, rc RetryConfig) (*Device, error) {
 	rc.fillDefaults()
 	ch := reliable.New(tr, cfg.Reliable)
 	var lastErr error
-	delay := rc.BaseDelay
+	bo := rc.backoff()
 	for attempt := 0; attempt < rc.Attempts; attempt++ {
 		if attempt > 0 {
-			jittered := delay/2 + time.Duration(rand.Int63n(int64(delay/2)))
-			timer := time.NewTimer(jittered)
+			timer := time.NewTimer(bo.next())
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
 				timer.Stop()
 				_ = ch.Close()
 				return nil, ctx.Err()
-			}
-			if delay *= 2; delay > rc.MaxDelay {
-				delay = rc.MaxDelay
 			}
 		}
 		res, err := discovery.Join(ch, discovery.JoinConfig{
@@ -465,7 +460,7 @@ func JoinCellWithRetry(ctx context.Context, tr transport.Transport, cfg DeviceCo
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	return nil, fmt.Errorf("smc: join retries exhausted: %w", lastErr)
+	return nil, fmt.Errorf("smc: join failed: %w", lastErr)
 }
 
 // Leave announces departure to the cell (immediate purge) and shuts

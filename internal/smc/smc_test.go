@@ -2,6 +2,8 @@ package smc_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/amuse/smc/internal/sensor"
 	"github.com/amuse/smc/internal/smc"
 	"github.com/amuse/smc/internal/transport"
+	"github.com/amuse/smc/internal/wire"
 )
 
 var testSecret = []byte("ward-secret")
@@ -235,6 +238,85 @@ obligation hr-high for "hr-sensor" {
 	}
 	if actions[0].Opcode != sensor.OpAnalyse {
 		t.Errorf("opcode = %d, want analyse", actions[0].Opcode)
+	}
+}
+
+// TestPolicyDeniesTranslatedData runs the bodyarea example's shipped
+// policy, plus the same deny rule for generic devices, on a real cell:
+// an encoded event a generic member sends as raw device data (PktData)
+// is published by its proxy on its behalf, and the policy engine must
+// refuse it exactly as it refuses the PktEvent form — while raw data
+// the rules do not target, and the sensors' translated readings, still
+// flow.
+func TestPolicyDeniesTranslatedData(t *testing.T) {
+	shipped, err := os.ReadFile(filepath.Join("..", "..", "examples", "bodyarea", "bodyarea.pol"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(12))
+	defer net.Close()
+	cfg := defaultCellConfig()
+	cfg.PolicyText = string(shipped) + `
+authorization no-generic-actuation {
+  effect deny
+  subject "generic"
+  action publish
+  target type = "actuate"
+}
+`
+	cell := newTestCell(t, net, cfg)
+	if n := len(cell.Policy.Authorizations()); n != 2 {
+		t.Fatalf("authorisation rules loaded = %d, want 2", n)
+	}
+
+	join := func(id uint64, deviceType, name string) *smc.Device {
+		t.Helper()
+		dev, err := smc.JoinCell(attach(t, net, id), smc.DeviceConfig{Type: deviceType, Name: name, Secret: testSecret})
+		if err != nil {
+			t.Fatalf("join %s: %v", name, err)
+		}
+		t.Cleanup(func() { dev.Close() })
+		return dev
+	}
+	monitor := join(0x20071, "generic", "monitor")
+	for _, class := range []string{"actuate", "note", sensor.TypeReading} {
+		if err := monitor.Client.Subscribe(event.NewFilter().WhereType(class)); err != nil {
+			t.Fatalf("subscribe %s: %v", class, err)
+		}
+	}
+	rogue := join(0x20072, "generic", "rogue")
+	hr := join(0x20073, sensor.DeviceTypeHeartRate, "hr-1")
+
+	// Same stream, in order: the denied command, then two publishes the
+	// policy allows. Seeing the last two and nothing else proves the
+	// first was refused, not late.
+	command := event.NewTyped("actuate").SetStr("target", "defib-1").SetStr("action", "shock")
+	if err := rogue.Client.PublishRaw(wire.EncodeEvent(command)); err != nil {
+		t.Fatalf("publish raw command: %v", err)
+	}
+	if err := rogue.Client.PublishRaw(wire.EncodeEvent(event.NewTyped("note"))); err != nil {
+		t.Fatalf("publish raw note: %v", err)
+	}
+	reading := sensor.Reading{Kind: sensor.KindHeartRate, Seq: 1, Millis: 1, Value: 70}
+	if err := hr.Client.PublishRaw(sensor.EncodeReading(reading)); err != nil {
+		t.Fatalf("publish reading: %v", err)
+	}
+	seen := map[string]int{}
+	for len(seen) < 2 {
+		e, err := monitor.Client.NextEvent(3 * time.Second)
+		if err != nil {
+			t.Fatalf("after %v: %v", seen, err)
+		}
+		seen[e.Type()]++
+	}
+	if e, err := monitor.Client.NextEvent(100 * time.Millisecond); err == nil {
+		t.Errorf("unexpected delivery %s", e)
+	}
+	if seen["actuate"] != 0 || seen["note"] != 1 || seen[sensor.TypeReading] != 1 {
+		t.Errorf("delivered %v; want one note, one reading, no actuate", seen)
+	}
+	if st := cell.Bus.Stats(); st.AuthDenied != 1 {
+		t.Errorf("AuthDenied = %d, want 1", st.AuthDenied)
 	}
 }
 

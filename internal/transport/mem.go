@@ -46,21 +46,19 @@ func (s *Switch) Attach(id ident.ID) (*MemTransport, error) {
 	if _, dup := s.endpoints[id]; dup {
 		return nil, fmt.Errorf("transport: duplicate endpoint ID %s", id)
 	}
-	ep := &MemTransport{
-		id:     id,
-		sw:     s,
-		queue:  make(chan Datagram, defaultQueueDepth),
-		closed: make(chan struct{}),
-	}
+	ep := &MemTransport{id: id, sw: s, inbox: NewDatagramInbox(defaultQueueDepth)}
 	s.endpoints[id] = ep
 	return ep, nil
 }
 
-// Detach removes an endpoint without closing it. Used internally.
-func (s *Switch) detach(id ident.ID) {
+// detach removes an endpoint without closing it. A successor attached
+// under the same ID since is left alone.
+func (s *Switch) detach(ep *MemTransport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.endpoints, id)
+	if s.endpoints[ep.id] == ep {
+		delete(s.endpoints, ep.id)
+	}
 }
 
 // Close closes the hub and every attached endpoint.
@@ -78,7 +76,7 @@ func (s *Switch) Close() error {
 	s.endpoints = make(map[ident.ID]*MemTransport)
 	s.mu.Unlock()
 	for _, ep := range eps {
-		ep.closeLocal()
+		ep.inbox.Close()
 	}
 	s.timers.Wait()
 	return nil
@@ -97,7 +95,7 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 			if id == from {
 				continue
 			}
-			ep.enqueue(pooledDatagram(from, data))
+			ep.inbox.Put(pooledDatagram(from, data))
 		}
 		return nil
 	}
@@ -119,7 +117,7 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 				late, ok := s.endpoints[dst]
 				s.mu.RUnlock()
 				if ok {
-					late.enqueue(dg)
+					late.inbox.Put(dg)
 				} else {
 					dg.Recycle()
 				}
@@ -127,21 +125,19 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 			return nil
 		}
 	}
-	ep.enqueue(pooledDatagram(from, data))
+	ep.inbox.Put(pooledDatagram(from, data))
 	return nil
 }
 
 const defaultQueueDepth = 4096
 
-// MemTransport is one endpoint on a Switch.
+// MemTransport is one endpoint on a Switch. A full inbox models
+// receive-buffer drops: datagram transports are allowed to lose packets
+// under load.
 type MemTransport struct {
-	id ident.ID
-	sw *Switch
-
-	queue chan Datagram
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	id    ident.ID
+	sw    *Switch
+	inbox *Inbox[Datagram]
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -151,73 +147,21 @@ func (t *MemTransport) LocalID() ident.ID { return t.id }
 
 // Send implements Transport.
 func (t *MemTransport) Send(dst ident.ID, data []byte) error {
-	select {
-	case <-t.closed:
+	if t.inbox.Closed() {
 		return ErrClosed
-	default:
 	}
 	return t.sw.deliver(t.id, dst, data)
 }
 
-func (t *MemTransport) enqueue(d Datagram) {
-	select {
-	case <-t.closed:
-		d.Recycle()
-	case t.queue <- d:
-	default:
-		// Queue overflow models receive-buffer drops: datagram
-		// transports are allowed to lose packets under load.
-		d.Recycle()
-	}
-}
-
 // Recv implements Transport.
-func (t *MemTransport) Recv() (Datagram, error) {
-	select {
-	case d := <-t.queue:
-		return d, nil
-	case <-t.closed:
-		// Drain anything already queued before reporting closure.
-		select {
-		case d := <-t.queue:
-			return d, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
-}
+func (t *MemTransport) Recv() (Datagram, error) { return t.inbox.Get() }
 
 // RecvTimeout implements Transport.
-func (t *MemTransport) RecvTimeout(d time.Duration) (Datagram, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case dg := <-t.queue:
-		return dg, nil
-	case <-timer.C:
-		return Datagram{}, ErrTimeout
-	case <-t.closed:
-		select {
-		case dg := <-t.queue:
-			return dg, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
-}
+func (t *MemTransport) RecvTimeout(d time.Duration) (Datagram, error) { return t.inbox.GetTimeout(d) }
 
 // Close implements Transport.
 func (t *MemTransport) Close() error {
-	t.closeOnce.Do(func() {
-		t.sw.detach(t.id)
-		close(t.closed)
-	})
+	t.sw.detach(t)
+	t.inbox.Close()
 	return nil
-}
-
-// closeLocal closes without detaching (hub already dropped us).
-func (t *MemTransport) closeLocal() {
-	t.closeOnce.Do(func() {
-		close(t.closed)
-	})
 }

@@ -147,16 +147,9 @@ func (t *UDPTransport) readLoopBatched() bool {
 			if !ok {
 				continue
 			}
-			dg := pooledDatagram(id, vec.bufs[i][:vec.hdrs[i].n])
-			select {
-			case t.queue <- dg:
-			case <-t.done:
-				dg.Recycle()
-				return true
-			default:
-				// Receive overflow: drop, as real UDP does.
-				dg.Recycle()
-			}
+			// Receive overflow drops, as real UDP does; after Close the
+			// next recvmmsg fails and ends the loop.
+			t.inbox.Put(pooledDatagram(id, vec.bufs[i][:vec.hdrs[i].n]))
 		}
 	}
 }

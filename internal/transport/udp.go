@@ -28,8 +28,7 @@ type UDPTransport struct {
 	hook   DeliveryHook
 	closed bool
 
-	queue chan Datagram
-	done  chan struct{}
+	inbox *Inbox[Datagram]
 	wg    sync.WaitGroup
 }
 
@@ -101,12 +100,7 @@ func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
 		conn.Close()
 		return nil, err
 	}
-	t := &UDPTransport{
-		id:    id,
-		conn:  conn,
-		queue: make(chan Datagram, cfg.queueDepth),
-		done:  make(chan struct{}),
-	}
+	t := &UDPTransport{id: id, conn: conn, inbox: NewDatagramInbox(cfg.queueDepth)}
 	t.wg.Add(1)
 	go t.readLoop()
 	return t, nil
@@ -146,28 +140,17 @@ func (t *UDPTransport) readLoop() {
 	for {
 		n, from, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
-			select {
-			case <-t.done:
-			default:
-				// Socket error outside shutdown: stop receiving;
-				// Recv callers see closure when Close runs.
-			}
+			// Shutdown, or a socket error outside it: stop receiving;
+			// Recv callers see closure when Close runs.
 			return
 		}
 		id, err := ident.FromUDPAddr(from)
 		if err != nil {
 			continue
 		}
-		dg := pooledDatagram(id, buf[:n])
-		select {
-		case t.queue <- dg:
-		case <-t.done:
-			dg.Recycle()
-			return
-		default:
-			// Receive overflow: drop, as real UDP does.
-			dg.Recycle()
-		}
+		// Receive overflow drops, as real UDP does; after Close the
+		// next read fails and ends the loop.
+		t.inbox.Put(pooledDatagram(id, buf[:n]))
 	}
 }
 
@@ -256,38 +239,10 @@ func (t *UDPTransport) MaxDatagram() int { return MaxUDPDatagram }
 var _ BatchSender = (*UDPTransport)(nil)
 
 // Recv implements Transport.
-func (t *UDPTransport) Recv() (Datagram, error) {
-	select {
-	case d := <-t.queue:
-		return d, nil
-	case <-t.done:
-		select {
-		case d := <-t.queue:
-			return d, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
-}
+func (t *UDPTransport) Recv() (Datagram, error) { return t.inbox.Get() }
 
 // RecvTimeout implements Transport.
-func (t *UDPTransport) RecvTimeout(d time.Duration) (Datagram, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case dg := <-t.queue:
-		return dg, nil
-	case <-timer.C:
-		return Datagram{}, ErrTimeout
-	case <-t.done:
-		select {
-		case dg := <-t.queue:
-			return dg, nil
-		default:
-			return Datagram{}, ErrClosed
-		}
-	}
-}
+func (t *UDPTransport) RecvTimeout(d time.Duration) (Datagram, error) { return t.inbox.GetTimeout(d) }
 
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
@@ -298,7 +253,7 @@ func (t *UDPTransport) Close() error {
 	}
 	t.closed = true
 	t.mu.Unlock()
-	close(t.done)
+	t.inbox.Close()
 	err := t.conn.Close()
 	t.wg.Wait()
 	return err

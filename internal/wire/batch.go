@@ -141,12 +141,25 @@ func PatchBatchAck(buf []byte, epoch byte, cum uint64) error {
 	return nil
 }
 
-// BatchReader iterates the event frames of a batch payload. Frames
-// alias the payload; pair with DecodeBatchFrameInto to borrow safely
-// from a pooled packet.
+// BatchReader iterates the event frames of a batch payload — or, from
+// PacketFrames on an unbatched packet, the one frame that is its whole
+// payload. Frames alias the payload; pair with DecodeBatchFrameInto to
+// borrow safely from a pooled packet.
 type BatchReader struct {
-	buf []byte
-	off int
+	buf  []byte
+	off  int
+	lone bool // unbatched: buf itself is the one frame still to yield
+}
+
+// PacketFrames is the one frame loop of the receive path: it iterates
+// the payloads a PktEvent or PktEventDurable packet carries, whether
+// that is the packet's lone payload or every frame of a FlagBatch one,
+// so a receiver needs no single-packet twin of its batch loop.
+func PacketFrames(pkt *Packet) (BatchReader, error) {
+	if pkt.Flags&FlagBatch == 0 {
+		return BatchReader{buf: pkt.Payload, lone: true}, nil
+	}
+	return NewBatchReader(pkt.Payload)
 }
 
 // NewBatchReader validates the prologue and positions the reader at
@@ -159,13 +172,17 @@ func NewBatchReader(payload []byte) (BatchReader, error) {
 }
 
 // More reports whether frames remain.
-func (r *BatchReader) More() bool { return r.off < len(r.buf) }
+func (r *BatchReader) More() bool { return r.lone || r.off < len(r.buf) }
 
 // Next returns the next frame's bytes (aliasing the payload). A frame
 // length that overruns the payload, a zero-length frame, or a frame
 // too short to hold an event header is ErrBatchFrame: oversize and
 // truncated frames fail O(1) here, before any event decode runs.
 func (r *BatchReader) Next() ([]byte, error) {
+	if r.lone {
+		r.lone, r.off = false, len(r.buf)
+		return r.buf, nil
+	}
 	n, sz := binary.Uvarint(r.buf[r.off:])
 	if sz <= 0 {
 		return nil, fmt.Errorf("%w: bad frame length prefix", ErrBatchFrame)
@@ -196,20 +213,31 @@ func (r *BatchReader) NextDurable() (cursor uint64, frame []byte, err error) {
 	return SplitDurableEvent(f)
 }
 
-// DecodeBatchFrameInto decodes one batch frame (as returned by
-// BatchReader.Next) into e — which must be empty — with the same
-// borrowing semantics as DecodeEventInto: names and strings intern or
-// alias the frame, and when anything was borrowed from a pooled
-// packet's frame the event takes its own reference on the shared
-// packet, so every event unpacked from one batch independently keeps
-// the packet alive until that event is released.
+// DecodeBatchFrameInto decodes one frame (as returned by
+// BatchReader.Next) into e — which must be empty — borrowing instead of
+// copying: attribute names and string values resolve through the
+// intern table (shared storage, no copy) or alias the frame, and bytes
+// values alias it outright. When anything was borrowed from a pooled
+// packet's frame the event takes its own reference on the packet
+// (released with the event's storage), so every event unpacked from
+// one packet independently keeps it alive until that event is
+// released, even after the receive loop's own Release. The common
+// deliver-and-drop path therefore decodes with zero string
+// allocations.
+//
+// Contract for consumers of borrowed events: attribute data is valid
+// until the event is released; Clone promotes everything to owned
+// copies for anything kept longer. Pair the call with an event from
+// event.Acquire — for a non-pooled target the packet reference would
+// have no release point, so the decode borrows without retaining and
+// the caller must keep pkt alive for as long as the event is used.
 func DecodeBatchFrameInto(e *event.Event, frame []byte, pkt *Packet) error {
 	if e.Len() != 0 {
 		return ErrDecodeTarget
 	}
 	borrowed, err := decodeEvent(e, frame, true)
 	if err != nil {
-		e.Clear()
+		e.Clear() // drop any half-built borrowed attributes
 		return err
 	}
 	if borrowed {

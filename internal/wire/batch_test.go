@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -199,6 +200,97 @@ func TestBatchReaderHostile(t *testing.T) {
 	r, _ = NewBatchReader(bad)
 	if _, err := r.Next(); err == nil {
 		t.Fatal("unterminated length prefix accepted")
+	}
+}
+
+// TestPacketFrames: the receive path's one frame loop. An unbatched
+// packet yields exactly one frame, its payload, whatever that holds; a
+// FlagBatch packet yields what NewBatchReader yields, in order, and
+// fails where it fails, with the same errors.
+func TestPacketFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a, b, c := EncodeEvent(randomEvent(rng)), EncodeEvent(randomEvent(rng)), EncodeEvent(randomEvent(rng))
+	frames := func(fs ...[]byte) []byte {
+		dst := AppendBatchHeader(nil)
+		for _, f := range fs {
+			dst = AppendBatchFrame(dst, f)
+		}
+		return dst
+	}
+	for _, tc := range []struct {
+		name    string
+		flags   byte
+		payload []byte
+		want    [][]byte
+		openErr error // from PacketFrames
+		nextErr error // from Next, after want
+	}{
+		{name: "unbatched", payload: a, want: [][]byte{a}},
+		{name: "unbatched, other flags set", flags: FlagRetransmit, payload: b, want: [][]byte{b}},
+		{name: "unbatched and empty is still one frame", payload: []byte{}, want: [][]byte{{}}},
+		{name: "unbatched payload that looks like a batch", payload: frames(a, b), want: [][]byte{frames(a, b)}},
+		{name: "batch in order", flags: FlagBatch, payload: frames(a, b, c), want: [][]byte{a, b, c}},
+		{name: "batch of one", flags: FlagBatch | FlagRetransmit, payload: frames(c), want: [][]byte{c}},
+		{name: "empty batch", flags: FlagBatch, payload: frames(), want: nil},
+		{name: "short prologue", flags: FlagBatch, payload: make([]byte, BatchHeaderLen-1), openErr: ErrNotBatch},
+		{name: "corrupt prefix after a good frame", flags: FlagBatch,
+			payload: append(frames(a), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80),
+			want:    [][]byte{a}, nextErr: ErrBatchFrame},
+		{name: "frame overruns the payload", flags: FlagBatch,
+			payload: append(appendUvarint(frames(a, b), 1<<20), make([]byte, 64)...),
+			want:    [][]byte{a, b}, nextErr: ErrBatchFrame},
+		{name: "frame too short for an event", flags: FlagBatch,
+			payload: append(appendUvarint(AppendBatchHeader(nil), 4), 1, 2, 3, 4), nextErr: ErrBatchFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := PacketFrames(&Packet{Type: PktEvent, Flags: tc.flags, Payload: tc.payload})
+			if !errors.Is(err, tc.openErr) || (err == nil) != (tc.openErr == nil) {
+				t.Fatalf("PacketFrames error = %v, want %v", err, tc.openErr)
+			}
+			if err != nil {
+				return
+			}
+			for i, want := range tc.want {
+				if !r.More() {
+					t.Fatalf("frame %d: More() = false", i)
+				}
+				if got, err := r.Next(); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("frame %d = %x, %v; want %x", i, got, err, want)
+				}
+			}
+			if tc.nextErr == nil {
+				if r.More() {
+					t.Fatal("frames left over")
+				}
+				return
+			}
+			if !r.More() {
+				t.Fatal("More() = false ahead of the corrupt frame")
+			}
+			if _, err := r.Next(); !errors.Is(err, tc.nextErr) {
+				t.Fatalf("Next error = %v, want %v", err, tc.nextErr)
+			}
+			// What a plain BatchReader says about the same bytes.
+			ref, _ := NewBatchReader(tc.payload)
+			var refErr error
+			for refErr == nil && ref.More() {
+				_, refErr = ref.Next()
+			}
+			if !errors.Is(refErr, tc.nextErr) {
+				t.Fatalf("NewBatchReader reports %v for the same payload", refErr)
+			}
+		})
+	}
+
+	// A lone durable delivery splits like a batched one.
+	dur := AppendDurableEvent(nil, 77, randomEvent(rng))
+	r, err := PacketFrames(&Packet{Type: PktEventDurable, Payload: dur})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor, frame, err := r.NextDurable()
+	if err != nil || cursor != 77 || !bytes.Equal(frame, dur[8:]) || r.More() {
+		t.Fatalf("lone durable frame: cursor %d, err %v, more %v", cursor, err, r.More())
 	}
 }
 

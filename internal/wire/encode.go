@@ -273,40 +273,11 @@ func DecodeEvent(buf []byte) (*event.Event, error) {
 // carries attributes.
 var ErrDecodeTarget = errors.New("wire: decode target event not empty")
 
-// DecodeEventInto decodes an event payload from pkt into e — which
-// must be empty — borrowing instead of copying: attribute names and
-// string values resolve through the intern table (shared storage, no
-// copy) or alias the packet's payload buffer, and bytes values alias
-// it outright. When anything was borrowed from a pooled packet the
-// event takes a packet reference (released with the event's storage),
-// so the bytes stay valid for the event's whole lifetime even after
-// the receive loop's own Release. The common deliver-and-drop path
-// therefore decodes with zero string allocations.
-//
-// Contract for consumers of borrowed events: attribute data is valid
-// until the event is released; Clone promotes everything to owned
-// copies for anything kept longer. Pair the call with an event from
-// event.Acquire — for a non-pooled target the packet reference would
-// have no release point, so the decode borrows without retaining and
-// the caller must keep pkt alive for as long as the event is used.
+// DecodeEventInto decodes the lone event payload of an unbatched
+// packet into e: DecodeBatchFrameInto with the whole payload as the
+// frame.
 func DecodeEventInto(e *event.Event, pkt *Packet) error {
-	if e.Len() != 0 {
-		return ErrDecodeTarget
-	}
-	borrowed, err := decodeEvent(e, pkt.Payload, true)
-	if err != nil {
-		e.Clear() // drop any half-built borrowed attributes
-		return err
-	}
-	if borrowed {
-		if e.Pooled() && pkt.pool != nil {
-			pkt.Retain()
-			e.Borrow(pkt)
-		} else {
-			e.Borrow(nil)
-		}
-	}
-	return nil
+	return DecodeBatchFrameInto(e, pkt.Payload, pkt)
 }
 
 // decodeEvent is the shared decode core; it reports whether any

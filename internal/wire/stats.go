@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Cell health snapshot exchanged on the management plane
 // (PktStatsRequest / PktStatsResponse): a one-shot, black-box view of
@@ -118,214 +121,145 @@ type CellStats struct {
 	Federation []FederationCounters
 }
 
-func appendChannelCounters(dst []byte, c ChannelCounters) []byte {
-	for _, v := range [...]uint64{
-		c.Sent, c.Acked, c.Retransmits, c.FastRetransmits, c.Failures,
-		c.Resumed, c.StreamResets, c.Received, c.DupsDropped, c.Buffered,
-		c.StaleAcks, c.StaleEpoch, c.UnreliableIn, c.UnreliableOut,
-		c.PacketsAcquired, c.PacketsRecycled,
-	} {
-		dst = appendUvarint(dst, v)
+// Each struct lists its wire fields once, in encoding order; the list
+// drives both directions. A *uint64 or *uint32 travels as a uvarint, a
+// *bool as uvarint 0 or 1, a *string length-prefixed.
+
+func (c *ChannelCounters) fields() []any {
+	return []any{
+		&c.Sent, &c.Acked, &c.Retransmits, &c.FastRetransmits, &c.Failures,
+		&c.Resumed, &c.StreamResets, &c.Received, &c.DupsDropped, &c.Buffered,
+		&c.StaleAcks, &c.StaleEpoch, &c.UnreliableIn, &c.UnreliableOut,
+		&c.PacketsAcquired, &c.PacketsRecycled,
+	}
+}
+
+func (l *LogCounters) fields() []any {
+	return []any{
+		&l.Enabled, &l.Epoch, &l.OldestCursor, &l.NewestCursor,
+		&l.Events, &l.Bytes, &l.Segments, &l.Appended, &l.Evicted,
+		&l.DupsDropped, &l.SegmentsAcquired, &l.SegmentsRecycled,
+	}
+}
+
+func (d *DurableCounters) fields() []any {
+	return []any{&d.Name, &d.Attached, &d.Delivered, &d.Lag}
+}
+
+func (f *FederationCounters) fields() []any {
+	return []any{
+		&f.Name, &f.RemoteCell, &f.Connected, &f.Imported, &f.Skipped,
+		&f.Dropped, &f.Reconnects, &f.ResumeEpoch, &f.ResumeCursor,
+	}
+}
+
+// fields lists everything ahead of the two row tables.
+func (s *CellStats) fields() []any {
+	f := []any{
+		&s.Cell, &s.Members, &s.Published, &s.DeliveredLocal,
+		&s.EnqueuedRemote, &s.Dropped, &s.Quenches, &s.AuthDenied,
+	}
+	f = append(f, s.BusChannel.fields()...)
+	f = append(f, s.DiscChannel.fields()...)
+	return append(f, s.Log.fields()...)
+}
+
+func appendFields(dst []byte, fields []any) []byte {
+	for _, f := range fields {
+		switch p := f.(type) {
+		case *string:
+			dst = appendString(dst, *p)
+		case *uint64:
+			dst = appendUvarint(dst, *p)
+		case *uint32:
+			dst = appendUvarint(dst, uint64(*p))
+		case *bool:
+			if *p {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+			}
+		}
 	}
 	return dst
 }
 
-func (r *reader) channelCounters() (ChannelCounters, error) {
-	var vals [16]uint64
-	for i := range vals {
-		v, err := r.uvarint()
-		if err != nil {
-			return ChannelCounters{}, err
+func (r *reader) fields(fields []any) (err error) {
+	for _, f := range fields {
+		var v uint64
+		if p, ok := f.(*string); ok {
+			*p, err = r.string()
+		} else if v, err = r.uvarint(); err == nil {
+			switch p := f.(type) {
+			case *uint64:
+				*p = v
+			case *uint32:
+				*p = uint32(v)
+			case *bool:
+				*p = v != 0
+			}
 		}
-		vals[i] = v
+		if err != nil {
+			return err
+		}
 	}
-	return ChannelCounters{
-		Sent: vals[0], Acked: vals[1], Retransmits: vals[2],
-		FastRetransmits: vals[3], Failures: vals[4], Resumed: vals[5],
-		StreamResets: vals[6], Received: vals[7], DupsDropped: vals[8],
-		Buffered: vals[9], StaleAcks: vals[10], StaleEpoch: vals[11],
-		UnreliableIn: vals[12], UnreliableOut: vals[13],
-		PacketsAcquired: vals[14], PacketsRecycled: vals[15],
-	}, nil
+	return nil
+}
+
+func appendRows[T any](dst []byte, rows []T, fields func(*T) []any) []byte {
+	dst = appendUvarint(dst, uint64(len(rows)))
+	for i := range rows {
+		dst = appendFields(dst, fields(&rows[i]))
+	}
+	return dst
+}
+
+// readRows reads a counted table; an empty one decodes to nil. Every
+// row takes at least one byte, which bounds the count before anything
+// is allocated.
+func readRows[T any](r *reader, what string, fields func(*T) []any) ([]T, error) {
+	n, err := r.uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > uint64(r.remaining()) {
+		return nil, fmt.Errorf("%w: %s count %d", ErrBadEncoding, what, n)
+	}
+	rows := make([]T, n)
+	for i := range rows {
+		if err := r.fields(fields(&rows[i])); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // AppendCellStats encodes the snapshot payload.
 func AppendCellStats(dst []byte, s CellStats) []byte {
-	dst = appendString(dst, s.Cell)
-	dst = appendUvarint(dst, uint64(s.Members))
-	for _, v := range [...]uint64{
-		s.Published, s.DeliveredLocal, s.EnqueuedRemote,
-		s.Dropped, s.Quenches, s.AuthDenied,
-	} {
-		dst = appendUvarint(dst, v)
-	}
-	dst = appendChannelCounters(dst, s.BusChannel)
-	dst = appendChannelCounters(dst, s.DiscChannel)
-	enabled := uint64(0)
-	if s.Log.Enabled {
-		enabled = 1
-	}
-	for _, v := range [...]uint64{
-		enabled, s.Log.Epoch, s.Log.OldestCursor, s.Log.NewestCursor,
-		s.Log.Events, s.Log.Bytes, s.Log.Segments, s.Log.Appended,
-		s.Log.Evicted, s.Log.DupsDropped,
-		s.Log.SegmentsAcquired, s.Log.SegmentsRecycled,
-	} {
-		dst = appendUvarint(dst, v)
-	}
-	dst = appendUvarint(dst, uint64(len(s.Durables)))
-	for _, d := range s.Durables {
-		dst = appendString(dst, d.Name)
-		attached := uint64(0)
-		if d.Attached {
-			attached = 1
-		}
-		dst = appendUvarint(dst, attached)
-		dst = appendUvarint(dst, d.Delivered)
-		dst = appendUvarint(dst, d.Lag)
-	}
-	dst = appendUvarint(dst, uint64(len(s.Federation)))
-	for _, f := range s.Federation {
-		dst = appendString(dst, f.Name)
-		dst = appendString(dst, f.RemoteCell)
-		connected := uint64(0)
-		if f.Connected {
-			connected = 1
-		}
-		for _, v := range [...]uint64{
-			connected, f.Imported, f.Skipped, f.Dropped,
-			f.Reconnects, f.ResumeEpoch, f.ResumeCursor,
-		} {
-			dst = appendUvarint(dst, v)
-		}
-	}
-	return dst
+	dst = appendFields(dst, s.fields())
+	dst = appendRows(dst, s.Durables, (*DurableCounters).fields)
+	return appendRows(dst, s.Federation, (*FederationCounters).fields)
 }
 
-// DecodeCellStats decodes a snapshot payload.
+// DecodeCellStats decodes a snapshot payload. Only the canonical
+// encoding is accepted — no padded varints, flags other than 0 and 1,
+// out-of-range counts or trailing bytes: re-encoding the result
+// reproduces buf.
 func DecodeCellStats(buf []byte) (CellStats, error) {
 	r := &reader{buf: buf}
-	cell, err := r.string()
+	var s CellStats
+	err := r.fields(s.fields())
+	if err == nil {
+		s.Durables, err = readRows(r, "durable", (*DurableCounters).fields)
+	}
+	if err == nil {
+		s.Federation, err = readRows(r, "federation", (*FederationCounters).fields)
+	}
 	if err != nil {
 		return CellStats{}, err
 	}
-	members, err := r.uvarint()
-	if err != nil {
-		return CellStats{}, err
+	if !bytes.Equal(AppendCellStats(nil, s), buf) {
+		return CellStats{}, fmt.Errorf("%w: cell-stats not canonical", ErrBadEncoding)
 	}
-	var bus [6]uint64
-	for i := range bus {
-		v, err := r.uvarint()
-		if err != nil {
-			return CellStats{}, err
-		}
-		bus[i] = v
-	}
-	busCh, err := r.channelCounters()
-	if err != nil {
-		return CellStats{}, err
-	}
-	discCh, err := r.channelCounters()
-	if err != nil {
-		return CellStats{}, err
-	}
-	var logv [12]uint64
-	for i := range logv {
-		v, err := r.uvarint()
-		if err != nil {
-			return CellStats{}, err
-		}
-		logv[i] = v
-	}
-	nDur, err := r.uvarint()
-	if err != nil {
-		return CellStats{}, err
-	}
-	if nDur > uint64(r.remaining()) {
-		return CellStats{}, fmt.Errorf("%w: durable count %d", ErrBadEncoding, nDur)
-	}
-	var durables []DurableCounters
-	if nDur > 0 {
-		durables = make([]DurableCounters, 0, nDur)
-	}
-	for i := uint64(0); i < nDur; i++ {
-		name, err := r.string()
-		if err != nil {
-			return CellStats{}, err
-		}
-		attached, err := r.uvarint()
-		if err != nil {
-			return CellStats{}, err
-		}
-		delivered, err := r.uvarint()
-		if err != nil {
-			return CellStats{}, err
-		}
-		lag, err := r.uvarint()
-		if err != nil {
-			return CellStats{}, err
-		}
-		durables = append(durables, DurableCounters{
-			Name: name, Attached: attached != 0,
-			Delivered: delivered, Lag: lag,
-		})
-	}
-	nFed, err := r.uvarint()
-	if err != nil {
-		return CellStats{}, err
-	}
-	if nFed > uint64(r.remaining()) {
-		return CellStats{}, fmt.Errorf("%w: federation count %d", ErrBadEncoding, nFed)
-	}
-	var federation []FederationCounters
-	if nFed > 0 {
-		federation = make([]FederationCounters, 0, nFed)
-	}
-	for i := uint64(0); i < nFed; i++ {
-		name, err := r.string()
-		if err != nil {
-			return CellStats{}, err
-		}
-		remote, err := r.string()
-		if err != nil {
-			return CellStats{}, err
-		}
-		var vals [7]uint64
-		for j := range vals {
-			v, err := r.uvarint()
-			if err != nil {
-				return CellStats{}, err
-			}
-			vals[j] = v
-		}
-		federation = append(federation, FederationCounters{
-			Name: name, RemoteCell: remote, Connected: vals[0] != 0,
-			Imported: vals[1], Skipped: vals[2], Dropped: vals[3],
-			Reconnects: vals[4], ResumeEpoch: vals[5], ResumeCursor: vals[6],
-		})
-	}
-	if r.remaining() != 0 {
-		return CellStats{}, fmt.Errorf("%w: cell-stats trailing bytes", ErrBadEncoding)
-	}
-	return CellStats{
-		Cell:           cell,
-		Members:        uint32(members),
-		Published:      bus[0],
-		DeliveredLocal: bus[1],
-		EnqueuedRemote: bus[2],
-		Dropped:        bus[3],
-		Quenches:       bus[4],
-		AuthDenied:     bus[5],
-		BusChannel:     busCh,
-		DiscChannel:    discCh,
-		Log: LogCounters{
-			Enabled: logv[0] != 0, Epoch: logv[1],
-			OldestCursor: logv[2], NewestCursor: logv[3],
-			Events: logv[4], Bytes: logv[5], Segments: logv[6],
-			Appended: logv[7], Evicted: logv[8], DupsDropped: logv[9],
-			SegmentsAcquired: logv[10], SegmentsRecycled: logv[11],
-		},
-		Durables:   durables,
-		Federation: federation,
-	}, nil
+	return s, nil
 }

@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 )
 
-func TestCellStatsRoundTrip(t *testing.T) {
-	in := CellStats{
+// sampleCellStats sets every field of every struct to a distinct
+// non-zero value (and leaves one row of each table mostly zero).
+func sampleCellStats() CellStats {
+	return CellStats{
 		Cell:           "ward-3",
 		Members:        17,
 		Published:      101,
@@ -45,6 +49,10 @@ func TestCellStatsRoundTrip(t *testing.T) {
 			{Name: "cold-link", RemoteCell: "lab"},
 		},
 	}
+}
+
+func TestCellStatsRoundTrip(t *testing.T) {
+	in := sampleCellStats()
 	buf := AppendCellStats(nil, in)
 	out, err := DecodeCellStats(buf)
 	if err != nil {
@@ -77,4 +85,60 @@ func TestStatsPacketTypesNamed(t *testing.T) {
 	if PktStatsRequest.String() != "stats-request" || PktStatsResponse.String() != "stats-response" {
 		t.Fatalf("packet type names: %s / %s", PktStatsRequest, PktStatsResponse)
 	}
+}
+
+// TestCellStatsGoldenBytes pins the management-plane encoding: both hex
+// strings were produced by the hand-written per-field encoder this
+// file's field lists replaced (commit e8873c7).
+func TestCellStatsGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   CellStats
+		want string
+	}{
+		{"full", sampleCellStats(), "06776172642d3311652a3b030201e807e6070c02020101d00f050703012829821081100a0a00000000001e0000000000001e1e01cef5b7f70f648407a10680800404890768050905020a776172642d6e7572736501fa060a076172636869766500c203c203020c776172642d67617465776179036963750178040103effdb6f50d7609636f6c642d6c696e6b036c616200000000000000"},
+		{"zero", CellStats{}, "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+	} {
+		if got := hex.EncodeToString(AppendCellStats(nil, tc.in)); got != tc.want {
+			t.Errorf("%s: encoding changed\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestCellStatsDecodeRejectsNonCanonical(t *testing.T) {
+	zero := AppendCellStats(nil, CellStats{})
+	// The cell name's zero length spelled in two bytes.
+	padded := append([]byte{0x80, 0x00}, zero[1:]...)
+	// Log.Enabled: twelve log fields and two row counts from the end.
+	flag := bytes.Clone(zero)
+	flag[len(zero)-14] = 2
+	// 2^33-1 where a uint32 goes.
+	members := append([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x1f}, zero[2:]...)
+	for name, buf := range map[string][]byte{"padded varint": padded, "flag 2": flag, "members overflow": members} {
+		if _, err := DecodeCellStats(buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// FuzzCellStats: arbitrary bytes never panic, and whatever the decoder
+// accepts re-encodes to exactly the bytes it was given.
+func FuzzCellStats(f *testing.F) {
+	full := AppendCellStats(nil, sampleCellStats())
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add(AppendCellStats(nil, CellStats{}))
+	f.Add([]byte{})
+	// Row counts far beyond the remaining bytes.
+	huge := AppendCellStats(nil, CellStats{})
+	f.Add(append(huge[:len(huge)-2], 0xff, 0xff, 0xff, 0x7f, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeCellStats(data)
+		if err != nil {
+			return
+		}
+		if re := AppendCellStats(nil, s); !bytes.Equal(re, data) {
+			t.Fatalf("accepted input does not re-encode identically\n in %x\nout %x", data, re)
+		}
+	})
 }
