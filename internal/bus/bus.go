@@ -91,19 +91,27 @@ func (c Cost) enabled() bool {
 // quiesced bus all invariants hold exactly.
 type Stats struct {
 	Published uint64
-	Matched   uint64
-	NoMatch   uint64
+	// Matched counts publishes some installed filter matched — a live
+	// subscriber's, a local handler's or a durable consumer's (durable
+	// filters are in the matcher too, attached or not); NoMatch the rest.
+	Matched uint64
+	NoMatch uint64
 	// DeliveredLocal counts local handler invocations: one per handler
 	// whose filter the event satisfied, so a service with three matching
 	// handlers adds three. EnqueuedRemote counts one per matching member,
-	// however many of its filters matched.
+	// however many of its filters matched, plus one per durable delivery
+	// (from the appending shard or from a catching-up walker).
 	DeliveredLocal uint64
 	EnqueuedRemote uint64
-	Quenches       uint64
-	Unquenches     uint64
-	AuthDenied     uint64
-	NonMember      uint64
-	BadPackets     uint64
+	// DurableParks counts attached durable consumers handed back to
+	// their walker because their proxy queue was at high water: parked
+	// at their cursor, nothing shed (DESIGN.md, row 8).
+	DurableParks uint64
+	Quenches     uint64
+	Unquenches   uint64
+	AuthDenied   uint64
+	NonMember    uint64
+	BadPackets   uint64
 	// Dropped counts publishes shed because the processing queue was
 	// full (ErrBusy) — overload, as distinct from the corruption
 	// BadPackets counts.
@@ -123,6 +131,7 @@ type busCounters struct {
 	noMatch         atomic.Uint64
 	deliveredLocal  atomic.Uint64
 	enqueuedRemote  atomic.Uint64
+	durableParks    atomic.Uint64
 	quenches        atomic.Uint64
 	unquenches      atomic.Uint64
 	authDenied      atomic.Uint64
@@ -135,7 +144,7 @@ type busCounters struct {
 	// spatial-prefetcher granule) so adjacent shards' blocks never
 	// share a line — false sharing would reintroduce exactly the
 	// cross-core bouncing the per-shard split removes.
-	_ [128 - (13*8)%128]byte
+	_ [128 - (14*8)%128]byte
 }
 
 // foldStats sums counter blocks into a Stats snapshot.
@@ -148,6 +157,7 @@ func foldStats(blocks []busCounters) Stats {
 		s.NoMatch += c.noMatch.Load()
 		s.DeliveredLocal += c.deliveredLocal.Load()
 		s.EnqueuedRemote += c.enqueuedRemote.Load()
+		s.DurableParks += c.durableParks.Load()
 		s.Quenches += c.quenches.Load()
 		s.Unquenches += c.unquenches.Load()
 		s.AuthDenied += c.authDenied.Load()
@@ -253,15 +263,20 @@ type Bus struct {
 	closed   atomic.Bool // written under mu; read lock-free
 
 	// Durable subscriptions (durable.go). log is set once by
-	// WithDurableLog; the maps are guarded by durMu (never nested
-	// inside mu). durFilters counts installed durable filters so the
-	// quench path can tell, without the lock, that publishes matter
-	// even when the matcher finds no live subscriber.
+	// WithDurableLog; the maps and durList are guarded by durMu (never
+	// nested inside mu; taken inside the log lock, never around it).
+	// durTab is durList's lock-free snapshot for the append hook.
+	// durFilters counts installed durable filters so the quench path
+	// can tell, without the lock, that publishes matter to the log;
+	// durGen counts durable filter changes (see shardWorker.Appended).
 	log         *store.Log
 	durMu       sync.Mutex
 	durables    map[string]*durableState
 	durByMember map[ident.ID]*durableState
+	durList     []*durableState // consumer number n is durList[n-1]
+	durTab      atomic.Pointer[[]*durableState]
 	durFilters  atomic.Int64
+	durGen      atomic.Uint64
 
 	// ctrs holds one padded counter block per shard worker plus a
 	// final block for the receive/control paths (index len-1).
@@ -285,12 +300,19 @@ type memberState struct {
 // per-shard scratch, reused across events so dispatch does not
 // allocate. The matcher scratch and the counter block are plain
 // per-worker state — they never cross a sync.Pool or touch another
-// shard's cache lines.
+// shard's cache lines. The worker is also its own log append hook
+// (durable.go): e, gen and handed carry the event being appended into
+// the hook and its hand-off count back out.
 type shardWorker struct {
+	b       *Bus
 	work    chan workItem
 	targets []ident.ID
 	sc      *matcher.Scratch
 	ctr     *busCounters
+
+	e      *event.Event
+	gen    uint64
+	handed uint64
 }
 
 type workItem struct {
@@ -316,6 +338,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 		done:        make(chan struct{}),
 	}
 	b.snap.Store(emptyMembership)
+	b.durTab.Store(new([]*durableState))
 	for _, o := range opts {
 		o(b)
 	}
@@ -326,6 +349,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 	b.workers = make([]*shardWorker, b.shards)
 	for i := range b.workers {
 		b.workers[i] = &shardWorker{
+			b:    b,
 			work: make(chan workItem, b.queueDepth),
 			sc:   matcher.NewScratch(),
 			ctr:  &b.ctrs[i],
@@ -702,9 +726,9 @@ func (b *Bus) handleSubscriptionPacket(pkt *wire.Packet) {
 		b.ctl().badPackets.Add(1)
 		return
 	}
-	// A member bound to a durable consumer keeps its filters in the
-	// consumer's server-side state, never in the matcher: it is fed
-	// from the log by its walker, not by live dispatch (durable.go).
+	// A member bound to a durable consumer subscribes as the consumer,
+	// not as itself: the filters are the consumer's server-side state
+	// and are matched under its identity (durable.go).
 	if b.handleDurableSubscription(pkt, ms, f) {
 		return
 	}
@@ -749,14 +773,16 @@ func (b *Bus) shardLoop(w *shardWorker) {
 	}
 }
 
-// process matches one event and dispatches it to every interested
-// subscriber's proxy or local handler. Every local handler is a
-// subscriber of its own (see localIDBase), so the matcher's verdict
-// names exactly the handlers to call and no filter is evaluated twice;
-// a hit that no longer resolves — a member purged or a handler
-// unsubscribed between match and dispatch — is skipped. The event is
-// delivered shared and immutable: proxies and handlers must not mutate
-// it (proxies whose devices do mutate clone on write — see
+// process matches one event, appends it to the durable log (when there
+// is one) handing it to every attached durable consumer the match
+// named, and then dispatches it to every other interested subscriber's
+// proxy or local handler. Every local handler and every durable
+// consumer is a subscriber of its own (see localIDBase, durableIDBase),
+// so the matcher's verdict names exactly whom to serve and no filter is
+// evaluated twice; a hit that no longer resolves — a member purged or a
+// handler unsubscribed between match and dispatch — is skipped. The
+// event is delivered shared and immutable: proxies and handlers must
+// not mutate it (proxies whose devices do mutate clone on write — see
 // proxy.EventMutator).
 //
 // The bus owns the publisher's reference on the event for the duration
@@ -772,25 +798,18 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 	}
 	w.ctr.published.Add(1)
 
+	var gen uint64
 	if b.log != nil {
-		// Append before match: the log is the source of truth for
-		// durable consumers, and the append lock serialises cursor
-		// assignment across shards. A publish suppressed by the
-		// publisher dedup window is dropped whole — no live dispatch
-		// either, so redelivery after a sender restart is idempotent
-		// for live and durable subscribers alike.
-		var dedupID int64
-		hasDedup := false
-		if v, ok := item.e.Get(store.AttrDedup); ok {
-			dedupID, hasDedup = v.Int()
-		}
-		if _, dup := b.log.Append(item.e, dedupID, hasDedup); dup {
-			item.e.Release()
-			return
-		}
+		gen = b.durGen.Load() // before the match: see Appended
 	}
-
 	w.targets = b.match.MatchAppendScratch(item.e, w.targets[:0], w.sc)
+	if b.log != nil && !b.appendDurable(w, item.e, gen) {
+		// Suppressed by the publisher dedup window: dropped whole — no
+		// live dispatch either, so redelivery after a sender restart is
+		// idempotent for live and durable subscribers alike.
+		item.e.Release()
+		return
+	}
 	if len(w.targets) == 0 {
 		w.ctr.noMatch.Add(1)
 		b.maybeQuench(item.e.Sender)
@@ -800,7 +819,8 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 	w.ctr.matched.Add(1)
 
 	snap := b.snap.Load()
-	var nLocal, nRemote uint64
+	var nLocal uint64
+	nRemote := w.handed
 	for _, t := range w.targets {
 		if fn := snap.localHandler(t); fn != nil {
 			fn(item.e)
@@ -809,7 +829,7 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 		}
 		ms, ok := snap.members[t]
 		if !ok {
-			continue
+			continue // gone, or a durable consumer: appendDurable served it
 		}
 		if b.cost.enabled() {
 			sleepCost(b.cost.DeliverPerEvent + time.Duration(item.size)*b.cost.PerByte)
@@ -832,10 +852,10 @@ func (b *Bus) maybeQuench(sender ident.ID) {
 	if !b.quenchOn || sender.IsNil() {
 		return
 	}
-	// Durable filters live outside the matcher, so a no-match event may
-	// still matter: it is in the log and a walker may deliver it. Never
-	// quench a publisher while any durable filter is installed — a
-	// quenched publisher stops sending and the log would have gaps.
+	// A no-match event still matters to the log: a durable consumer
+	// that subscribes later replays it. Never quench a publisher while
+	// any durable filter is installed — a quenched publisher stops
+	// sending and the log would have gaps.
 	if b.log != nil && b.durFilters.Load() > 0 {
 		return
 	}

@@ -52,7 +52,7 @@ func shardCounts() []int {
 }
 
 func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
-	flood := newHotPath(b, delivery, fan, opts...)
+	_, flood := newHotPath(b, delivery, fan, 0, opts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	flood(b.N)
@@ -60,10 +60,12 @@ func benchHotPath(b *testing.B, delivery string, fan int, opts ...Option) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// newHotPath builds the benchmark's bus and fan-out and returns its
+// newHotPath builds the benchmark's bus and fan-out and returns it with its
 // unit of work: flood(n) publishes n pooled events from GOMAXPROCS
 // publishers and returns once every one has been fully dispatched.
-func newHotPath(tb testing.TB, delivery string, fan int, opts ...Option) (flood func(n int)) {
+// durables adds that many attached durable consumers to a member
+// fan-out (the bus needs a log), fed by the appending shards.
+func newHotPath(tb testing.TB, delivery string, fan, durables int, opts ...Option) (bus *Bus, flood func(n int)) {
 	n := netsim.New(netsim.Perfect, netsim.WithSeed(11))
 	tb.Cleanup(func() { n.Close() })
 	tr, err := n.Attach(ident.New(busID))
@@ -71,7 +73,7 @@ func newHotPath(tb testing.TB, delivery string, fan int, opts ...Option) (flood 
 		tb.Fatal(err)
 	}
 	opts = append([]Option{WithQueueDepth(8192)}, opts...)
-	bus := New(reliable.New(tr, testCfg()), matcher.NewFast(), bootstrap.NewRegistry(), opts...)
+	bus = New(reliable.New(tr, testCfg()), matcher.NewFast(), bootstrap.NewRegistry(), opts...)
 	bus.Start()
 	tb.Cleanup(func() { bus.Close() })
 
@@ -101,6 +103,10 @@ func newHotPath(tb testing.TB, delivery string, fan int, opts ...Option) (flood 
 				tb.Fatal(err)
 			}
 		}
+		for i := 0; i < durables; i++ {
+			attachDurableSink(tb, bus, ident.New(uint64(0x300+i)), filter)
+		}
+		fan += durables // EnqueuedRemote counts durable hand-offs too
 	default:
 		tb.Fatalf("unknown delivery %q", delivery)
 	}
@@ -117,7 +123,7 @@ func newHotPath(tb testing.TB, delivery string, fan int, opts ...Option) (flood 
 		svcs[p] = bus.Local(fmt.Sprintf("pub-%d", p))
 	}
 
-	return func(n int) {
+	return bus, func(n int) {
 		want := dispatched() + uint64(n)*uint64(fan)
 		var wg sync.WaitGroup
 		for p := 0; p < pubs; p++ {

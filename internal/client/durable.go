@@ -17,8 +17,8 @@ import (
 // conservatively after a rebind) and is dropped before it reaches
 // Events(). The floor starts at the resume cursor, is reset by the
 // bus's PktDurableAck when the log epoch changed (stale cursors from a
-// previous incarnation are meaningless), and advances as deliveries
-// are handed to the inbox.
+// previous incarnation are meaningless), and advances to each delivery
+// just before it is handed to the inbox.
 //
 // Durable deliveries are handed to the inbox blocking, not
 // drop-newest: at-least-once delivery must not shed events to its own
@@ -94,7 +94,8 @@ func (c *Client) handleDurable(pkt *wire.Packet) (stop bool) {
 		if err != nil {
 			return false
 		}
-		if cursor <= c.durFloor.Load() {
+		floor := c.durFloor.Load()
+		if cursor <= floor {
 			// Redelivery across the splice/rebind boundary: already seen.
 			c.mu.Lock()
 			c.stats.DurableDeduped++
@@ -111,10 +112,14 @@ func (c *Client) handleDurable(pkt *wire.Packet) (stop bool) {
 		c.stats.EventsReceived++
 		c.stats.DurableReceived++
 		c.mu.Unlock()
+		// The floor moves before the hand-off: once the application
+		// holds e, DurablePosition already covers it. A send abandoned
+		// at shutdown puts it back, unless something else moved it.
+		c.durFloor.Store(cursor)
 		select {
 		case c.inbox <- e:
-			c.durFloor.Store(cursor)
 		case <-c.done:
+			c.durFloor.CompareAndSwap(cursor, floor)
 			e.Release()
 			return true
 		}

@@ -262,17 +262,18 @@ func TestMixedQueueKeepsOrderAndNeverMixesTypes(t *testing.T) {
 	for i, k := range script {
 		n := int64(i + 1)
 		e := numbered(n)
+		var cursor uint64
 		switch k {
 		case 'L':
 			want = append(want, delivery{ptype: wire.PktEvent, n: n})
 		case 'D':
-			e.Cursor = uint64(1000 + i)
-			want = append(want, delivery{ptype: wire.PktEventDurable, cursor: e.Cursor, n: n})
+			cursor = uint64(1000 + i)
+			want = append(want, delivery{ptype: wire.PktEventDurable, cursor: cursor, n: n})
 		case 'C':
 			e.SetStr(event.AttrType, "cmd") // translatingDevice → PktData 0xC0
 			want = append(want, delivery{ptype: wire.PktData, n: 0xC0})
 		}
-		p.Enqueue(e)
+		p.EnqueueAt(e, cursor)
 	}
 	p.Start()
 	defer p.Purge()

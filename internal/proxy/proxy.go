@@ -195,8 +195,12 @@ type Proxy struct {
 	cfg      Config
 	cloneOut bool // device mutates events: clone before TranslateOut
 
-	mu      sync.Mutex
-	queue   []*event.Event
+	mu sync.Mutex
+	// queue[head:] awaits delivery. A pop advances head; the slack it
+	// leaves is reused (compacted) before the slice would grow, so a
+	// queue in steady state keeps one backing array and never allocates.
+	queue   []queued
+	head    int
 	stats   Stats
 	stopped bool
 	inSeq   uint64 // per-member seq for translated device data
@@ -270,27 +274,43 @@ func (p *Proxy) Start() {
 	go p.deliverLoop()
 }
 
-// Enqueue appends an outbound event to the FIFO queue. The event may be
-// shared with other subscribers' proxies and must not be mutated (the
-// bus dispatches one immutable event to every match); the proxy takes
-// its own reference for pool-managed events and releases it once the
-// event has been translated for the wire (or dropped). When the queue
-// is full the oldest event is dropped (bounded memory); this is counted
-// in Stats.DroppedOldest.
-func (p *Proxy) Enqueue(e *event.Event) {
+// queued is one outbound queue item: the event and, for a durable
+// delivery, its log cursor (0 for a live event).
+type queued struct {
+	e      *event.Event
+	cursor uint64
+}
+
+// Enqueue appends an outbound live event to the FIFO queue. The event
+// may be shared with other subscribers' proxies and must not be mutated
+// (the bus dispatches one immutable event to every match); the proxy
+// takes its own reference for pool-managed events and releases it once
+// the event has been translated for the wire (or dropped). When the
+// queue is full the oldest event is dropped (bounded memory); this is
+// counted in Stats.DroppedOldest.
+func (p *Proxy) Enqueue(e *event.Event) { p.EnqueueAt(e, 0) }
+
+// EnqueueAt is Enqueue for a durable delivery: the event goes out as a
+// PktEventDurable framed with cursor, skipping device translation. The
+// cursor travels with the queue item, not on the event, which may be
+// shared with live recipients. A zero cursor is a live event.
+func (p *Proxy) EnqueueAt(e *event.Event, cursor uint64) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		return
 	}
 	e.Retain()
-	if len(p.queue) >= p.cfg.QueueCap {
-		dropped := p.queue[0]
-		p.queue = p.queue[1:]
+	if len(p.queue)-p.head >= p.cfg.QueueCap {
+		p.popLocked().e.Release()
 		p.stats.DroppedOldest++
-		dropped.Release()
 	}
-	p.queue = append(p.queue, e)
+	if len(p.queue) == cap(p.queue) && p.head >= len(p.queue)/2 {
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	p.queue = append(p.queue, queued{e, cursor})
 	p.stats.Enqueued++
 	p.mu.Unlock()
 	select {
@@ -303,7 +323,18 @@ func (p *Proxy) Enqueue(e *event.Event) {
 func (p *Proxy) QueueLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return len(p.queue) - p.head
+}
+
+// popLocked removes the head of a non-empty queue. Caller holds p.mu.
+func (p *Proxy) popLocked() queued {
+	q := p.queue[p.head]
+	p.queue[p.head] = queued{}
+	p.head++
+	if p.head == len(p.queue) {
+		p.queue, p.head = p.queue[:0], 0
+	}
+	return q
 }
 
 // Stats returns a snapshot of the counters.
@@ -347,11 +378,11 @@ func (p *Proxy) Purge() {
 		return
 	}
 	p.stopped = true
-	p.stats.DiscardedOnPurge += uint64(len(p.queue))
-	for _, e := range p.queue {
-		e.Release()
+	p.stats.DiscardedOnPurge += uint64(len(p.queue) - p.head)
+	for _, q := range p.queue[p.head:] {
+		q.e.Release()
 	}
-	p.queue = nil
+	p.queue, p.head = nil, 0
 	p.mu.Unlock()
 	close(p.stop)
 	<-p.done
@@ -360,7 +391,7 @@ func (p *Proxy) Purge() {
 func (p *Proxy) deliverLoop() {
 	defer close(p.done)
 	for {
-		e, ok := p.next()
+		q, ok := p.next()
 		if !ok {
 			select {
 			case <-p.wake:
@@ -369,22 +400,20 @@ func (p *Proxy) deliverLoop() {
 				return
 			}
 		}
-		if !p.deliverOne(e) {
+		if !p.deliverOne(q) {
 			return // stopped during redelivery
 		}
 	}
 }
 
 // next pops the head of the queue.
-func (p *Proxy) next() (*event.Event, bool) {
+func (p *Proxy) next() (queued, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		return nil, false
+	if len(p.queue) == p.head {
+		return queued{}, false
 	}
-	e := p.queue[0]
-	p.queue = p.queue[1:]
-	return e, true
+	return p.popLocked(), true
 }
 
 // deliverOne pushes one event to the device, retrying after reliable
@@ -392,8 +421,8 @@ func (p *Proxy) next() (*event.Event, bool) {
 // stopped. Translation, the pooled-event release and the encode-buffer
 // lifecycle all live in translateOut — shared with the pipelined loop —
 // so there is exactly one release path.
-func (p *Proxy) deliverOne(e *event.Event) bool {
-	it, ok := p.translateOut(e)
+func (p *Proxy) deliverOne(q queued) bool {
+	it, ok := p.translateOut(q)
 	if !ok {
 		// A translation error is a device-specific malfunction: the
 		// event cannot ever be delivered; drop it.
@@ -450,15 +479,16 @@ func (p *Proxy) releaseItem(it outItem) {
 // the proxy's reference on the event once the payload is built.
 // ok=false means the event is dropped (device-specific translation
 // failure).
-func (p *Proxy) translateOut(e *event.Event) (outItem, bool) {
+func (p *Proxy) translateOut(q queued) (outItem, bool) {
+	e := q.e
 	defer e.Release()
-	if e.Cursor != 0 {
-		// Durable replay delivery: frame the cursor over the frozen
-		// event encoding and skip device translation — durable
-		// consumers are event-stream clients, and the cursor must
-		// survive to the receiver for resume/dedup.
+	if q.cursor != 0 {
+		// Durable delivery: frame the cursor over the frozen event
+		// encoding and skip device translation — durable consumers are
+		// event-stream clients, and the cursor must survive to the
+		// receiver for resume/dedup.
 		bp := wire.GetEncodeBuf()
-		payload := wire.AppendDurableEvent((*bp)[:0], e.Cursor, e)
+		payload := wire.AppendDurableEvent((*bp)[:0], q.cursor, e)
 		*bp = payload
 		return outItem{ptype: wire.PktEventDurable, payload: payload, bufp: bp, events: 1}, true
 	}
@@ -519,7 +549,7 @@ func (p *Proxy) gatherBatch() (outItem, bool) {
 	}()
 gather:
 	for len(items) < p.cfg.BatchEvents {
-		e, popped := p.next()
+		q, popped := p.next()
 		if !popped {
 			if len(items) == 0 {
 				return outItem{}, false
@@ -540,7 +570,7 @@ gather:
 				break gather // outer loop observes stop and releases
 			}
 		}
-		it, ok := p.translateOut(e)
+		it, ok := p.translateOut(q)
 		if !ok {
 			continue
 		}

@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +139,40 @@ func TestProxyQueueBoundedDropOldest(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return p.Stats().DroppedOldest >= 5 })
 	if q := p.QueueLen(); q > 4 {
 		t.Errorf("queue len = %d, cap 4", q)
+	}
+}
+
+// TestQueueReusesItsArray: a queue in steady state — drained as fast as
+// it fills, or full and shedding its oldest — keeps its backing array:
+// the slack a pop leaves is reused, not abandoned to the next growth.
+func TestQueueReusesItsArray(t *testing.T) {
+	p := New(ident.New(9), &GenericDevice{}, &fakeSender{}, nil, Config{QueueCap: 64})
+	e := event.NewTyped("x")
+	// mallocs counts allocations over n runs of op; a queue that slides
+	// over its array reallocates every few dozen operations.
+	mallocs := func(n int, op func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for i := 0; i < 32; i++ {
+		p.EnqueueAt(e, uint64(i))
+	}
+	if n := mallocs(10000, func() { p.Enqueue(e); p.next() }); n > 10 {
+		t.Errorf("10 000 enqueue + pop pairs allocated %d objects", n)
+	}
+	for p.QueueLen() < 64 {
+		p.Enqueue(e)
+	}
+	if n := mallocs(10000, func() { p.Enqueue(e) }); n > 10 {
+		t.Errorf("10 000 enqueues onto a full queue allocated %d objects", n)
+	}
+	if st := p.Stats(); st.DroppedOldest != 10000 || p.QueueLen() != 64 {
+		t.Errorf("DroppedOldest = %d, queue %d; want 10000, 64", st.DroppedOldest, p.QueueLen())
 	}
 }
 

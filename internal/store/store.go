@@ -181,10 +181,6 @@ type Log struct {
 	acquired uint64
 	recycled uint64
 
-	// waiters are notified (non-blocking) on every append; durable
-	// walkers park on their channel while caught up with the tail.
-	waiters map[chan struct{}]struct{}
-
 	// flush is the disk mirror; nil for memory-only logs.
 	flush *flusher
 
@@ -206,10 +202,9 @@ type Log struct {
 func Open(cfg Config) (*Log, error) {
 	cfg.fillDefaults()
 	l := &Log{
-		cfg:     cfg,
-		epoch:   newEpoch(),
-		next:    1,
-		waiters: make(map[chan struct{}]struct{}),
+		cfg:   cfg,
+		epoch: newEpoch(),
+		next:  1,
 	}
 	if cfg.DedupWindow > 0 {
 		l.dedup = make(map[dedupKey]struct{}, cfg.DedupWindow)
@@ -241,10 +236,21 @@ func newEpoch() uint64 {
 // Epoch identifies this log incarnation.
 func (l *Log) Epoch() uint64 { return l.epoch }
 
+// AppendHook is a caller's step inside an Append. Appended runs under
+// the append lock with the cursor just assigned, so whatever it hands
+// the cursor on to receives cursors in log order, and nothing can
+// observe the tail (AtTail) between the append and the hook. It must
+// not block and must not call back into the log.
+type AppendHook interface {
+	Appended(cursor uint64)
+}
+
 // Append appends one event and returns its cursor. When the event
 // carries a publisher dedup ID (hasDedup) that was seen within the
-// dedup window, nothing is appended and dup is true (cursor 0).
-func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool) (cursor uint64, dup bool) {
+// dedup window, nothing is appended and dup is true (cursor 0). Hooks
+// run under the append lock once the record is in the log; a
+// suppressed duplicate runs none.
+func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool, hook ...AppendHook) (cursor uint64, dup bool) {
 	// Encode and checksum outside the lock: the payload bytes do not
 	// depend on log state, so the append lock serialises only the
 	// cursor assignment and the copy into the active segment.
@@ -310,11 +316,8 @@ func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool) (cursor uint6
 			l.sinceSync = 0
 		}
 	}
-	for ch := range l.waiters {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	for _, h := range hook {
+		h.Appended(cursor)
 	}
 	l.mu.Unlock()
 	wire.PutEncodeBuf(bp)
@@ -483,10 +486,9 @@ func (r Record) Release() {
 
 // Next returns the first retained record with cursor >= from, with a
 // segment reference already taken for the caller. ok=false means no
-// such record exists yet (from is past the tail — park on Subscribe's
-// channel). A from below the retained range skips forward to the
-// oldest record (retention won); callers detect the gap via
-// Record.Cursor > from.
+// such record exists yet (from is past the tail; see AtTail). A from
+// below the retained range skips forward to the oldest record
+// (retention won); callers detect the gap via Record.Cursor > from.
 func (l *Log) Next(from uint64) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -519,19 +521,14 @@ func (l *Log) Next(from uint64) (Record, bool) {
 	}, true
 }
 
-// Subscribe registers a notification channel signalled (non-blocking)
-// on every append. Unsubscribe it when the walker exits.
-func (l *Log) Subscribe(ch chan struct{}) {
+// AtTail runs fn under the append lock with the newest cursor (0 before
+// any append): no append, and so no AppendHook, runs while fn does. A
+// reader that finds nothing past its cursor uses it to hand over to an
+// AppendHook with no gap and no overlap.
+func (l *Log) AtTail(fn func(newest uint64)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.waiters[ch] = struct{}{}
-}
-
-// Unsubscribe removes a notification channel.
-func (l *Log) Unsubscribe(ch chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.waiters, ch)
+	fn(l.next - 1)
 }
 
 // Stats snapshots the log.
@@ -953,8 +950,19 @@ func readSegment(path string) (*Segment, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	seg, epoch, err := parseSegment(raw)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return seg, epoch, nil
+}
+
+// parseSegment validates the bytes of one segment file: the header,
+// then records up to the first whose length prefix or CRC does not
+// hold.
+func parseSegment(raw []byte) (*Segment, uint64, error) {
 	if len(raw) < segHeaderLen || string(raw[:4]) != segMagic || raw[4] != segVersion {
-		return nil, 0, fmt.Errorf("store: %s: bad segment header", path)
+		return nil, 0, errors.New("bad segment header")
 	}
 	epoch := binary.BigEndian.Uint64(raw[5:13])
 	base := binary.BigEndian.Uint64(raw[13:21])
@@ -963,7 +971,8 @@ func readSegment(path string) (*Segment, uint64, error) {
 	off := 0
 	for off < len(body) {
 		n, sz := binary.Uvarint(body[off:])
-		if sz <= 0 || off+sz+int(n)+4 > len(body) {
+		// Compare in uint64: a huge prefix must not wrap int arithmetic.
+		if sz <= 0 || uint64(len(body)-off-sz) < 4 || n > uint64(len(body)-off-sz-4) {
 			break // torn tail: truncate here
 		}
 		payStart := off + sz
