@@ -103,7 +103,10 @@ func NewEnv(flavor Flavor, cfg EnvConfig) (*Env, error) {
 		net.Close()
 		return nil, err
 	}
-	opts := []bus.Option{bus.WithCost(flavor.Cost), bus.WithQueueDepth(8192)}
+	if flavor.Cost != (Cost{}) {
+		m = costMatcher{Matcher: m, cost: flavor.Cost}
+	}
+	opts := []bus.Option{bus.WithQueueDepth(8192)}
 	if cfg.Quench {
 		opts = append(opts, bus.WithQuench(true))
 	}

@@ -7,9 +7,57 @@ package bench
 import (
 	"time"
 
-	"github.com/amuse/smc/internal/bus"
+	"github.com/amuse/smc/internal/event"
+	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/matcher"
+	"github.com/amuse/smc/internal/wire"
 )
+
+// Cost models the processing overhead of the constrained host (the
+// paper's PDA with a 2006-era JVM): a fixed cost per packet plus a
+// per-byte cost for copies and OS↔runtime transfers (§V attributes the
+// observed response-time growth to packet-data copying). The zero Cost
+// disables the model.
+type Cost struct {
+	IngestPerEvent  time.Duration
+	DeliverPerEvent time.Duration
+	PerByte         time.Duration
+}
+
+// costMatcher charges a Cost on the bus's shard worker, the goroutine
+// that matches an event and then hands it to every target: the ingest
+// cost before the match, then one deliver cost per target. Every
+// subscriber of a Fig. 4 deployment is a member, so each target is one
+// proxy hand-off. Both costs add the per-byte cost of the encoded
+// packet (sized, not encoded: wire.EventSize allocates nothing).
+type costMatcher struct {
+	matcher.Matcher
+	cost Cost
+}
+
+func (m costMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *matcher.Scratch) []ident.ID {
+	perByte := time.Duration(wire.HeaderLen+wire.EventSize(e)) * m.cost.PerByte
+	charge(m.cost.IngestPerEvent + perByte)
+	n := len(dst)
+	dst = m.Matcher.MatchAppendScratch(e, dst, sc)
+	charge(time.Duration(len(dst)-n) * (m.cost.DeliverPerEvent + perByte))
+	return dst
+}
+
+// charge busy-waits for very short costs and sleeps for longer ones,
+// keeping the model usable at sub-millisecond calibrations.
+func charge(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	if d < 500*time.Microsecond {
+		deadline := time.Now().Add(d)
+		for time.Now().Before(deadline) {
+		}
+		return
+	}
+	time.Sleep(d)
+}
 
 // Flavor is one event-bus configuration under test: the matching
 // mechanism plus the calibrated host-cost model standing in for the
@@ -28,7 +76,7 @@ import (
 type Flavor struct {
 	Name    string
 	Matcher matcher.Kind
-	Cost    bus.Cost
+	Cost    Cost
 }
 
 // The two buses of §IV/§V.
@@ -40,7 +88,7 @@ var (
 	SienaFlavor = Flavor{
 		Name:    "siena-based",
 		Matcher: matcher.KindSiena,
-		Cost: bus.Cost{
+		Cost: Cost{
 			IngestPerEvent:  25 * time.Millisecond,
 			DeliverPerEvent: 20 * time.Millisecond,
 			PerByte:         40 * time.Microsecond,
@@ -52,7 +100,7 @@ var (
 	FastFlavor = Flavor{
 		Name:    "c-based",
 		Matcher: matcher.KindFast,
-		Cost: bus.Cost{
+		Cost: Cost{
 			IngestPerEvent:  12 * time.Millisecond,
 			DeliverPerEvent: 8 * time.Millisecond,
 			PerByte:         16 * time.Microsecond,

@@ -64,24 +64,6 @@ type Authorizer interface {
 	AuthorizeSubscribe(member ident.ID, deviceType string, f *event.Filter) error
 }
 
-// Cost models the processing overhead of the constrained host (the
-// paper's PDA with a 2006-era JVM): a fixed cost per packet plus a
-// per-byte cost for copies and OS↔runtime transfers (§V attributes the
-// observed response-time growth to packet-data copying). Zero costs
-// disable the model; benchmarks calibrate it per bus flavour as
-// documented in EXPERIMENTS.md. When the model is disabled the bus
-// skips event sizing entirely.
-type Cost struct {
-	IngestPerEvent  time.Duration
-	DeliverPerEvent time.Duration
-	PerByte         time.Duration
-}
-
-// enabled reports whether any cost is configured.
-func (c Cost) enabled() bool {
-	return c.IngestPerEvent > 0 || c.DeliverPerEvent > 0 || c.PerByte > 0
-}
-
 // Stats counts bus activity. A Stats value is a fold of per-shard
 // counter blocks taken while dispatch keeps running, so it is a
 // point-in-time observation, not a consistent cut: every counter is
@@ -173,11 +155,6 @@ func foldStats(blocks []busCounters) Stats {
 // Option configures a Bus.
 type Option func(*Bus)
 
-// WithCost installs a host processing-cost model.
-func WithCost(c Cost) Option {
-	return func(b *Bus) { b.cost = c }
-}
-
 // WithQuench enables publisher quenching (§VI): publishers whose events
 // currently match no subscription are told to stop sending.
 func WithQuench(on bool) Option {
@@ -245,7 +222,6 @@ type Bus struct {
 	registry *bootstrap.Registry
 
 	auth       Authorizer
-	cost       Cost
 	quenchOn   bool
 	proxyCfg   proxy.Config
 	queueDepth int
@@ -305,7 +281,7 @@ type memberState struct {
 // the hook and its hand-off count back out.
 type shardWorker struct {
 	b       *Bus
-	work    chan workItem
+	work    chan *event.Event
 	targets []ident.ID
 	sc      *matcher.Scratch
 	ctr     *busCounters
@@ -313,11 +289,6 @@ type shardWorker struct {
 	e      *event.Event
 	gen    uint64
 	handed uint64
-}
-
-type workItem struct {
-	e    *event.Event
-	size int // encoded size for the cost model; 0 when the model is off
 }
 
 // New builds a bus over a reliable channel with the given matching
@@ -350,7 +321,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 	for i := range b.workers {
 		b.workers[i] = &shardWorker{
 			b:    b,
-			work: make(chan workItem, b.queueDepth),
+			work: make(chan *event.Event, b.queueDepth),
 			sc:   matcher.NewScratch(),
 			ctr:  &b.ctrs[i],
 		}
@@ -581,20 +552,13 @@ func (b *Bus) shardFor(sender ident.ID) *shardWorker {
 	return b.workers[(h>>32)%uint64(len(b.workers))]
 }
 
-// enqueuePublish hands an event to its publisher's shard. The encoded
-// size is computed — without encoding — only when the cost model needs
-// it.
+// enqueuePublish hands an event to its publisher's shard.
 func (b *Bus) enqueuePublish(e *event.Event) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	var item workItem
-	item.e = e
-	if b.cost.enabled() {
-		item.size = wire.HeaderLen + wire.EventSize(e)
-	}
 	select {
-	case b.shardFor(e.Sender).work <- item:
+	case b.shardFor(e.Sender).work <- e:
 		return nil
 	case <-b.done:
 		return ErrClosed
@@ -758,13 +722,13 @@ func (b *Bus) shardLoop(w *shardWorker) {
 	defer b.wg.Done()
 	for {
 		select {
-		case item := <-w.work:
-			b.process(w, item)
+		case e := <-w.work:
+			b.process(w, e)
 		case <-b.done:
 			for {
 				select {
-				case item := <-w.work:
-					b.process(w, item)
+				case e := <-w.work:
+					b.process(w, e)
 				default:
 					return
 				}
@@ -792,28 +756,25 @@ func (b *Bus) shardLoop(w *shardWorker) {
 // it recycles, which is why local subscribers of pooled traffic must
 // Clone anything they keep beyond the handler callback. Events from
 // event.New are unaffected (Release is a no-op).
-func (b *Bus) process(w *shardWorker, item workItem) {
-	if b.cost.enabled() {
-		sleepCost(b.cost.IngestPerEvent + time.Duration(item.size)*b.cost.PerByte)
-	}
+func (b *Bus) process(w *shardWorker, e *event.Event) {
 	w.ctr.published.Add(1)
 
 	var gen uint64
 	if b.log != nil {
 		gen = b.durGen.Load() // before the match: see Appended
 	}
-	w.targets = b.match.MatchAppendScratch(item.e, w.targets[:0], w.sc)
-	if b.log != nil && !b.appendDurable(w, item.e, gen) {
+	w.targets = b.match.MatchAppendScratch(e, w.targets[:0], w.sc)
+	if b.log != nil && !b.appendDurable(w, e, gen) {
 		// Suppressed by the publisher dedup window: dropped whole — no
 		// live dispatch either, so redelivery after a sender restart is
 		// idempotent for live and durable subscribers alike.
-		item.e.Release()
+		e.Release()
 		return
 	}
 	if len(w.targets) == 0 {
 		w.ctr.noMatch.Add(1)
-		b.maybeQuench(item.e.Sender)
-		item.e.Release()
+		b.maybeQuench(e.Sender)
+		e.Release()
 		return
 	}
 	w.ctr.matched.Add(1)
@@ -823,7 +784,7 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 	nRemote := w.handed
 	for _, t := range w.targets {
 		if fn := snap.localHandler(t); fn != nil {
-			fn(item.e)
+			fn(e)
 			nLocal++
 			continue
 		}
@@ -831,10 +792,7 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 		if !ok {
 			continue // gone, or a durable consumer: appendDurable served it
 		}
-		if b.cost.enabled() {
-			sleepCost(b.cost.DeliverPerEvent + time.Duration(item.size)*b.cost.PerByte)
-		}
-		ms.px.Enqueue(item.e)
+		ms.px.Enqueue(e)
 		nRemote++
 	}
 	if nLocal > 0 {
@@ -843,7 +801,7 @@ func (b *Bus) process(w *shardWorker, item workItem) {
 	if nRemote > 0 {
 		w.ctr.enqueuedRemote.Add(nRemote)
 	}
-	item.e.Release()
+	e.Release()
 }
 
 // ---- quenching (§VI) ----
@@ -884,21 +842,4 @@ func (b *Bus) unquenchAll() {
 	for _, id := range ids {
 		_ = b.ch.SendUnreliable(id, wire.PktUnquench, nil)
 	}
-}
-
-// ---- helpers ----
-
-// sleepCost busy-waits for very short costs and sleeps for longer ones,
-// keeping the model usable at sub-millisecond calibrations.
-func sleepCost(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if d < 500*time.Microsecond {
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-		}
-		return
-	}
-	time.Sleep(d)
 }

@@ -11,9 +11,10 @@ import (
 )
 
 func TestWithProxyConfigApplies(t *testing.T) {
-	// Pipeline 1: the sequential loop, so the queue (not the in-flight
-	// window) absorbs the backlog and the tiny cap is observable.
-	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, Pipeline: 1}
+	// One delivery in flight, uncoalesced, so the queue (not the
+	// in-flight window) absorbs the backlog and the tiny cap is
+	// observable.
+	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, Pipeline: 1, BatchEvents: 1}
 	r := newRig(t, WithProxyConfig(cfg))
 	pub := r.member(t, 1, "generic")
 
@@ -43,11 +44,16 @@ func TestWithProxyConfigApplies(t *testing.T) {
 }
 
 func TestWithQueueDepthBoundsBacklog(t *testing.T) {
-	// Depth 1 with a slow cost model: a burst overflows into ErrBusy
-	// (surfaced as Stats.Dropped for remote publishes, as an error
-	// return for local ones).
-	r := newRig(t, WithQueueDepth(1), WithCost(Cost{IngestPerEvent: 50 * time.Millisecond}))
+	// Depth 1 behind a handler that blocks the shard worker: a burst
+	// overflows into ErrBusy (surfaced as Stats.Dropped for remote
+	// publishes, as an error return for local ones).
+	r := newRig(t, WithQueueDepth(1))
+	unblock := make(chan struct{})
+	t.Cleanup(func() { close(unblock) }) // before the bus closes
 	svc := r.bus.Local("burster")
+	if err := svc.Subscribe(event.NewFilter().WhereType("t"), func(*event.Event) { <-unblock }); err != nil {
+		t.Fatal(err)
+	}
 	var busy int
 	for i := 0; i < 20; i++ {
 		if err := svc.Publish(event.NewTyped("t")); err != nil {

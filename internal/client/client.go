@@ -30,6 +30,10 @@ type Stats struct {
 	QuenchSuppressed uint64
 	EventsReceived   uint64
 	DataReceived     uint64
+	// DataDropped counts raw payloads (counted in DataReceived) shed
+	// because the Data() channel was full — drop-newest, like the live
+	// inbox.
+	DataDropped uint64
 	// InboxDropped counts live events decoded (and counted in
 	// EventsReceived) but shed because the Events() inbox was full —
 	// drop-newest, the bounded memory of the target platform. Durable
@@ -415,6 +419,9 @@ func (c *Client) handleInbound(pkt *wire.Packet) (stop bool) {
 		case <-c.done:
 			return true
 		default:
+			c.mu.Lock()
+			c.stats.DataDropped++
+			c.mu.Unlock()
 		}
 	case wire.PktEventDurable:
 		return c.handleDurable(pkt)

@@ -152,3 +152,88 @@ func TestInboxOverflowIsCounted(t *testing.T) {
 		e.Release()
 	}
 }
+
+// TestDataOverflowIsCounted: raw payloads nobody drains from Data() are
+// shed newest-first and counted in DataDropped; the oldest 256 wait in
+// order, and nothing else is shed.
+func TestDataOverflowIsCounted(t *testing.T) {
+	bus, c := scriptedBus(t)
+	to := ident.New(1)
+	const capacity, total = 256, 300 // capacity: the Data() channel's
+	for i := 0; i < total; i++ {
+		if err := bus.Send(to, wire.PktData, []byte{byte(i >> 8), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st := c.Stats(); st.DataReceived < total || st.DataDropped < total-capacity; st = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want %d received", st, total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.Stats(); st.DataDropped != total-capacity || st.InboxDropped != 0 || st.EventsReceived != 0 {
+		t.Fatalf("stats = %+v, want %d shed from Data() and nothing else", st, total-capacity)
+	}
+	for want := 0; want < capacity; want++ {
+		select {
+		case raw := <-c.Data():
+			if got := int(raw[0])<<8 | int(raw[1]); got != want {
+				t.Fatalf("payload %d where %d was due", got, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("payload %d missing", want)
+		}
+	}
+}
+
+// TestDurableConsumerBlocksReceiveLoop: a durable consumer that stops
+// reading fills Events() and then blocks the client's receive loop —
+// nothing is shed — and once it drains it sees every event exactly
+// once, in cursor order.
+func TestDurableConsumerBlocksReceiveLoop(t *testing.T) {
+	bus, c := scriptedBus(t, client.WithDurable("slow", client.DurablePosition{}))
+	to := ident.New(1)
+	const inbox, batches, perBatch = 256, 25, 16 // inbox: the Events() capacity
+	const total = batches * perBatch
+	cursor := uint64(0)
+	for b := 0; b < batches; b++ {
+		cs := make([]uint64, perBatch)
+		for k := range cs {
+			cursor++
+			cs[k] = cursor
+		}
+		if err := bus.SendBatchAsync(to, wire.PktEventDurable, durableBatch(cs...)).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The receive loop parks on the delivery after the inbox's last
+	// slot: counted, not shed, and nothing behind it is decoded.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().DurableReceived < inbox+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d, want the inbox filled", c.Stats().DurableReceived)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // a loop that did not block would move on
+	if st := c.Stats(); st.DurableReceived != inbox+1 || st.InboxDropped != 0 || st.DurableDeduped != 0 {
+		t.Fatalf("stats = %+v: the receive loop should block on delivery %d", st, inbox+1)
+	}
+	for want := uint64(1); want <= total; want++ {
+		e, err := c.NextEvent(5 * time.Second)
+		if err != nil {
+			t.Fatalf("cursor %d: %v", want, err)
+		}
+		if e.Cursor != want {
+			t.Fatalf("cursor %d where %d was due (dup, loss or reorder)", e.Cursor, want)
+		}
+		e.Release()
+	}
+	if e, err := c.NextEvent(100 * time.Millisecond); err == nil {
+		t.Fatalf("extra delivery: cursor %d", e.Cursor)
+	}
+	if st := c.Stats(); st.DurableReceived != total || st.InboxDropped != 0 || st.DurableDeduped != 0 {
+		t.Errorf("stats = %+v, want %d received, nothing shed", st, total)
+	}
+}

@@ -352,15 +352,15 @@ func (s *Service) reject(to ident.ID, reason string) {
 }
 
 // handleStatsRequest answers a management-plane snapshot query. The
-// reply is a reliable fire-and-forget send: it must not block the
-// receive loop, and a lost response is recovered by the requester
-// retrying the query.
+// reply is a reliable send whose completion is dropped: it must not
+// block the receive loop, and a lost response is recovered by the
+// requester retrying the query.
 func (s *Service) handleStatsRequest(to ident.ID) {
 	if s.cfg.StatsProvider == nil {
 		return
 	}
 	payload := wire.AppendCellStats(nil, s.cfg.StatsProvider())
-	_ = s.ch.SendFireForget(to, wire.PktStatsResponse, payload)
+	s.ch.SendAsync(to, wire.PktStatsResponse, payload)
 }
 
 func (s *Service) handleHeartbeat(id ident.ID) {

@@ -473,25 +473,6 @@ func (e *Endpoint) Send(dst ident.ID, data []byte) error {
 	return e.net.send(e.id, dst, data)
 }
 
-// SendBatch implements transport.BatchSender. The simulated network
-// has no syscall boundary to batch, so each datagram goes through the
-// normal per-link loss/latency model — the point is that code using
-// the batched transmit path is exercised under netsim profiles too.
-func (e *Endpoint) SendBatch(dst ident.ID, bufs [][]byte) error {
-	for _, b := range bufs {
-		if err := e.Send(dst, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MaxDatagram implements transport.BatchSender: the simulated network
-// imposes no MTU.
-func (e *Endpoint) MaxDatagram() int { return 0 }
-
-var _ transport.BatchSender = (*Endpoint)(nil)
-
 // Recv implements transport.Transport.
 func (e *Endpoint) Recv() (transport.Datagram, error) { return e.inbox.Get() }
 

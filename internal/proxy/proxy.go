@@ -49,7 +49,8 @@ type Sender interface {
 // into pre-framed batches (wire.FlagBatch payloads) sent through
 // SendBatchAsync: one reliable packet, one acknowledgement, one network
 // crossing for the whole run. reliable.Channel is the canonical
-// implementation.
+// implementation; a plain Sender delivers one event at a time (see
+// serialSender).
 type AsyncSender interface {
 	Sender
 	SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion
@@ -137,8 +138,8 @@ type Config struct {
 	// declared to have left the SMC").
 	RedeliveryInterval time.Duration
 	// Pipeline bounds how many deliveries the proxy keeps in flight
-	// when its sender implements AsyncSender (default 8). Pipeline=1
-	// forces the sequential one-at-a-time loop.
+	// (default 8). A plain Sender — one that does not implement
+	// AsyncSender — always runs with Pipeline and BatchEvents at 1.
 	Pipeline int
 	// BatchEvents caps how many consecutive queued deliveries of one
 	// packet type (live events, or durable deliveries) the pipelined
@@ -190,7 +191,7 @@ type Stats struct {
 type Proxy struct {
 	member   ident.ID
 	dev      Device
-	sender   Sender
+	sender   AsyncSender
 	pub      Publisher
 	cfg      Config
 	cloneOut bool // device mutates events: clone before TranslateOut
@@ -236,10 +237,15 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 	if cfg.BatchBytes <= 0 {
 		cfg.BatchBytes = DefaultConfig().BatchBytes
 	}
+	as, ok := sender.(AsyncSender)
+	if !ok {
+		as = serialSender{sender}
+		cfg.Pipeline, cfg.BatchEvents = 1, 1
+	}
 	p := &Proxy{
 		member: member,
 		dev:    dev,
-		sender: sender,
+		sender: as,
 		pub:    pub,
 		cfg:    cfg,
 		wake:   make(chan struct{}, 1),
@@ -263,15 +269,24 @@ func (p *Proxy) InitialSubscriptions() []*event.Filter {
 	return p.dev.InitialSubscriptions()
 }
 
-// Start launches the delivery worker. Senders that can pipeline get
-// the windowed, coalescing delivery loop; plain Senders keep the
-// sequential one — one Send per event.
-func (p *Proxy) Start() {
-	if as, ok := p.sender.(AsyncSender); ok && p.cfg.Pipeline > 1 {
-		go p.deliverLoopAsync(as)
-		return
-	}
-	go p.deliverLoop()
+// Start launches the delivery worker.
+func (p *Proxy) Start() { go p.deliverLoopAsync() }
+
+// serialSender runs a plain Sender inside deliverLoopAsync: each Send
+// completes before SendAsync returns, so with Pipeline and BatchEvents
+// at 1 the loop delivers one event per Send, one at a time, and never
+// hands the Sender a batch.
+type serialSender struct{ Sender }
+
+func (s serialSender) SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion {
+	c := reliable.NewCompletion()
+	c.Resolve(s.Send(dst, ptype, payload))
+	return c
+}
+
+// SendBatchAsync is never called: BatchEvents is 1.
+func (s serialSender) SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion {
+	return s.SendAsync(dst, ptype, payload)
 }
 
 // queued is one outbound queue item: the event and, for a durable
@@ -388,73 +403,6 @@ func (p *Proxy) Purge() {
 	<-p.done
 }
 
-func (p *Proxy) deliverLoop() {
-	defer close(p.done)
-	for {
-		q, ok := p.next()
-		if !ok {
-			select {
-			case <-p.wake:
-				continue
-			case <-p.stop:
-				return
-			}
-		}
-		if !p.deliverOne(q) {
-			return // stopped during redelivery
-		}
-	}
-}
-
-// next pops the head of the queue.
-func (p *Proxy) next() (queued, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) == p.head {
-		return queued{}, false
-	}
-	return p.popLocked(), true
-}
-
-// deliverOne pushes one event to the device, retrying after reliable
-// failures until success or purge. It reports false when the proxy was
-// stopped. Translation, the pooled-event release and the encode-buffer
-// lifecycle all live in translateOut — shared with the pipelined loop —
-// so there is exactly one release path.
-func (p *Proxy) deliverOne(q queued) bool {
-	it, ok := p.translateOut(q)
-	if !ok {
-		// A translation error is a device-specific malfunction: the
-		// event cannot ever be delivered; drop it.
-		return true
-	}
-	defer p.releaseItem(it)
-
-	for {
-		err := p.sender.Send(p.member, it.ptype, it.payload)
-		if err == nil {
-			p.mu.Lock()
-			p.stats.Delivered++
-			p.mu.Unlock()
-			return true
-		}
-		if errors.Is(err, reliable.ErrClosed) {
-			return false
-		}
-		// Member unreachable but not yet purged: wait and resend.
-		p.mu.Lock()
-		p.stats.Redeliveries++
-		p.mu.Unlock()
-		timer := time.NewTimer(p.cfg.RedeliveryInterval)
-		select {
-		case <-p.stop:
-			timer.Stop()
-			return false
-		case <-timer.C:
-		}
-	}
-}
-
 // outItem is one translated event in the pipelined delivery loop. The
 // encoded payload is retained until the send is acknowledged so that a
 // redelivery after reliable give-up re-sends byte-identical payload —
@@ -549,7 +497,13 @@ func (p *Proxy) gatherBatch() (outItem, bool) {
 	}()
 gather:
 	for len(items) < p.cfg.BatchEvents {
-		q, popped := p.next()
+		p.mu.Lock()
+		popped := len(p.queue) > p.head
+		var q queued
+		if popped {
+			q = p.popLocked()
+		}
+		p.mu.Unlock()
 		if !popped {
 			if len(items) == 0 {
 				return outItem{}, false
@@ -626,7 +580,7 @@ func (p *Proxy) flushBatch(items []outItem) outItem {
 // together (cumulative acks: a later packet cannot be acknowledged
 // without its predecessors), so the failed items are re-sent in order
 // after the redelivery pause — byte-identical, see outItem.
-func (p *Proxy) deliverLoopAsync(as AsyncSender) {
+func (p *Proxy) deliverLoopAsync() {
 	defer close(p.done)
 	var inflight []outItem // sent, awaiting acknowledgement (FIFO)
 	var retry []outItem    // failed, to re-send before new queue work
@@ -658,9 +612,9 @@ func (p *Proxy) deliverLoopAsync(as AsyncSender) {
 				}
 			}
 			if it.batched {
-				it.comp = as.SendBatchAsync(p.member, it.ptype, it.payload)
+				it.comp = p.sender.SendBatchAsync(p.member, it.ptype, it.payload)
 			} else {
-				it.comp = as.SendAsync(p.member, it.ptype, it.payload)
+				it.comp = p.sender.SendAsync(p.member, it.ptype, it.payload)
 			}
 			inflight = append(inflight, it)
 		}

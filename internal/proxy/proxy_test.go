@@ -162,7 +162,7 @@ func TestQueueReusesItsArray(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		p.EnqueueAt(e, uint64(i))
 	}
-	if n := mallocs(10000, func() { p.Enqueue(e); p.next() }); n > 10 {
+	if n := mallocs(10000, func() { p.Enqueue(e); p.mu.Lock(); p.popLocked(); p.mu.Unlock() }); n > 10 {
 		t.Errorf("10 000 enqueue + pop pairs allocated %d objects", n)
 	}
 	for p.QueueLen() < 64 {

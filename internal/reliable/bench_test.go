@@ -7,7 +7,6 @@
 package reliable
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -185,33 +184,5 @@ func TestReliableWindowGain(t *testing.T) {
 	if windowed < 2*stopAndWait {
 		t.Fatalf("window=16 runs %.0f rt/s, stop-and-wait %.0f: %.1f×, want ≥ 2×",
 			windowed, stopAndWait, windowed/stopAndWait)
-	}
-}
-
-// BenchmarkReliableSendFireForget is the floor of the send path: no
-// completion exists at all, so a send costs only the pooled op, the
-// pooled marshal buffer and the transport hop.
-func BenchmarkReliableSendFireForget(b *testing.B) {
-	a, dst := benchPair(b, netsim.Perfect, 19, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for {
-			err := a.SendFireForget(dst, wire.PktEvent, windowPayload)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrBacklog) {
-				b.Fatal(err)
-			}
-			time.Sleep(50 * time.Microsecond) // backpressure: let acks drain
-		}
-	}
-	b.StopTimer()
-	// Drain: wait until everything is acknowledged so queue growth
-	// does not leak into the next benchmark.
-	deadline := time.Now().Add(30 * time.Second)
-	for a.Stats().Acked < uint64(b.N) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"github.com/amuse/smc/internal/wire"
 )
 
-// TestSendFireForget: fire-and-forget sends get the full ARQ treatment
-// — every packet arrives exactly once and in order over a lossy link —
-// with no Completion anywhere.
-func TestSendFireForget(t *testing.T) {
+// TestSendAsyncCompletionDropped: a sender that drops its completions
+// still gets the full ARQ treatment — every packet arrives exactly once
+// and in order over a lossy link — and the outcome stays observable in
+// Stats.
+func TestSendAsyncCompletionDropped(t *testing.T) {
 	n := netsim.New(netsim.Profile{
 		Name:    "ff-lossy",
 		Latency: 200 * time.Microsecond,
@@ -34,9 +35,7 @@ func TestSendFireForget(t *testing.T) {
 
 	const count = 40
 	for i := 0; i < count; i++ {
-		if err := a.SendFireForget(tb.LocalID(), wire.PktEvent, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		a.SendAsync(tb.LocalID(), wire.PktEvent, []byte{byte(i)})
 	}
 	for i := 0; i < count; i++ {
 		pkt, err := b.RecvTimeout(10 * time.Second)
@@ -58,8 +57,8 @@ func TestSendFireForget(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	if err := a.SendFireForget(ident.Broadcast, wire.PktEvent, nil); err == nil {
-		t.Fatal("broadcast fire-and-forget should fail immediately")
+	if err := a.SendAsync(ident.Broadcast, wire.PktEvent, nil).Wait(); err == nil {
+		t.Fatal("reliable broadcast should fail immediately")
 	}
 }
 

@@ -294,8 +294,7 @@ func putBuf(bp *[]byte) {
 // sendOp is one queued reliable packet. Ops are recycled through a
 // per-destination free list (see destState.free): they are allocated
 // and released under ds.mu, so the list needs no locking of its own
-// and the steady-state send path allocates no op. comp is nil for
-// fire-and-forget sends, whose outcome is observable only in Stats.
+// and the steady-state send path allocates no op.
 type sendOp struct {
 	seq   uint64
 	ptype wire.PacketType
@@ -309,13 +308,11 @@ type sendOp struct {
 // back to the garbage collector.
 const maxFreeOps = 256
 
-// settleOp resolves an op's completion, if it has one (fire-and-forget
-// ops do not).
+// settleOp resolves an op's completion and drops the op's hold on it:
+// a give-up settles an op that may later resume under a fresh one.
 func settleOp(op *sendOp, err error) {
-	if op.comp != nil {
-		op.comp.settle(err)
-		op.comp = nil
-	}
+	op.comp.settle(err)
+	op.comp = nil
 }
 
 func (op *sendOp) payload() []byte {
@@ -387,13 +384,6 @@ type Channel struct {
 	cfg Config
 	ctr counters
 
-	// bs/mtu are the transport's optional batched-transmit capability:
-	// the sender flushes window fills and retransmit rounds through
-	// SendBatch (one sendmmsg per burst on linux UDP) instead of one
-	// Send per packet. mtu caches BatchSender.MaxDatagram.
-	bs  transport.BatchSender
-	mtu int
-
 	// pktPool recycles inbound packets: the receive loop decodes every
 	// datagram into a pooled packet (no per-packet struct or payload
 	// clone allocation) and the consumer releases it after delivery.
@@ -452,9 +442,6 @@ func New(tr transport.Transport, cfg Config) *Channel {
 		epochs:  make(map[ident.ID]byte),
 		inbox:   transport.NewInbox(cfg.QueueDepth, ErrClosed, (*wire.Packet).Release),
 	}
-	if bs, ok := tr.(transport.BatchSender); ok {
-		c.bs, c.mtu = bs, bs.MaxDatagram()
-	}
 	c.wg.Add(1)
 	go c.recvLoop()
 	return c
@@ -493,7 +480,7 @@ func (c *Completion) Resolve(err error) { c.settle(err) }
 // delivered in enqueue order; up to Config.Window of them are kept in
 // flight concurrently.
 func (c *Channel) SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *Completion {
-	comp, err := c.sendReliable(dst, ptype, 0, payload, true)
+	comp, err := c.sendReliable(dst, ptype, 0, payload)
 	if err != nil {
 		return failedCompletion(err)
 	}
@@ -513,7 +500,7 @@ func (c *Channel) SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte)
 // batch gets one sequence number (acknowledged and retransmitted as a
 // unit), and the completion resolves when the whole batch is acked.
 func (c *Channel) SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *Completion {
-	comp, err := c.sendReliable(dst, ptype, wire.FlagBatch, payload, true)
+	comp, err := c.sendReliable(dst, ptype, wire.FlagBatch, payload)
 	if err != nil {
 		return failedCompletion(err)
 	}
@@ -521,23 +508,9 @@ func (c *Channel) SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload []
 	return comp
 }
 
-// SendFireForget enqueues a reliable packet for dst with no Completion
-// at all: the send still gets the full windowed ARQ treatment
-// (sequencing, retransmission, FIFO with other sends to dst, the
-// give-up stash with resume-by-identical-payload), but the outcome is
-// observable only through Stats (Acked / Failures). The returned error
-// covers immediate failures only (closed channel, broadcast
-// destination, backlog overflow, marshal errors). Telemetry-style
-// senders that want reliability but track nothing per send use it to
-// skip the per-send completion entirely.
-func (c *Channel) SendFireForget(dst ident.ID, ptype wire.PacketType, payload []byte) error {
-	_, err := c.sendReliable(dst, ptype, 0, payload, false)
-	return err
-}
-
 // sendReliable resolves the destination state and enqueues one
 // reliable packet, retrying when the state is torn down concurrently.
-func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, payload []byte, wantComp bool) (*Completion, error) {
+func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, payload []byte) (*Completion, error) {
 	if dst.IsBroadcast() {
 		return nil, errBroadcast
 	}
@@ -555,7 +528,7 @@ func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, 
 			go c.runSender(ds)
 		}
 		c.mu.Unlock()
-		if comp, ok, err := c.enqueue(ds, ptype, flags, payload, wantComp); ok {
+		if comp, ok, err := c.enqueue(ds, ptype, flags, payload); ok {
 			return comp, err
 		}
 		// The destination state was torn down (Forget or Close) while
@@ -566,9 +539,8 @@ func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, 
 // enqueue assigns a sequence number, marshals the packet into a pooled
 // buffer and appends it to the destination queue. It reports !ok when
 // ds is no longer the live state for this destination; a non-nil error
-// is an immediate failure (backlog, marshal). With wantComp=false the
-// op is fire-and-forget: no Completion is created.
-func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payload []byte, wantComp bool) (*Completion, bool, error) {
+// is an immediate failure (backlog, marshal).
+func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payload []byte) (*Completion, bool, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.gone {
@@ -577,7 +549,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 	if ds.queue.len() >= c.cfg.MaxPending {
 		return nil, true, fmt.Errorf("%w: %d pending to %s", ErrBacklog, ds.queue.len(), ds.id)
 	}
-	var comp, op = (*Completion)(nil), (*sendOp)(nil)
+	var op *sendOp
 	if len(ds.stash) > 0 {
 		s := ds.stash[0]
 		if s.ptype == ptype && stashMatches(s, flags, payload) {
@@ -619,9 +591,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 		*bp = b
 		op.bufp = bp
 	}
-	if wantComp {
-		comp = newCompletion()
-	}
+	comp := newCompletion()
 	op.comp = comp
 	ds.queue.push(op)
 	c.ctr.sent.Add(1)
@@ -704,7 +674,8 @@ func (c *Channel) transmit(dst ident.ID, buf []byte) error {
 // runSender drains one destination's queue: it keeps up to Window
 // packets in flight, retransmits them on a single per-destination
 // deadline with exponential backoff, and fails the queue when the
-// retry budget is exhausted.
+// retry budget is exhausted. Every packet — window fill, retransmit
+// round, fast retransmit — goes out as one transport Send.
 func (c *Channel) runSender(ds *destState) {
 	defer c.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -712,23 +683,6 @@ func (c *Channel) runSender(ds *destState) {
 		<-timer.C
 	}
 	timerArmed := false
-	// batch gathers marshalled packets for one flush through the
-	// transport's batched send (window fills and retransmit rounds
-	// become one sendmmsg). It is reused across iterations and flushed
-	// under ds.mu, while the packet buffers are still owned by queued
-	// ops; the slots are cleared afterwards so recycled buffers are
-	// never pinned here.
-	var batch [][]byte
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		_ = c.bs.SendBatch(ds.id, batch) // pre-sized; residual errors are loss
-		for i := range batch {
-			batch[i] = nil
-		}
-		batch = batch[:0]
-	}
 	for {
 		ds.mu.Lock()
 		if ds.gone {
@@ -745,14 +699,9 @@ func (c *Channel) runSender(ds *destState) {
 					op.flags |= wire.FlagRetransmit
 					_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 					c.stampBatchAck(ds, op)
-					if c.bs != nil {
-						batch = append(batch, *op.bufp)
-					} else {
-						c.transmit(ds.id, *op.bufp)
-					}
+					c.transmit(ds.id, *op.bufp)
 					c.ctr.retransmits.Add(1)
 				}
-				flush()
 				ds.attempts++
 				ds.deadline = now.Add(c.backoff(ds.attempts))
 			}
@@ -772,20 +721,6 @@ func (c *Channel) runSender(ds *destState) {
 		for ds.inflight < c.cfg.Window && ds.inflight < ds.queue.len() {
 			op := ds.queue.at(ds.inflight)
 			c.stampBatchAck(ds, op)
-			if c.bs != nil && (c.mtu == 0 || len(*op.bufp) <= c.mtu) {
-				// Batched fast path: gather now, one SendBatch after
-				// the loop. Oversize packets fall through to the
-				// per-packet path below for its ErrTooLarge handling
-				// (they are never transmitted, so gathering order is
-				// preserved).
-				if ds.inflight == 0 {
-					ds.attempts = 0
-					ds.deadline = time.Now().Add(c.backoff(0))
-				}
-				batch = append(batch, *op.bufp)
-				ds.inflight++
-				continue
-			}
 			if err := c.transmit(ds.id, *op.bufp); err != nil {
 				// Permanently unsendable (over the transport MTU):
 				// fail this op now and close the sequence gap by
@@ -810,7 +745,6 @@ func (c *Channel) runSender(ds *destState) {
 			}
 			ds.inflight++
 		}
-		flush()
 		wait := time.Duration(-1)
 		if ds.inflight > 0 {
 			wait = time.Until(ds.deadline)

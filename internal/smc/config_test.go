@@ -13,6 +13,7 @@ import (
 	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/sensor"
 	"github.com/amuse/smc/internal/smc"
+	"github.com/amuse/smc/internal/store"
 )
 
 func TestNewCellValidation(t *testing.T) {
@@ -38,6 +39,41 @@ func TestNewCellValidation(t *testing.T) {
 		Cell: "c", Secret: testSecret, PolicyText: "obligation {",
 	}); err == nil {
 		t.Error("broken policy text accepted")
+	}
+}
+
+// TestNewCellClosesLogOnFailure: a NewCell that fails after opening
+// the durable log closes it, so the directory is left clean and the
+// next open keeps the log's epoch — durable consumers keep their
+// cursors.
+func TestNewCellClosesLogOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	log, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Append(event.NewTyped("x"), 0, false)
+	epoch := log.Epoch()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(207))
+	defer net.Close()
+	cfg := defaultCellConfig()
+	cfg.PolicyText = "obligation {"
+	cfg.Durable = &store.Config{Dir: dir}
+	if _, err := smc.NewCell(attach(t, net, 1), attach(t, net, 2), cfg); err == nil {
+		t.Fatal("broken policy text accepted")
+	}
+
+	log, err = store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if got := log.Epoch(); got != epoch {
+		t.Errorf("epoch %d after the failed NewCell, want %d: the log was left open", got, epoch)
 	}
 }
 

@@ -130,18 +130,21 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		busOpts = append(busOpts[:len(busOpts):len(busOpts)], bus.WithDurableLog(log))
 	}
 	busCh := reliable.New(busTr, cfg.Reliable)
+	// From here on the bus owns the channel and the durable log: every
+	// failure closes it, which closes the log cleanly — a log left open
+	// leaves its directory dirty, so the next open would rotate the
+	// epoch and replay every durable consumer from the oldest record.
 	b := bus.New(busCh, m, reg, busOpts...)
 
 	eng, err := policy.NewEngine(b, cfg.PolicyOptions...)
 	if err != nil {
-		closeErr := busCh.Close()
-		_ = closeErr
+		_ = b.Close()
 		return nil, err
 	}
 	b.SetAuthorizer(eng)
 	if cfg.PolicyText != "" {
 		if err := eng.LoadString(cfg.PolicyText); err != nil {
-			_ = busCh.Close()
+			_ = b.Close()
 			return nil, fmt.Errorf("smc: load policies: %w", err)
 		}
 	}
@@ -170,7 +173,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		StatsProvider: c.StatsReport,
 	})
 	if err != nil {
-		_ = busCh.Close()
+		_ = b.Close()
 		_ = discCh.Close()
 		return nil, err
 	}

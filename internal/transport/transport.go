@@ -45,22 +45,6 @@ type Transport interface {
 	Close() error
 }
 
-// BatchSender is an optional Transport capability: transmitting a
-// burst of datagrams to one destination as a single batched operation
-// (sendmmsg on linux). Callers must keep every datagram within
-// MaxDatagram; the reliability layer uses it to flush a whole window
-// in one syscall.
-type BatchSender interface {
-	// SendBatch transmits bufs to dst in order. Like Send, data is
-	// copied (or fully transmitted) before it returns, and delivery
-	// errors beyond local setup failures are indistinguishable from
-	// loss.
-	SendBatch(dst ident.ID, bufs [][]byte) error
-	// MaxDatagram reports the largest datagram SendBatch accepts;
-	// 0 means unbounded.
-	MaxDatagram() int
-}
-
 // DeliveryHook lets tests intercept unicast datagrams on hook-capable
 // transports (Switch, UDPTransport): returning drop suppresses the
 // datagram, a positive delay defers it — enough to script loss and

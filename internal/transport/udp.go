@@ -130,12 +130,6 @@ func (t *UDPTransport) LocalAddr() *net.UDPAddr {
 
 func (t *UDPTransport) readLoop() {
 	defer t.wg.Done()
-	// Batched receive (recvmmsg) where the platform provides it; the
-	// portable loop below is the fallback — and the safety net should
-	// batched setup fail.
-	if batchSyscallsAvailable && t.readLoopBatched() {
-		return
-	}
 	buf := make([]byte, MaxUDPDatagram+1)
 	for {
 		n, from, err := t.conn.ReadFromUDP(buf)
@@ -206,37 +200,16 @@ func (t *UDPTransport) Send(dst ident.ID, data []byte) error {
 	return nil
 }
 
-// SendBatch implements BatchSender: a burst of datagrams to one
-// destination moves through sendmmsg in chunks of pooled message
-// vectors, one syscall per chunk. Hooked, broadcast, single-datagram
-// and non-linux sends degrade to sequential Send calls.
+// SendBatch transmits bufs to dst in order, one Send each, and stops
+// at the first error.
 func (t *UDPTransport) SendBatch(dst ident.ID, bufs [][]byte) error {
 	for _, b := range bufs {
-		if len(b) > MaxUDPDatagram {
-			return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(b), MaxUDPDatagram)
+		if err := t.Send(dst, b); err != nil {
+			return err
 		}
 	}
-	t.mu.RLock()
-	closed, hook := t.closed, t.hook
-	t.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !batchSyscallsAvailable || hook != nil || dst.IsBroadcast() || len(bufs) < 2 {
-		for _, b := range bufs {
-			if err := t.Send(dst, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return t.sendBatched(dst, bufs)
+	return nil
 }
-
-// MaxDatagram implements BatchSender.
-func (t *UDPTransport) MaxDatagram() int { return MaxUDPDatagram }
-
-var _ BatchSender = (*UDPTransport)(nil)
 
 // Recv implements Transport.
 func (t *UDPTransport) Recv() (Datagram, error) { return t.inbox.Get() }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -179,5 +180,56 @@ func TestUDPSendHookDropAndDelay(t *testing.T) {
 	}
 	if _, err := b.RecvTimeout(50 * time.Millisecond); err == nil {
 		t.Error("dropped datagram surfaced")
+	}
+}
+
+// TestUDPSendBatchRoundTrip pushes a batch through SendBatch over real
+// loopback sockets and collects every datagram on the other side.
+func TestUDPSendBatchRoundTrip(t *testing.T) {
+	a := newUDP(t)
+	b := newUDP(t)
+
+	const n = 39
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = []byte(fmt.Sprintf("batch-datagram-%03d", i))
+	}
+	if err := a.SendBatch(b.LocalID(), bufs); err != nil {
+		t.Fatalf("SendBatch: %v", err)
+	}
+
+	got := make(map[string]bool, n)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(got) < n && time.Now().Before(deadline) {
+		dg, err := b.RecvTimeout(time.Until(deadline))
+		if err != nil {
+			break
+		}
+		if dg.From != a.LocalID() {
+			t.Fatalf("datagram from %s, want %s", dg.From, a.LocalID())
+		}
+		got[string(dg.Data)] = true
+		dg.Recycle()
+	}
+	// Loopback does not reorder or drop in practice; require the full
+	// batch so a silently truncated batch shows up as a failure.
+	if len(got) != n {
+		t.Fatalf("received %d/%d batched datagrams", len(got), n)
+	}
+	for i := range bufs {
+		if !got[string(bufs[i])] {
+			t.Errorf("missing datagram %d", i)
+		}
+	}
+}
+
+// TestUDPSendBatchOversize: an oversize datagram fails the batch with
+// ErrTooLarge.
+func TestUDPSendBatchOversize(t *testing.T) {
+	a := newUDP(t)
+	b := newUDP(t)
+	bufs := [][]byte{[]byte("ok"), make([]byte, MaxUDPDatagram+1)}
+	if err := a.SendBatch(b.LocalID(), bufs); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("SendBatch oversize = %v, want ErrTooLarge", err)
 	}
 }

@@ -229,8 +229,6 @@ type (
 	Bus = bus.Bus
 	// BusOption configures a bus.
 	BusOption = bus.Option
-	// BusCost models a constrained host's processing overhead.
-	BusCost = bus.Cost
 )
 
 // Discovery surface for custom admission logic.
