@@ -368,9 +368,11 @@ func BenchmarkAblationMatcher(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				sc := matcher.NewScratch()
+				var dst []ident.ID
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.Match(w.Events[i%len(w.Events)])
+					dst = m.MatchAppendScratch(w.Events[i%len(w.Events)], dst[:0], sc)
 				}
 			})
 		}

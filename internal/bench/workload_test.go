@@ -46,13 +46,13 @@ func TestWorkloadEventsAreValidAndMatchable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	matched := 0
+	matched, sc := 0, matcher.NewScratch()
 	for i := 0; i < 1000; i++ {
 		e, _ := w.Next()
 		if err := e.Validate(); err != nil {
 			t.Fatalf("invalid event: %v", err)
 		}
-		if len(m.Match(e)) > 0 {
+		if len(m.MatchAppendScratch(e, nil, sc)) > 0 {
 			matched++
 		}
 	}

@@ -3,8 +3,6 @@ package matcher
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
@@ -29,39 +27,25 @@ import (
 //
 // The matcher is read-mostly — dispatch matches millions of events
 // against a subscription set that changes at human/device timescales —
-// so the read path is lock-free: Match loads an immutable index
+// so the read path is lock-free: a match loads an immutable index
 // snapshot through an atomic pointer and runs without taking any
 // mutex, exactly like the attribute-name intern table. Shard workers
 // on different cores therefore never serialise on a shared read lock
-// or bounce its cache line. Subscribe/Unsubscribe build the next
-// snapshot copy-on-write under a writer mutex and swap it in: they
-// clone the one partition the changed filter is filed in (plus the
-// flat dense slot table), so subscription churn costs the size of a
-// partition, not of the index.
+// or bounce its cache line. The shared writer (book) publishes the next
+// snapshot, which edit builds copy-on-write: it clones the one
+// partition the changed filter is filed in (plus the flat dense slot
+// table), so subscription churn costs the size of a partition, not of
+// the index.
 type FastMatcher struct {
-	// idx is the immutable index snapshot the lock-free read path
-	// loads. Everything reachable from it is frozen: writers replace
-	// the pointer, never mutate through it.
-	idx atomic.Pointer[fastIndex]
-
-	// mu serialises writers only; the read path never touches it.
-	mu sync.Mutex
-	// subs holds one node per installed (subscriber, filter) pair
-	// (writer-side bookkeeping for idempotence and Unsubscribe).
-	subs map[ident.ID][]*fastFilter
-	// free lists recyclable dense slots (writer-side).
+	book[fastIndex, *fastFilter]
+	// free lists recyclable dense slots (writer-side, under book.mu).
 	free []int32
-
-	// scratch pools per-match counting state for callers that do not
-	// supply their own Scratch.
-	scratch sync.Pool
 }
 
 var _ Matcher = (*FastMatcher)(nil)
-var _ ScratchMatcher = (*FastMatcher)(nil)
 
 // fastIndex is one immutable snapshot of the matcher's index. A
-// snapshot is built by a writer, published via FastMatcher.idx, and
+// snapshot is built by a writer, published via the book, and
 // never mutated afterwards; readers may hold it across an arbitrary
 // window (they only ever see a consistent subscription set).
 type fastIndex struct {
@@ -79,20 +63,14 @@ type fastIndex struct {
 	dense []ident.ID
 	// empties lists installed filters with no constraints; they never
 	// enter a partition (they match everything) and keeping them
-	// separate spares Match a scan over every subscriber.
+	// separate spares a match a scan over every subscriber.
 	empties []slot
-	// count is the number of installed (subscriber, filter) pairs.
-	count int
 }
 
-// emptyFastIndex is the snapshot of a matcher with no subscriptions.
-var emptyFastIndex = &fastIndex{}
-
-// fastFilter is one installed filter. It is immutable after
-// construction, so snapshots share the nodes.
+// fastFilter is one installed filter. edit files it once, before it is
+// published; it is immutable after that, so snapshots share the nodes.
 type fastFilter struct {
-	sub    ident.ID
-	filter *event.Filter
+	sub ident.ID
 	// cs is the filter's constraint list; access indexes the one the
 	// filter is filed under, or is -1 for a filter in the root
 	// partition.
@@ -193,11 +171,10 @@ func keyOf(v event.Value) (valueKey, bool) {
 
 // NewFast returns an empty FastMatcher.
 func NewFast() *FastMatcher {
-	m := &FastMatcher{
-		subs: make(map[ident.ID][]*fastFilter),
-	}
-	m.idx.Store(emptyFastIndex)
-	m.scratch.New = func() interface{} { return NewScratch() }
+	m := &FastMatcher{}
+	m.init(func(sub ident.ID, f *event.Filter) (*fastFilter, error) {
+		return &fastFilter{sub: sub, cs: f.Constraints()}, nil
+	}, m.edit)
 	return m
 }
 
@@ -221,7 +198,6 @@ func newDelta(cur *fastIndex) *fastDelta {
 			root:    cur.root,
 			dense:   slices.Clone(cur.dense),
 			empties: slices.Clone(cur.empties),
-			count:   cur.count,
 		},
 		own: make(map[interface{}]bool, 2),
 	}
@@ -295,7 +271,6 @@ func (d *fastDelta) partitionFor(ff *fastFilter) *partition {
 // install files ff in the delta.
 func (d *fastDelta) install(ff *fastFilter) {
 	d.dense[ff.slot.idx] = ff.sub
-	d.count++
 	if len(ff.cs) == 0 {
 		d.empties = append(d.empties, ff.slot)
 		return
@@ -307,7 +282,6 @@ func (d *fastDelta) install(ff *fastFilter) {
 // empty. The caller returns the dense slot to the writer-side free list.
 func (d *fastDelta) remove(ff *fastFilter) {
 	d.dense[ff.slot.idx] = ident.Nil
-	d.count--
 	if len(ff.cs) == 0 {
 		d.empties = dropSlot(d.empties, ff.slot)
 		return
@@ -329,40 +303,31 @@ func (d *fastDelta) remove(ff *fastFilter) {
 	}
 }
 
-// Subscribe implements Matcher.
-func (m *FastMatcher) Subscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
+// edit is the engine's copy-on-write step: removed filters give their
+// dense slots back to the free list, and each added filter gets its
+// access predicate, chosen against the delta, and a dense slot.
+func (m *FastMatcher) edit(cur *fastIndex, added, removed []*fastFilter) *fastIndex {
+	next := newDelta(cur)
+	for _, ff := range removed {
+		next.remove(ff)
+		m.free = append(m.free, ff.slot.idx)
 	}
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ff := range m.subs[sub] {
-		if ff.filter.Equal(f) {
-			return nil // idempotent
+	for _, ff := range added {
+		ff.access = next.accessFor(ff.cs)
+		ff.slot.need = int32(len(ff.cs))
+		if ff.access >= 0 {
+			ff.slot.need--
 		}
+		if n := len(m.free); n > 0 {
+			ff.slot.idx = m.free[n-1]
+			m.free = m.free[:n-1]
+		} else {
+			ff.slot.idx = int32(len(next.dense))
+			next.dense = append(next.dense, ident.Nil)
+		}
+		next.install(ff)
 	}
-	next := newDelta(m.idx.Load())
-	ff := &fastFilter{sub: sub, filter: f.Clone()}
-	ff.cs = ff.filter.Constraints()
-	ff.access = next.accessFor(ff.cs)
-	ff.slot.need = int32(len(ff.cs))
-	if ff.access >= 0 {
-		ff.slot.need--
-	}
-	if n := len(m.free); n > 0 {
-		ff.slot.idx = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		ff.slot.idx = int32(len(next.dense))
-		next.dense = append(next.dense, ident.Nil)
-	}
-	m.subs[sub] = append(m.subs[sub], ff)
-	next.install(ff)
-	m.idx.Store(next.fastIndex)
-	return nil
+	return next.fastIndex
 }
 
 // clone deep-copies the partition.
@@ -487,70 +452,7 @@ func insertOrdered(s []orderedRef, r orderedRef) []orderedRef {
 	return slices.Insert(s, i, r)
 }
 
-// Unsubscribe implements Matcher.
-func (m *FastMatcher) Unsubscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.subs[sub]
-	for i, ff := range list {
-		if !ff.filter.Equal(f) {
-			continue
-		}
-		m.subs[sub] = append(list[:i], list[i+1:]...)
-		if len(m.subs[sub]) == 0 {
-			delete(m.subs, sub)
-		}
-		next := newDelta(m.idx.Load())
-		next.remove(ff)
-		m.free = append(m.free, ff.slot.idx)
-		m.idx.Store(next.fastIndex)
-		return nil
-	}
-	return ErrNoSuchSubscription
-}
-
-// UnsubscribeAll implements Matcher.
-func (m *FastMatcher) UnsubscribeAll(sub ident.ID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.subs[sub]
-	if len(list) == 0 {
-		delete(m.subs, sub)
-		return
-	}
-	next := newDelta(m.idx.Load())
-	for _, ff := range list {
-		next.remove(ff)
-		m.free = append(m.free, ff.slot.idx)
-	}
-	delete(m.subs, sub)
-	m.idx.Store(next.fastIndex)
-}
-
-// SubscriptionCount implements Matcher. Lock-free: it reads the
-// current snapshot.
-func (m *FastMatcher) SubscriptionCount() int {
-	return m.idx.Load().count
-}
-
-// Match implements Matcher. See MatchAppend.
-func (m *FastMatcher) Match(e *event.Event) []ident.ID {
-	return m.MatchAppend(e, nil)
-}
-
-// MatchAppend implements Matcher using pooled scratch; see
-// MatchAppendScratch for the algorithm.
-func (m *FastMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
-	sc, _ := m.scratch.Get().(*Scratch)
-	dst = m.MatchAppendScratch(e, dst, sc)
-	m.scratch.Put(sc)
-	return dst
-}
-
-// MatchAppendScratch implements ScratchMatcher: the event's attributes
+// MatchAppendScratch implements Matcher: the event's attributes
 // are probed against the access predicates, and the counting pass —
 // one walk over the event's attributes, bumping a counter per touched
 // filter; a filter whose every counted constraint is satisfied matches
@@ -563,7 +465,7 @@ func (m *FastMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
 // path performs no per-match allocation; a filter is filed in exactly
 // one partition, so one epoch serves the whole match.
 func (m *FastMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID {
-	idx := m.idx.Load()
+	idx := m.snap.Load()
 	sc.begin(len(idx.dense))
 
 	if idx.root != nil {

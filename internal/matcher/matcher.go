@@ -14,6 +14,11 @@
 //     bus-native types with no translation: filters are partitioned by
 //     one equality constraint each, and the per-constraint counting
 //     indexes run only inside the partitions an event hits.
+//
+// TypedMatcher adds the type-based engine §VI names as future work. All
+// three share one writer: the per-subscriber filter book and the
+// copy-on-write snapshot its writers publish for the lock-free read
+// path. An engine contributes only its entry and its snapshot edit.
 package matcher
 
 import (
@@ -37,18 +42,13 @@ type Matcher interface {
 	// UnsubscribeAll removes every filter of the subscriber (used on
 	// Purge Member).
 	UnsubscribeAll(sub ident.ID)
-	// Match returns the distinct subscribers whose filters the event
-	// satisfies, in unspecified order.
-	Match(e *event.Event) []ident.ID
-	// MatchAppend appends the distinct subscribers whose filters the
-	// event satisfies to dst and returns the extended slice, so a
-	// caller can reuse one target slice across matches and keep the
-	// dispatch hot path allocation-free. dst may be nil.
-	MatchAppend(e *event.Event, dst []ident.ID) []ident.ID
-	// MatchAppendScratch is MatchAppend running on caller-owned working
-	// state instead of internally pooled state: the bus gives each
-	// shard worker a private Scratch. sc must not be shared between
-	// concurrent calls.
+	// MatchAppendScratch appends the distinct subscribers whose
+	// filters the event satisfies to dst, in unspecified order, and
+	// returns the extended slice; dst may be nil. It is the one read
+	// entry point: it takes no lock, and its working state is the
+	// caller's sc, so the bus gives each shard worker a private Scratch
+	// and the dispatch hot path allocates nothing. sc must not be
+	// shared between concurrent calls.
 	MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID
 	// SubscriptionCount reports the number of installed filters.
 	SubscriptionCount() int
@@ -67,6 +67,7 @@ type Kind string
 const (
 	KindSiena Kind = "siena"
 	KindFast  Kind = "fast"
+	KindTyped Kind = "typed"
 )
 
 // New builds a matcher of the given kind.

@@ -27,6 +27,9 @@ func both(t *testing.T, fn func(t *testing.T, m Matcher)) {
 	}
 }
 
+// match runs the one read entry point on a fresh scratch.
+func match(m Matcher, e *event.Event) []ident.ID { return m.MatchAppendScratch(e, nil, NewScratch()) }
+
 func idsEqual(a, b []ident.ID) bool {
 	if len(a) != len(b) {
 		return false
@@ -57,15 +60,15 @@ func TestBasicMatch(t *testing.T) {
 			t.Fatalf("subscribe: %v", err)
 		}
 		hit := event.NewTyped("alarm").SetInt("value", 150)
-		if got := m.Match(hit); !idsEqual(got, []ident.ID{sub}) {
+		if got := match(m, hit); !idsEqual(got, []ident.ID{sub}) {
 			t.Errorf("Match(hit) = %v", got)
 		}
 		miss := event.NewTyped("alarm").SetInt("value", 50)
-		if got := m.Match(miss); len(got) != 0 {
+		if got := match(m, miss); len(got) != 0 {
 			t.Errorf("Match(miss) = %v", got)
 		}
 		wrong := event.NewTyped("reading").SetInt("value", 150)
-		if got := m.Match(wrong); len(got) != 0 {
+		if got := match(m, wrong); len(got) != 0 {
 			t.Errorf("Match(wrong type) = %v", got)
 		}
 	})
@@ -77,10 +80,10 @@ func TestEmptyFilterMatchesAll(t *testing.T) {
 		if err := m.Subscribe(sub, event.NewFilter()); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Match(event.New()); !idsEqual(got, []ident.ID{sub}) {
+		if got := match(m, event.New()); !idsEqual(got, []ident.ID{sub}) {
 			t.Errorf("empty filter missed empty event: %v", got)
 		}
-		if got := m.Match(event.NewTyped("x").SetInt("v", 1)); !idsEqual(got, []ident.ID{sub}) {
+		if got := match(m, event.NewTyped("x").SetInt("v", 1)); !idsEqual(got, []ident.ID{sub}) {
 			t.Errorf("empty filter missed typed event: %v", got)
 		}
 	})
@@ -98,14 +101,14 @@ func TestDistinctSubscribersDeduplicated(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := event.NewTyped("alarm").SetInt("value", 1)
-		if got := m.Match(e); !idsEqual(got, []ident.ID{sub}) {
+		if got := match(m, e); !idsEqual(got, []ident.ID{sub}) {
 			t.Errorf("Match = %v, want single dedup'd subscriber", got)
 		}
 	})
 }
 
 func TestSubscribeIdempotent(t *testing.T) {
-	both(t, func(t *testing.T, m Matcher) {
+	allThree(t, func(t *testing.T, m Matcher) {
 		sub := ident.New(3)
 		f := event.NewFilter().WhereType("x")
 		if err := m.Subscribe(sub, f); err != nil {
@@ -121,7 +124,7 @@ func TestSubscribeIdempotent(t *testing.T) {
 }
 
 func TestUnsubscribe(t *testing.T) {
-	both(t, func(t *testing.T, m Matcher) {
+	allThree(t, func(t *testing.T, m Matcher) {
 		sub := ident.New(4)
 		f := event.NewFilter().WhereType("x")
 		if err := m.Subscribe(sub, f); err != nil {
@@ -130,11 +133,11 @@ func TestUnsubscribe(t *testing.T) {
 		if err := m.Unsubscribe(sub, f.Clone()); err != nil {
 			t.Fatalf("unsubscribe: %v", err)
 		}
-		if got := m.Match(event.NewTyped("x")); len(got) != 0 {
+		if got := match(m, event.NewTyped("x")); len(got) != 0 {
 			t.Errorf("match after unsubscribe: %v", got)
 		}
-		if err := m.Unsubscribe(sub, f); err == nil {
-			t.Error("double unsubscribe succeeded")
+		if err := m.Unsubscribe(sub, f); !errors.Is(err, ErrNoSuchSubscription) {
+			t.Errorf("double unsubscribe: %v", err)
 		}
 		if n := m.SubscriptionCount(); n != 0 {
 			t.Errorf("count = %d", n)
@@ -143,15 +146,15 @@ func TestUnsubscribe(t *testing.T) {
 }
 
 func TestUnsubscribeAll(t *testing.T) {
-	both(t, func(t *testing.T, m Matcher) {
+	allThree(t, func(t *testing.T, m Matcher) {
 		a, b := ident.New(5), ident.New(6)
 		for i := 0; i < 5; i++ {
-			f := event.NewFilter().Where("k", event.OpEq, event.Int(int64(i)))
+			f := event.NewFilter().WhereType("kv").Where("k", event.OpEq, event.Int(int64(i)))
 			if err := m.Subscribe(a, f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		fb := event.NewFilter().Where("k", event.OpEq, event.Int(2))
+		fb := event.NewFilter().WhereType("kv").Where("k", event.OpEq, event.Int(2))
 		if err := m.Subscribe(b, fb); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +162,8 @@ func TestUnsubscribeAll(t *testing.T) {
 		if n := m.SubscriptionCount(); n != 1 {
 			t.Errorf("count after UnsubscribeAll = %d, want 1", n)
 		}
-		got := m.Match(event.New().SetInt("k", 2))
+		m.UnsubscribeAll(a) // nothing left: a no-op
+		got := match(m, event.NewTyped("kv").SetInt("k", 2))
 		if !idsEqual(got, []ident.ID{b}) {
 			t.Errorf("Match = %v, want only b", got)
 		}
@@ -167,7 +171,7 @@ func TestUnsubscribeAll(t *testing.T) {
 }
 
 func TestNilAndInvalidFilters(t *testing.T) {
-	both(t, func(t *testing.T, m Matcher) {
+	allThree(t, func(t *testing.T, m Matcher) {
 		if err := m.Subscribe(ident.New(7), nil); err == nil {
 			t.Error("nil filter accepted")
 		}
@@ -201,13 +205,13 @@ func TestStringAndRangeOperators(t *testing.T) {
 			}
 		}
 
-		got := m.Match(event.New().SetStr("s", "ab-mid-yz").SetFloat("v", 5))
+		got := match(m, event.New().SetStr("s", "ab-mid-yz").SetFloat("v", 5))
 		want := []ident.ID{ids["prefix"], ids["suffix"], ids["contains"], ids["ne"], ids["range"]}
 		if !idsEqual(got, want) {
 			t.Errorf("Match = %v, want %v", got, want)
 		}
 
-		got = m.Match(event.New().SetStr("s", "skip").SetFloat("v", 10))
+		got = match(m, event.New().SetStr("s", "skip").SetFloat("v", 10))
 		if len(got) != 0 {
 			t.Errorf("Match(skip,10) = %v, want none", got)
 		}
@@ -221,10 +225,10 @@ func TestBytesEqualityViaLinearPath(t *testing.T) {
 		if err := m.Subscribe(sub, f); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Match(event.New().SetBytes("raw", []byte{1, 2})); !idsEqual(got, []ident.ID{sub}) {
+		if got := match(m, event.New().SetBytes("raw", []byte{1, 2})); !idsEqual(got, []ident.ID{sub}) {
 			t.Errorf("bytes eq missed: %v", got)
 		}
-		if got := m.Match(event.New().SetBytes("raw", []byte{1, 3})); len(got) != 0 {
+		if got := match(m, event.New().SetBytes("raw", []byte{1, 3})); len(got) != 0 {
 			t.Errorf("bytes mismatch matched: %v", got)
 		}
 	})
@@ -407,7 +411,7 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 		for i, e := range w.events {
-			gs, gf := siena.Match(e), fast.Match(e)
+			gs, gf := match(siena, e), match(fast, e)
 			if !idsEqual(gs, gf) {
 				// Identify the disagreeing filter by brute force.
 				for j, f := range w.filters {
@@ -470,7 +474,7 @@ func TestEngineEquivalenceUnderChurn(t *testing.T) {
 			t.Fatalf("count divergence: %d vs %d", siena.SubscriptionCount(), fast.SubscriptionCount())
 		}
 		for _, e := range events {
-			if gs, gf := siena.Match(e), fast.Match(e); !idsEqual(gs, gf) {
+			if gs, gf := match(siena, e), match(fast, e); !idsEqual(gs, gf) {
 				t.Fatalf("step %d: siena=%v fast=%v for %s", step, gs, gf, e)
 			}
 		}
@@ -501,7 +505,7 @@ func TestEngineEquivalenceUnderChurn(t *testing.T) {
 		}
 	}
 	check(-1, pw.events)
-	if idx := fast.idx.Load(); len(idx.parts) != 0 || idx.root != nil || len(idx.empties) != 0 {
+	if idx := fast.snap.Load(); len(idx.parts) != 0 || idx.root != nil || len(idx.empties) != 0 {
 		t.Fatalf("empty matcher kept partitions: parts=%d root=%v empties=%d", len(idx.parts), idx.root, len(idx.empties))
 	}
 	for i := range w.filters {
@@ -524,22 +528,24 @@ func TestConcurrentMatchAndSubscribe(t *testing.T) {
 			}
 		}()
 		for i := 0; i < 200; i++ {
-			m.Match(event.New().SetInt("k", int64(i%10)))
+			match(m, event.New().SetInt("k", int64(i%10)))
 		}
 		<-done
 	})
 }
 
 func TestNames(t *testing.T) {
-	if NewSiena().Name() != "siena" || NewFast().Name() != "fast" {
-		t.Error("engine names wrong")
-	}
+	allThree(t, func(t *testing.T, m Matcher) {
+		if m.Name() != t.Name()[len("TestNames/"):] {
+			t.Errorf("engine named %q", m.Name())
+		}
+	})
 }
 
 func ExampleNew() {
 	m, _ := New(KindFast)
 	_ = m.Subscribe(ident.New(1), event.NewFilter().WhereType("alarm"))
-	matches := m.Match(event.NewTyped("alarm"))
+	matches := m.MatchAppendScratch(event.NewTyped("alarm"), nil, NewScratch())
 	fmt.Println(len(matches))
 	// Output: 1
 }

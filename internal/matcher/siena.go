@@ -2,8 +2,6 @@ package matcher
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
@@ -18,40 +16,35 @@ import (
 // Siena's server: a filter that is covered by a non-matching ancestor
 // is skipped without evaluation.
 //
-// The read path is lock-free: Match loads an immutable poset snapshot
-// through an atomic pointer. Writers rebuild the node slice under a
-// writer mutex — poset insertion is already O(n) (covering is computed
+// The read path is lock-free: a match loads an immutable poset
+// snapshot through an atomic pointer. The shared writer (book)
+// publishes each next snapshot, for which editPoset rebuilds the node
+// slice — poset insertion is already O(n) (covering is computed
 // against every existing node), so the O(n) clone-and-remap that keeps
 // published snapshots immutable does not change Subscribe's complexity
 // class. The per-match translation allocations are untouched: they are
 // the §V overhead under measurement (TestSienaTranslationAllocsPinned).
 type SienaMatcher struct {
-	// snap is the immutable poset snapshot the lock-free read path
-	// loads. Nodes and their parent edges are frozen once published.
-	snap atomic.Pointer[sienaIndex]
-
-	// mu serialises writers only.
-	mu sync.Mutex
+	book[sienaIndex, *sienaNode]
 }
 
 var _ Matcher = (*SienaMatcher)(nil)
-var _ ScratchMatcher = (*SienaMatcher)(nil)
 
 // sienaIndex is one immutable poset snapshot.
 type sienaIndex struct {
 	nodes []*sienaNode
 }
 
-var emptySienaIndex = &sienaIndex{}
-
 // sienaNode is one poset entry. Within a published snapshot a node is
-// immutable; writers clone every node (remapping parent edges) when
-// the poset changes.
+// immutable; editPoset clones every node (remapping parent edges) when
+// the poset changes. Every clone of a node shares its original filter,
+// the book's own copy, which therefore identifies the node across
+// snapshots.
 type sienaNode struct {
 	sub      ident.ID
-	original *event.Filter // retained for Unsubscribe equality
-	filter   sienaFilter   // translated form used for evaluation
-	parents  []*sienaNode  // nodes whose filters cover this one
+	original *event.Filter
+	filter   sienaFilter  // translated form used for evaluation
+	parents  []*sienaNode // nodes whose filters cover this one
 }
 
 // sienaValue is Siena's generic boxed attribute value. Boxing through
@@ -85,7 +78,9 @@ type sienaFilter []sienaConstraint
 // NewSiena returns an empty SienaMatcher.
 func NewSiena() *SienaMatcher {
 	m := &SienaMatcher{}
-	m.snap.Store(emptySienaIndex)
+	m.init(func(sub ident.ID, f *event.Filter) (*sienaNode, error) {
+		return &sienaNode{sub: sub, original: f, filter: translateFilter(f)}, nil
+	}, editPoset)
 	return m
 }
 
@@ -306,138 +301,63 @@ func matchFilter(f sienaFilter, n sienaNotification) bool {
 	return true
 }
 
-// clonePoset copies the poset for the next snapshot: fresh node
-// structs with parent edges remapped onto the clones (edges to nodes
-// in dead are dropped). The translated filters and originals are
-// immutable and shared. Runs under m.mu.
-func clonePoset(cur []*sienaNode, dead map[*sienaNode]bool) []*sienaNode {
-	remap := make(map[*sienaNode]*sienaNode, len(cur))
-	next := make([]*sienaNode, 0, len(cur))
-	for _, n := range cur {
-		if dead[n] {
+// editPoset builds the next snapshot: fresh node structs for the
+// surviving and the added entries, with parent edges remapped onto the
+// clones, then cover edges linked for each added node against every
+// other (Siena's O(n) poset insertion). Removed nodes are recognised by
+// their original filter, as the entries the book holds are not the
+// clones in cur. The translated filters and originals are immutable
+// and shared.
+func editPoset(cur *sienaIndex, added, removed []*sienaNode) *sienaIndex {
+	dead := make(map[*event.Filter]bool, len(removed))
+	for _, n := range removed {
+		dead[n.original] = true
+	}
+	remap := make(map[*sienaNode]*sienaNode, len(cur.nodes))
+	next := make([]*sienaNode, 0, len(cur.nodes)+len(added))
+	for _, n := range cur.nodes {
+		if dead[n.original] {
 			continue
 		}
 		c := &sienaNode{sub: n.sub, original: n.original, filter: n.filter}
 		remap[n] = c
 		next = append(next, c)
 	}
-	for _, n := range cur {
-		if dead[n] {
+	for _, n := range cur.nodes {
+		c := remap[n]
+		if c == nil {
 			continue
 		}
-		c := remap[n]
 		for _, p := range n.parents {
 			if np, ok := remap[p]; ok {
 				c.parents = append(c.parents, np)
 			}
 		}
 	}
-	return next
-}
-
-// Subscribe implements Matcher. Poset edges are computed against every
-// existing node (Siena's O(n) poset insertion); the whole poset is
-// cloned for the next snapshot, which insertion's own O(n) cover
-// checks dominate.
-func (m *SienaMatcher) Subscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
-	}
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.snap.Load().nodes
-	for _, n := range cur {
-		if n.sub == sub && n.original.Equal(f) {
-			return nil // idempotent
-		}
-	}
-	next := clonePoset(cur, nil)
-	node := &sienaNode{
-		sub:      sub,
-		original: f.Clone(),
-		filter:   translateFilter(f),
-	}
-	for _, n := range next {
-		if n.original.Covers(f) && !f.Covers(n.original) {
-			node.parents = append(node.parents, n)
-		} else if f.Covers(n.original) && !n.original.Covers(f) {
-			n.parents = append(n.parents, node)
-		}
-	}
-	next = append(next, node)
-	m.snap.Store(&sienaIndex{nodes: next})
-	return nil
-}
-
-// Unsubscribe implements Matcher.
-func (m *SienaMatcher) Unsubscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.snap.Load().nodes
-	for _, n := range cur {
-		if n.sub != sub || !n.original.Equal(f) {
-			continue
-		}
-		m.snap.Store(&sienaIndex{nodes: clonePoset(cur, map[*sienaNode]bool{n: true})})
-		return nil
-	}
-	return ErrNoSuchSubscription
-}
-
-// UnsubscribeAll implements Matcher.
-func (m *SienaMatcher) UnsubscribeAll(sub ident.ID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.snap.Load().nodes
-	var dead map[*sienaNode]bool
-	for _, n := range cur {
-		if n.sub == sub {
-			if dead == nil {
-				dead = make(map[*sienaNode]bool)
+	for _, a := range added {
+		node := &sienaNode{sub: a.sub, original: a.original, filter: a.filter}
+		f := a.original
+		for _, n := range next {
+			if n.original.Covers(f) && !f.Covers(n.original) {
+				node.parents = append(node.parents, n)
+			} else if f.Covers(n.original) && !n.original.Covers(f) {
+				n.parents = append(n.parents, node)
 			}
-			dead[n] = true
 		}
+		next = append(next, node)
 	}
-	if dead == nil {
-		return
-	}
-	m.snap.Store(&sienaIndex{nodes: clonePoset(cur, dead)})
+	return &sienaIndex{nodes: next}
 }
 
-// SubscriptionCount implements Matcher. Lock-free.
-func (m *SienaMatcher) SubscriptionCount() int {
-	return len(m.snap.Load().nodes)
-}
-
-// Match implements Matcher. See MatchAppend.
-func (m *SienaMatcher) Match(e *event.Event) []ident.ID {
-	return m.MatchAppend(e, nil)
-}
-
-// MatchAppendScratch implements ScratchMatcher. The scratch is
-// deliberately unused: Siena's per-match allocations (translation,
-// memo, dedup map) are the §V general-engine overhead under
-// measurement and must stay byte-for-byte with the seed
-// (TestSienaTranslationAllocsPinned) — only the lock acquisition is
-// gone from the read path.
+// MatchAppendScratch implements Matcher: translate the event into
+// Siena's model, then evaluate the poset with memoisation (a node
+// covered by a non-matching ancestor is skipped). The poset is an
+// immutable snapshot loaded through an atomic pointer — no lock on the
+// read path. The scratch is deliberately unused: Siena's per-match
+// allocations (translation, memo, dedup map) are the §V general-engine
+// overhead under measurement and must stay byte-for-byte with the seed
+// (TestSienaTranslationAllocsPinned).
 func (m *SienaMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, _ *Scratch) []ident.ID {
-	return m.MatchAppend(e, dst)
-}
-
-// MatchAppend implements Matcher: translate the event into Siena's
-// model, then evaluate the poset with memoisation (a node covered by a
-// non-matching ancestor is skipped). The poset is an immutable
-// snapshot loaded through an atomic pointer — no lock on the read
-// path. The per-match translation and memo allocations are retained
-// deliberately — they are the general-engine overhead §V measures
-// against the dedicated matcher.
-func (m *SienaMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
 	nodes := m.snap.Load().nodes
 
 	notif := translateEvent(e)

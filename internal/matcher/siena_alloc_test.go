@@ -15,7 +15,7 @@ import (
 // reproduces the seed's match path exactly — the event translated
 // through a fresh map via closure iteration, the memo and seen maps,
 // the same poset evaluation — and the test below asserts that the
-// refactored MatchAppend allocates exactly as much.
+// refactored MatchAppendScratch allocates exactly as much.
 
 // seedTranslateEvent is a frozen copy of the seed's translateEvent.
 // It must stay an out-of-line function returning the map, exactly like
@@ -95,13 +95,13 @@ func TestSienaTranslationAllocsPinned(t *testing.T) {
 	for _, subs := range []int{10, 100} {
 		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
 			m, e := sienaAllocWorkload(t, subs)
-			dst := make([]ident.ID, 0, subs)
+			dst, sc := make([]ident.ID, 0, subs), NewScratch()
 
 			seedAllocs := testing.AllocsPerRun(200, func() {
 				dst = seedMatchAppend(m, e, dst[:0])
 			})
 			nowAllocs := testing.AllocsPerRun(200, func() {
-				dst = m.MatchAppend(e, dst[:0])
+				dst = m.MatchAppendScratch(e, dst[:0], sc)
 			})
 			if seedAllocs != nowAllocs {
 				t.Fatalf("Siena per-match allocations changed: seed %.1f, now %.1f — "+
@@ -114,7 +114,7 @@ func TestSienaTranslationAllocsPinned(t *testing.T) {
 
 			// Same verdicts, same subscribers.
 			a := seedMatchAppend(m, e, nil)
-			b := m.MatchAppend(e, nil)
+			b := m.MatchAppendScratch(e, nil, sc)
 			if len(a) != len(b) {
 				t.Fatalf("verdicts diverge: seed %d matches, now %d", len(a), len(b))
 			}

@@ -17,8 +17,9 @@ import (
 )
 
 // Tests for the lock-free snapshot read path shared by all three
-// engines: Match must never block on — or even acquire — the writer
-// mutex, and concurrent churn must never corrupt a reader's view.
+// engines: MatchAppendScratch must never block on — or even acquire —
+// the writer mutex, and concurrent churn must never corrupt a reader's
+// view.
 
 // allThree runs a subtest against every engine, using type-pinned
 // filters so the typed engine can host the same workload.
@@ -51,9 +52,8 @@ func churnEvent(i int) *event.Event {
 }
 
 // TestSnapshotChurnRace hammers every engine with concurrent writers
-// (Subscribe / Unsubscribe / UnsubscribeAll) and readers (Match plus,
-// where supported, MatchAppendScratch on a private Scratch per
-// reader). It asserts nothing about the verdicts — interleavings are
+// (Subscribe / Unsubscribe / UnsubscribeAll) and readers
+// (MatchAppendScratch on a private Scratch per reader). It asserts nothing about the verdicts — interleavings are
 // arbitrary — only that every returned ID was a subscriber that could
 // legitimately be installed, and it exists to run under -race: any
 // write observable mid-mutation by a lock-free reader is a failure.
@@ -64,7 +64,6 @@ func TestSnapshotChurnRace(t *testing.T) {
 			readers = 4
 			steps   = 300
 		)
-		sm, _ := m.(ScratchMatcher)
 		var writerWG, readerWG sync.WaitGroup
 		stop := make(chan struct{})
 
@@ -104,12 +103,7 @@ func TestSnapshotChurnRace(t *testing.T) {
 						return
 					default:
 					}
-					e := churnEvent(i + r)
-					if sm != nil && i%2 == 0 {
-						dst = sm.MatchAppendScratch(e, dst[:0], sc)
-					} else {
-						dst = m.MatchAppend(e, dst[:0])
-					}
+					dst = m.MatchAppendScratch(churnEvent(i+r), dst[:0], sc)
 					for _, id := range dst {
 						if id.IsNil() {
 							t.Error("matched a nil subscriber ID")
@@ -134,13 +128,14 @@ func TestSnapshotChurnRace(t *testing.T) {
 		select {
 		case <-readersDone:
 		case <-time.After(30 * time.Second):
-			t.Fatal("readers failed to drain — Match blocked")
+			t.Fatal("readers failed to drain — a match blocked")
 		}
 	})
 }
 
 // TestMatchCompletesUnderWriterLock is the deterministic lock-freedom
-// proof: with the engine's writer mutex held, Match must still return.
+// proof: with the engine's writer mutex held, a match must still
+// return.
 // Under the seed's RWMutex design this test deadlocks; under the
 // snapshot design the read path touches no lock at all.
 func TestMatchCompletesUnderWriterLock(t *testing.T) {
@@ -170,14 +165,14 @@ func TestMatchCompletesUnderWriterLock(t *testing.T) {
 		defer mu.Unlock()
 
 		got := make(chan []ident.ID, 1)
-		go func() { got <- m.Match(e) }()
+		go func() { got <- match(m, e) }()
 		select {
 		case ids := <-got:
 			if !idsEqual(ids, []ident.ID{sub}) {
 				t.Fatalf("match under writer lock returned %v, want [%v]", ids, sub)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("Match blocked on the writer mutex — read path is not lock-free")
+			t.Fatal("match blocked on the writer mutex — read path is not lock-free")
 		}
 	})
 }
@@ -188,7 +183,7 @@ func TestMatchCompletesUnderWriterLock(t *testing.T) {
 // the positive control: writer-writer contention on the same run must
 // show up in the profile, proving the profiler would also have caught
 // a locking match path (under the seed design, readers contend with
-// writers on the RWMutex and Match frames appear here).
+// writers on the RWMutex and match frames appear here).
 func TestMatchAcquiresNoMutex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling soak")
@@ -219,9 +214,10 @@ func TestMatchAcquiresNoMutex(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
+				sc := NewScratch()
 				var dst []ident.ID
 				for i := 0; !stopped.Load(); i++ {
-					dst = m.MatchAppend(churnEvent(i+r), dst[:0])
+					dst = m.MatchAppendScratch(churnEvent(i+r), dst[:0], sc)
 				}
 			}(r)
 		}
@@ -235,22 +231,8 @@ func TestMatchAcquiresNoMutex(t *testing.T) {
 			t.Fatal(err)
 		}
 		profile := buf.String()
-		// One stack per blank-line-separated record. The pooled
-		// MatchAppend's sync.Pool registers itself again after every GC
-		// under the runtime's allPoolsMu (sync.(*Pool).pinSlow): a lock
-		// of the runtime's pool bookkeeping, taken once per P per GC
-		// cycle, not one the match path holds — those stacks alone are
-		// set aside.
-		for _, stack := range strings.Split(profile, "\n\n") {
-			if strings.Contains(stack, "sync.(*Pool).pinSlow") {
-				continue
-			}
-			for _, frame := range []string{"MatchAppend", "MatchAppendScratch", ").Match"} {
-				if strings.Contains(stack, frame) {
-					t.Fatalf("match path contended on a mutex (%s frames in mutex profile):\n%s",
-						frame, profile)
-				}
-			}
+		if strings.Contains(profile, "MatchAppendScratch") {
+			t.Fatalf("match path contended on a mutex (MatchAppendScratch frames in mutex profile):\n%s", profile)
 		}
 		if !strings.Contains(profile, "Subscribe") && !strings.Contains(profile, "Unsubscribe") {
 			t.Logf("no writer contention sampled this run (profile positive control missing); " +
@@ -343,7 +325,7 @@ func TestTypedOracleRandomized(t *testing.T) {
 					want = append(want, s.id)
 				}
 			}
-			if got := m.Match(e); !idsEqual(got, want) {
+			if got := match(m, e); !idsEqual(got, want) {
 				t.Fatalf("seed %d event %d (%s): typed=%v oracle=%v", seed, i, e, got, want)
 			}
 		}

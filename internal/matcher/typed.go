@@ -1,9 +1,8 @@
 package matcher
 
 import (
+	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
@@ -28,25 +27,16 @@ import (
 // type-based pub/sub the type is the unit of subscription.
 //
 // Like the other engines the read path is lock-free: the type tree is
-// an immutable snapshot published through an atomic pointer, and
-// writers replace it by path copying — only the nodes on the changed
-// subscription's type path (plus shallow copies of their child maps)
-// are cloned, everything off-path is shared with the previous
-// snapshot.
+// an immutable snapshot the shared writer (book) publishes through an
+// atomic pointer, and editTypeTree derives it by path copying — only
+// the nodes on each changed subscription's type path (plus shallow
+// copies of their child maps) are cloned, everything off-path is
+// shared with the previous snapshot.
 type TypedMatcher struct {
-	// root is the immutable type-tree snapshot read lock-free by
-	// Match.
-	root atomic.Pointer[typeNode]
-
-	// mu serialises writers only.
-	mu sync.Mutex
-	// bySub tracks installed filters per subscriber for Unsubscribe.
-	bySub map[ident.ID][]*typedSub
-	count atomic.Int64
+	book[typeNode, *typedSub]
 }
 
 var _ Matcher = (*TypedMatcher)(nil)
-var _ ScratchMatcher = (*TypedMatcher)(nil)
 
 // typeNode is one node of an immutable snapshot: never mutated after
 // publication. Writers clone nodes along the changed path.
@@ -62,18 +52,14 @@ type typeNode struct {
 // it when unsubscribing.
 type typedSub struct {
 	sub    ident.ID
-	filter *event.Filter // original filter, for equality
 	guards []event.Constraint
 	path   []string
 }
 
-// KindTyped selects the type-based engine in matcher.New.
-const KindTyped Kind = "typed"
-
-// NewTyped returns an empty TypedMatcher.
+// NewTypedMatcher returns an empty TypedMatcher.
 func NewTypedMatcher() *TypedMatcher {
-	m := &TypedMatcher{bySub: make(map[ident.ID][]*typedSub)}
-	m.root.Store(newTypeNode())
+	m := &TypedMatcher{}
+	m.init(newTypedSub, editTypeTree)
 	return m
 }
 
@@ -98,11 +84,13 @@ func (n *typeNode) shallowClone() *typeNode {
 func (m *TypedMatcher) Name() string { return string(KindTyped) }
 
 // typePathOf extracts the subscription's type path and residual
-// content guards. ok is false when the filter has no type-equality
-// constraint.
+// content guards. The first type equality is the path; any later one
+// stays a guard, so a filter pinning two different types matches
+// nothing, as it does on the content-based engines. ok is false when
+// the filter has no type-equality constraint.
 func typePathOf(f *event.Filter) (path []string, guards []event.Constraint, ok bool) {
 	for _, c := range f.Constraints() {
-		if c.Name == event.AttrType && c.Op == event.OpEq {
+		if !ok && c.Name == event.AttrType && c.Op == event.OpEq {
 			if s, isStr := c.Value.Str(); isStr && s != "" {
 				path = splitTypePath(s)
 				ok = true
@@ -112,6 +100,16 @@ func typePathOf(f *event.Filter) (path []string, guards []event.Constraint, ok b
 		guards = append(guards, c)
 	}
 	return path, guards, ok
+}
+
+// newTypedSub is the engine's entry: the filter must pin the event
+// type.
+func newTypedSub(sub ident.ID, f *event.Filter) (*typedSub, error) {
+	path, guards, ok := typePathOf(f)
+	if !ok {
+		return nil, ErrUntypedSubscription
+	}
+	return &typedSub{sub: sub, guards: guards, path: path}, nil
 }
 
 func splitTypePath(s string) []string {
@@ -145,65 +143,24 @@ func clonePath(root *typeNode, path []string) (newRoot, at *typeNode) {
 	return newRoot, node
 }
 
-// Subscribe implements Matcher. The filter must pin the event type.
-func (m *TypedMatcher) Subscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
-	}
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	path, guards, ok := typePathOf(f)
-	if !ok {
-		return ErrUntypedSubscription
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ts := range m.bySub[sub] {
-		if ts.filter.Equal(f) {
-			return nil // idempotent
-		}
-	}
-	ts := &typedSub{sub: sub, filter: f.Clone(), guards: guards, path: path}
-	newRoot, node := clonePath(m.root.Load(), path)
-	node.subs = append(node.subs, ts)
-	m.bySub[sub] = append(m.bySub[sub], ts)
-	m.count.Add(1)
-	m.root.Store(newRoot)
-	return nil
-}
-
 // ErrUntypedSubscription reports a subscription without a type
 // constraint, which type-based pub/sub cannot host.
-var ErrUntypedSubscription = typedErr("matcher: typed engine requires a type-equality constraint")
+var ErrUntypedSubscription = errors.New("matcher: typed engine requires a type-equality constraint")
 
-type typedErr string
-
-func (e typedErr) Error() string { return string(e) }
-
-// Unsubscribe implements Matcher.
-func (m *TypedMatcher) Unsubscribe(sub ident.ID, f *event.Filter) error {
-	if f == nil {
-		return ErrNilFilter
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.bySub[sub]
-	for i, ts := range list {
-		if !ts.filter.Equal(f) {
-			continue
-		}
-		m.bySub[sub] = append(list[:i], list[i+1:]...)
-		if len(m.bySub[sub]) == 0 {
-			delete(m.bySub, sub)
-		}
-		newRoot, node := clonePath(m.root.Load(), ts.path)
+// editTypeTree builds the next tree with one path copy per changed
+// subscription, chained in memory; the book publishes the final root.
+func editTypeTree(root *typeNode, added, removed []*typedSub) *typeNode {
+	for _, ts := range removed {
+		var node *typeNode
+		root, node = clonePath(root, ts.path)
 		removeTypedSub(node, ts)
-		m.count.Add(-1)
-		m.root.Store(newRoot)
-		return nil
 	}
-	return ErrNoSuchSubscription
+	for _, ts := range added {
+		var node *typeNode
+		root, node = clonePath(root, ts.path)
+		node.subs = append(node.subs, ts)
+	}
+	return root
 }
 
 func removeTypedSub(n *typeNode, ts *typedSub) {
@@ -215,51 +172,7 @@ func removeTypedSub(n *typeNode, ts *typedSub) {
 	}
 }
 
-// UnsubscribeAll implements Matcher.
-func (m *TypedMatcher) UnsubscribeAll(sub ident.ID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	list := m.bySub[sub]
-	if len(list) == 0 {
-		delete(m.bySub, sub)
-		return
-	}
-	// One path copy per filter, chained in memory; a single Store
-	// publishes the final tree.
-	root := m.root.Load()
-	for _, ts := range list {
-		var node *typeNode
-		root, node = clonePath(root, ts.path)
-		removeTypedSub(node, ts)
-		m.count.Add(-1)
-	}
-	delete(m.bySub, sub)
-	m.root.Store(root)
-}
-
-// SubscriptionCount implements Matcher. Lock-free.
-func (m *TypedMatcher) SubscriptionCount() int {
-	return int(m.count.Load())
-}
-
-// Match implements Matcher. See MatchAppend.
-func (m *TypedMatcher) Match(e *event.Event) []ident.ID {
-	return m.MatchAppend(e, nil)
-}
-
-// typedScratch pools per-match Scratch for callers without their own.
-var typedScratch = sync.Pool{New: func() interface{} { return NewScratch() }}
-
-// MatchAppend implements Matcher using pooled scratch; see
-// MatchAppendScratch.
-func (m *TypedMatcher) MatchAppend(e *event.Event, dst []ident.ID) []ident.ID {
-	sc := typedScratch.Get().(*Scratch)
-	dst = m.MatchAppendScratch(e, dst, sc)
-	typedScratch.Put(sc)
-	return dst
-}
-
-// MatchAppendScratch implements ScratchMatcher: walk the event's type
+// MatchAppendScratch implements Matcher: walk the event's type
 // path from the root of the current snapshot, collecting subscriptions
 // at every ancestor (a subscription to "reading" sees
 // "reading/heart-rate"), then apply content guards. The walk takes no
@@ -286,7 +199,7 @@ func (m *TypedMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Sc
 			}
 		}
 	}
-	node := m.root.Load()
+	node := m.snap.Load()
 	collect(node) // subscriptions to the root type ("" = all types)
 	// Walk the '/'-separated path by slicing in place (no Split
 	// allocation on the match path).

@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/amuse/smc/internal/event"
@@ -22,13 +23,13 @@ func TestTypedBasicMatch(t *testing.T) {
 	if err := m.Subscribe(sub, typedFilter("alarm")); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Match(event.NewTyped("alarm")); !idsEqual(got, []ident.ID{sub}) {
+	if got := match(m, event.NewTyped("alarm")); !idsEqual(got, []ident.ID{sub}) {
 		t.Errorf("Match = %v", got)
 	}
-	if got := m.Match(event.NewTyped("reading")); len(got) != 0 {
+	if got := match(m, event.NewTyped("reading")); len(got) != 0 {
 		t.Errorf("wrong type matched: %v", got)
 	}
-	if got := m.Match(event.New()); len(got) != 0 {
+	if got := match(m, event.New()); len(got) != 0 {
 		t.Errorf("untyped event matched: %v", got)
 	}
 }
@@ -48,17 +49,17 @@ func TestTypedSubtypePolymorphism(t *testing.T) {
 
 	// A heart-rate reading reaches the parent and the exact subtype,
 	// not the sibling.
-	got := m.Match(event.NewTyped("reading/heart-rate"))
+	got := match(m, event.NewTyped("reading/heart-rate"))
 	if !idsEqual(got, []ident.ID{parent, child}) {
 		t.Errorf("Match(reading/heart-rate) = %v", got)
 	}
 	// A plain reading reaches only the parent.
-	got = m.Match(event.NewTyped("reading"))
+	got = match(m, event.NewTyped("reading"))
 	if !idsEqual(got, []ident.ID{parent}) {
 		t.Errorf("Match(reading) = %v", got)
 	}
 	// A deeper subtype still reaches both ancestors.
-	got = m.Match(event.NewTyped("reading/heart-rate/resting"))
+	got = match(m, event.NewTyped("reading/heart-rate/resting"))
 	if !idsEqual(got, []ident.ID{parent, child}) {
 		t.Errorf("Match(reading/heart-rate/resting) = %v", got)
 	}
@@ -72,13 +73,13 @@ func TestTypedContentGuards(t *testing.T) {
 	if err := m.Subscribe(sub, f); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Match(event.NewTyped("reading/heart-rate").SetFloat("value", 195)); !idsEqual(got, []ident.ID{sub}) {
+	if got := match(m, event.NewTyped("reading/heart-rate").SetFloat("value", 195)); !idsEqual(got, []ident.ID{sub}) {
 		t.Errorf("guarded match failed: %v", got)
 	}
-	if got := m.Match(event.NewTyped("reading/heart-rate").SetFloat("value", 70)); len(got) != 0 {
+	if got := match(m, event.NewTyped("reading/heart-rate").SetFloat("value", 70)); len(got) != 0 {
 		t.Errorf("guard ignored: %v", got)
 	}
-	if got := m.Match(event.NewTyped("reading/heart-rate")); len(got) != 0 {
+	if got := match(m, event.NewTyped("reading/heart-rate")); len(got) != 0 {
 		t.Errorf("missing guarded attribute matched: %v", got)
 	}
 }
@@ -110,7 +111,7 @@ func TestTypedUnsubscribe(t *testing.T) {
 	if err := m.Unsubscribe(sub, f); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Match(event.NewTyped("a/b")); len(got) != 0 {
+	if got := match(m, event.NewTyped("a/b")); len(got) != 0 {
 		t.Errorf("match after unsubscribe: %v", got)
 	}
 	if err := m.Unsubscribe(sub, f); err == nil {
@@ -133,7 +134,7 @@ func TestTypedUnsubscribeAll(t *testing.T) {
 	if m.SubscriptionCount() != 1 {
 		t.Errorf("count = %d", m.SubscriptionCount())
 	}
-	if got := m.Match(event.NewTyped("x/y")); !idsEqual(got, []ident.ID{b}) {
+	if got := match(m, event.NewTyped("x/y")); !idsEqual(got, []ident.ID{b}) {
 		t.Errorf("Match = %v", got)
 	}
 }
@@ -169,7 +170,7 @@ func TestTypedViaNewAndBusCompatible(t *testing.T) {
 		event.NewTyped("other"),
 	}
 	for _, e := range events {
-		if a, b := m.Match(e), fastM.Match(e); !idsEqual(a, b) {
+		if a, b := match(m, e), match(fastM, e); !idsEqual(a, b) {
 			t.Errorf("typed=%v fast=%v for %s", a, b, e)
 		}
 	}
@@ -181,7 +182,37 @@ func TestTypedPathNormalisation(t *testing.T) {
 	if err := m.Subscribe(sub, typedFilter("a//b/")); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Match(event.NewTyped("a/b")); !idsEqual(got, []ident.ID{sub}) {
+	if got := match(m, event.NewTyped("a/b")); !idsEqual(got, []ident.ID{sub}) {
 		t.Errorf("normalised path mismatch: %v", got)
 	}
+}
+
+// TestRepeatedTypeEquality: a filter may pin "type" more than once, and
+// every engine must read the constraints as a conjunction. The typed
+// engine files the first as its path and keeps the rest as guards.
+func TestRepeatedTypeEquality(t *testing.T) {
+	cases := []struct {
+		f    *event.Filter
+		hits []string
+	}{
+		{typedFilter("a", event.Constraint{Name: event.AttrType, Op: event.OpEq, Value: event.Str("b")}), nil},
+		{typedFilter("b", event.Constraint{Name: event.AttrType, Op: event.OpEq, Value: event.Str("a")}), nil},
+		{typedFilter("a", event.Constraint{Name: event.AttrType, Op: event.OpEq, Value: event.Str("a")}), []string{"a"}},
+		{typedFilter("a", event.Constraint{Name: event.AttrType, Op: event.OpNe, Value: event.Str("b")}), []string{"a"}},
+	}
+	allThree(t, func(t *testing.T, m Matcher) {
+		for i, c := range cases {
+			sub := ident.New(uint64(i + 1))
+			if err := m.Subscribe(sub, c.f); err != nil {
+				t.Fatalf("%s: %v", c.f, err)
+			}
+			for _, typ := range []string{"a", "b", "c"} {
+				got := match(m, event.NewTyped(typ))
+				if want := slices.Contains(c.hits, typ); len(got) != 0 != want {
+					t.Errorf("%s, event type %q: matched %v, want match=%v", c.f, typ, got, want)
+				}
+			}
+			m.UnsubscribeAll(sub)
+		}
+	})
 }

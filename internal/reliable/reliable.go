@@ -141,6 +141,11 @@ func (c *counters) snapshot(pool *wire.PacketPool) Stats {
 	}
 }
 
+// reorderDepth bounds the receiver's per-sender reorder buffer, in
+// packets. Arrivals beyond it are dropped and recovered by sender
+// retransmission.
+const reorderDepth = 64
+
 // Config tunes the retransmission machinery.
 type Config struct {
 	// RetryTimeout is the initial ack wait; it doubles per retransmit
@@ -156,10 +161,6 @@ type Config struct {
 	// flight per destination (default 16). Window=1 reproduces
 	// stop-and-wait.
 	Window int
-	// ReorderDepth bounds the receiver's per-sender reorder buffer
-	// (default 64 packets). Arrivals beyond the buffer are dropped
-	// and recovered by sender retransmission.
-	ReorderDepth int
 	// MaxPending bounds the per-destination send backlog (default
 	// 1024); SendAsync beyond it fails with ErrBacklog.
 	MaxPending int
@@ -173,7 +174,6 @@ func DefaultConfig() Config {
 		RetryTimeout: 50 * time.Millisecond,
 		MaxRetries:   6,
 		Window:       16,
-		ReorderDepth: 64,
 		MaxPending:   1024,
 		QueueDepth:   1024,
 	}
@@ -420,9 +420,6 @@ func New(tr transport.Transport, cfg Config) *Channel {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
-	}
-	if cfg.ReorderDepth <= 0 {
-		cfg.ReorderDepth = def.ReorderDepth
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = def.MaxPending
@@ -1212,7 +1209,7 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 		if _, dup := st.buf[pkt.Seq]; dup {
 			c.ctr.dupsDropped.Add(1)
 			pkt.Release()
-		} else if len(st.buf) < c.cfg.ReorderDepth {
+		} else if len(st.buf) < reorderDepth {
 			st.buf[pkt.Seq] = pkt
 			c.ctr.buffered.Add(1)
 		} else {

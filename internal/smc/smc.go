@@ -43,8 +43,6 @@ type Config struct {
 	PolicyText string
 	// Reliable tunes the acknowledged hop.
 	Reliable reliable.Config
-	// BusOptions are applied to the event bus.
-	BusOptions []bus.Option
 	// PolicyOptions are applied to the policy engine.
 	PolicyOptions []policy.Option
 	// Epoch distinguishes cell restarts in beacons.
@@ -117,17 +115,16 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 	reg := bootstrap.NewRegistry()
 	RegisterStandardDevices(reg)
 
-	busOpts := cfg.BusOptions
+	var busOpts []bus.Option
 	if cfg.Batch != (BatchConfig{}) {
-		busOpts = append(busOpts[:len(busOpts):len(busOpts)],
-			bus.WithBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
+		busOpts = append(busOpts, bus.WithBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
 	}
 	if cfg.Durable != nil {
 		log, err := store.Open(*cfg.Durable)
 		if err != nil {
 			return nil, fmt.Errorf("smc: open durable log: %w", err)
 		}
-		busOpts = append(busOpts[:len(busOpts):len(busOpts)], bus.WithDurableLog(log))
+		busOpts = append(busOpts, bus.WithDurableLog(log))
 	}
 	busCh := reliable.New(busTr, cfg.Reliable)
 	// From here on the bus owns the channel and the durable log: every
