@@ -94,9 +94,9 @@ type Stats struct {
 	AuthDenied   uint64
 	NonMember    uint64
 	BadPackets   uint64
-	// Dropped counts publishes shed because the processing queue was
-	// full (ErrBusy) — overload, as distinct from the corruption
-	// BadPackets counts.
+	// Dropped counts member publishes shed because the processing
+	// queue was full (ErrBusy) — overload, as distinct from the
+	// corruption BadPackets counts.
 	Dropped         uint64
 	Subscriptions   uint64
 	Unsubscriptions uint64
@@ -552,18 +552,27 @@ func (b *Bus) shardFor(sender ident.ID) *shardWorker {
 	return b.workers[(h>>32)%uint64(len(b.workers))]
 }
 
-// enqueuePublish hands an event to its publisher's shard.
-func (b *Bus) enqueuePublish(e *event.Event) error {
+// enqueuePublish hands an event to its publisher's shard. A full
+// queue refuses it with ErrBusy, unless wait is set: then it waits for
+// room until the bus closes.
+func (b *Bus) enqueuePublish(e *event.Event, wait bool) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
+	w := b.shardFor(e.Sender)
 	select {
-	case b.shardFor(e.Sender).work <- e:
+	case w.work <- e:
+		return nil
+	default:
+	}
+	if !wait {
+		return ErrBusy
+	}
+	select {
+	case w.work <- e:
 		return nil
 	case <-b.done:
 		return ErrClosed
-	default:
-		return ErrBusy
 	}
 }
 
@@ -654,7 +663,7 @@ func (b *Bus) admit(ms *memberState, e *event.Event) {
 			return
 		}
 	}
-	if err := b.enqueuePublish(e); err != nil {
+	if err := b.enqueuePublish(e, false); err != nil {
 		e.Release()
 		if errors.Is(err, ErrBusy) {
 			b.ctl().dropped.Add(1) // overload, not corruption

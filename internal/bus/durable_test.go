@@ -1,8 +1,6 @@
 package bus
 
 import (
-	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -36,22 +34,13 @@ func (r *rig) durableClient(t *testing.T, id uint64, name string) *client.Client
 	return c
 }
 
-// publishN publishes readings n = [from, to) from a local service,
-// waiting out a full shard queue.
+// publishN publishes readings n = [from, to) from a local service.
 func publishN(t *testing.T, svc *LocalService, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		e := event.NewTyped("reading").SetInt("n", int64(i))
-		for {
-			err := svc.Publish(e)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrBusy) {
-				t.Errorf("publish %d: %v", i, err)
-				return
-			}
-			runtime.Gosched()
+		if err := svc.Publish(event.NewTyped("reading").SetInt("n", int64(i))); err != nil {
+			t.Errorf("publish %d: %v", i, err)
+			return
 		}
 	}
 }

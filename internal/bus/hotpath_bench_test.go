@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -140,17 +139,10 @@ func newHotPath(tb testing.TB, delivery string, fan, durables int, opts ...Optio
 					// recycles, so a small (≤ InlineAttrs-attribute)
 					// publish allocates nothing in steady state.
 					e := event.Acquire().SetStr(event.AttrType, "bench").SetInt("k", int64(i))
-					for {
-						err := svc.Publish(e)
-						if err == nil {
-							break
-						}
-						if !errors.Is(err, ErrBusy) {
-							e.Release()
-							tb.Error(err)
-							return
-						}
-						runtime.Gosched() // backpressure: queue full
+					if err := svc.Publish(e); err != nil {
+						e.Release()
+						tb.Error(err)
+						return
 					}
 				}
 			}(svcs[p], quota)

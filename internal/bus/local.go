@@ -22,13 +22,19 @@ type LocalService struct {
 	name string
 	b    *Bus
 
-	mu sync.Mutex // serialises handler mutations and publishes
+	mu sync.Mutex // serialises handler mutations
 	// handlers is the copy-on-write handler table, read lock-free by
 	// dispatch. Handler identities only ever ascend, so appending keeps
 	// it sorted by id.
 	handlers    atomic.Pointer[[]localHandler]
 	lastHandler ident.ID // guarded by mu; handler numbers handed out so far
-	seq         uint64   // guarded by mu
+
+	// pubMu spans a publish's sequence number and its enqueue, waiting
+	// included, so the shard queue holds the service's events in seq
+	// order. It is apart from mu: a publish waiting for room never
+	// holds up Subscribe or Unsubscribe.
+	pubMu sync.Mutex
+	seq   uint64 // guarded by pubMu
 }
 
 // localHandler is one subscription of a local service. It is installed
@@ -118,7 +124,9 @@ func (l *LocalService) Name() string { return l.name }
 // an equal filter twice gives two handlers and two calls. The handler
 // runs on a bus shard goroutine and must not block; the event it
 // receives is shared with other subscribers and must be treated as
-// read-only.
+// read-only. A handler that publishes uses TryPublish, never Publish:
+// Publish waits for room in a shard queue, and that queue may be the
+// one the handler's own worker drains.
 func (l *LocalService) Subscribe(f *event.Filter, fn Handler) error {
 	if f == nil || fn == nil {
 		return fmt.Errorf("bus: local subscribe needs filter and handler")
@@ -183,16 +191,22 @@ func (l *LocalService) removeAt(i int) localHandler {
 
 // Publish injects an event into the bus under this service's ID. A
 // per-service sequence number is assigned so that local publishes obey
-// the same per-sender FIFO contract as remote ones; the lock spans
-// both the assignment and the (non-blocking) enqueue so concurrent
-// publishers on one service cannot invert seq order in the shard
-// queue.
-func (l *LocalService) Publish(e *event.Event) error {
+// the same per-sender FIFO contract as remote ones. When the shard
+// queue is full, Publish waits for room; it fails only with ErrClosed.
+// It must not be called from a Subscribe handler (use TryPublish).
+func (l *LocalService) Publish(e *event.Event) error { return l.publish(e, true) }
+
+// TryPublish is Publish that never waits: a full shard queue refuses
+// the event with ErrBusy. It is the publish for code running on a
+// shard worker, such as a Subscribe handler.
+func (l *LocalService) TryPublish(e *event.Event) error { return l.publish(e, false) }
+
+func (l *LocalService) publish(e *event.Event, wait bool) error {
 	e.Sender = l.id
-	l.mu.Lock()
+	l.pubMu.Lock()
 	l.seq++
 	e.Seq = l.seq
-	err := l.b.enqueuePublish(e)
-	l.mu.Unlock()
+	err := l.b.enqueuePublish(e, wait)
+	l.pubMu.Unlock()
 	return err
 }

@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func TestWithProxyConfigApplies(t *testing.T) {
 func TestWithQueueDepthBoundsBacklog(t *testing.T) {
 	// Depth 1 behind a handler that blocks the shard worker: a burst
 	// overflows into ErrBusy (surfaced as Stats.Dropped for remote
-	// publishes, as an error return for local ones).
+	// publishes, as TryPublish's error for local ones).
 	r := newRig(t, WithQueueDepth(1))
 	unblock := make(chan struct{})
 	t.Cleanup(func() { close(unblock) }) // before the bus closes
@@ -56,12 +58,74 @@ func TestWithQueueDepthBoundsBacklog(t *testing.T) {
 	}
 	var busy int
 	for i := 0; i < 20; i++ {
-		if err := svc.Publish(event.NewTyped("t")); err != nil {
+		if err := svc.TryPublish(event.NewTyped("t")); errors.Is(err, ErrBusy) {
 			busy++
+		} else if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if busy == 0 {
 		t.Error("no backpressure with queue depth 1")
+	}
+}
+
+// TestLocalPublishWaitsForRoom: on a full shard queue Publish waits
+// instead of refusing. It completes once the queue drains, or returns
+// ErrClosed when the bus closes first.
+func TestLocalPublishWaitsForRoom(t *testing.T) {
+	for _, closeBus := range []bool{false, true} {
+		t.Run(map[bool]string{false: "drain", true: "close"}[closeBus], func(t *testing.T) {
+			r := newRig(t, WithShards(1), WithQueueDepth(1))
+			hold := make(chan struct{})
+			release := sync.OnceFunc(func() { close(hold) })
+			t.Cleanup(release) // before the bus closes
+			entered, got := make(chan struct{}, 1), make(chan *event.Event, 1)
+			svc := r.bus.Local("svc")
+			if err := svc.Subscribe(event.NewFilter().WhereType("hold"), func(*event.Event) {
+				entered <- struct{}{}
+				<-hold
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Subscribe(event.NewFilter().WhereType("t"), func(e *event.Event) { got <- e }); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.TryPublish(event.NewTyped("hold")); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			for svc.TryPublish(event.NewTyped("fill")) == nil {
+			}
+
+			done := make(chan error, 1)
+			go func() { done <- svc.Publish(event.NewTyped("t")) }()
+			select {
+			case err := <-done:
+				t.Fatalf("Publish on a full queue returned %v", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if closeBus {
+				closed := make(chan error, 1)
+				go func() { closed <- r.bus.Close() }()
+				if err := <-done; !errors.Is(err, ErrClosed) {
+					t.Errorf("Publish after Close = %v, want ErrClosed", err)
+				}
+				release()
+				if err := <-closed; err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the waiting publish was never delivered")
+			}
+		})
 	}
 }
 

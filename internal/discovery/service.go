@@ -113,6 +113,9 @@ type Stats struct {
 	GraceReturns uint64
 	Purged       uint64
 	Leaves       uint64
+	// EmitFailures counts membership events the emitter refused. A
+	// bus emitter waits out a full shard queue, so with one this
+	// counts only events lost to a closed bus.
 	EmitFailures uint64
 }
 
@@ -463,8 +466,6 @@ func (s *Service) emitMembership(class string, id ident.ID, deviceType, name, re
 		e.SetStr("reason", reason)
 	}
 	if err := s.emit.Publish(e); err != nil {
-		// The bus is shutting down or overloaded; count and drop —
-		// membership state is re-announced by later lifecycle changes.
 		s.mu.Lock()
 		s.stats.EmitFailures++
 		s.mu.Unlock()

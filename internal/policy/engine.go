@@ -46,6 +46,9 @@ type Stats struct {
 	Fires          uint64
 	ActionsRun     uint64
 	PublishActions uint64
+	// ActionFailures counts publish actions whose output the bus
+	// refused (a full shard queue, or a closed bus).
+	ActionFailures uint64
 	LogActions     uint64
 	Toggles        uint64
 	AllowDecisions uint64
@@ -291,10 +294,21 @@ func (e *Engine) runAction(pol *Obligation, a Action, trigger *event.Event) {
 		out.SetStr("policy", pol.Name)
 		out.SetInt("trigger-sender", int64(trigger.Sender))
 		out.SetInt("trigger-seq", int64(trigger.Seq))
-		if err := e.svc.Publish(out); err == nil {
-			e.mu.Lock()
+		// Actions run on a shard worker, which must never wait on a
+		// shard queue (it may be its own): a full one refuses the
+		// output, and the refusal is counted and logged at the 1st,
+		// 2nd, 4th, 8th … one.
+		err := e.svc.TryPublish(out)
+		e.mu.Lock()
+		if err == nil {
 			e.stats.PublishActions++
-			e.mu.Unlock()
+		} else {
+			e.stats.ActionFailures++
+		}
+		n := e.stats.ActionFailures
+		e.mu.Unlock()
+		if err != nil && n&(n-1) == 0 {
+			e.logf("policy %s: action output refused, %d so far: %v", pol.Name, n, err)
 		}
 	case ActionLog:
 		e.mu.Lock()

@@ -2,6 +2,8 @@ package policy
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -458,5 +460,102 @@ obligation b for "pump" { on type = "y" do log("b") }
 	}
 	if byName["b"].DeviceType != "pump" {
 		t.Errorf("b device type = %q", byName["b"].DeviceType)
+	}
+}
+
+// TestActionRefusedOnFullShard: an obligation's output goes to the
+// policy service's shard. With that queue full, the action — running
+// on the other shard's worker — must not wait for it: the output is
+// refused, counted and logged, and a trigger after the drain publishes.
+func TestActionRefusedOnFullShard(t *testing.T) {
+	n := netsim.New(netsim.Perfect, netsim.WithSeed(62))
+	tr, err := n.Attach(ident.New(0xB06))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bus.New(reliable.New(tr, reliable.Config{}), matcher.NewFast(), bootstrap.NewRegistry(),
+		bus.WithShards(2), bus.WithQueueDepth(4))
+	var mu sync.Mutex
+	var logs []string
+	eng, err := NewEngine(b, WithLogf(func(format string, args ...interface{}) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(func() {
+		release()
+		b.Close()
+		n.Close()
+	})
+	if err := eng.LoadString(`obligation act { on type = "trigger" do publish(type = "out") }`); err != nil {
+		t.Fatal(err)
+	}
+	watch := b.Local("watch")
+	entered, marked := make(chan struct{}, 1), make(chan struct{}, 1)
+	if err := watch.Subscribe(event.NewFilter().WhereType("hold"), func(*event.Event) {
+		entered <- struct{}{}
+		<-hold
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := watch.Subscribe(event.NewFilter().WhereType("mark"), func(*event.Event) { marked <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the shard the policy service publishes to, and fill it.
+	pol := b.Local("policy")
+	if err := pol.TryPublish(event.NewTyped("hold")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("hold handler never entered")
+	}
+	for pol.TryPublish(event.NewTyped("fill")) == nil {
+	}
+	// Trigger from a service on the other shard: the full one refuses
+	// every publish.
+	var app *bus.LocalService
+	for i := 0; app == nil; i++ {
+		if svc := b.Local(fmt.Sprintf("app-%d", i)); svc.TryPublish(event.NewTyped("trigger")) == nil {
+			app = svc
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); eng.Stats().ActionFailures == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the action never ran")
+		}
+	}
+	if st := eng.Stats(); st.Fires != 1 || st.ActionFailures != 1 || st.PublishActions != 0 {
+		t.Fatalf("stats = %+v; want 1 fire, 1 action failure, 0 publish actions", st)
+	}
+
+	release()
+	if err := pol.Publish(event.NewTyped("mark")); err != nil {
+		t.Fatal(err)
+	}
+	<-marked // the policy shard has drained
+	if err := app.Publish(event.NewTyped("trigger")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); eng.Stats().PublishActions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("second trigger published nothing: %+v", eng.Stats())
+		}
+	}
+	if st := eng.Stats(); st.ActionFailures != 1 {
+		t.Errorf("ActionFailures = %d after the drain", st.ActionFailures)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logs) != 1 || !strings.Contains(logs[0], "refused") {
+		t.Errorf("logs = %q; want one refusal", logs)
 	}
 }

@@ -130,9 +130,10 @@ func TestPacketPoolLeakDetection(t *testing.T) {
 }
 
 // TestReliableInboxOverflowCounted: a receiver nobody reads from fills
-// its QueueDepth; every further packet has already been acknowledged
-// to the sender, so shedding it is a loss on this hop — it must be
-// counted, and the shed packets must go back to the pool.
+// its QueueDepth. A packet the full inbox sheds is counted and goes
+// back to the pool, but it is not acknowledged: the sender retransmits
+// it, so once the reader catches up it gets every packet exactly once
+// and in order, and every send completes.
 func TestReliableInboxOverflowCounted(t *testing.T) {
 	sw := transport.NewSwitch()
 	defer sw.Close()
@@ -148,26 +149,37 @@ func TestReliableInboxOverflowCounted(t *testing.T) {
 	b := New(tb, Config{RetryTimeout: 20 * time.Millisecond, QueueDepth: 4})
 	defer a.Close()
 
-	const n, depth = 10, 4
+	const n = 12
+	comps := make([]*Completion, n)
+	for i := range comps {
+		comps[i] = a.SendAsync(b.LocalID(), wire.PktEvent, []byte(fmt.Sprint(i)))
+	}
+	time.Sleep(100 * time.Millisecond) // nobody reads for a while
 	for i := 0; i < n; i++ {
-		if err := a.Send(b.LocalID(), wire.PktEvent, []byte("nobody-reads-this")); err != nil {
-			t.Fatal(err) // acknowledged all the same
+		pkt, err := b.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d of %d packets: %v", i, n, err)
+		}
+		if got := string(pkt.Payload); got != fmt.Sprint(i) {
+			t.Fatalf("packet %d carries %q", i, got)
+		}
+		pkt.Release()
+	}
+	for i, c := range comps {
+		if err := c.Wait(); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if st := b.Stats(); st.Received != n || st.InboxDropped != n-depth {
-		t.Fatalf("Received = %d, InboxDropped = %d; want %d, %d", st.Received, st.InboxDropped, n, n-depth)
+	if pkt, err := b.RecvTimeout(100 * time.Millisecond); err == nil {
+		t.Fatalf("extra packet %q", pkt.Payload)
+	}
+	if st := b.Stats(); st.InboxDropped == 0 || st.Received != n {
+		t.Fatalf("InboxDropped = %d, Received = %d; want ≥ 1, %d", st.InboxDropped, st.Received, n)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	queued := 0
-	for pkt, err := b.Recv(); err == nil; pkt, err = b.Recv() {
-		pkt.Release()
-		queued++
-	}
-	st := b.Stats()
-	if queued != depth || st.PacketsAcquired != st.PacketsRecycled {
-		t.Errorf("drained %d after Close (want %d); acquired %d, recycled %d",
-			queued, depth, st.PacketsAcquired, st.PacketsRecycled)
+	if acq, rec := waitPoolDrained(b, time.Second); acq != rec {
+		t.Errorf("pool: acquired %d, recycled %d", acq, rec)
 	}
 }

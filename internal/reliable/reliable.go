@@ -10,7 +10,8 @@
 //     stop-and-wait behaviour for §V-faithful measurement;
 //   - per-sender FIFO: the receiver holds out-of-order arrivals in a
 //     bounded reorder buffer and releases packets to Recv strictly in
-//     sequence order, so packets cannot overtake one another;
+//     sequence order, so packets cannot overtake one another; its
+//     cumulative acknowledgement covers only what Recv's queue took;
 //   - at-most-once: duplicates created by retransmission are
 //     suppressed by the cumulative sequence state.
 //
@@ -77,10 +78,11 @@ type Stats struct {
 	// packets.
 	BatchesSent   uint64
 	PiggybackAcks uint64
-	// InboxDropped counts packets accepted by the ARQ (acknowledged, in
-	// order) but shed because the inbound queue was full — Recv's
-	// consumer fell Config.QueueDepth packets behind — or the channel
-	// was closing. Local to this endpoint, like BatchesSent.
+	// InboxDropped counts packets shed because the inbound queue was
+	// full — Recv's consumer fell Config.QueueDepth packets behind — or
+	// the channel was closing. A shed data packet is not acknowledged,
+	// so its sender retransmits it. Local to this endpoint, like
+	// BatchesSent.
 	InboxDropped uint64
 	// PacketsAcquired/PacketsRecycled expose the inbound packet pool:
 	// every received packet is decoded into a pooled wire.Packet that
@@ -1189,18 +1191,15 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 		c.ctr.dupsDropped.Add(1)
 		pkt.Release()
 	case pkt.Seq == st.cum+1:
-		c.deliver(pkt)
-		st.cum++
-		c.ctr.received.Add(1)
-		for len(st.buf) > 0 {
-			next, ok := st.buf[st.cum+1]
-			if !ok {
-				break
-			}
-			delete(st.buf, st.cum+1)
-			c.deliver(next)
+		// The cumulative ack covers only what the inbox took: a packet
+		// a full inbox refuses stays unacknowledged, and the sender
+		// retransmits it.
+		for next := pkt; next != nil && c.deliver(next); {
 			st.cum++
 			c.ctr.received.Add(1)
+			if next = st.buf[st.cum+1]; next != nil {
+				delete(st.buf, st.cum+1)
+			}
 		}
 	default: // gap: park the packet until the hole fills
 		if st.buf == nil {
@@ -1243,11 +1242,12 @@ func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
 	putBuf(bp)
 }
 
-// deliver queues a packet for Recv. The sender has already been acked,
-// so a packet a full inbox sheds is lost to this hop — the bounded
-// memory of the target platform — and counted.
-func (c *Channel) deliver(pkt *wire.Packet) {
+// deliver queues a packet for Recv and reports whether the inbox took
+// it. A packet a full (or closed) inbox sheds is recycled and counted.
+func (c *Channel) deliver(pkt *wire.Packet) bool {
 	if !c.inbox.Put(pkt) {
 		c.ctr.inboxDropped.Add(1)
+		return false
 	}
+	return true
 }

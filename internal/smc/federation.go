@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/amuse/smc/internal/bus"
 	"github.com/amuse/smc/internal/client"
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/store"
@@ -35,9 +36,9 @@ import (
 // remote log's cursor space rewound: the bus replays from the oldest
 // retained record and the home cell's publisher dedup window absorbs
 // the redelivery (at-least-once transport, exactly-once delivery to
-// home subscribers). Backpressure on the home bus is bounded
-// blocking-with-retry; only an exhausted retry budget counts an event
-// as dropped.
+// home subscribers). Backpressure on the home bus pauses the import
+// pump (LocalService.Publish waits for room); only a closed home bus
+// drops an import.
 
 // AttrFederatedFrom marks events imported from another cell; links
 // never re-export already-federated events, so one-hop federation
@@ -49,6 +50,10 @@ const AttrFederatedFrom = "federated-from"
 // on every disconnect/Close). A stale persisted cursor only widens
 // replay, never loses events.
 const fedPersistEvery = 32
+
+// fedProbeMisses is how many consecutive probe failures count as
+// remote death.
+const fedProbeMisses = 2
 
 // FederateConfig configures a federation link.
 type FederateConfig struct {
@@ -71,17 +76,6 @@ type FederateConfig struct {
 	// Retry tunes the per-cycle join backoff (JoinCellWithRetry
 	// semantics); zero values take the defaults.
 	Retry RetryConfig
-	// Consumer overrides the durable consumer name in the remote cell
-	// (default "fed-<home>-<name>"). It must stay stable across link
-	// restarts — it is the identity the resume cursor belongs to.
-	Consumer string
-	// PublishRetries bounds the blocking-with-retry loop when the home
-	// bus pushes back on an import (default 64 retries); only after
-	// exhausting it is the event counted as dropped.
-	PublishRetries int
-	// PublishRetryDelay is the pause between home-bus retries
-	// (default 2ms).
-	PublishRetryDelay time.Duration
 	// ProbeInterval is the liveness probe cadence. Lease heartbeats
 	// are fire-and-forget unreliable sends, so a killed, partitioned
 	// or restarted remote leaves the membership silently parked —
@@ -92,9 +86,6 @@ type FederateConfig struct {
 	// converts into a reconnect cycle. Default: half the remote lease,
 	// floored at 50ms.
 	ProbeInterval time.Duration
-	// ProbeMisses is how many consecutive probe failures count as
-	// remote death (default 2).
-	ProbeMisses int
 }
 
 // FederationStats is a point-in-time snapshot of one link.
@@ -113,10 +104,12 @@ type FederationStats struct {
 type FederationLink struct {
 	home *Cell
 	cfg  FederateConfig
+	// consumer is the durable consumer name in the remote cell,
+	// "fed-<home>-<name>": stable across link restarts, it is the
+	// identity the resume cursor belongs to.
+	consumer string
 
-	local interface {
-		Publish(e *event.Event) error
-	}
+	local      *bus.LocalService
 	remoteCell string
 	cursorPath string
 
@@ -154,29 +147,18 @@ func Federate(home *Cell, remoteTr transport.Transport, cfg FederateConfig) (*Fe
 	if cfg.Name == "" {
 		cfg.Name = "federation-gateway"
 	}
-	if cfg.Consumer == "" {
-		cfg.Consumer = "fed-" + home.cellName + "-" + cfg.Name
-	}
-	if cfg.PublishRetries == 0 {
-		cfg.PublishRetries = 64
-	}
-	if cfg.PublishRetryDelay <= 0 {
-		cfg.PublishRetryDelay = 2 * time.Millisecond
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 2
-	}
 	cfg.Retry.fillDefaults()
 
 	l := &FederationLink{
-		home: home,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		home:     home,
+		cfg:      cfg,
+		consumer: "fed-" + home.cellName + "-" + cfg.Name,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	l.ctx, l.cancel = context.WithCancel(context.Background())
 	if dir := home.DurableDir(); dir != "" {
-		l.cursorPath = fedCursorPath(dir, cfg.Consumer)
+		l.cursorPath = fedCursorPath(dir, l.consumer)
 		if epoch, cursor, ok := readFedCursor(l.cursorPath); ok {
 			l.resumeEpoch.Store(epoch)
 			l.resumeCursor.Store(cursor)
@@ -209,7 +191,7 @@ func (l *FederationLink) deviceConfig() DeviceConfig {
 	devCfg.Name = l.cfg.Name
 	devCfg.Secret = l.cfg.RemoteSecret
 	devCfg.Cell = l.cfg.RemoteCell
-	devCfg.Durable = l.cfg.Consumer
+	devCfg.Durable = l.consumer
 	devCfg.DurablePosition = client.DurablePosition{
 		Epoch:  l.resumeEpoch.Load(),
 		Cursor: l.resumeCursor.Load(),
@@ -227,8 +209,7 @@ func (l *FederationLink) Imported() uint64 { return l.imported.Load() }
 // re-imported (loop prevention).
 func (l *FederationLink) Skipped() uint64 { return l.skipped.Load() }
 
-// Dropped reports how many imports were abandoned after the bounded
-// home-bus retry budget ran out.
+// Dropped reports how many imports a closed home bus refused.
 func (l *FederationLink) Dropped() uint64 { return l.dropped.Load() }
 
 // Reconnects reports how many reconnect cycles have completed.
@@ -342,7 +323,7 @@ func (l *FederationLink) pump(dev *Device) {
 // information back; this loop sends a reliable heartbeat to the remote
 // discovery service every ProbeInterval instead. On a live remote it
 // doubles as a lease refresh; on a dead one the reliable layer's
-// retransmission budget runs out and ProbeMisses consecutive give-ups
+// retransmission budget runs out and fedProbeMisses consecutive give-ups
 // close probeDead.
 func (l *FederationLink) probe(dev *Device, stop <-chan struct{}, dead chan<- struct{}) {
 	interval := l.cfg.ProbeInterval
@@ -364,7 +345,7 @@ func (l *FederationLink) probe(dev *Device, stop <-chan struct{}, dead chan<- st
 		case <-t.C:
 		}
 		if err := dev.Probe(); err != nil {
-			if misses++; misses >= l.cfg.ProbeMisses {
+			if misses++; misses >= fedProbeMisses {
 				close(dead)
 				return
 			}
@@ -407,34 +388,13 @@ func (l *FederationLink) importEvent(dev *Device, e *event.Event) {
 		imported.SetInt(store.AttrDedup, mixDedup(l.resumeEpoch.Load(), cursor))
 	}
 	e.Release()
-	if l.publishHome(imported) {
+	if err := l.local.Publish(imported); err == nil {
 		l.imported.Add(1)
 	} else {
 		imported.Release()
 		l.dropped.Add(1)
 	}
 	l.maybePersist()
-}
-
-// publishHome publishes with bounded blocking-with-retry: home-bus
-// backpressure (a full shard queue) pauses the import pump instead of
-// silently dropping the event.
-func (l *FederationLink) publishHome(e *event.Event) bool {
-	retries := l.cfg.PublishRetries
-	for {
-		if err := l.local.Publish(e); err == nil {
-			return true
-		}
-		if retries <= 0 {
-			return false
-		}
-		retries--
-		select {
-		case <-l.stop:
-			return false
-		case <-time.After(l.cfg.PublishRetryDelay):
-		}
-	}
 }
 
 // reconnect redials the remote cell with bounded exponential backoff

@@ -1,86 +1,97 @@
 package smc
 
 import (
-	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/amuse/smc/internal/bus"
 	"github.com/amuse/smc/internal/event"
+	"github.com/amuse/smc/internal/ident"
+	"github.com/amuse/smc/internal/transport"
 )
 
-// flakyPublisher fails its first fail publishes, then succeeds.
-type flakyPublisher struct {
-	fail  int
-	calls int
-}
-
-func (p *flakyPublisher) Publish(e *event.Event) error {
-	p.calls++
-	if p.calls <= p.fail {
-		return errors.New("busy")
-	}
-	return nil
-}
-
-func testLink(local interface {
-	Publish(e *event.Event) error
-}, retries int) *FederationLink {
-	l := &FederationLink{
-		cfg: FederateConfig{
-			PublishRetries:    retries,
-			PublishRetryDelay: time.Millisecond,
-		},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	l.local = local
-	return l
-}
-
-// TestPublishHomeRetriesThroughBackpressure: transient home-bus
-// pushback pauses and retries instead of dropping.
-func TestPublishHomeRetriesThroughBackpressure(t *testing.T) {
-	p := &flakyPublisher{fail: 3}
-	l := testLink(p, 8)
-	if !l.publishHome(event.NewTyped("x")) {
-		t.Fatal("publish with transient backpressure reported failure")
-	}
-	if p.calls != 4 {
-		t.Fatalf("publish attempts = %d, want 4", p.calls)
-	}
-}
-
-// TestPublishHomeBoundedRetryGivesUp: the retry budget is a bound, not
-// an infinite stall — exhausting it reports failure so the caller can
-// count the drop.
-func TestPublishHomeBoundedRetryGivesUp(t *testing.T) {
-	p := &flakyPublisher{fail: 1 << 30}
-	l := testLink(p, 5)
-	if l.publishHome(event.NewTyped("x")) {
-		t.Fatal("permanently congested bus reported success")
-	}
-	if p.calls != 6 { // initial attempt + 5 retries
-		t.Fatalf("publish attempts = %d, want 6", p.calls)
-	}
-}
-
-// TestPublishHomeStopAborts: a closing link abandons the retry loop
-// immediately.
-func TestPublishHomeStopAborts(t *testing.T) {
-	p := &flakyPublisher{fail: 1 << 30}
-	l := testLink(p, 1<<20)
-	close(l.stop)
-	doneCh := make(chan bool, 1)
-	go func() { doneCh <- l.publishHome(event.NewTyped("x")) }()
-	select {
-	case ok := <-doneCh:
-		if ok {
-			t.Fatal("stopped link reported publish success")
+// StallShards holds every worker shard of b in a blocking local
+// handler, then fills every shard queue until TryPublish refuses. The
+// stall lasts until the returned release is called (or the test ends).
+func StallShards(t testing.TB, b *bus.Bus) (release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	entered := make(chan struct{}, b.Shards())
+	if err := b.Local("stall").Subscribe(event.NewFilter().WhereType("stall"), func(*event.Event) {
+		select {
+		case entered <- struct{}{}:
+		default: // a stall event that queued behind a held shard, run after the release
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("publishHome did not abort on stop")
+		<-hold
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Each stall event comes from a new service; one that lands on a
+	// shard held already waits in its queue and enters no handler.
+	var svcs []*bus.LocalService
+	for held := 0; held < b.Shards(); {
+		svc := b.Local(fmt.Sprintf("stall-%d", len(svcs)))
+		svcs = append(svcs, svc)
+		if err := svc.TryPublish(event.NewTyped("stall")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+			held++
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	for _, svc := range svcs {
+		for svc.TryPublish(event.NewTyped("stall-fill")) == nil {
+		}
+	}
+	return release
+}
+
+// TestImportRefusedByClosedHomeBus: an import waiting for room on a
+// stalled home bus returns when that bus closes, counted as dropped.
+func TestImportRefusedByClosedHomeBus(t *testing.T) {
+	sw := transport.NewSwitch()
+	defer sw.Close()
+	busTr, err := sw.Attach(ident.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	discTr, err := sw.Attach(ident.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := NewCell(busTr, discTr, Config{Cell: "home", Secret: []byte("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home.Start()
+	release := StallShards(t, home.Bus)
+	l := &FederationLink{home: home, local: home.Bus.Local("federation:remote"), remoteCell: "remote"}
+	imported := make(chan struct{})
+	go func() {
+		l.importEvent(nil, event.NewTyped("alarm"))
+		close(imported)
+	}()
+	closed := make(chan error, 1)
+	go func() { closed <- home.Close() }()
+	select {
+	case <-imported:
+	case <-time.After(5 * time.Second):
+		t.Fatal("import still waiting after the home bus closed")
+	}
+	if st := l.Stats(); st.Dropped != 1 || st.Imported != 0 {
+		t.Errorf("Dropped = %d, Imported = %d; want 1, 0", st.Dropped, st.Imported)
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -41,20 +41,14 @@ const MaxUDPDatagram = 60 * 1024
 type UDPOption func(*udpConfig)
 
 type udpConfig struct {
-	listenIP   net.IP
-	port       int
-	queueDepth int
+	listenIP net.IP
+	port     int
 }
 
 // WithPort pins the local port (default 0: OS chooses, as in the
 // prototype's unicast socket).
 func WithPort(port int) UDPOption {
 	return func(c *udpConfig) { c.port = port }
-}
-
-// WithQueueDepth sets the receive queue depth.
-func WithQueueDepth(n int) UDPOption {
-	return func(c *udpConfig) { c.queueDepth = n }
 }
 
 // WithAddr binds the transport to a "host:port" string, the shape the
@@ -82,7 +76,7 @@ func WithAddr(addr string) (UDPOption, error) {
 // NewUDPTransport opens a datagram socket and derives the service ID
 // from its bound address and port.
 func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
-	cfg := udpConfig{listenIP: net.IPv4(127, 0, 0, 1), queueDepth: defaultQueueDepth}
+	cfg := udpConfig{listenIP: net.IPv4(127, 0, 0, 1)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -100,7 +94,7 @@ func NewUDPTransport(opts ...UDPOption) (*UDPTransport, error) {
 		conn.Close()
 		return nil, err
 	}
-	t := &UDPTransport{id: id, conn: conn, inbox: NewDatagramInbox(cfg.queueDepth)}
+	t := &UDPTransport{id: id, conn: conn, inbox: NewDatagramInbox(defaultQueueDepth)}
 	t.wg.Add(1)
 	go t.readLoop()
 	return t, nil
