@@ -194,7 +194,8 @@ func WithQueueDepth(n int) Option {
 // WithShards sets the number of pipeline worker shards. Events are
 // hashed by publisher ID onto a shard, so one publisher's events are
 // always processed by one worker in FIFO order while different
-// publishers proceed in parallel. The default is GOMAXPROCS.
+// publishers proceed in parallel; membership events are hashed by the
+// member they announce. The default is GOMAXPROCS.
 func WithShards(n int) Option {
 	return func(b *Bus) {
 		if n > 0 {
@@ -230,10 +231,14 @@ type Bus struct {
 	// snap is the membership snapshot for the hot path; members and
 	// locals below are the canonical maps, mutated under mu only.
 	snap atomic.Pointer[membership]
+	// announcer is the local service "membership", the sender of every
+	// New Member and Purge Member event.
+	announcer *LocalService
 
 	mu       sync.Mutex
 	members  map[ident.ID]*memberState
-	locals   []*LocalService // append-only; service number n is locals[n-1]
+	joining  map[ident.ID]bool // AddMember between its checks and the snapshot
+	locals   []*LocalService   // append-only; service number n is locals[n-1]
 	quenched map[ident.ID]bool
 	extra    []*reliable.Channel
 	closed   atomic.Bool // written under mu; read lock-free
@@ -265,6 +270,7 @@ type Bus struct {
 
 type memberState struct {
 	deviceType string
+	name       string
 	px         *proxy.Proxy
 	// via is the channel the member is reachable on (the proxy's
 	// sender); control replies like PktDurableAck go through it so
@@ -303,6 +309,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 		queueDepth:  4096,
 		shards:      runtime.GOMAXPROCS(0),
 		members:     make(map[ident.ID]*memberState),
+		joining:     make(map[ident.ID]bool),
 		quenched:    make(map[ident.ID]bool),
 		durables:    make(map[string]*durableState),
 		durByMember: make(map[ident.ID]*durableState),
@@ -326,6 +333,7 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 			ctr:  &b.ctrs[i],
 		}
 	}
+	b.announcer = b.Local("membership")
 	return b
 }
 
@@ -454,8 +462,11 @@ func (b *Bus) rebuildSnapshot() {
 }
 
 // AddMember admits a service: a proxy of the appropriate concrete type
-// is created via the bootstrap registry (§III-C), started, and its
-// initial subscriptions installed.
+// is created via the bootstrap registry (§III-C), New Member (§II-B) is
+// published into the member's own shard queue — waiting for room, as
+// LocalService.Publish does — and only then is the member admitted, its
+// proxy started and its initial subscriptions installed. Every event
+// admitted from the member thus queues behind its New Member.
 func (b *Bus) AddMember(id ident.ID, deviceType, name string) error {
 	return b.addMember(id, deviceType, name, b.ch)
 }
@@ -466,11 +477,14 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	if _, dup := b.members[id]; dup {
+	if _, dup := b.members[id]; dup || b.joining[id] {
 		b.mu.Unlock()
 		return fmt.Errorf("bus: member %s already present", id)
 	}
-	ms := &memberState{deviceType: deviceType, via: via}
+	b.joining[id] = true
+	b.mu.Unlock()
+
+	ms := &memberState{deviceType: deviceType, name: name, via: via}
 	// Device data the proxy translates into events is a member publish
 	// like any other: it enters through admit, which counts a refusal
 	// itself, so the proxy carries on with the reading's other events.
@@ -478,6 +492,17 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 		b.admit(ms, e)
 		return nil
 	}, b.proxyCfg)
+	// Never while holding mu: a shard worker takes it in maybeQuench.
+	err := b.announce(event.TypeNewMember, id, ms, "")
+	b.mu.Lock()
+	delete(b.joining, id)
+	if err == nil && b.closed.Load() {
+		err = ErrClosed // Close has already purged the members it found
+	}
+	if err != nil {
+		b.mu.Unlock()
+		return err
+	}
 	b.members[id] = ms
 	b.rebuildSnapshot()
 	b.mu.Unlock()
@@ -493,8 +518,11 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 
 // RemoveMember purges a member: subscriptions are removed, the proxy
 // destroys itself discarding queued deliveries, and reliability state
-// is forgotten so a returning device starts a clean stream.
-func (b *Bus) RemoveMember(id ident.ID) {
+// is forgotten so a returning device starts a clean stream. Purge
+// Member, carrying reason, then goes into the member's own shard
+// queue, behind every event admitted from it; RemoveMember waits for
+// room there.
+func (b *Bus) RemoveMember(id ident.ID, reason string) {
 	b.mu.Lock()
 	ms, ok := b.members[id]
 	if ok {
@@ -510,6 +538,23 @@ func (b *Bus) RemoveMember(id ident.ID) {
 	b.match.UnsubscribeAll(id)
 	ms.px.Purge()
 	b.ch.Forget(id)
+	_ = b.announce(event.TypePurgeMember, id, ms, reason) // fails only on a closed bus
+}
+
+// announce publishes a New Member or Purge Member event about member
+// id from the membership service. It goes into id's shard, not the
+// service's: membership events are FIFO per subject, so they are
+// ordered against the member's own events. It waits for room.
+func (b *Bus) announce(class string, id ident.ID, ms *memberState, reason string) error {
+	e := event.NewTyped(class).
+		Set(event.AttrMember, event.Int(int64(id))).
+		Set(event.AttrDeviceType, event.Str(ms.deviceType)).
+		SetStr("name", ms.name)
+	e.Stamp = time.Now()
+	if reason != "" {
+		e.SetStr("reason", reason)
+	}
+	return b.announcer.publish(e, id, true)
 }
 
 // Members lists current member IDs.
@@ -541,25 +586,26 @@ func (b *Bus) memberState(id ident.ID) (*memberState, bool) {
 
 // ---- publish path ----
 
-// shardFor maps a publisher ID onto a worker shard. Fibonacci hashing
-// spreads the address-derived ID space evenly; one publisher always
-// lands on the same shard, preserving its FIFO order.
-func (b *Bus) shardFor(sender ident.ID) *shardWorker {
+// shardFor maps a shard key — a publisher ID, or the subject of a
+// membership event — onto a worker shard. Fibonacci hashing spreads
+// the address-derived ID space evenly; one key always lands on the
+// same shard, preserving its FIFO order.
+func (b *Bus) shardFor(key ident.ID) *shardWorker {
 	if len(b.workers) == 1 {
 		return b.workers[0]
 	}
-	h := uint64(sender) * 0x9E3779B97F4A7C15
+	h := uint64(key) * 0x9E3779B97F4A7C15
 	return b.workers[(h>>32)%uint64(len(b.workers))]
 }
 
-// enqueuePublish hands an event to its publisher's shard. A full
-// queue refuses it with ErrBusy, unless wait is set: then it waits for
-// room until the bus closes.
-func (b *Bus) enqueuePublish(e *event.Event, wait bool) error {
+// enqueuePublish hands an event to the shard of key. A full queue
+// refuses it with ErrBusy, unless wait is set: then it waits for room
+// until the bus closes.
+func (b *Bus) enqueuePublish(e *event.Event, key ident.ID, wait bool) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	w := b.shardFor(e.Sender)
+	w := b.shardFor(key)
 	select {
 	case w.work <- e:
 		return nil
@@ -663,7 +709,7 @@ func (b *Bus) admit(ms *memberState, e *event.Event) {
 			return
 		}
 	}
-	if err := b.enqueuePublish(e, false); err != nil {
+	if err := b.enqueuePublish(e, e.Sender, false); err != nil {
 		e.Release()
 		if errors.Is(err, ErrBusy) {
 			b.ctl().dropped.Add(1) // overload, not corruption

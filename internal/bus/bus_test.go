@@ -183,8 +183,12 @@ func TestBusRoutesToRemoteSubscriber(t *testing.T) {
 	if e.Type() != "alarm" || e.Sender != pub.LocalID() {
 		t.Errorf("event = %s", e)
 	}
+	// Published counts the two members' New Member events as well.
+	for deadline := time.Now().Add(2 * time.Second); r.bus.Stats().Published < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	st := r.bus.Stats()
-	if st.Published != 1 || st.Matched != 1 || st.EnqueuedRemote != 1 {
+	if st.Published != 3 || st.Matched != 1 || st.EnqueuedRemote != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -328,7 +332,7 @@ func TestRemoveMemberDiscardsQueue(t *testing.T) {
 	if px == nil {
 		t.Fatal("no proxy")
 	}
-	r.bus.RemoveMember(subID)
+	r.bus.RemoveMember(subID, "test")
 	if got := r.bus.MemberProxy(subID); got != nil {
 		t.Error("proxy survives removal")
 	}
@@ -424,12 +428,13 @@ func TestAuthorizerBlocksTranslatedData(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && r.bus.Stats().AuthDenied == 0 && dispatched.Load() == 0 {
+	for time.Now().Before(deadline) && (r.bus.Stats().AuthDenied == 0 || r.bus.Stats().Published == 0) && dispatched.Load() == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The one publish is the member's New Member.
 	st := r.bus.Stats()
-	if st.AuthDenied != 1 || st.Published != 0 || dispatched.Load() != 0 {
-		t.Errorf("AuthDenied = %d, Published = %d, dispatched = %d; want 1, 0, 0",
+	if st.AuthDenied != 1 || st.Published != 1 || dispatched.Load() != 0 {
+		t.Errorf("AuthDenied = %d, Published = %d, dispatched = %d; want 1, 1, 0",
 			st.AuthDenied, st.Published, dispatched.Load())
 	}
 	if px := r.bus.MemberProxy(ident.New(1)); px.Stats().TranslatedIn != 1 {

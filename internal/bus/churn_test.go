@@ -71,7 +71,7 @@ func testChurn(t *testing.T, shards int) {
 					return
 				}
 				px := r.bus.MemberProxy(id)
-				r.bus.RemoveMember(id)
+				r.bus.RemoveMember(id, "churn")
 				if px == nil {
 					t.Error("member added without proxy")
 					return

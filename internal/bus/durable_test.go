@@ -70,9 +70,8 @@ func waitDurable(t *testing.T, b *Bus, name string, attached bool) *durableState
 
 // readDurable takes n events from c and checks they are readings
 // from, from+1, … with strictly ascending cursors.
-func readDurable(t *testing.T, c *client.Client, from, n int) {
+func readDurable(t *testing.T, c *client.Client, from, n int) (last uint64) {
 	t.Helper()
-	var last uint64
 	for i := 0; i < n; i++ {
 		e, err := c.NextEvent(20 * time.Second)
 		if err != nil {
@@ -85,6 +84,18 @@ func readDurable(t *testing.T, c *client.Client, from, n int) {
 		}
 		last = e.Cursor
 		e.Release()
+	}
+	return last
+}
+
+// waitLogged polls until the durable log's newest cursor is n.
+func waitLogged(t *testing.T, b *Bus, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); b.DurableLog().NewestCursor() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("log holds %d records, want %d", b.DurableLog().NewestCursor(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -257,6 +268,7 @@ func TestDurableParkToCursor(t *testing.T) {
 	}
 	bindDurable(r.bus, id, "stall", event.NewFilter().WhereType("reading"))
 	waitDurable(t, r.bus, "stall", true)
+	waitLogged(t, r.bus, 1) // the member's New Member
 	svc := r.bus.Local("pub")
 
 	publishN(t, svc, 0, 10)
@@ -269,12 +281,7 @@ func TestDurableParkToCursor(t *testing.T) {
 	}
 	// The shards carried on past the stalled member: every publish
 	// reaches the log while the link is still stalled.
-	for deadline := time.Now().Add(10 * time.Second); r.bus.DurableLog().NewestCursor() != 10+stalled; {
-		if time.Now().After(deadline) {
-			t.Fatalf("log holds %d records, want %d", r.bus.DurableLog().NewestCursor(), 10+stalled)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitLogged(t, r.bus, 1+10+stalled)
 
 	snd.release()
 	publishN(t, svc, 10+stalled, 10+stalled+100)
@@ -284,7 +291,7 @@ func TestDurableParkToCursor(t *testing.T) {
 		cursors, ns := snd.readings(t)
 		if len(ns) >= total {
 			for i := range ns {
-				if ns[i] != int64(i) || cursors[i] != uint64(i+1) {
+				if ns[i] != int64(i) || cursors[i] != uint64(i+2) {
 					t.Fatalf("delivery %d: n=%d cursor %d (loss, dup or reorder)", i, ns[i], cursors[i])
 				}
 			}
@@ -317,7 +324,7 @@ func TestDurableLastFilterRemovedWhileAttached(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishN(t, svc, 0, 20)
-	readDurable(t, c, 0, 20)
+	last := readDurable(t, c, 0, 20)
 	ds := waitDurable(t, r.bus, "unsub", true)
 
 	if err := c.Unsubscribe(f); err != nil {
@@ -325,8 +332,8 @@ func TestDurableLastFilterRemovedWhileAttached(t *testing.T) {
 	}
 	waitDurable(t, r.bus, "unsub", false)
 	at := ds.delivered.Load()
-	if at != 20 {
-		t.Fatalf("detached at cursor %d, want 20", at)
+	if at != last {
+		t.Fatalf("detached at cursor %d, want %d", at, last)
 	}
 	publishN(t, svc, 20, 70)
 	expectQuiet(t, c, 100*time.Millisecond)

@@ -194,19 +194,22 @@ func (l *LocalService) removeAt(i int) localHandler {
 // the same per-sender FIFO contract as remote ones. When the shard
 // queue is full, Publish waits for room; it fails only with ErrClosed.
 // It must not be called from a Subscribe handler (use TryPublish).
-func (l *LocalService) Publish(e *event.Event) error { return l.publish(e, true) }
+func (l *LocalService) Publish(e *event.Event) error { return l.publish(e, l.id, true) }
 
 // TryPublish is Publish that never waits: a full shard queue refuses
 // the event with ErrBusy. It is the publish for code running on a
 // shard worker, such as a Subscribe handler.
-func (l *LocalService) TryPublish(e *event.Event) error { return l.publish(e, false) }
+func (l *LocalService) TryPublish(e *event.Event) error { return l.publish(e, l.id, false) }
 
-func (l *LocalService) publish(e *event.Event, wait bool) error {
+// publish stamps e as the service's next event and hands it to the
+// shard of key: the service itself, except for the bus's membership
+// events (Bus.announce).
+func (l *LocalService) publish(e *event.Event, key ident.ID, wait bool) error {
 	e.Sender = l.id
 	l.pubMu.Lock()
 	l.seq++
 	e.Seq = l.seq
-	err := l.b.enqueuePublish(e, wait)
+	err := l.b.enqueuePublish(e, key, wait)
 	l.pubMu.Unlock()
 	return err
 }

@@ -109,7 +109,7 @@ func TestUnreliableDataPath(t *testing.T) {
 	r := newRig(t)
 	pub := r.member(t, 1, "generic")
 	sub := r.member(t, 2, "generic")
-	subscribe(t, sub, event.NewFilter())
+	subscribe(t, sub, event.NewFilter().WhereType("periodic"))
 
 	// Generic proxy translates PktData payloads as encoded events.
 	e := event.NewTyped("periodic").SetFloat("v", 36.6)

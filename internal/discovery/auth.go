@@ -3,7 +3,8 @@
 // connectivity to them while they are within range, manages group
 // membership (detection, authenticated admission, removal), masks
 // transient disconnections, and informs the SMC of arrivals and
-// departures via "New Member" and "Purge Member" events.
+// departures, which the bus announces as "New Member" and "Purge
+// Member" events.
 //
 // The discovery protocol deliberately does not use the event bus for
 // its own traffic — it works beside the bus, separating the concern of

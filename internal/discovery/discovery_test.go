@@ -3,11 +3,11 @@ package discovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/reliable"
@@ -15,29 +15,53 @@ import (
 
 var secret = []byte("s3cret")
 
-// sink collects emitted membership events.
-type sink struct {
-	mu     sync.Mutex
-	events []*event.Event
+// change is one call the service made on its Members.
+type change struct {
+	id         ident.ID
+	deviceType string
+	reason     string // of a removal
 }
 
-func (s *sink) Publish(e *event.Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, e)
+// cellMembers is a fake Members that records adds and removes. While
+// hook is set, AddMember calls it first and fails with its error.
+type cellMembers struct {
+	mu      sync.Mutex
+	hook    func(id ident.ID) error
+	adds    []change
+	removes []change
+}
+
+func (m *cellMembers) AddMember(id ident.ID, deviceType, name string) error {
+	m.mu.Lock()
+	hook := m.hook
+	m.mu.Unlock()
+	if hook != nil {
+		if err := hook(id); err != nil {
+			return err
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.adds = append(m.adds, change{id: id, deviceType: deviceType})
 	return nil
 }
 
-func (s *sink) ofType(class string) []*event.Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*event.Event
-	for _, e := range s.events {
-		if e.Type() == class {
-			out = append(out, e)
-		}
-	}
-	return out
+func (m *cellMembers) RemoveMember(id ident.ID, reason string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.removes = append(m.removes, change{id: id, reason: reason})
+}
+
+func (m *cellMembers) added() []change {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.adds)
+}
+
+func (m *cellMembers) removed() []change {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.removes)
 }
 
 func relCfg() reliable.Config {
@@ -49,9 +73,9 @@ func relCfg() reliable.Config {
 }
 
 type fixture struct {
-	net  *netsim.Network
-	svc  *Service
-	sink *sink
+	net     *netsim.Network
+	svc     *Service
+	members *cellMembers
 }
 
 func newFixture(t *testing.T, cfg ServiceConfig) *fixture {
@@ -61,7 +85,7 @@ func newFixture(t *testing.T, cfg ServiceConfig) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &sink{}
+	m := &cellMembers{}
 	if cfg.Cell == "" {
 		cfg.Cell = "cell-1"
 	}
@@ -80,7 +104,7 @@ func newFixture(t *testing.T, cfg ServiceConfig) *fixture {
 	if cfg.Grace == 0 {
 		cfg.Grace = 250 * time.Millisecond
 	}
-	svc, err := NewService(reliable.New(tr, relCfg()), s, cfg)
+	svc, err := NewService(reliable.New(tr, relCfg()), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +113,7 @@ func newFixture(t *testing.T, cfg ServiceConfig) *fixture {
 		svc.Close()
 		n.Close()
 	})
-	return &fixture{net: n, svc: svc, sink: s}
+	return &fixture{net: n, svc: svc, members: m}
 }
 
 func (f *fixture) device(t *testing.T, id uint64) *reliable.Channel {
@@ -125,19 +149,8 @@ func TestJoinHappyPath(t *testing.T) {
 	if !ok || info.DeviceType != "hr-sensor" || info.Name != "hr-1" || info.State != StateActive {
 		t.Errorf("member = %+v, %v", info, ok)
 	}
-	var news []*event.Event
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if news = f.sink.ofType(event.TypeNewMember); len(news) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(news) != 1 {
-		t.Fatalf("new-member events = %d", len(news))
-	}
-	if v, _ := news[0].Get(event.AttrDeviceType); !v.Equal(event.Str("hr-sensor")) {
-		t.Errorf("device-type attr = %s", v)
+	if adds := f.members.added(); len(adds) != 1 || adds[0].id != ch.LocalID() || adds[0].deviceType != "hr-sensor" {
+		t.Errorf("adds = %+v", adds)
 	}
 }
 
@@ -156,26 +169,6 @@ func TestJoinWrongSecretRejected(t *testing.T) {
 	}
 	if len(f.svc.Members()) != 0 {
 		t.Error("rejected device admitted")
-	}
-}
-
-func TestJoinAdmitHookRejects(t *testing.T) {
-	f := newFixture(t, ServiceConfig{
-		Admit: func(id ident.ID, deviceType, name string) error {
-			if deviceType == "banned" {
-				return errors.New("device type banned on this ward")
-			}
-			return nil
-		},
-	})
-	ch := f.device(t, 3)
-	_, err := Join(ch, JoinConfig{DeviceType: "banned", DeviceName: "n", Secret: secret, Timeout: 2 * time.Second})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v", err)
-	}
-	ch2 := f.device(t, 4)
-	if _, err := Join(ch2, JoinConfig{DeviceType: "fine", DeviceName: "n", Secret: secret, Timeout: 2 * time.Second}); err != nil {
-		t.Fatalf("allowed type rejected: %v", err)
 	}
 }
 
@@ -207,44 +200,49 @@ func TestJoinNoCellTimeout(t *testing.T) {
 	}
 }
 
-func TestRegisterHookOrderingAndVeto(t *testing.T) {
-	var mu sync.Mutex
-	registered := []ident.ID{}
-	veto := false
-	f := newFixture(t, ServiceConfig{
-		Register: func(id ident.ID, deviceType, name string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if veto {
-				return errors.New("no room")
-			}
-			registered = append(registered, id)
-			return nil
-		},
-		Unregister: func(id ident.ID) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i, r := range registered {
-				if r == id {
-					registered = append(registered[:i], registered[i+1:]...)
-				}
-			}
-		},
-	})
+// TestAddMemberBeforeAcceptAndVeto: the service adds a joining device
+// to the cell before it sends the JoinAccept, so the device cannot
+// publish before it is a member; an error from AddMember rejects the
+// join.
+func TestAddMemberBeforeAcceptAndVeto(t *testing.T) {
+	f := newFixture(t, ServiceConfig{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	f.members.mu.Lock()
+	f.members.hook = func(ident.ID) error {
+		close(entered)
+		<-release
+		return nil
+	}
+	f.members.mu.Unlock()
 	ch := f.device(t, 6)
-	if _, err := Join(ch, JoinConfig{DeviceType: "x", DeviceName: "a", Secret: secret, Timeout: 2 * time.Second}); err != nil {
+	joined := make(chan error, 1)
+	go func() {
+		_, err := Join(ch, JoinConfig{DeviceType: "x", DeviceName: "a", Secret: secret, Timeout: 5 * time.Second})
+		joined <- err
+	}()
+	<-entered
+	select {
+	case err := <-joined:
+		t.Fatalf("join returned (%v) while AddMember was still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-joined; err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	mu.Lock()
-	if len(registered) != 1 || registered[0] != ch.LocalID() {
-		t.Errorf("registered = %v", registered)
+	if adds := f.members.added(); len(adds) != 1 || adds[0].id != ch.LocalID() {
+		t.Errorf("adds = %+v", adds)
 	}
-	veto = true
-	mu.Unlock()
 
+	f.members.mu.Lock()
+	f.members.hook = func(ident.ID) error { return errors.New("no room") }
+	f.members.mu.Unlock()
 	ch2 := f.device(t, 7)
 	if _, err := Join(ch2, JoinConfig{DeviceType: "x", DeviceName: "b", Secret: secret, Timeout: 2 * time.Second}); !errors.Is(err, ErrRejected) {
 		t.Errorf("vetoed join: %v", err)
+	}
+	if _, ok := f.svc.Member(ch2.LocalID()); ok {
+		t.Error("vetoed device is in the member table")
 	}
 }
 
@@ -263,8 +261,8 @@ func TestHeartbeatsKeepMemberAlive(t *testing.T) {
 	if !ok || info.State != StateActive {
 		t.Errorf("member = %+v, %v after heartbeats", info, ok)
 	}
-	if f.sink.ofType(event.TypePurgeMember) != nil {
-		t.Error("purged despite heartbeats")
+	if rm := f.members.removed(); len(rm) != 0 {
+		t.Errorf("purged despite heartbeats: %+v", rm)
 	}
 }
 
@@ -298,12 +296,8 @@ func TestSilenceLeadsToGraceThenPurge(t *testing.T) {
 	if _, ok := f.svc.Member(ch.LocalID()); ok {
 		t.Fatal("member never purged")
 	}
-	purges := f.sink.ofType(event.TypePurgeMember)
-	if len(purges) != 1 {
-		t.Fatalf("purge events = %d", len(purges))
-	}
-	if v, _ := purges[0].Get("reason"); !v.Equal(event.Str("lease-expired")) {
-		t.Errorf("reason = %s", v)
+	if rm := f.members.removed(); len(rm) != 1 || rm[0].id != ch.LocalID() || rm[0].reason != "lease-expired" {
+		t.Errorf("removes = %+v", rm)
 	}
 	st := f.svc.Stats()
 	if st.GraceEntries == 0 || st.Purged != 1 {
@@ -352,43 +346,23 @@ func TestLeavePurgesImmediately(t *testing.T) {
 	if err := Leave(ch, res.Discovery); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	// purge drops the member before it publishes the event, so the
-	// member's absence does not yet mean the event is out: poll for both.
+	// purge drops the member from its table before it removes it from
+	// the cell, so the member's absence does not yet mean the removal
+	// is done: poll for both.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		_, member := f.svc.Member(ch.LocalID())
-		purges := f.sink.ofType(event.TypePurgeMember)
-		if member || len(purges) == 0 {
+		rm := f.members.removed()
+		if member || len(rm) == 0 {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if len(purges) != 1 {
-			t.Fatalf("purge events = %d", len(purges))
-		}
-		if v, _ := purges[0].Get("reason"); !v.Equal(event.Str("leave")) {
-			t.Errorf("reason = %s", v)
+		if len(rm) != 1 || rm[0].reason != "leave" {
+			t.Errorf("removes = %+v", rm)
 		}
 		return
 	}
 	t.Fatal("leave did not purge")
-}
-
-func TestKick(t *testing.T) {
-	f := newFixture(t, ServiceConfig{Lease: 10 * time.Second, Grace: 10 * time.Second})
-	ch := f.device(t, 12)
-	if _, err := Join(ch, JoinConfig{DeviceType: "x", DeviceName: "a", Secret: secret, Timeout: 2 * time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	if !f.svc.Kick(ch.LocalID(), "admin") {
-		t.Fatal("kick failed")
-	}
-	if f.svc.Kick(ch.LocalID(), "again") {
-		t.Error("double kick succeeded")
-	}
-	purges := f.sink.ofType(event.TypePurgeMember)
-	if len(purges) != 1 {
-		t.Fatalf("purge events = %d", len(purges))
-	}
 }
 
 func TestRejoinOfLiveMemberDoesNotDuplicateNewMember(t *testing.T) {
@@ -399,8 +373,8 @@ func TestRejoinOfLiveMemberDoesNotDuplicateNewMember(t *testing.T) {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	if got := len(f.sink.ofType(event.TypeNewMember)); got != 1 {
-		t.Errorf("new-member events = %d, want 1", got)
+	if got := len(f.members.added()); got != 1 {
+		t.Errorf("adds = %d, want 1", got)
 	}
 	if f.svc.Stats().Admitted != 1 {
 		t.Errorf("Admitted = %d", f.svc.Stats().Admitted)
@@ -415,12 +389,12 @@ func TestServiceConfigValidation(t *testing.T) {
 	defer ch.Close()
 
 	if _, err := NewService(ch, nil, ServiceConfig{Cell: "c", BusID: 1}); err == nil {
-		t.Error("nil emitter accepted")
+		t.Error("nil members accepted")
 	}
-	if _, err := NewService(ch, &sink{}, ServiceConfig{BusID: 1}); err == nil {
+	if _, err := NewService(ch, &cellMembers{}, ServiceConfig{BusID: 1}); err == nil {
 		t.Error("empty cell accepted")
 	}
-	if _, err := NewService(ch, &sink{}, ServiceConfig{Cell: "c"}); err == nil {
+	if _, err := NewService(ch, &cellMembers{}, ServiceConfig{Cell: "c"}); err == nil {
 		t.Error("missing bus ID accepted")
 	}
 }

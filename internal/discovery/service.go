@@ -5,22 +5,19 @@ import (
 	"sync"
 	"time"
 
-	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/reliable"
 	"github.com/amuse/smc/internal/wire"
 )
 
-// Emitter receives the membership events the discovery service
-// generates; the bus's local-service handle satisfies it.
-type Emitter interface {
-	Publish(e *event.Event) error
+// Members is the cell's membership, which discovery drives: the bus
+// satisfies it, and announces New Member and Purge Member itself.
+type Members interface {
+	// AddMember admits a device; an error rejects its join.
+	AddMember(id ident.ID, deviceType, name string) error
+	// RemoveMember purges a member, with reason as the purge's cause.
+	RemoveMember(id ident.ID, reason string)
 }
-
-// AdmitFunc is an optional application-level admission hook consulted
-// after credential verification. Returning an error rejects the device
-// with the error text as the reason.
-type AdmitFunc func(id ident.ID, deviceType, name string) error
 
 // MemberState describes a member's liveness.
 type MemberState int
@@ -72,17 +69,6 @@ type ServiceConfig struct {
 	Lease time.Duration
 	// Grace is the additional tolerated silence (default 3 s).
 	Grace time.Duration
-	// Admit is the optional admission hook.
-	Admit AdmitFunc
-	// Register, when set, is called synchronously after admission is
-	// decided and before the JoinAccept is sent — the bus wires its
-	// AddMember here so the member's proxy exists before the device
-	// learns it was admitted (no publish can race ahead of
-	// membership). An error rejects the join.
-	Register func(id ident.ID, deviceType, name string) error
-	// Unregister, when set, is called when a member is purged,
-	// before the Purge Member event is emitted.
-	Unregister func(id ident.ID)
 	// StatsProvider, when set, enables the management plane: a
 	// PktStatsRequest from any endpoint (admission not required — the
 	// observation plane must work exactly when the data plane is in
@@ -113,16 +99,12 @@ type Stats struct {
 	GraceReturns uint64
 	Purged       uint64
 	Leaves       uint64
-	// EmitFailures counts membership events the emitter refused. A
-	// bus emitter waits out a full shard queue, so with one this
-	// counts only events lost to a closed bus.
-	EmitFailures uint64
 }
 
 // Service is the cell-side discovery service.
 type Service struct {
 	ch   *reliable.Channel
-	emit Emitter
+	cell Members
 	cfg  ServiceConfig
 
 	mu      sync.Mutex
@@ -139,11 +121,12 @@ type memberRecord struct {
 }
 
 // NewService builds a discovery service over its own reliable channel
-// (the discovery protocol does not share the bus's endpoint). Call
+// (the discovery protocol does not share the bus's endpoint); it adds
+// the devices it admits to members and removes them when they go. Call
 // Start to begin beaconing and admission.
-func NewService(ch *reliable.Channel, emit Emitter, cfg ServiceConfig) (*Service, error) {
-	if emit == nil {
-		return nil, errors.New("discovery: nil emitter")
+func NewService(ch *reliable.Channel, members Members, cfg ServiceConfig) (*Service, error) {
+	if members == nil {
+		return nil, errors.New("discovery: nil members")
 	}
 	if cfg.Cell == "" {
 		return nil, errors.New("discovery: empty cell name")
@@ -154,7 +137,7 @@ func NewService(ch *reliable.Channel, emit Emitter, cfg ServiceConfig) (*Service
 	cfg.fillDefaults()
 	return &Service{
 		ch:      ch,
-		emit:    emit,
+		cell:    members,
 		cfg:     cfg,
 		members: make(map[ident.ID]*memberRecord),
 		done:    make(chan struct{}),
@@ -214,11 +197,6 @@ func (s *Service) Close() error {
 	err := s.ch.Close()
 	s.wg.Wait()
 	return err
-}
-
-// Kick forcibly purges a member (management action).
-func (s *Service) Kick(id ident.ID, reason string) bool {
-	return s.purge(id, reason)
 }
 
 func (s *Service) beaconLoop() {
@@ -285,19 +263,16 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		s.reject(pkt.Sender, "authentication failed")
 		return
 	}
-	if s.cfg.Admit != nil {
-		if err := s.cfg.Admit(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
-			s.reject(pkt.Sender, err.Error())
-			return
-		}
-	}
 
 	now := time.Now()
 	s.mu.Lock()
 	rec, rejoin := s.members[pkt.Sender]
 	s.mu.Unlock()
-	if !rejoin && s.cfg.Register != nil {
-		if err := s.cfg.Register(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
+	if !rejoin {
+		// The member exists, and its New Member is queued ahead of
+		// anything it can publish, before the device learns it was
+		// admitted.
+		if err := s.cell.AddMember(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
 			s.reject(pkt.Sender, err.Error())
 			return
 		}
@@ -335,14 +310,8 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 			s.mu.Lock()
 			delete(s.members, pkt.Sender)
 			s.mu.Unlock()
-			if s.cfg.Unregister != nil {
-				s.cfg.Unregister(pkt.Sender)
-			}
+			s.cell.RemoveMember(pkt.Sender, "join-unconfirmed")
 		}
-		return
-	}
-	if !rejoin {
-		s.emitMembership(event.TypeNewMember, pkt.Sender, req.DeviceType, req.DeviceName, "")
 	}
 }
 
@@ -435,39 +404,18 @@ func (s *Service) checkExpiry() {
 	}
 }
 
-// purge removes a member and announces it. It reports whether the
-// member existed.
-func (s *Service) purge(id ident.ID, reason string) bool {
+// purge removes a member from the table and from the cell.
+func (s *Service) purge(id ident.ID, reason string) {
 	s.mu.Lock()
-	rec, ok := s.members[id]
+	_, ok := s.members[id]
 	if ok {
 		delete(s.members, id)
 		s.stats.Purged++
 	}
 	s.mu.Unlock()
 	if !ok {
-		return false
+		return
 	}
 	s.ch.Forget(id)
-	if s.cfg.Unregister != nil {
-		s.cfg.Unregister(id)
-	}
-	s.emitMembership(event.TypePurgeMember, id, rec.info.DeviceType, rec.info.Name, reason)
-	return true
-}
-
-func (s *Service) emitMembership(class string, id ident.ID, deviceType, name, reason string) {
-	e := event.NewTyped(class).
-		Set(event.AttrMember, event.Int(int64(id))).
-		Set(event.AttrDeviceType, event.Str(deviceType)).
-		SetStr("name", name)
-	e.Stamp = time.Now()
-	if reason != "" {
-		e.SetStr("reason", reason)
-	}
-	if err := s.emit.Publish(e); err != nil {
-		s.mu.Lock()
-		s.stats.EmitFailures++
-		s.mu.Unlock()
-	}
+	s.cell.RemoveMember(id, reason)
 }

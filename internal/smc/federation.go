@@ -90,10 +90,11 @@ type FederateConfig struct {
 
 // FederationStats is a point-in-time snapshot of one link.
 type FederationStats struct {
-	RemoteCell   string
-	Connected    bool
-	Imported     uint64
-	Skipped      uint64
+	RemoteCell string
+	Connected  bool
+	Imported   uint64
+	Skipped    uint64
+	// Dropped counts imports a closed home bus refused.
 	Dropped      uint64
 	Reconnects   uint64
 	ResumeEpoch  uint64

@@ -151,7 +151,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 	if cfg.Durable != nil {
 		c.durableDir = cfg.Durable.Dir
 	}
-	disc, err := discovery.NewService(discCh, b.Local("discovery"), discovery.ServiceConfig{
+	disc, err := discovery.NewService(discCh, b, discovery.ServiceConfig{
 		Cell:           cfg.Cell,
 		Secret:         cfg.Secret,
 		BusID:          b.ID(),
@@ -159,12 +159,6 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		BeaconInterval: cfg.BeaconInterval,
 		Lease:          cfg.Lease,
 		Grace:          cfg.Grace,
-		Register: func(id ident.ID, deviceType, name string) error {
-			return b.AddMember(id, deviceType, name)
-		},
-		Unregister: func(id ident.ID) {
-			b.RemoveMember(id)
-		},
 		// Management plane: any endpoint may query the cell's health
 		// and leak counters (smctap -stats, the chaos harness).
 		StatsProvider: c.StatsReport,

@@ -83,8 +83,8 @@ type FederationCounters struct {
 	Connected bool
 	// Imported / Skipped / Dropped / Reconnects mirror the link's
 	// counters: events republished locally, loop-prevention skips,
-	// events abandoned after the bounded home-bus retry, and completed
-	// reconnect cycles.
+	// imports a closed home bus refused, and completed reconnect
+	// cycles.
 	Imported   uint64
 	Skipped    uint64
 	Dropped    uint64
