@@ -235,10 +235,12 @@ type Bus struct {
 	// New Member and Purge Member event.
 	announcer *LocalService
 
+	// lifeMu serialises AddMember and RemoveMember, announcement waits
+	// included; no shard worker takes it.
+	lifeMu   sync.Mutex
 	mu       sync.Mutex
 	members  map[ident.ID]*memberState
-	joining  map[ident.ID]bool // AddMember between its checks and the snapshot
-	locals   []*LocalService   // append-only; service number n is locals[n-1]
+	locals   []*LocalService // append-only; service number n is locals[n-1]
 	quenched map[ident.ID]bool
 	extra    []*reliable.Channel
 	closed   atomic.Bool // written under mu; read lock-free
@@ -309,7 +311,6 @@ func New(ch *reliable.Channel, m matcher.Matcher, reg *bootstrap.Registry, opts 
 		queueDepth:  4096,
 		shards:      runtime.GOMAXPROCS(0),
 		members:     make(map[ident.ID]*memberState),
-		joining:     make(map[ident.ID]bool),
 		quenched:    make(map[ident.ID]bool),
 		durables:    make(map[string]*durableState),
 		durByMember: make(map[ident.ID]*durableState),
@@ -472,16 +473,17 @@ func (b *Bus) AddMember(id ident.ID, deviceType, name string) error {
 }
 
 func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSender) error {
+	b.lifeMu.Lock()
+	defer b.lifeMu.Unlock()
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	if _, dup := b.members[id]; dup || b.joining[id] {
+	if _, dup := b.members[id]; dup {
 		b.mu.Unlock()
 		return fmt.Errorf("bus: member %s already present", id)
 	}
-	b.joining[id] = true
 	b.mu.Unlock()
 
 	ms := &memberState{deviceType: deviceType, name: name, via: via}
@@ -495,7 +497,6 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 	// Never while holding mu: a shard worker takes it in maybeQuench.
 	err := b.announce(event.TypeNewMember, id, ms, "")
 	b.mu.Lock()
-	delete(b.joining, id)
 	if err == nil && b.closed.Load() {
 		err = ErrClosed // Close has already purged the members it found
 	}
@@ -523,6 +524,8 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 // queue, behind every event admitted from it; RemoveMember waits for
 // room there.
 func (b *Bus) RemoveMember(id ident.ID, reason string) {
+	b.lifeMu.Lock()
+	defer b.lifeMu.Unlock()
 	b.mu.Lock()
 	ms, ok := b.members[id]
 	if ok {
@@ -540,6 +543,12 @@ func (b *Bus) RemoveMember(id ident.ID, reason string) {
 	b.ch.Forget(id)
 	_ = b.announce(event.TypePurgeMember, id, ms, reason) // fails only on a closed bus
 }
+
+// RenewMember forgets the reliable streams of a member whose device
+// joined again, so a restarted device's are not taken for the old
+// session's. Membership and subscriptions stay; the proxy redelivers
+// what was in flight.
+func (b *Bus) RenewMember(id ident.ID) { b.ch.Forget(id) }
 
 // announce publishes a New Member or Purge Member event about member
 // id from the membership service. It goes into id's shard, not the

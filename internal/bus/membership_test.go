@@ -3,6 +3,7 @@ package bus
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,15 +28,16 @@ func TestMembershipOrderedWithMemberTraffic(t *testing.T) {
 
 	var (
 		mu   sync.Mutex
-		seen []string
+		seen []seenEvent
 	)
 	saw := make(chan struct{}, 3)
 	record := func(e *event.Event) {
-		if v, ok := e.Get(event.AttrMember); ok && !v.Equal(event.Int(int64(m))) {
+		se := seenOf(e)
+		if se.member != 0 && se.member != m {
 			return // another member's announcement
 		}
 		mu.Lock()
-		seen = append(seen, e.Type())
+		seen = append(seen, se)
 		mu.Unlock()
 		saw <- struct{}{}
 	}
@@ -67,8 +69,117 @@ func TestMembershipOrderedWithMemberTraffic(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if got, want := fmt.Sprint(seen), fmt.Sprint([]string{event.TypeNewMember, "reading", event.TypePurgeMember}); got != want {
+	var order []string
+	for _, se := range seen {
+		order = append(order, se.class)
+	}
+	if got, want := fmt.Sprint(order), fmt.Sprint([]string{event.TypeNewMember, "reading", event.TypePurgeMember}); got != want {
 		t.Fatalf("order = %s, want %s", got, want)
+	}
+	// The announcements name the member, its device type and name; only
+	// Purge Member carries a reason. Their sender is the membership
+	// service, never the member.
+	service := r.bus.announcer.ID()
+	want := []seenEvent{
+		{class: event.TypeNewMember, sender: service, member: m, deviceType: "generic", name: "dev"},
+		{class: event.TypePurgeMember, sender: service, member: m, deviceType: "generic", name: "dev", reason: "test", hasReason: true},
+	}
+	for i, se := range []seenEvent{seen[0], seen[2]} {
+		if se != want[i] {
+			t.Errorf("%s = %+v, want %+v", want[i].class, se, want[i])
+		}
+	}
+}
+
+// seenEvent is what the membership tests read off an event.
+type seenEvent struct {
+	class            string
+	sender, member   ident.ID
+	deviceType, name string
+	reason           string
+	hasReason        bool
+}
+
+func seenOf(e *event.Event) seenEvent {
+	se := seenEvent{class: e.Type(), sender: e.Sender}
+	if v, ok := e.Get(event.AttrMember); ok {
+		id, _ := v.Int()
+		se.member = ident.ID(id)
+	}
+	if v, ok := e.Get(event.AttrDeviceType); ok {
+		se.deviceType, _ = v.Str()
+	}
+	if v, ok := e.Get("name"); ok {
+		se.name, _ = v.Str()
+	}
+	if v, ok := e.Get("reason"); ok {
+		se.reason, _ = v.Str()
+		se.hasReason = true
+	}
+	return se
+}
+
+// TestRemoveAndAddOfOneMemberStayOrdered races RemoveMember against
+// AddMember of the same ID. The add waits until the removal has queued
+// its Purge Member, so the announcements about the member alternate
+// New, Purge, New, … and the last one matches whether it is a member.
+func TestRemoveAndAddOfOneMemberStayOrdered(t *testing.T) {
+	r := newRig(t, WithShards(4))
+	m := ident.New(0x77)
+	var (
+		mu    sync.Mutex
+		order []string
+	)
+	saw := make(chan struct{}, 1024)
+	watch := r.bus.Local("watch")
+	for _, class := range []string{event.TypeNewMember, event.TypePurgeMember} {
+		if err := watch.Subscribe(event.NewFilter().WhereType(class), func(e *event.Event) {
+			mu.Lock()
+			order = append(order, e.Type())
+			mu.Unlock()
+			saw <- struct{}{}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		adds atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if (i+g)%2 == 1 {
+					r.bus.RemoveMember(m, "test")
+				} else if r.bus.AddMember(m, "generic", "dev") == nil {
+					adds.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	present := r.bus.MemberProxy(m) != nil
+	events := 2 * int(adds.Load())
+	if present {
+		events--
+	}
+	waitSeen(t, saw, events)
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, class := range order {
+		want := event.TypeNewMember
+		if i%2 == 1 {
+			want = event.TypePurgeMember
+		}
+		if class != want {
+			t.Fatalf("announcement %d of %d is %s, want %s", i, len(order), class, want)
+		}
+	}
+	if last := order[len(order)-1]; present != (last == event.TypeNewMember) {
+		t.Fatalf("member present = %v, last announcement %s", present, last)
 	}
 }
 

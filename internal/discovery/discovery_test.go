@@ -29,6 +29,7 @@ type cellMembers struct {
 	hook    func(id ident.ID) error
 	adds    []change
 	removes []change
+	renews  []ident.ID
 }
 
 func (m *cellMembers) AddMember(id ident.ID, deviceType, name string) error {
@@ -50,6 +51,12 @@ func (m *cellMembers) RemoveMember(id ident.ID, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.removes = append(m.removes, change{id: id, reason: reason})
+}
+
+func (m *cellMembers) RenewMember(id ident.ID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.renews = append(m.renews, id)
 }
 
 func (m *cellMembers) added() []change {
@@ -378,6 +385,11 @@ func TestRejoinOfLiveMemberDoesNotDuplicateNewMember(t *testing.T) {
 	}
 	if f.svc.Stats().Admitted != 1 {
 		t.Errorf("Admitted = %d", f.svc.Stats().Admitted)
+	}
+	f.members.mu.Lock()
+	defer f.members.mu.Unlock()
+	if len(f.members.renews) != 1 || f.members.renews[0] != ch.LocalID() {
+		t.Errorf("renews = %v, want the rejoined device once", f.members.renews)
 	}
 }
 

@@ -17,6 +17,8 @@ type Members interface {
 	AddMember(id ident.ID, deviceType, name string) error
 	// RemoveMember purges a member, with reason as the purge's cause.
 	RemoveMember(id ident.ID, reason string)
+	// RenewMember starts a new session for a member that joined again.
+	RenewMember(id ident.ID)
 }
 
 // MemberState describes a member's liveness.
@@ -108,16 +110,12 @@ type Service struct {
 	cfg  ServiceConfig
 
 	mu      sync.Mutex
-	members map[ident.ID]*memberRecord
+	members map[ident.ID]*MemberInfo
 	stats   Stats
 	closed  bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
-}
-
-type memberRecord struct {
-	info MemberInfo
 }
 
 // NewService builds a discovery service over its own reliable channel
@@ -139,7 +137,7 @@ func NewService(ch *reliable.Channel, members Members, cfg ServiceConfig) (*Serv
 		ch:      ch,
 		cell:    members,
 		cfg:     cfg,
-		members: make(map[ident.ID]*memberRecord),
+		members: make(map[ident.ID]*MemberInfo),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -160,7 +158,7 @@ func (s *Service) Members() []MemberInfo {
 	defer s.mu.Unlock()
 	out := make([]MemberInfo, 0, len(s.members))
 	for _, m := range s.members {
-		out = append(out, m.info)
+		out = append(out, *m)
 	}
 	return out
 }
@@ -169,11 +167,10 @@ func (s *Service) Members() []MemberInfo {
 func (s *Service) Member(id ident.ID) (MemberInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.members[id]
-	if !ok {
-		return MemberInfo{}, false
+	if m, ok := s.members[id]; ok {
+		return *m, true
 	}
-	return m.info, true
+	return MemberInfo{}, false
 }
 
 // Start launches the beacon, receive and expiry loops.
@@ -268,31 +265,31 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 	s.mu.Lock()
 	rec, rejoin := s.members[pkt.Sender]
 	s.mu.Unlock()
-	if !rejoin {
-		// The member exists, and its New Member is queued ahead of
-		// anything it can publish, before the device learns it was
-		// admitted.
-		if err := s.cell.AddMember(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
-			s.reject(pkt.Sender, err.Error())
-			return
-		}
+	// A new member exists, its New Member queued ahead of anything it
+	// can publish, before the device learns it was admitted. A rejoin
+	// (a restart, or a missed JoinAccept) forgets the old session's
+	// streams, or they would take the new one's packets for duplicates.
+	if rejoin {
+		s.ch.Forget(pkt.Sender)
+		s.cell.RenewMember(pkt.Sender)
+	} else if err := s.cell.AddMember(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
+		s.reject(pkt.Sender, err.Error())
+		return
 	}
 	s.mu.Lock()
 	if rejoin {
-		// Re-join of a live member (e.g. device restarted before its
-		// lease lapsed): refresh the record, do not duplicate the
-		// New Member event.
-		rec.info.LastSeen = now
-		rec.info.State = StateActive
+		// Refresh the record; do not duplicate the New Member event.
+		rec.LastSeen = now
+		rec.State = StateActive
 	} else {
-		s.members[pkt.Sender] = &memberRecord{info: MemberInfo{
+		s.members[pkt.Sender] = &MemberInfo{
 			ID:         pkt.Sender,
 			DeviceType: req.DeviceType,
 			Name:       req.DeviceName,
 			State:      StateActive,
 			LastSeen:   now,
 			JoinedAt:   now,
-		}}
+		}
 		s.stats.Admitted++
 	}
 	s.mu.Unlock()
@@ -343,9 +340,9 @@ func (s *Service) handleHeartbeat(id ident.ID) {
 		return // not a member; heartbeats don't admit
 	}
 	s.stats.Heartbeats++
-	rec.info.LastSeen = time.Now()
-	if rec.info.State == StateGrace {
-		rec.info.State = StateActive
+	rec.LastSeen = time.Now()
+	if rec.State == StateGrace {
+		rec.State = StateActive
 		s.stats.GraceReturns++
 	}
 }
@@ -385,11 +382,11 @@ func (s *Service) checkExpiry() {
 	var toPurge []ident.ID
 	s.mu.Lock()
 	for id, rec := range s.members {
-		silence := now.Sub(rec.info.LastSeen)
-		switch rec.info.State {
+		silence := now.Sub(rec.LastSeen)
+		switch rec.State {
 		case StateActive:
 			if silence > s.cfg.Lease {
-				rec.info.State = StateGrace
+				rec.State = StateGrace
 				s.stats.GraceEntries++
 			}
 		case StateGrace:

@@ -1,9 +1,12 @@
 package smc_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -434,6 +437,81 @@ func TestVoluntaryLeavePurgesImmediately(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("member not purged after voluntary leave")
+}
+
+// TestRestartedDeviceFirstPublishDelivered: a device restarts under
+// its own ID before its lease lapses, with nothing sent but one event
+// in its first life, and joins again. Its new reliable streams start
+// over at sequence 1, where the cell's streams of the old session
+// stand, so stale state would drop the new session's first event as a
+// duplicate while acknowledging it. The join renews the member's
+// session instead: the event arrives, and the member is announced
+// once.
+func TestRestartedDeviceFirstPublishDelivered(t *testing.T) {
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(15))
+	defer net.Close()
+	cell := newTestCell(t, net, defaultCellConfig())
+	var (
+		mu     sync.Mutex
+		events []string
+	)
+	watch := cell.Bus.Local("watch")
+	for _, class := range []string{event.TypeNewMember, event.TypePurgeMember} {
+		if err := watch.Subscribe(event.NewFilter().WhereType(class), func(e *event.Event) {
+			if m, _ := e.Get(event.AttrMember); !m.Equal(event.Int(int64(ident.New(0x20062)))) {
+				return // the subscriber's
+			}
+			mu.Lock()
+			events = append(events, e.Type())
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sub, err := smc.JoinCell(attach(t, net, 0x20061), smc.DeviceConfig{
+		Type: "generic", Name: "subscriber", Secret: testSecret,
+	})
+	if err != nil {
+		t.Fatalf("join subscriber: %v", err)
+	}
+	defer sub.Close()
+	if err := sub.Client.Subscribe(event.NewFilter().WhereType("reading")); err != nil {
+		t.Fatal(err)
+	}
+	join := func() *smc.Device {
+		t.Helper()
+		dev, err := smc.JoinCellWithRetry(context.Background(), attach(t, net, 0x20062), smc.DeviceConfig{
+			Type: "generic", Name: "restarter", Secret: testSecret, JoinTimeout: 500 * time.Millisecond,
+		}, smc.RetryConfig{Attempts: 4, BaseDelay: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		return dev
+	}
+	for life := int64(1); life <= 2; life++ {
+		dev := join()
+		if err := dev.Client.Publish(event.NewTyped("reading").SetInt("life", life)); err != nil {
+			t.Fatalf("life %d publish: %v", life, err)
+		}
+		got, err := sub.Client.NextEvent(3 * time.Second)
+		if err != nil {
+			t.Fatalf("life %d: reading not delivered: %v", life, err)
+		}
+		if v, _ := got.Get("life"); !v.Equal(event.Int(life)) {
+			t.Fatalf("life %d: got reading of life %v", life, v)
+		}
+		got.Release()
+		// The device restarts: no Leave, its lease still runs.
+		if err := dev.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got, want := strings.Join(events, ", "), "new-member"; got != want {
+		t.Errorf("membership events = %s, want %s", got, want)
+	}
 }
 
 func TestAuthorizationDeniesPublish(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"github.com/amuse/smc/internal/event"
@@ -216,10 +217,7 @@ func (h *harness) apply(kind actionKind) error {
 		return nil
 
 	case actRestart:
-		var dead []int
-		for slot := range h.killed {
-			dead = append(dead, slot)
-		}
+		dead := h.killedSlots()
 		if len(dead) == 0 {
 			return nil
 		}
@@ -369,6 +367,17 @@ func (h *harness) liveCellSlots() []int {
 		}
 	}
 	return out
+}
+
+// killedSlots lists the dead cell slots in order, so a seed picks the
+// same cell to restart on every run (map order is random).
+func (h *harness) killedSlots() []int {
+	var dead []int
+	for slot := range h.killed {
+		dead = append(dead, slot)
+	}
+	sort.Ints(dead)
+	return dead
 }
 
 // orphanActors marks a killed cell's actors dead; their devices fail

@@ -1022,7 +1022,7 @@ func (h *harness) quiesce() error {
 			a.lossy = false
 		}
 	}
-	for slot := range h.killed {
+	for _, slot := range h.killedSlots() {
 		if err := h.startCell(h.cells[slot], ""); err != nil {
 			return fmt.Errorf("quiesce restart: %w", err)
 		}
