@@ -11,9 +11,10 @@
 // internal/policy); an empty filter taps everything.
 //
 // With -stats the tool instead performs a one-shot management-plane
-// query: it asks the discovery service for the cell's counters
-// (bus/channel statistics and the packet-pool balance), prints them
-// and exits. No admission is required for a stats query.
+// query: it asks the discovery service for the cell's counters — every
+// layer's, one name=value per line (bus.published,
+// reliable.bus.packets_acquired, durable.<consumer>.lag, ...) — prints
+// them and exits. No admission is required for a stats query.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"github.com/amuse/smc/internal/reliable"
 	"github.com/amuse/smc/internal/smc"
 	"github.com/amuse/smc/internal/transport"
-	"github.com/amuse/smc/internal/wire"
 )
 
 func main() {
@@ -131,79 +131,21 @@ func run() error {
 }
 
 // statsQuery asks the discovery service at discID for the cell's
-// management-plane snapshot and prints it in flat key=value form, one
-// section per line, so shell harnesses can grep single counters.
+// management-plane snapshot and prints it: the cell's name, then one
+// name=value line per counter in name order, so shell harnesses can
+// grep single counters.
 func statsQuery(tr transport.Transport, discID ident.ID) error {
 	ch := reliable.New(tr, reliable.Config{})
 	defer ch.Close()
-	if err := ch.Send(discID, wire.PktStatsRequest, nil); err != nil {
-		return fmt.Errorf("stats request: %w", err)
+	st, err := smc.QueryStats(ch, discID, 5*time.Second)
+	if err != nil {
+		return err
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		pkt, err := ch.RecvTimeout(time.Until(deadline))
-		if err != nil {
-			return fmt.Errorf("stats response: %w", err)
-		}
-		if pkt.Type != wire.PktStatsResponse {
-			pkt.Release()
-			continue
-		}
-		st, err := wire.DecodeCellStats(pkt.Payload)
-		pkt.Release()
-		if err != nil {
-			return fmt.Errorf("decode stats: %w", err)
-		}
-		fmt.Printf("cell %s members=%d published=%d delivered-local=%d enqueued-remote=%d dropped=%d quenches=%d auth-denied=%d\n",
-			st.Cell, st.Members, st.Published, st.DeliveredLocal,
-			st.EnqueuedRemote, st.Dropped, st.Quenches, st.AuthDenied)
-		printChannel("bus-channel ", st.BusChannel)
-		printChannel("disc-channel", st.DiscChannel)
-		printDurable(st)
-		printFederation(st)
-		return nil
+	fmt.Printf("cell %s\n", st.Cell)
+	for _, s := range st.Stats {
+		fmt.Printf("%s=%d\n", s.Name, s.Value)
 	}
-}
-
-// printDurable renders the durable log section: depth, cursor range,
-// retained bytes and per-consumer lag. Nothing is printed for a cell
-// without a durable log.
-func printDurable(st wire.CellStats) {
-	if !st.Log.Enabled {
-		return
-	}
-	l := st.Log
-	fmt.Printf("durable-log epoch=%016x events=%d bytes=%d segments=%d oldest-cursor=%d newest-cursor=%d\n",
-		l.Epoch, l.Events, l.Bytes, l.Segments, l.OldestCursor, l.NewestCursor)
-	fmt.Printf("durable-log appended=%d evicted=%d dups-dropped=%d seg-acquired=%d seg-recycled=%d seg-leaked=%d\n",
-		l.Appended, l.Evicted, l.DupsDropped,
-		l.SegmentsAcquired, l.SegmentsRecycled,
-		l.SegmentsAcquired-l.SegmentsRecycled)
-	for _, d := range st.Durables {
-		fmt.Printf("durable-consumer name=%s attached=%t delivered=%d lag=%d\n",
-			d.Name, d.Attached, d.Delivered, d.Lag)
-	}
-}
-
-// printFederation renders one row per federation link importing into
-// this cell. Nothing is printed for a cell without links.
-func printFederation(st wire.CellStats) {
-	for _, f := range st.Federation {
-		fmt.Printf("federation name=%s remote=%s connected=%t imported=%d skipped=%d dropped=%d reconnects=%d resume-epoch=%016x resume-cursor=%d\n",
-			f.Name, f.RemoteCell, f.Connected, f.Imported, f.Skipped,
-			f.Dropped, f.Reconnects, f.ResumeEpoch, f.ResumeCursor)
-	}
-}
-
-func printChannel(label string, c wire.ChannelCounters) {
-	fmt.Printf("%s sent=%d acked=%d retransmits=%d fast-retransmits=%d failures=%d resumed=%d stream-resets=%d\n",
-		label, c.Sent, c.Acked, c.Retransmits, c.FastRetransmits,
-		c.Failures, c.Resumed, c.StreamResets)
-	fmt.Printf("%s received=%d dups-dropped=%d buffered=%d stale-acks=%d stale-epoch=%d unreliable-in=%d unreliable-out=%d\n",
-		label, c.Received, c.DupsDropped, c.Buffered, c.StaleAcks,
-		c.StaleEpoch, c.UnreliableIn, c.UnreliableOut)
-	fmt.Printf("%s pool-acquired=%d pool-recycled=%d pool-leaked=%d\n",
-		label, c.PacketsAcquired, c.PacketsRecycled, c.Leaked())
+	return nil
 }
 
 // renderEvent prints one event as a single line.

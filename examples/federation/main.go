@@ -75,7 +75,7 @@ obligation hr-high {
 		return err
 	}
 	defer link.Close()
-	fmt.Printf("federation link up: importing alarms from %q\n", link.RemoteCell())
+	fmt.Printf("federation link up: importing alarms from %q\n", link.Stats().RemoteCell)
 
 	// The nurse's station is a member of the ward cell only.
 	nurse, err := smc.JoinCellWithRetry(context.Background(), attach(0x3002), smc.DeviceConfig{
@@ -117,6 +117,6 @@ obligation hr-high {
 		return fmt.Errorf("raw reading leaked across the federation boundary")
 	}
 	fmt.Println("raw readings stayed inside the patient cell")
-	fmt.Printf("link stats: imported=%d skipped=%d\n", link.Imported(), link.Skipped())
+	fmt.Printf("link stats: imported=%d skipped=%d\n", link.Stats().Imported, link.Stats().Skipped)
 	return nil
 }

@@ -495,48 +495,42 @@ func (b *Bus) stopWalkers() {
 	}
 }
 
+// DurableRow is one durable consumer's management-plane row.
+type DurableRow struct {
+	Name string
+	// Attached reports whether a member is currently bound to it.
+	Attached bool
+	// Delivered is the last cursor handed to the member's proxy; Lag
+	// is NewestCursor - Delivered, the retained events not yet
+	// dispatched to this consumer.
+	Delivered uint64
+	Lag       uint64
+}
+
 // LogReport snapshots the durable log and per-consumer lag for the
 // management plane. Consumers are sorted by name for deterministic
 // output; an attached consumer is at the tail, lag 0. Zero values when
 // durability is off.
-func (b *Bus) LogReport() (wire.LogCounters, []wire.DurableCounters) {
+func (b *Bus) LogReport() (store.Stats, []DurableRow) {
 	if b.log == nil {
-		return wire.LogCounters{}, nil
+		return store.Stats{}, nil
 	}
 	st := b.log.Stats()
-	lc := wire.LogCounters{
-		Enabled:          true,
-		Epoch:            st.Epoch,
-		OldestCursor:     st.OldestCursor,
-		NewestCursor:     st.NewestCursor,
-		Events:           st.Events,
-		Bytes:            st.Bytes,
-		Segments:         st.Segments,
-		Appended:         st.Appended,
-		Evicted:          st.Evicted,
-		DupsDropped:      st.DupsDropped,
-		SegmentsAcquired: st.SegmentsAcquired,
-		SegmentsRecycled: st.SegmentsRecycled,
-	}
 	b.durMu.Lock()
-	rows := make([]wire.DurableCounters, 0, len(b.durables))
+	rows := make([]DurableRow, 0, len(b.durables))
 	for name, ds := range b.durables {
 		delivered := ds.delivered.Load()
 		if ds.attached.Load() != nil {
 			delivered = max(delivered, st.NewestCursor)
 		}
-		lag := uint64(0)
-		if st.NewestCursor > delivered {
-			lag = st.NewestCursor - delivered
-		}
-		rows = append(rows, wire.DurableCounters{
+		rows = append(rows, DurableRow{
 			Name:      name,
 			Attached:  !ds.member.IsNil(),
 			Delivered: delivered,
-			Lag:       lag,
+			Lag:       st.NewestCursor - min(delivered, st.NewestCursor),
 		})
 	}
 	b.durMu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return lc, rows
+	return st, rows
 }

@@ -128,13 +128,20 @@ func (l *LocalService) Name() string { return l.name }
 // Publish waits for room in a shard queue, and that queue may be the
 // one the handler's own worker drains.
 func (l *LocalService) Subscribe(f *event.Filter, fn Handler) error {
+	_, err := l.Handle(f, fn)
+	return err
+}
+
+// Handle is Subscribe returning a func that removes exactly the handler
+// it installed, where Unsubscribe takes the oldest of equal filters.
+func (l *LocalService) Handle(f *event.Filter, fn Handler) (remove func() error, err error) {
 	if f == nil || fn == nil {
-		return fmt.Errorf("bus: local subscribe needs filter and handler")
+		return nil, fmt.Errorf("bus: local subscribe needs filter and handler")
 	}
 	l.mu.Lock()
 	if l.lastHandler == maxLocalHandlers {
 		l.mu.Unlock()
-		return errLocalHandlers
+		return nil, errLocalHandlers
 	}
 	l.lastHandler++
 	h := localHandler{id: l.id | l.lastHandler, filter: f.Clone(), fn: fn}
@@ -143,32 +150,37 @@ func (l *LocalService) Subscribe(f *event.Filter, fn Handler) error {
 	hs := append(slices.Clone(l.table()), h)
 	l.handlers.Store(&hs)
 	l.mu.Unlock()
+	isH := func(have localHandler) bool { return have.id == h.id }
 	if err := l.b.match.Subscribe(h.id, h.filter); err != nil {
-		l.mu.Lock()
 		// Unless a racing Unsubscribe of an equal filter took it first.
-		if i := slices.IndexFunc(l.table(), func(have localHandler) bool { return have.id == h.id }); i >= 0 {
-			l.removeAt(i)
-		}
-		l.mu.Unlock()
-		return err
+		_ = l.remove(isH)
+		return nil, err
 	}
 	l.b.ctl().subscriptions.Add(1)
 	l.b.unquenchAll()
-	return nil
+	return func() error { return l.remove(isH) }, nil
 }
 
 // Unsubscribe removes the oldest handler installed with a filter equal
 // to f; it reports matcher.ErrNoSuchSubscription when there is none.
 func (l *LocalService) Unsubscribe(f *event.Filter) error {
+	return l.remove(func(have localHandler) bool { return have.filter.Equal(f) })
+}
+
+// remove takes the first handler pick selects out of the table and the
+// matcher; it reports matcher.ErrNoSuchSubscription when there is none.
+func (l *LocalService) remove(pick func(localHandler) bool) error {
 	l.mu.Lock()
-	i := slices.IndexFunc(l.table(), func(have localHandler) bool { return have.filter.Equal(f) })
+	cur := l.table()
+	i := slices.IndexFunc(cur, pick)
 	if i < 0 {
 		l.mu.Unlock()
 		return matcher.ErrNoSuchSubscription
 	}
-	h := l.removeAt(i)
+	hs := slices.Delete(slices.Clone(cur), i, i+1)
+	l.handlers.Store(&hs)
 	l.mu.Unlock()
-	return l.b.match.Unsubscribe(h.id, h.filter)
+	return l.b.match.Unsubscribe(cur[i].id, cur[i].filter)
 }
 
 // table returns the current handler table; it is shared with dispatch
@@ -178,15 +190,6 @@ func (l *LocalService) table() []localHandler {
 		return *cur
 	}
 	return nil
-}
-
-// removeAt drops handler i from the table and returns it. Caller
-// holds l.mu.
-func (l *LocalService) removeAt(i int) localHandler {
-	cur := l.table()
-	hs := slices.Delete(slices.Clone(cur), i, i+1)
-	l.handlers.Store(&hs)
-	return cur[i]
 }
 
 // Publish injects an event into the bus under this service's ID. A

@@ -101,6 +101,8 @@ type Stats struct {
 	GraceReturns uint64
 	Purged       uint64
 	Leaves       uint64
+	// Members is the current membership count.
+	Members uint64
 }
 
 // Service is the cell-side discovery service.
@@ -149,7 +151,9 @@ func (s *Service) ID() ident.ID { return s.ch.LocalID() }
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Members = uint64(len(s.members))
+	return st
 }
 
 // Members snapshots the membership table.
@@ -329,7 +333,7 @@ func (s *Service) handleStatsRequest(to ident.ID) {
 		return
 	}
 	payload := wire.AppendCellStats(nil, s.cfg.StatsProvider())
-	s.ch.SendAsync(to, wire.PktStatsResponse, payload)
+	s.ch.SendAsync(to, wire.PktStatsSnapshot, payload)
 }
 
 func (s *Service) handleHeartbeat(id ident.ID) {

@@ -481,6 +481,9 @@ func (e *Endpoint) RecvTimeout(d time.Duration) (transport.Datagram, error) {
 	return e.inbox.GetTimeout(d)
 }
 
+// Dropped implements transport.Transport.
+func (e *Endpoint) Dropped() uint64 { return e.inbox.Dropped() }
+
 // Close implements transport.Transport.
 func (e *Endpoint) Close() error {
 	e.net.detach(e)

@@ -23,7 +23,7 @@ type Engine struct {
 
 	mu          sync.Mutex
 	obligations map[string]*obligationState
-	auths       []*Authorization
+	auths       []installedAuth
 	typeCount   map[string]int // live members per device type
 	stats       Stats
 	defaultEff  Effect
@@ -31,8 +31,21 @@ type Engine struct {
 
 var _ bus.Authorizer = (*Engine)(nil)
 
+// errDefaultDeny refuses what no authorisation policy matched when the
+// default effect is deny.
+var errDefaultDeny = fmt.Errorf("%w: default deny", bus.ErrUnauthorized)
+
+// installedAuth is an authorisation policy with its refusal built at
+// install time, so a denial allocates nothing.
+type installedAuth struct {
+	*Authorization
+	denied error
+}
+
 type obligationState struct {
 	pol *Obligation
+	// remove takes the obligation's handler off the bus.
+	remove func() error
 	// enabled is the management switch (Enable/Disable).
 	enabled bool
 	// deployed tracks device-type scoping: scoped policies are
@@ -134,25 +147,24 @@ func (e *Engine) AddObligation(o *Obligation) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	if _, dup := e.obligations[o.Name]; dup {
-		e.mu.Unlock()
-		return fmt.Errorf("policy: duplicate obligation %q", o.Name)
-	}
-	st := &obligationState{
-		pol:      o,
-		enabled:  true,
-		deployed: o.DeviceType == "" || e.typeCount[o.DeviceType] > 0,
-	}
-	e.obligations[o.Name] = st
-	e.mu.Unlock()
-
-	handler := func(ev *event.Event) { e.fire(st, ev) }
-	if err := e.svc.Subscribe(o.On, handler); err != nil {
-		e.mu.Lock()
-		delete(e.obligations, o.Name)
-		e.mu.Unlock()
+	// The handler fires nothing until the obligation is installed:
+	// deployed is false until then.
+	st := &obligationState{pol: o, enabled: true}
+	remove, err := e.svc.Handle(o.On, func(ev *event.Event) { e.fire(st, ev) })
+	if err != nil {
 		return fmt.Errorf("policy: subscribe obligation %q: %w", o.Name, err)
+	}
+	e.mu.Lock()
+	_, dup := e.obligations[o.Name]
+	if !dup {
+		st.remove = remove
+		st.deployed = o.DeviceType == "" || e.typeCount[o.DeviceType] > 0
+		e.obligations[o.Name] = st
+	}
+	e.mu.Unlock()
+	if dup {
+		_ = remove()
+		return fmt.Errorf("policy: duplicate obligation %q", o.Name)
 	}
 	return nil
 }
@@ -161,14 +173,12 @@ func (e *Engine) AddObligation(o *Obligation) error {
 func (e *Engine) RemoveObligation(name string) error {
 	e.mu.Lock()
 	st, ok := e.obligations[name]
-	if ok {
-		delete(e.obligations, name)
-	}
+	delete(e.obligations, name)
 	e.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("policy: no obligation %q", name)
 	}
-	return e.svc.Unsubscribe(st.pol.On)
+	return st.remove()
 }
 
 // AddAuthorization installs one authorisation policy.
@@ -183,7 +193,8 @@ func (e *Engine) AddAuthorization(a *Authorization) error {
 			return fmt.Errorf("policy: duplicate authorization %q", a.Name)
 		}
 	}
-	e.auths = append(e.auths, a)
+	denied := fmt.Errorf("%w: denied by policy %q", bus.ErrUnauthorized, a.Name)
+	e.auths = append(e.auths, installedAuth{a, denied})
 	return nil
 }
 
@@ -427,13 +438,13 @@ func (e *Engine) decide(verb Verb, deviceType string, targetMatch func(*Authoriz
 		if a.Subject != "*" && a.Subject != deviceType {
 			continue
 		}
-		if !targetMatch(a) {
+		if !targetMatch(a.Authorization) {
 			continue
 		}
 		if a.Effect == EffectDeny {
 			// Deny overrides: stop immediately.
 			e.stats.DenyDecisions++
-			return fmt.Errorf("%w: denied by policy %q", bus.ErrUnauthorized, a.Name)
+			return a.denied
 		}
 		matched = true
 	}
@@ -442,7 +453,7 @@ func (e *Engine) decide(verb Verb, deviceType string, targetMatch func(*Authoriz
 	}
 	if verdict == EffectDeny {
 		e.stats.DenyDecisions++
-		return fmt.Errorf("%w: default deny", bus.ErrUnauthorized)
+		return errDefaultDeny
 	}
 	e.stats.AllowDecisions++
 	return nil

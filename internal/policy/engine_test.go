@@ -268,6 +268,61 @@ func TestAddRemoveObligation(t *testing.T) {
 	}
 }
 
+// TestRemoveObligationSharedFilter: removing one of two obligations on
+// an equal filter takes out that obligation's handler, not the older
+// one's.
+func TestRemoveObligationSharedFilter(t *testing.T) {
+	r := newEngineRig(t)
+	if err := r.eng.LoadString(`
+obligation first { on type = "reading" do log("first") }
+obligation second { on type = "reading" do log("second") }
+`); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.eng.RemoveObligation("second"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.app.Publish(event.NewTyped("reading")); err != nil {
+		t.Fatal(err)
+	}
+	r.waitFires(t, 1)
+	time.Sleep(50 * time.Millisecond) // room for a wrong second fire
+	infos := r.eng.Obligations()
+	if len(infos) != 1 || infos[0].Name != "first" || infos[0].Fires != 1 || r.eng.Stats().Fires != 1 {
+		t.Fatalf("after removing second: %+v, %d fires", infos, r.eng.Stats().Fires)
+	}
+}
+
+// TestDecideZeroAlloc pins the authorisation verdict at 0 allocs, on
+// allow and on deny: every refusal is built when its policy is
+// installed.
+func TestDecideZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin")
+	}
+	r := newEngineRig(t, WithDefaultEffect(EffectDeny))
+	if err := r.eng.LoadString(`
+authorization allow-readings { effect allow subject * action publish target type = "reading" }
+authorization deny-actuate { effect deny subject * action publish target type = "actuate" }
+`); err != nil {
+		t.Fatal(err)
+	}
+	reading, actuate, other := event.NewTyped("reading"), event.NewTyped("actuate"), event.NewTyped("misc")
+	for _, tc := range []struct {
+		name string
+		ev   *event.Event
+		deny string
+	}{{"allow", reading, ""}, {"deny", actuate, `denied by policy "deny-actuate"`}, {"default deny", other, "default deny"}} {
+		err := r.eng.AuthorizePublish(1, "hr-sensor", tc.ev)
+		if tc.deny == "" && err != nil || tc.deny != "" && (!errors.Is(err, bus.ErrUnauthorized) || !strings.Contains(err.Error(), tc.deny)) {
+			t.Fatalf("%s: verdict %v", tc.name, err)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { _ = r.eng.AuthorizePublish(1, "hr-sensor", tc.ev) }); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per decision, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestAuthorizationDenyOverrides(t *testing.T) {
 	r := newEngineRig(t)
 	err := r.eng.LoadString(`

@@ -84,6 +84,9 @@ type Stats struct {
 	// so its sender retransmits it. Local to this endpoint, like
 	// BatchesSent.
 	InboxDropped uint64
+	// TransportDropped counts datagrams the endpoint's transport shed
+	// before this channel read them (transport.Transport.Dropped).
+	TransportDropped uint64
 	// PacketsAcquired/PacketsRecycled expose the inbound packet pool:
 	// every received packet is decoded into a pooled wire.Packet that
 	// the consumer releases after delivery. On a quiesced channel the
@@ -93,13 +96,13 @@ type Stats struct {
 	PacketsRecycled uint64
 }
 
-// counters is the hot-path representation of Stats.
-// counters splits the channel's atomics into a send-path group
-// (bumped by publisher callers and per-destination sender goroutines)
-// and a receive-path group (bumped only by the receive loop), padded
-// apart to two cache lines (the spatial-prefetcher granule): without
-// the gap, a sender's sent.Add and the receive loop's received.Add
-// land on the same line and every increment bounces it between cores.
+// counters is the hot-path representation of Stats. It splits the
+// channel's atomics into a send-path group (bumped by publisher callers
+// and per-destination sender goroutines) and a receive-path group
+// (bumped only by the receive loop), padded apart to two cache lines
+// (the spatial-prefetcher granule): without the gap, a sender's
+// sent.Add and the receive loop's received.Add land on the same line
+// and every increment bounces it between cores.
 type counters struct {
 	// Send path.
 	sent, retransmits, fastRetransmits atomic.Uint64
@@ -113,34 +116,35 @@ type counters struct {
 	acked, received, dupsDropped, buffered atomic.Uint64
 	staleAcks, staleEpoch                  atomic.Uint64
 	unreliableIn, piggybackAcks            atomic.Uint64
-	inboxDropped                           atomic.Uint64
 
-	_ [128 - (9*8)%128]byte
+	_ [128 - (8*8)%128]byte
 }
 
-func (c *counters) snapshot(pool *wire.PacketPool) Stats {
-	acq, rec := pool.Stats()
-	return Stats{
-		PacketsAcquired: acq,
-		PacketsRecycled: rec,
-		Sent:            c.sent.Load(),
-		Acked:           c.acked.Load(),
-		Retransmits:     c.retransmits.Load(),
-		FastRetransmits: c.fastRetransmits.Load(),
-		Failures:        c.failures.Load(),
-		Resumed:         c.resumed.Load(),
-		StreamResets:    c.streamResets.Load(),
-		Received:        c.received.Load(),
-		DupsDropped:     c.dupsDropped.Load(),
-		Buffered:        c.buffered.Load(),
-		StaleAcks:       c.staleAcks.Load(),
-		StaleEpoch:      c.staleEpoch.Load(),
-		UnreliableIn:    c.unreliableIn.Load(),
-		UnreliableOut:   c.unreliableOut.Load(),
-		BatchesSent:     c.batchesSent.Load(),
-		PiggybackAcks:   c.piggybackAcks.Load(),
-		InboxDropped:    c.inboxDropped.Load(),
+// Stats snapshots the channel's counters.
+func (c *Channel) Stats() Stats {
+	ctr := &c.ctr
+	st := Stats{
+		Sent:             ctr.sent.Load(),
+		Acked:            ctr.acked.Load(),
+		Retransmits:      ctr.retransmits.Load(),
+		FastRetransmits:  ctr.fastRetransmits.Load(),
+		Failures:         ctr.failures.Load(),
+		Resumed:          ctr.resumed.Load(),
+		StreamResets:     ctr.streamResets.Load(),
+		Received:         ctr.received.Load(),
+		DupsDropped:      ctr.dupsDropped.Load(),
+		Buffered:         ctr.buffered.Load(),
+		StaleAcks:        ctr.staleAcks.Load(),
+		StaleEpoch:       ctr.staleEpoch.Load(),
+		UnreliableIn:     ctr.unreliableIn.Load(),
+		UnreliableOut:    ctr.unreliableOut.Load(),
+		BatchesSent:      ctr.batchesSent.Load(),
+		PiggybackAcks:    ctr.piggybackAcks.Load(),
+		InboxDropped:     c.inbox.Dropped(),
+		TransportDropped: c.tr.Dropped(),
 	}
+	st.PacketsAcquired, st.PacketsRecycled = c.pktPool.Stats()
+	return st
 }
 
 // reorderDepth bounds the receiver's per-sender reorder buffer, in
@@ -448,9 +452,6 @@ func New(tr transport.Transport, cfg Config) *Channel {
 
 // LocalID returns the underlying endpoint's ID.
 func (c *Channel) LocalID() ident.ID { return c.tr.LocalID() }
-
-// Stats returns a snapshot of the counters.
-func (c *Channel) Stats() Stats { return c.ctr.snapshot(c.pktPool) }
 
 // Send transmits a reliable packet of the given type and payload to dst
 // and blocks until the destination acknowledges it or the retry budget
@@ -1009,7 +1010,7 @@ func (c *Channel) handle(pkt *wire.Packet) {
 		pkt.Release()
 	case pkt.Flags&wire.FlagNoAck != 0:
 		c.ctr.unreliableIn.Add(1)
-		c.deliver(pkt)
+		c.inbox.Put(pkt) // a full inbox sheds it, counted in InboxDropped
 	default:
 		if pkt.Flags&wire.FlagBatch != 0 && (pkt.Type == wire.PktEvent || pkt.Type == wire.PktEventDurable) {
 			// A batch prologue may piggyback the peer's cumulative ack
@@ -1194,7 +1195,7 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 		// The cumulative ack covers only what the inbox took: a packet
 		// a full inbox refuses stays unacknowledged, and the sender
 		// retransmits it.
-		for next := pkt; next != nil && c.deliver(next); {
+		for next := pkt; next != nil && c.inbox.Put(next); {
 			st.cum++
 			c.ctr.received.Add(1)
 			if next = st.buf[st.cum+1]; next != nil {
@@ -1240,14 +1241,4 @@ func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
 		_ = c.tr.Send(dst, b) // loss handled by sender retry
 	}
 	putBuf(bp)
-}
-
-// deliver queues a packet for Recv and reports whether the inbox took
-// it. A packet a full (or closed) inbox sheds is recycled and counted.
-func (c *Channel) deliver(pkt *wire.Packet) bool {
-	if !c.inbox.Put(pkt) {
-		c.ctr.inboxDropped.Add(1)
-		return false
-	}
-	return true
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/store"
 	"github.com/amuse/smc/internal/transport"
-	"github.com/amuse/smc/internal/wire"
 )
 
 // Federation: the paper's introduction requires that self-managed
@@ -200,26 +199,6 @@ func (l *FederationLink) deviceConfig() DeviceConfig {
 	return devCfg
 }
 
-// RemoteCell reports the cell being imported from.
-func (l *FederationLink) RemoteCell() string { return l.remoteCell }
-
-// Imported reports how many events have been republished locally.
-func (l *FederationLink) Imported() uint64 { return l.imported.Load() }
-
-// Skipped reports how many already-federated events were not
-// re-imported (loop prevention).
-func (l *FederationLink) Skipped() uint64 { return l.skipped.Load() }
-
-// Dropped reports how many imports a closed home bus refused.
-func (l *FederationLink) Dropped() uint64 { return l.dropped.Load() }
-
-// Reconnects reports how many reconnect cycles have completed.
-func (l *FederationLink) Reconnects() uint64 { return l.reconnects.Load() }
-
-// Connected reports whether the link currently holds a live remote
-// membership.
-func (l *FederationLink) Connected() bool { return l.connected.Load() }
-
 // Stats snapshots the link.
 func (l *FederationLink) Stats() FederationStats {
 	return FederationStats{
@@ -231,22 +210,6 @@ func (l *FederationLink) Stats() FederationStats {
 		Reconnects:   l.reconnects.Load(),
 		ResumeEpoch:  l.resumeEpoch.Load(),
 		ResumeCursor: l.resumeCursor.Load(),
-	}
-}
-
-// counters is the management-plane row (smctap -stats).
-func (l *FederationLink) counters() wire.FederationCounters {
-	s := l.Stats()
-	return wire.FederationCounters{
-		Name:         l.cfg.Name,
-		RemoteCell:   s.RemoteCell,
-		Connected:    s.Connected,
-		Imported:     s.Imported,
-		Skipped:      s.Skipped,
-		Dropped:      s.Dropped,
-		Reconnects:   s.Reconnects,
-		ResumeEpoch:  s.ResumeEpoch,
-		ResumeCursor: s.ResumeCursor,
 	}
 }
 

@@ -60,8 +60,8 @@ func TestFederationImportsMatchingEvents(t *testing.T) {
 		t.Fatalf("federate: %v", err)
 	}
 	defer link.Close()
-	if link.RemoteCell() != "patient-7" {
-		t.Errorf("remote cell = %q", link.RemoteCell())
+	if link.Stats().RemoteCell != "patient-7" {
+		t.Errorf("remote cell = %q", link.Stats().RemoteCell)
 	}
 
 	// A ward-side observer of the imported alarms.
@@ -111,8 +111,8 @@ func TestFederationImportsMatchingEvents(t *testing.T) {
 		t.Fatalf("unexpected import: %s", e)
 	case <-time.After(300 * time.Millisecond):
 	}
-	if link.Imported() != 1 {
-		t.Errorf("Imported = %d", link.Imported())
+	if link.Stats().Imported != 1 {
+		t.Errorf("Imported = %d", link.Stats().Imported)
 	}
 	_ = patient
 }
@@ -123,7 +123,11 @@ func TestFederationLoopPrevention(t *testing.T) {
 	a := newNamedCell(t, net, "cell-a", 0x60000)
 	b := newNamedCell(t, net, "cell-b", 0x70000)
 
-	// Bidirectional links on the same event type.
+	// Bidirectional links on the same event type. A link's subscription
+	// is acknowledged when the remote bus has queued it, so wait until
+	// both buses have installed it: an alarm that overtakes a link's
+	// subscription is never offered to that link.
+	subsA, subsB := a.Bus.Stats().Subscriptions, b.Bus.Stats().Subscriptions
 	ab, err := smc.Federate(b, attach(t, net, 0x80001), smc.FederateConfig{
 		RemoteSecret: testSecret, RemoteCell: "cell-a",
 		Import: event.NewFilter().WhereType("alarm"),
@@ -140,6 +144,11 @@ func TestFederationLoopPrevention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ba.Close()
+	for deadline := time.Now().Add(5 * time.Second); a.Bus.Stats().Subscriptions == subsA || b.Bus.Stats().Subscriptions == subsB; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a link's subscription was never installed")
+		}
+	}
 
 	// Raise one alarm in cell A.
 	svc := a.Bus.Local("raiser")
@@ -150,26 +159,26 @@ func TestFederationLoopPrevention(t *testing.T) {
 	// It crosses into B exactly once and must not echo back into A.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if ab.Imported() >= 1 {
+		if ab.Stats().Imported >= 1 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if ab.Imported() != 1 {
-		t.Fatalf("a→b imported = %d", ab.Imported())
+	if ab.Stats().Imported != 1 {
+		t.Fatalf("a→b imported = %d", ab.Stats().Imported)
 	}
 	// The reverse link sees the imported copy and must skip it: wait
 	// for the skip, then assert nothing was echoed back.
 	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && ba.Skipped() == 0 {
+	for time.Now().Before(deadline) && ba.Stats().Skipped == 0 {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if ba.Skipped() == 0 {
+	if ba.Stats().Skipped == 0 {
 		t.Error("loop prevention never triggered")
 	}
 	time.Sleep(200 * time.Millisecond) // any echo would land by now
-	if ba.Imported() != 0 {
-		t.Errorf("b→a imported = %d (federation loop)", ba.Imported())
+	if ba.Stats().Imported != 0 {
+		t.Errorf("b→a imported = %d (federation loop)", ba.Stats().Imported)
 	}
 }
 
@@ -299,10 +308,10 @@ func TestFederationReconnectResumesAfterRemoteRestart(t *testing.T) {
 
 	// The link must notice the dead membership and reconnect.
 	deadline := time.Now().Add(15 * time.Second)
-	for link.Reconnects() == 0 || !link.Connected() {
+	for link.Stats().Reconnects == 0 || !link.Stats().Connected {
 		if time.Now().After(deadline) {
 			t.Fatalf("link never reconnected (reconnects=%d connected=%v)",
-				link.Reconnects(), link.Connected())
+				link.Stats().Reconnects, link.Stats().Connected)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -428,7 +437,7 @@ func TestFederationEpochMismatchReplaysFromOldest(t *testing.T) {
 	src = newDurableNamedCell(t, net, "src", 0xD0100, &store.Config{})
 
 	deadline = time.Now().Add(15 * time.Second)
-	for link.Reconnects() == 0 || !link.Connected() {
+	for link.Stats().Reconnects == 0 || !link.Stats().Connected {
 		if time.Now().After(deadline) {
 			t.Fatal("link never reconnected")
 		}
@@ -511,7 +520,7 @@ func TestFederationCursorFilePersistsAcrossLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for link.Imported() == 0 {
+	for link.Stats().Imported == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("alarm never crossed")
 		}
@@ -608,9 +617,9 @@ func TestFederationImportsBacklogOverBatchedLink(t *testing.T) {
 	defer link.Close()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for link.Imported() < backlog {
+	for link.Stats().Imported < backlog {
 		if time.Now().After(deadline) {
-			t.Fatalf("imported %d/%d", link.Imported(), backlog)
+			t.Fatalf("imported %d/%d", link.Stats().Imported, backlog)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

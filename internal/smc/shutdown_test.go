@@ -12,13 +12,12 @@ import (
 	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/reliable"
 	"github.com/amuse/smc/internal/smc"
-	"github.com/amuse/smc/internal/wire"
 )
 
 // TestStatsQueryOverWire exercises the management plane end to end: a
 // bare endpoint (no admission) sends PktStatsRequest to the discovery
-// service and gets back a decodable CellStats snapshot that agrees
-// with the cell's in-process view.
+// service and gets back a decodable snapshot that agrees with the
+// cell's in-process view.
 func TestStatsQueryOverWire(t *testing.T) {
 	net := netsim.New(netsim.Perfect, netsim.WithSeed(31))
 	defer net.Close()
@@ -38,38 +37,23 @@ func TestStatsQueryOverWire(t *testing.T) {
 	// A second, never-admitted endpoint queries the cell.
 	probe := reliable.New(attach(t, net, 0x91002), reliable.Config{})
 	defer probe.Close()
-	if err := probe.Send(cell.Discovery.ID(), wire.PktStatsRequest, nil); err != nil {
-		t.Fatalf("stats request: %v", err)
-	}
-	var stats wire.CellStats
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		pkt, err := probe.RecvTimeout(time.Until(deadline))
-		if err != nil {
-			t.Fatalf("no stats response: %v", err)
-		}
-		if pkt.Type != wire.PktStatsResponse {
-			pkt.Release()
-			continue
-		}
-		stats, err = wire.DecodeCellStats(pkt.Payload)
-		pkt.Release()
-		if err != nil {
-			t.Fatalf("decode stats: %v", err)
-		}
-		break
+	stats, err := smc.QueryStats(probe, cell.Discovery.ID(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if stats.Cell != "test-cell" {
 		t.Fatalf("cell name %q", stats.Cell)
 	}
-	if stats.Members != 1 {
-		t.Fatalf("members = %d, want 1", stats.Members)
+	if n, _ := stats.Get("discovery.members"); n != 1 {
+		t.Fatalf("members = %d, want 1", n)
 	}
-	if stats.Published == 0 {
+	if n, _ := stats.Get("bus.published"); n == 0 {
 		t.Fatalf("published = 0 after a publish: %+v", stats)
 	}
-	if stats.BusChannel.PacketsAcquired == 0 || stats.DiscChannel.PacketsAcquired == 0 {
-		t.Fatalf("pool counters missing: %+v", stats)
+	for _, name := range []string{"reliable.bus.packets_acquired", "reliable.disc.packets_acquired"} {
+		if n, _ := stats.Get(name); n == 0 {
+			t.Fatalf("%s = 0: %+v", name, stats)
+		}
 	}
 }
 

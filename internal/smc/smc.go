@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -230,29 +231,57 @@ func (c *Cell) LeakCheck() (acquired, recycled uint64, clean bool) {
 }
 
 // StatsReport composes the management-plane snapshot answered to
-// PktStatsRequest queries.
+// PktStatsRequest queries: every layer's Stats under its layer name,
+// and one row per member proxy, durable consumer and federation link.
 func (c *Cell) StatsReport() wire.CellStats {
-	bst := c.Bus.Stats()
+	st := wire.CellStats{Cell: c.cellName}
 	bs, ds := c.ChannelStats()
-	st := wire.CellStats{
-		Cell:           c.cellName,
-		Members:        uint32(len(c.Discovery.Members())),
-		Published:      bst.Published,
-		DeliveredLocal: bst.DeliveredLocal,
-		EnqueuedRemote: bst.EnqueuedRemote,
-		Dropped:        bst.Dropped,
-		Quenches:       bst.Quenches,
-		AuthDenied:     bst.AuthDenied,
-		BusChannel:     channelCounters(bs),
-		DiscChannel:    channelCounters(ds),
+	st.Add("bus", c.Bus.Stats())
+	st.Add("reliable.bus", bs)
+	st.Add("reliable.disc", ds)
+	st.Add("policy", c.Policy.Stats())
+	st.Add("discovery", c.Discovery.Stats())
+	if log, rows := c.Bus.LogReport(); c.Bus.DurableLog() != nil {
+		st.Add("store", log)
+		for _, r := range rows {
+			st.Add("durable."+r.Name, r)
+		}
 	}
-	st.Log, st.Durables = c.Bus.LogReport()
+	for _, id := range c.Bus.Members() {
+		if px := c.Bus.MemberProxy(id); px != nil {
+			st.Add("proxy."+id.String(), px.Stats())
+		}
+	}
 	c.fedMu.Lock()
 	for _, l := range c.feds {
-		st.Federation = append(st.Federation, l.counters())
+		st.Add("federation."+l.cfg.Name+"@"+l.remoteCell, l.Stats())
 	}
 	c.fedMu.Unlock()
 	return st
+}
+
+// QueryStats asks the discovery service disc for its cell's snapshot
+// over ch, as smctap -stats does — no admission needed — and waits up
+// to timeout for the answer. Other packets arriving meanwhile are
+// dropped.
+func QueryStats(ch *reliable.Channel, disc ident.ID, timeout time.Duration) (wire.CellStats, error) {
+	if err := ch.Send(disc, wire.PktStatsRequest, nil); err != nil {
+		return wire.CellStats{}, fmt.Errorf("stats request: %w", err)
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		pkt, err := ch.RecvTimeout(time.Until(deadline))
+		if err != nil {
+			return wire.CellStats{}, fmt.Errorf("stats response: %w", err)
+		}
+		if pkt.Type != wire.PktStatsSnapshot {
+			pkt.Release()
+			continue
+		}
+		st, err := wire.DecodeCellStats(pkt.Payload)
+		pkt.Release()
+		return st, err
+	}
 }
 
 // DurableDir is the cell's durable-store directory ("" when the cell
@@ -268,35 +297,8 @@ func (c *Cell) registerFederation(l *FederationLink) {
 
 func (c *Cell) unregisterFederation(l *FederationLink) {
 	c.fedMu.Lock()
-	for i, x := range c.feds {
-		if x == l {
-			c.feds = append(c.feds[:i], c.feds[i+1:]...)
-			break
-		}
-	}
+	c.feds = slices.DeleteFunc(c.feds, func(x *FederationLink) bool { return x == l })
 	c.fedMu.Unlock()
-}
-
-// channelCounters converts a reliable snapshot to its wire form.
-func channelCounters(s reliable.Stats) wire.ChannelCounters {
-	return wire.ChannelCounters{
-		Sent:            s.Sent,
-		Acked:           s.Acked,
-		Retransmits:     s.Retransmits,
-		FastRetransmits: s.FastRetransmits,
-		Failures:        s.Failures,
-		Resumed:         s.Resumed,
-		StreamResets:    s.StreamResets,
-		Received:        s.Received,
-		DupsDropped:     s.DupsDropped,
-		Buffered:        s.Buffered,
-		StaleAcks:       s.StaleAcks,
-		StaleEpoch:      s.StaleEpoch,
-		UnreliableIn:    s.UnreliableIn,
-		UnreliableOut:   s.UnreliableOut,
-		PacketsAcquired: s.PacketsAcquired,
-		PacketsRecycled: s.PacketsRecycled,
-	}
 }
 
 // DeviceConfig configures a device-side join.

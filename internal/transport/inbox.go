@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,14 +11,16 @@ import (
 // reliable channel queues released packets in one. Put never blocks —
 // a full (or closed) inbox hands the item to the owner's recycle func
 // and reports the drop, which is the datagram contract: receivers shed
-// under load. Get blocks; after Close it first drains whatever was
-// queued before the close and only then reports closedErr.
+// under load, and counts what it sheds (Dropped). Get blocks; after
+// Close it first drains whatever was queued before the close and only
+// then reports closedErr.
 type Inbox[T any] struct {
 	queue     chan T
 	done      chan struct{}
 	closeOnce sync.Once
 	closedErr error
 	recycle   func(T)
+	dropped   atomic.Uint64
 }
 
 // NewInbox returns an inbox holding up to depth items. closedErr is
@@ -43,18 +46,20 @@ func NewDatagramInbox(depth int) *Inbox[Datagram] {
 // closed or full; v has then been recycled. Closed is looked at first,
 // so an inbox never accepts anything once Close has returned.
 func (b *Inbox[T]) Put(v T) bool {
-	if b.Closed() {
-		b.recycle(v)
-		return false
+	if !b.Closed() {
+		select {
+		case b.queue <- v:
+			return true
+		default:
+		}
 	}
-	select {
-	case b.queue <- v:
-		return true
-	default:
-		b.recycle(v)
-		return false
-	}
+	b.recycle(v)
+	b.dropped.Add(1)
+	return false
 }
+
+// Dropped counts the items Put could not queue.
+func (b *Inbox[T]) Dropped() uint64 { return b.dropped.Load() }
 
 // Get blocks until an item arrives or the inbox is closed and drained.
 func (b *Inbox[T]) Get() (T, error) {

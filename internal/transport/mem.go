@@ -159,6 +159,9 @@ func (t *MemTransport) Recv() (Datagram, error) { return t.inbox.Get() }
 // RecvTimeout implements Transport.
 func (t *MemTransport) RecvTimeout(d time.Duration) (Datagram, error) { return t.inbox.GetTimeout(d) }
 
+// Dropped implements Transport.
+func (t *MemTransport) Dropped() uint64 { return t.inbox.Dropped() }
+
 // Close implements Transport.
 func (t *MemTransport) Close() error {
 	t.sw.detach(t)

@@ -258,3 +258,30 @@ func TestSwitchDeliveryHookDropAndDelay(t *testing.T) {
 		t.Errorf("after hook removal: %v %v", dg, err)
 	}
 }
+
+// TestMemTransportOverflowCounted fills an endpoint nobody reads: what
+// its inbox cannot hold is shed and counted in Dropped (DESIGN.md,
+// row 1), and what it holds still arrives.
+func TestMemTransportOverflowCounted(t *testing.T) {
+	sw := NewSwitch()
+	defer sw.Close()
+	a, _ := sw.Attach(ident.New(1))
+	b, _ := sw.Attach(ident.New(2))
+	const extra = 10
+	for i := 0; i < defaultQueueDepth+extra; i++ {
+		if err := a.Send(b.LocalID(), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Dropped(); got != extra {
+		t.Fatalf("Dropped = %d, want %d", got, extra)
+	}
+	if a.Dropped() != 0 {
+		t.Fatalf("sender Dropped = %d", a.Dropped())
+	}
+	for i := 0; i < defaultQueueDepth; i++ {
+		if _, err := b.RecvTimeout(time.Second); err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+	}
+}

@@ -40,6 +40,9 @@ type Transport interface {
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout when
 	// the deadline passes with nothing received.
 	RecvTimeout(d time.Duration) (Datagram, error)
+	// Dropped counts datagrams that reached the endpoint and were shed
+	// because its receive queue was full or closed (DESIGN.md, row 1).
+	Dropped() uint64
 	// Close shuts the endpoint down; pending and future Recv calls
 	// return ErrClosed.
 	Close() error

@@ -211,6 +211,9 @@ func (t *UDPTransport) Recv() (Datagram, error) { return t.inbox.Get() }
 // RecvTimeout implements Transport.
 func (t *UDPTransport) RecvTimeout(d time.Duration) (Datagram, error) { return t.inbox.GetTimeout(d) }
 
+// Dropped implements Transport.
+func (t *UDPTransport) Dropped() uint64 { return t.inbox.Dropped() }
+
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
 	t.mu.Lock()

@@ -76,8 +76,8 @@ const (
 	// PktStatsRequest asks a discovery service for a cell health
 	// snapshot (management/observation plane; no admission required).
 	PktStatsRequest
-	// PktStatsResponse answers a PktStatsRequest with an encoded
-	// CellStats payload.
+	// PktStatsResponse is reserved: it carried the fixed-layout
+	// snapshot PktStatsSnapshot replaced, and its number is not reused.
 	PktStatsResponse
 	// PktDurableResume binds the sending member to a named durable
 	// consumer and asks the bus to replay the log from a position
@@ -92,50 +92,28 @@ const (
 	// same strict layering over the frozen format as FlagBatch. With
 	// FlagBatch set it carries a run of them, one per batch frame.
 	PktEventDurable
+	// PktStatsSnapshot answers a PktStatsRequest with an encoded
+	// CellStats payload (stats.go).
+	PktStatsSnapshot
 )
+
+var packetTypeNames = [...]string{
+	PktEvent: "event", PktAck: "ack", PktSubscribe: "subscribe",
+	PktUnsubscribe: "unsubscribe", PktBeacon: "beacon",
+	PktJoinRequest: "join-request", PktJoinReject: "join-reject",
+	PktJoinAccept: "join-accept", PktLeave: "leave", PktHeartbeat: "heartbeat",
+	PktQuench: "quench", PktUnquench: "unquench", PktData: "data",
+	PktStatsRequest: "stats-request", PktStatsResponse: "stats-response",
+	PktDurableResume: "durable-resume", PktDurableAck: "durable-ack",
+	PktEventDurable: "event-durable", PktStatsSnapshot: "stats-snapshot",
+}
 
 // String names the packet type.
 func (t PacketType) String() string {
-	switch t {
-	case PktEvent:
-		return "event"
-	case PktAck:
-		return "ack"
-	case PktSubscribe:
-		return "subscribe"
-	case PktUnsubscribe:
-		return "unsubscribe"
-	case PktBeacon:
-		return "beacon"
-	case PktJoinRequest:
-		return "join-request"
-	case PktJoinReject:
-		return "join-reject"
-	case PktJoinAccept:
-		return "join-accept"
-	case PktLeave:
-		return "leave"
-	case PktHeartbeat:
-		return "heartbeat"
-	case PktQuench:
-		return "quench"
-	case PktUnquench:
-		return "unquench"
-	case PktData:
-		return "data"
-	case PktStatsRequest:
-		return "stats-request"
-	case PktStatsResponse:
-		return "stats-response"
-	case PktDurableResume:
-		return "durable-resume"
-	case PktDurableAck:
-		return "durable-ack"
-	case PktEventDurable:
-		return "event-durable"
-	default:
-		return "invalid"
+	if int(t) < len(packetTypeNames) && packetTypeNames[t] != "" {
+		return packetTypeNames[t]
 	}
+	return "invalid"
 }
 
 // Flag bits.

@@ -3,260 +3,124 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 )
 
-// Cell health snapshot exchanged on the management plane
-// (PktStatsRequest / PktStatsResponse): a one-shot, black-box view of
-// a live cell — membership, bus activity, and the reliable channels'
-// counters including the packet-pool leak check
-// (PacketsAcquired/PacketsRecycled) — so an operator or a test harness
-// can health- and leak-check a cell without attaching a debugger.
-
-// ChannelCounters mirrors one reliable channel's Stats on the wire.
-type ChannelCounters struct {
-	Sent            uint64
-	Acked           uint64
-	Retransmits     uint64
-	FastRetransmits uint64
-	Failures        uint64
-	Resumed         uint64
-	StreamResets    uint64
-	Received        uint64
-	DupsDropped     uint64
-	Buffered        uint64
-	StaleAcks       uint64
-	StaleEpoch      uint64
-	UnreliableIn    uint64
-	UnreliableOut   uint64
-	PacketsAcquired uint64
-	PacketsRecycled uint64
-}
-
-// Leaked reports the packet-pool gap: packets acquired but never
-// recycled. On a quiesced channel this should be zero.
-func (c ChannelCounters) Leaked() uint64 {
-	if c.PacketsAcquired < c.PacketsRecycled {
-		return 0
-	}
-	return c.PacketsAcquired - c.PacketsRecycled
-}
-
-// LogCounters mirrors the durable event log's Stats on the wire. A
-// cell without a durable log reports Enabled=false and zeroes.
-type LogCounters struct {
-	Enabled          bool
-	Epoch            uint64
-	OldestCursor     uint64
-	NewestCursor     uint64
-	Events           uint64
-	Bytes            uint64
-	Segments         uint64
-	Appended         uint64
-	Evicted          uint64
-	DupsDropped      uint64
-	SegmentsAcquired uint64
-	SegmentsRecycled uint64
-}
-
-// DurableCounters is one durable consumer's management-plane row.
-type DurableCounters struct {
-	// Name is the durable consumer name.
-	Name string
-	// Attached reports whether a member is currently bound to it.
-	Attached bool
-	// Delivered is the last cursor handed to the member's proxy.
-	Delivered uint64
-	// Lag is NewestCursor - Delivered: retained events not yet
-	// dispatched to this consumer.
-	Lag uint64
-}
-
-// FederationCounters is one federation link's management-plane row.
-type FederationCounters struct {
-	// Name identifies the link (the gateway device name in the remote
-	// cell).
-	Name string
-	// RemoteCell is the cell being imported from.
-	RemoteCell string
-	// Connected reports whether the link currently holds a live
-	// remote membership (false while the supervisor is reconnecting).
-	Connected bool
-	// Imported / Skipped / Dropped / Reconnects mirror the link's
-	// counters: events republished locally, loop-prevention skips,
-	// imports a closed home bus refused, and completed reconnect
-	// cycles.
-	Imported   uint64
-	Skipped    uint64
-	Dropped    uint64
-	Reconnects uint64
-	// ResumeEpoch / ResumeCursor are the link's last recorded resume
-	// position in the remote cell's durable cursor space (zero when
-	// the remote cell has no durable log).
-	ResumeEpoch  uint64
-	ResumeCursor uint64
-}
-
-// CellStats is the full management-plane snapshot of one cell.
+// CellStats is the management-plane snapshot of one cell, answered to
+// a PktStatsRequest with a PktStatsSnapshot: the cell's name and its
+// counters as name/value pairs. Nothing here knows a counter: Add
+// derives the names from the layers' own Stats structs, so a field
+// added to one reaches the wire (and smctap -stats) by itself.
 type CellStats struct {
-	// Cell is the cell's name.
-	Cell string
-	// Members is the discovery service's current member count.
-	Members uint32
-	// Bus activity counters (a subset of the bus's Stats).
-	Published      uint64
-	DeliveredLocal uint64
-	EnqueuedRemote uint64
-	Dropped        uint64
-	Quenches       uint64
-	AuthDenied     uint64
-	// BusChannel / DiscChannel are the two reliable endpoints.
-	BusChannel  ChannelCounters
-	DiscChannel ChannelCounters
-	// Log is the durable event log (zero value when disabled) and
-	// Durables its per-consumer lag rows.
-	Log      LogCounters
-	Durables []DurableCounters
-	// Federation holds one row per federation link importing into
-	// this cell.
-	Federation []FederationCounters
+	Cell  string
+	Stats []Stat
 }
 
-// Each struct lists its wire fields once, in encoding order; the list
-// drives both directions. A *uint64 or *uint32 travels as a uvarint, a
-// *bool as uvarint 0 or 1, a *string length-prefixed.
+// Stat is one named value. Names are <layer>.<snake_field>, with a
+// row between the two for per-row tables (reliable.bus.sent,
+// durable.<consumer>.lag); a bool travels as 0 or 1.
+type Stat struct {
+	Name  string
+	Value uint64
+}
 
-func (c *ChannelCounters) fields() []any {
-	return []any{
-		&c.Sent, &c.Acked, &c.Retransmits, &c.FastRetransmits, &c.Failures,
-		&c.Resumed, &c.StreamResets, &c.Received, &c.DupsDropped, &c.Buffered,
-		&c.StaleAcks, &c.StaleEpoch, &c.UnreliableIn, &c.UnreliableOut,
-		&c.PacketsAcquired, &c.PacketsRecycled,
+// Add appends every exported uint64 and bool field of the struct v (or
+// *v) as prefix.<snake_field>; other fields are skipped.
+func (s *CellStats) Add(prefix string, v any) {
+	rv := reflect.Indirect(reflect.ValueOf(v))
+	for i := 0; i < rv.NumField(); i++ {
+		f, fv := rv.Type().Field(i), rv.Field(i)
+		var x uint64
+		switch {
+		case !f.IsExported() || fv.Kind() != reflect.Uint64 && fv.Kind() != reflect.Bool:
+			continue
+		case fv.Kind() == reflect.Uint64:
+			x = fv.Uint()
+		case fv.Bool():
+			x = 1
+		}
+		s.Stats = append(s.Stats, Stat{prefix + "." + snake(f.Name), x})
 	}
 }
 
-func (l *LogCounters) fields() []any {
-	return []any{
-		&l.Enabled, &l.Epoch, &l.OldestCursor, &l.NewestCursor,
-		&l.Events, &l.Bytes, &l.Segments, &l.Appended, &l.Evicted,
-		&l.DupsDropped, &l.SegmentsAcquired, &l.SegmentsRecycled,
+// Get returns the named value of a decoded (sorted) snapshot.
+func (s CellStats) Get(name string) (uint64, bool) {
+	i, ok := slices.BinarySearchFunc(s.Stats, name, func(st Stat, n string) int { return strings.Compare(st.Name, n) })
+	if !ok {
+		return 0, false
 	}
+	return s.Stats[i].Value, true
 }
 
-func (d *DurableCounters) fields() []any {
-	return []any{&d.Name, &d.Attached, &d.Delivered, &d.Lag}
-}
-
-func (f *FederationCounters) fields() []any {
-	return []any{
-		&f.Name, &f.RemoteCell, &f.Connected, &f.Imported, &f.Skipped,
-		&f.Dropped, &f.Reconnects, &f.ResumeEpoch, &f.ResumeCursor,
-	}
-}
-
-// fields lists everything ahead of the two row tables.
-func (s *CellStats) fields() []any {
-	f := []any{
-		&s.Cell, &s.Members, &s.Published, &s.DeliveredLocal,
-		&s.EnqueuedRemote, &s.Dropped, &s.Quenches, &s.AuthDenied,
-	}
-	f = append(f, s.BusChannel.fields()...)
-	f = append(f, s.DiscChannel.fields()...)
-	return append(f, s.Log.fields()...)
-}
-
-func appendFields(dst []byte, fields []any) []byte {
-	for _, f := range fields {
-		switch p := f.(type) {
-		case *string:
-			dst = appendString(dst, *p)
-		case *uint64:
-			dst = appendUvarint(dst, *p)
-		case *uint32:
-			dst = appendUvarint(dst, uint64(*p))
-		case *bool:
-			if *p {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
+// snake turns a Go field name into its stat name: DurableParks is
+// durable_parks, an initialism stays one word (URLPath is url_path).
+func snake(name string) string {
+	var b strings.Builder
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			prevLower := i > 0 && !('A' <= name[i-1] && name[i-1] <= 'Z')
+			nextLower := i+1 < len(name) && 'a' <= name[i+1] && name[i+1] <= 'z'
+			if i > 0 && (prevLower || nextLower) {
+				b.WriteByte('_')
 			}
+			c += 'a' - 'A'
 		}
+		b.WriteByte(c)
 	}
-	return dst
+	return b.String()
 }
 
-func (r *reader) fields(fields []any) (err error) {
-	for _, f := range fields {
-		var v uint64
-		if p, ok := f.(*string); ok {
-			*p, err = r.string()
-		} else if v, err = r.uvarint(); err == nil {
-			switch p := f.(type) {
-			case *uint64:
-				*p = v
-			case *uint32:
-				*p = uint32(v)
-			case *bool:
-				*p = v != 0
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func appendRows[T any](dst []byte, rows []T, fields func(*T) []any) []byte {
-	dst = appendUvarint(dst, uint64(len(rows)))
-	for i := range rows {
-		dst = appendFields(dst, fields(&rows[i]))
-	}
-	return dst
-}
-
-// readRows reads a counted table; an empty one decodes to nil. Every
-// row takes at least one byte, which bounds the count before anything
-// is allocated.
-func readRows[T any](r *reader, what string, fields func(*T) []any) ([]T, error) {
-	n, err := r.uvarint()
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	if n > uint64(r.remaining()) {
-		return nil, fmt.Errorf("%w: %s count %d", ErrBadEncoding, what, n)
-	}
-	rows := make([]T, n)
-	for i := range rows {
-		if err := r.fields(fields(&rows[i])); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// AppendCellStats encodes the snapshot payload.
+// AppendCellStats encodes the snapshot payload: the cell name, the
+// pair count, then each pair (name, uvarint value) in ascending name
+// order. Of pairs sharing a name only the first added is encoded.
 func AppendCellStats(dst []byte, s CellStats) []byte {
-	dst = appendFields(dst, s.fields())
-	dst = appendRows(dst, s.Durables, (*DurableCounters).fields)
-	return appendRows(dst, s.Federation, (*FederationCounters).fields)
+	pairs := slices.Clone(s.Stats)
+	slices.SortStableFunc(pairs, func(a, b Stat) int { return strings.Compare(a.Name, b.Name) })
+	pairs = slices.CompactFunc(pairs, func(a, b Stat) bool { return a.Name == b.Name })
+	dst = appendString(dst, s.Cell)
+	dst = appendUvarint(dst, uint64(len(pairs)))
+	for _, p := range pairs {
+		dst = appendUvarint(appendString(dst, p.Name), p.Value)
+	}
+	return dst
 }
 
 // DecodeCellStats decodes a snapshot payload. Only the canonical
-// encoding is accepted — no padded varints, flags other than 0 and 1,
-// out-of-range counts or trailing bytes: re-encoding the result
-// reproduces buf.
-func DecodeCellStats(buf []byte) (CellStats, error) {
+// encoding is accepted — strictly ascending names, minimal varints and
+// no trailing bytes: re-encoding the result reproduces buf.
+func DecodeCellStats(buf []byte) (_ CellStats, err error) {
 	r := &reader{buf: buf}
 	var s CellStats
-	err := r.fields(s.fields())
+	var n uint64
+	s.Cell, err = r.string()
 	if err == nil {
-		s.Durables, err = readRows(r, "durable", (*DurableCounters).fields)
-	}
-	if err == nil {
-		s.Federation, err = readRows(r, "federation", (*FederationCounters).fields)
+		n, err = r.uvarint()
 	}
 	if err != nil {
 		return CellStats{}, err
+	}
+	// A pair takes at least two bytes, which bounds the count before
+	// anything is allocated.
+	if n > uint64(r.remaining()/2) {
+		return CellStats{}, fmt.Errorf("%w: cell-stats count %d", ErrBadEncoding, n)
+	}
+	if n > 0 {
+		s.Stats = make([]Stat, n)
+	}
+	for i := range s.Stats {
+		p := &s.Stats[i]
+		if p.Name, err = r.string(); err == nil {
+			p.Value, err = r.uvarint()
+		}
+		if err != nil {
+			return CellStats{}, err
+		}
+		if i > 0 && p.Name <= s.Stats[i-1].Name {
+			return CellStats{}, fmt.Errorf("%w: cell-stats name %q out of order", ErrBadEncoding, p.Name)
+		}
 	}
 	if !bytes.Equal(AppendCellStats(nil, s), buf) {
 		return CellStats{}, fmt.Errorf("%w: cell-stats not canonical", ErrBadEncoding)

@@ -148,10 +148,10 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatalf("smctap -stats: %v\n%s", err, out)
 	}
 	text := string(out)
-	if !strings.Contains(text, "cell smoke members=1") {
+	if !strings.Contains(text, "cell smoke\n") || !strings.Contains(text, "\ndiscovery.members=1\n") {
 		t.Fatalf("smctap -stats membership wrong:\n%s", text)
 	}
-	if !strings.Contains(text, "bus-channel") || !strings.Contains(text, "pool-acquired=") {
+	if !strings.Contains(text, "\nreliable.bus.packets_acquired=") || !strings.Contains(text, "\nreliable.bus.packets_recycled=") {
 		t.Fatalf("smctap -stats missing channel counters:\n%s", text)
 	}
 

@@ -989,23 +989,7 @@ func queryStats(discID ident.ID) (wire.CellStats, error) {
 	}
 	ch := reliable.New(tr, reliable.Config{})
 	defer ch.Close()
-	if err := ch.Send(discID, wire.PktStatsRequest, nil); err != nil {
-		return wire.CellStats{}, err
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		pkt, err := ch.RecvTimeout(time.Until(deadline))
-		if err != nil {
-			return wire.CellStats{}, err
-		}
-		if pkt.Type != wire.PktStatsResponse {
-			pkt.Release()
-			continue
-		}
-		st, err := wire.DecodeCellStats(pkt.Payload)
-		pkt.Release()
-		return st, err
-	}
+	return smcpkg.QueryStats(ch, discID, 3*time.Second)
 }
 
 // quiesce heals every fault, reconnects every actor, and verifies the
@@ -1133,13 +1117,14 @@ func (h *harness) waitMembership() error {
 		var last string
 		for {
 			st, err := queryStats(c.discovery())
-			if err == nil && int(st.Members) == want {
+			members, _ := st.Get("discovery.members")
+			if err == nil && int(members) == want {
 				break
 			}
 			if err != nil {
 				last = err.Error()
 			} else {
-				last = fmt.Sprintf("members=%d want=%d", st.Members, want)
+				last = fmt.Sprintf("members=%d want=%d", members, want)
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("invariant I3: cell %s membership never agreed: %s", c.name, last)
@@ -1180,30 +1165,23 @@ func (h *harness) waitDurables() error {
 		for {
 			last := ""
 			st, err := queryStats(c.discovery())
+			_, enabled := st.Get("store.epoch")
 			switch {
 			case err != nil:
 				last = err.Error()
-			case !st.Log.Enabled:
+			case !enabled:
 				last = "durable log not enabled"
 			default:
 				for _, a := range want {
-					row := ""
-					for _, d := range st.Durables {
-						if d.Name != a.durable {
-							continue
-						}
-						if d.Attached && d.Lag == 0 {
-							row = "ok"
-						} else {
-							row = fmt.Sprintf("consumer %s attached=%v lag=%d", d.Name, d.Attached, d.Lag)
-						}
-						break
+					row := "durable." + a.durable
+					attached, ok := st.Get(row + ".attached")
+					lag, _ := st.Get(row + ".lag")
+					if !ok {
+						last = fmt.Sprintf("consumer %s has no stats row", a.durable)
+					} else if attached != 1 || lag != 0 {
+						last = fmt.Sprintf("consumer %s attached=%d lag=%d", a.durable, attached, lag)
 					}
-					if row == "" {
-						row = fmt.Sprintf("consumer %s has no stats row", a.durable)
-					}
-					if row != "ok" {
-						last = row
+					if last != "" {
 						break
 					}
 				}
