@@ -24,19 +24,12 @@ type Factory func(member ident.ID, name string) proxy.Device
 type Registry struct {
 	mu        sync.RWMutex
 	factories map[string]Factory
-	fallback  Factory
 }
 
-// NewRegistry returns a registry whose fallback produces pass-through
-// generic proxies, so unknown device types still get "a mere forwarding
-// mechanism" (§III-B).
+// NewRegistry returns an empty registry: every device type gets the
+// pass-through generic proxy until a factory is registered for it.
 func NewRegistry() *Registry {
-	return &Registry{
-		factories: make(map[string]Factory),
-		fallback: func(ident.ID, string) proxy.Device {
-			return &proxy.GenericDevice{}
-		},
-	}
+	return &Registry{factories: make(map[string]Factory)}
 }
 
 // Register installs a factory for a device type, replacing any
@@ -54,44 +47,15 @@ func (r *Registry) Register(deviceType string, f Factory) error {
 	return nil
 }
 
-// SetFallback replaces the factory used for unregistered device types.
-func (r *Registry) SetFallback(f Factory) {
-	if f == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fallback = f
-}
-
-// Known reports whether a dedicated factory exists for the device type.
-func (r *Registry) Known(deviceType string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.factories[deviceType]
-	return ok
-}
-
-// Types lists the registered device types.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for t := range r.factories {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Make builds the device logic for a member of the given type, falling
-// back to the generic pass-through proxy when the type is unknown.
+// back to the generic pass-through proxy, "a mere forwarding
+// mechanism" (§III-B), when the type is unknown.
 func (r *Registry) Make(deviceType string, member ident.ID, name string) proxy.Device {
 	r.mu.RLock()
 	f, ok := r.factories[deviceType]
-	fb := r.fallback
 	r.mu.RUnlock()
 	if ok {
 		return f(member, name)
 	}
-	return fb(member, name)
+	return &proxy.GenericDevice{}
 }

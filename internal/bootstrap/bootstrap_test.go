@@ -1,7 +1,6 @@
 package bootstrap
 
 import (
-	"sort"
 	"testing"
 
 	"github.com/amuse/smc/internal/ident"
@@ -38,18 +37,6 @@ func TestRegistryFallback(t *testing.T) {
 	if _, ok := dev.(*proxy.GenericDevice); !ok {
 		t.Fatalf("fallback produced %T", dev)
 	}
-
-	r.SetFallback(func(member ident.ID, name string) proxy.Device {
-		return &fakeDevice{member: member}
-	})
-	if _, ok := r.Make("still-unknown", ident.New(2), "y").(*fakeDevice); !ok {
-		t.Error("custom fallback unused")
-	}
-	// nil fallback is ignored.
-	r.SetFallback(nil)
-	if _, ok := r.Make("still-unknown", ident.New(2), "y").(*fakeDevice); !ok {
-		t.Error("nil fallback replaced previous")
-	}
 }
 
 func TestRegistryValidation(t *testing.T) {
@@ -59,23 +46,6 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	if err := r.Register("x", nil); err == nil {
 		t.Error("nil factory accepted")
-	}
-}
-
-func TestRegistryKnownAndTypes(t *testing.T) {
-	r := NewRegistry()
-	for _, dt := range []string{"a", "b", "c"} {
-		if err := r.Register(dt, func(ident.ID, string) proxy.Device { return &proxy.GenericDevice{} }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.Known("b") || r.Known("z") {
-		t.Error("Known wrong")
-	}
-	types := r.Types()
-	sort.Strings(types)
-	if len(types) != 3 || types[0] != "a" || types[2] != "c" {
-		t.Errorf("Types = %v", types)
 	}
 }
 

@@ -39,13 +39,10 @@ import (
 )
 
 var (
-	// ErrClosed reports use of a closed bus.
-	ErrClosed = errors.New("bus: closed")
-	// ErrBusy reports a full processing queue (bounded memory).
-	ErrBusy = errors.New("bus: processing queue full")
-	// ErrNotMember reports traffic from a service that is not a
-	// member of the SMC.
-	ErrNotMember = errors.New("bus: not a member")
+	// errClosed reports use of a closed bus.
+	errClosed = errors.New("bus: closed")
+	// errBusy reports a full processing queue (bounded memory).
+	errBusy = errors.New("bus: processing queue full")
 	// ErrUnauthorized reports a publish or subscribe denied by the
 	// authorisation policy.
 	ErrUnauthorized = errors.New("bus: unauthorized")
@@ -95,7 +92,7 @@ type Stats struct {
 	NonMember    uint64
 	BadPackets   uint64
 	// Dropped counts member publishes shed because the processing
-	// queue was full (ErrBusy) — overload, as distinct from the
+	// queue was full (errBusy) — overload, as distinct from the
 	// corruption BadPackets counts.
 	Dropped         uint64
 	Subscriptions   uint64
@@ -161,8 +158,8 @@ func WithQuench(on bool) Option {
 	return func(b *Bus) { b.quenchOn = on }
 }
 
-// WithProxyConfig overrides proxy queue/redelivery tuning.
-func WithProxyConfig(cfg proxy.Config) Option {
+// withProxyConfig overrides proxy queue/redelivery tuning.
+func withProxyConfig(cfg proxy.Config) Option {
 	return func(b *Bus) { b.proxyCfg = cfg }
 }
 
@@ -172,7 +169,7 @@ func WithProxyConfig(cfg proxy.Config) Option {
 // proxy defaults — 16 events, 8 KiB, and no wait at all (opportunistic:
 // only what is already queued coalesces); events == 1 turns coalescing
 // off (see proxy.Config). It sets the three batching fields of the
-// proxy configuration, so give it after WithProxyConfig, not before.
+// proxy configuration, so give it after withProxyConfig, not before.
 func WithBatching(events, maxBytes int, delay time.Duration) Option {
 	return func(b *Bus) {
 		b.proxyCfg.BatchEvents, b.proxyCfg.BatchBytes, b.proxyCfg.FlushDelay = events, maxBytes, delay
@@ -242,8 +239,12 @@ type Bus struct {
 	members  map[ident.ID]*memberState
 	locals   []*LocalService // append-only; service number n is locals[n-1]
 	quenched map[ident.ID]bool
-	extra    []*reliable.Channel
 	closed   atomic.Bool // written under mu; read lock-free
+	// fence is the marker awaitInbox queued in the channel inbox, and
+	// fenceDone what the receive loop closes on reaching it; guarded by
+	// mu, one at a time under lifeMu.
+	fence     *wire.Packet
+	fenceDone chan struct{}
 
 	// Durable subscriptions (durable.go). log is set once by
 	// WithDurableLog; the maps and durList are guarded by durMu (never
@@ -373,38 +374,6 @@ func (b *Bus) Start() {
 	}
 }
 
-// AttachChannel routes packets arriving on an additional reliable
-// channel into the bus. This realises §III-B's note that "a proxy
-// would be able to generate its own transport layer to facilitate
-// communication over a different network transport" — e.g. a
-// diagnostic device connected to the SMC via an Ethernet segment while
-// the body sensors use the wireless one. The bus owns the channel from
-// here on and closes it on Close. Call before or after Start, but
-// before traffic is expected on the channel.
-func (b *Bus) AttachChannel(ch *reliable.Channel) {
-	b.mu.Lock()
-	if b.closed.Load() {
-		b.mu.Unlock()
-		_ = ch.Close()
-		return
-	}
-	b.extra = append(b.extra, ch)
-	b.mu.Unlock()
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		b.recvFrom(ch)
-	}()
-}
-
-// AddMemberVia admits a member whose proxy sends through a dedicated
-// channel instead of the bus's main endpoint (per-proxy transport,
-// §III-B). The channel must have been attached with AttachChannel for
-// the member's inbound traffic to reach the bus.
-func (b *Bus) AddMemberVia(id ident.ID, deviceType, name string, via proxy.AsyncSender) error {
-	return b.addMember(id, deviceType, name, via)
-}
-
 // Close shuts the bus down: the channel closes, loops drain, and every
 // proxy is purged.
 func (b *Bus) Close() error {
@@ -422,15 +391,10 @@ func (b *Bus) Close() error {
 	// b.locals stays: service numbers index it, and a Local call after
 	// Close must not reissue one whose handlers the matcher still holds.
 	b.snap.Store(emptyMembership)
-	extra := b.extra
-	b.extra = nil
 	b.mu.Unlock()
 
 	b.stopWalkers()
 	err := b.ch.Close()
-	for _, ch := range extra {
-		_ = ch.Close()
-	}
 	close(b.done)
 	b.wg.Wait()
 	for _, ms := range members {
@@ -478,7 +442,7 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	if _, dup := b.members[id]; dup {
 		b.mu.Unlock()
@@ -498,7 +462,7 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 	err := b.announce(event.TypeNewMember, id, ms, "")
 	b.mu.Lock()
 	if err == nil && b.closed.Load() {
-		err = ErrClosed // Close has already purged the members it found
+		err = errClosed // Close has already purged the members it found
 	}
 	if err != nil {
 		b.mu.Unlock()
@@ -522,10 +486,16 @@ func (b *Bus) addMember(id ident.ID, deviceType, name string, via proxy.AsyncSen
 // is forgotten so a returning device starts a clean stream. Purge
 // Member, carrying reason, then goes into the member's own shard
 // queue, behind every event admitted from it; RemoveMember waits for
-// room there.
+// room there. First it waits for the receive loop to handle what the
+// bus channel has already taken: a graceful leave reaches discovery on
+// another endpoint and must not overtake the member's acknowledged
+// publishes.
 func (b *Bus) RemoveMember(id ident.ID, reason string) {
 	b.lifeMu.Lock()
 	defer b.lifeMu.Unlock()
+	if _, ok := b.memberState(id); ok {
+		b.awaitInbox()
+	}
 	b.mu.Lock()
 	ms, ok := b.members[id]
 	if ok {
@@ -542,6 +512,25 @@ func (b *Bus) RemoveMember(id ident.ID, reason string) {
 	ms.px.Purge()
 	b.ch.Forget(id)
 	_ = b.announce(event.TypePurgeMember, id, ms, reason) // fails only on a closed bus
+}
+
+// awaitInbox returns once the receive loop has handled every packet the
+// bus channel took before the call, or the bus has closed. A full inbox
+// is not waited out. Caller holds lifeMu.
+func (b *Bus) awaitInbox() {
+	fence, done := &wire.Packet{}, make(chan struct{})
+	b.mu.Lock()
+	b.fence, b.fenceDone = fence, done
+	b.mu.Unlock()
+	if b.ch.Inject(fence) {
+		select {
+		case <-done:
+		case <-b.done:
+		}
+	}
+	b.mu.Lock()
+	b.fence, b.fenceDone = nil, nil
+	b.mu.Unlock()
 }
 
 // RenewMember forgets the reliable streams of a member whose device
@@ -608,11 +597,11 @@ func (b *Bus) shardFor(key ident.ID) *shardWorker {
 }
 
 // enqueuePublish hands an event to the shard of key. A full queue
-// refuses it with ErrBusy, unless wait is set: then it waits for room
+// refuses it with errBusy, unless wait is set: then it waits for room
 // until the bus closes.
 func (b *Bus) enqueuePublish(e *event.Event, key ident.ID, wait bool) error {
 	if b.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	w := b.shardFor(key)
 	select {
@@ -621,13 +610,13 @@ func (b *Bus) enqueuePublish(e *event.Event, key ident.ID, wait bool) error {
 	default:
 	}
 	if !wait {
-		return ErrBusy
+		return errBusy
 	}
 	select {
 	case w.work <- e:
 		return nil
 	case <-b.done:
-		return ErrClosed
+		return errClosed
 	}
 }
 
@@ -657,6 +646,14 @@ func (b *Bus) handlePacket(pkt *wire.Packet) {
 	case wire.PktDurableResume:
 		b.handleDurableResume(pkt)
 	default:
+		b.mu.Lock()
+		if pkt == b.fence {
+			close(b.fenceDone)
+			b.fence = nil
+			b.mu.Unlock()
+			return
+		}
+		b.mu.Unlock()
 		// Discovery/control traffic does not belong on the bus
 		// endpoint (the discovery protocol "does not use the event
 		// bus", §II-B).
@@ -720,7 +717,7 @@ func (b *Bus) admit(ms *memberState, e *event.Event) {
 	}
 	if err := b.enqueuePublish(e, e.Sender, false); err != nil {
 		e.Release()
-		if errors.Is(err, ErrBusy) {
+		if errors.Is(err, errBusy) {
 			b.ctl().dropped.Add(1) // overload, not corruption
 		} else {
 			b.ctl().badPackets.Add(1)
@@ -811,7 +808,7 @@ func (b *Bus) shardLoop(w *shardWorker) {
 // handler unsubscribed between match and dispatch — is skipped. The
 // event is delivered shared and immutable: proxies and handlers must
 // not mutate it (proxies whose devices do mutate clone on write — see
-// proxy.EventMutator).
+// the proxy's eventMutator).
 //
 // The bus owns the publisher's reference on the event for the duration
 // of dispatch: each proxy takes its own reference when it enqueues the

@@ -268,10 +268,11 @@ func TestLocalUnsubscribe(t *testing.T) {
 	f := event.NewFilter().WhereType("x")
 	calls := 0
 	var mu sync.Mutex
-	if err := svc.Subscribe(f, func(*event.Event) { mu.Lock(); calls++; mu.Unlock() }); err != nil {
+	remove, err := svc.Handle(f, func(*event.Event) { mu.Lock(); calls++; mu.Unlock() })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Unsubscribe(f); err != nil {
+	if err := remove(); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Publish(event.NewTyped("x")); err != nil {
@@ -494,10 +495,10 @@ func TestCloseIsIdempotentAndStopsProcessing(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := b.AddMember(ident.New(5), "generic", "x"); !errors.Is(err, ErrClosed) {
+	if err := b.AddMember(ident.New(5), "generic", "x"); !errors.Is(err, errClosed) {
 		t.Errorf("AddMember after close: %v", err)
 	}
-	if err := b.Local("x").Publish(event.New()); !errors.Is(err, ErrClosed) {
+	if err := b.Local("x").Publish(event.New()); !errors.Is(err, errClosed) {
 		t.Errorf("publish after close: %v", err)
 	}
 }

@@ -91,9 +91,9 @@ func readDurable(t *testing.T, c *client.Client, from, n int) (last uint64) {
 // waitLogged polls until the durable log's newest cursor is n.
 func waitLogged(t *testing.T, b *Bus, n uint64) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); b.DurableLog().NewestCursor() != n; {
+	for deadline := time.Now().Add(10 * time.Second); b.DurableLog().Stats().NewestCursor != n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("log holds %d records, want %d", b.DurableLog().NewestCursor(), n)
+			t.Fatalf("log holds %d records, want %d", b.DurableLog().Stats().NewestCursor, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -260,10 +260,10 @@ func bindDurable(b *Bus, id ident.ID, name string, f *event.Filter) {
 // recovers the walker must deliver the rest in order and exactly once
 // and hand back to the shards.
 func TestDurableParkToCursor(t *testing.T) {
-	r := newDurableRig(t, WithProxyConfig(proxy.Config{QueueCap: 64}))
+	r := newDurableRig(t, withProxyConfig(proxy.Config{QueueCap: 64}))
 	id := ident.New(0x41)
 	snd := &stallSender{}
-	if err := r.bus.AddMemberVia(id, "generic", "stall", snd); err != nil {
+	if err := r.bus.addMember(id, "generic", "stall", snd); err != nil {
 		t.Fatal(err)
 	}
 	bindDurable(r.bus, id, "stall", event.NewFilter().WhereType("reading"))
@@ -415,7 +415,7 @@ func (s sinkSender) SendBatchAsync(dst ident.ID, ptype wire.PacketType, payload 
 // consumer subscribed to f and waits until it is attached.
 func attachDurableSink(tb testing.TB, b *Bus, id ident.ID, f *event.Filter) {
 	tb.Helper()
-	if err := b.AddMemberVia(id, "generic", "sink", sinkSender{}); err != nil {
+	if err := b.addMember(id, "generic", "sink", sinkSender{}); err != nil {
 		tb.Fatal(err)
 	}
 	bindDurable(b, id, id.String(), f)

@@ -53,11 +53,12 @@ func TestBusHotPath(t *testing.T) {
 		churn := bus.Local("churner")
 		f := event.NewFilter().WhereType("other")
 		for i := 0; i < 200; i++ {
-			if err := churn.Subscribe(f, func(*event.Event) {}); err != nil {
+			remove, err := churn.Handle(f, func(*event.Event) {})
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := churn.Unsubscribe(f); err != nil {
+			if err := remove(); err != nil {
 				t.Error(err)
 				return
 			}

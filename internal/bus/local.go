@@ -32,7 +32,7 @@ type LocalService struct {
 	// pubMu spans a publish's sequence number and its enqueue, waiting
 	// included, so the shard queue holds the service's events in seq
 	// order. It is apart from mu: a publish waiting for room never
-	// holds up Subscribe or Unsubscribe.
+	// holds up Subscribe or a handler's removal.
 	pubMu sync.Mutex
 	seq   uint64 // guarded by pubMu
 }
@@ -50,8 +50,8 @@ type localHandler struct {
 // is 0xFE, outside the address-derived IDs transports hand out; the
 // next 12 bits number the service (from 1) and the low 28 the handler
 // within it (from 1; 0 is the service itself, its publisher identity).
-// Handler numbers are never reused: a match computed just before an
-// Unsubscribe names an identity that resolves to nothing, never to a
+// Handler numbers are never reused: a match computed just before a
+// handler's removal names an identity that resolves to nothing, never to a
 // handler installed since.
 const (
 	localIDBase      = ident.ID(0xFE) << 40
@@ -116,9 +116,6 @@ func (s *membership) localHandler(id ident.ID) Handler {
 // ID returns the local service's synthetic ID.
 func (l *LocalService) ID() ident.ID { return l.id }
 
-// Name returns the service name.
-func (l *LocalService) Name() string { return l.name }
-
 // Subscribe installs a filter whose matches are delivered to fn, once
 // per event, whatever else the service has subscribed to: installing
 // an equal filter twice gives two handlers and two calls. The handler
@@ -133,7 +130,8 @@ func (l *LocalService) Subscribe(f *event.Filter, fn Handler) error {
 }
 
 // Handle is Subscribe returning a func that removes exactly the handler
-// it installed, where Unsubscribe takes the oldest of equal filters.
+// it installed; it reports matcher.ErrNoSuchSubscription when called
+// again.
 func (l *LocalService) Handle(f *event.Filter, fn Handler) (remove func() error, err error) {
 	if f == nil || fn == nil {
 		return nil, fmt.Errorf("bus: local subscribe needs filter and handler")
@@ -150,29 +148,21 @@ func (l *LocalService) Handle(f *event.Filter, fn Handler) (remove func() error,
 	hs := append(slices.Clone(l.table()), h)
 	l.handlers.Store(&hs)
 	l.mu.Unlock()
-	isH := func(have localHandler) bool { return have.id == h.id }
 	if err := l.b.match.Subscribe(h.id, h.filter); err != nil {
-		// Unless a racing Unsubscribe of an equal filter took it first.
-		_ = l.remove(isH)
+		_ = l.remove(h.id)
 		return nil, err
 	}
 	l.b.ctl().subscriptions.Add(1)
 	l.b.unquenchAll()
-	return func() error { return l.remove(isH) }, nil
+	return func() error { return l.remove(h.id) }, nil
 }
 
-// Unsubscribe removes the oldest handler installed with a filter equal
-// to f; it reports matcher.ErrNoSuchSubscription when there is none.
-func (l *LocalService) Unsubscribe(f *event.Filter) error {
-	return l.remove(func(have localHandler) bool { return have.filter.Equal(f) })
-}
-
-// remove takes the first handler pick selects out of the table and the
-// matcher; it reports matcher.ErrNoSuchSubscription when there is none.
-func (l *LocalService) remove(pick func(localHandler) bool) error {
+// remove takes handler id out of the table and the matcher; it reports
+// matcher.ErrNoSuchSubscription when it is already gone.
+func (l *LocalService) remove(id ident.ID) error {
 	l.mu.Lock()
 	cur := l.table()
-	i := slices.IndexFunc(cur, pick)
+	i := slices.IndexFunc(cur, func(have localHandler) bool { return have.id == id })
 	if i < 0 {
 		l.mu.Unlock()
 		return matcher.ErrNoSuchSubscription
@@ -195,12 +185,12 @@ func (l *LocalService) table() []localHandler {
 // Publish injects an event into the bus under this service's ID. A
 // per-service sequence number is assigned so that local publishes obey
 // the same per-sender FIFO contract as remote ones. When the shard
-// queue is full, Publish waits for room; it fails only with ErrClosed.
+// queue is full, Publish waits for room; it fails only with errClosed.
 // It must not be called from a Subscribe handler (use TryPublish).
 func (l *LocalService) Publish(e *event.Event) error { return l.publish(e, l.id, true) }
 
 // TryPublish is Publish that never waits: a full shard queue refuses
-// the event with ErrBusy. It is the publish for code running on a
+// the event with errBusy. It is the publish for code running on a
 // shard worker, such as a Subscribe handler.
 func (l *LocalService) TryPublish(e *event.Event) error { return l.publish(e, l.id, false) }
 

@@ -60,9 +60,11 @@ func TestLocalDispatchCallsMatchingHandlers(t *testing.T) {
 				event.NewFilter().WhereType("alarm"),
 			}
 			calls := make([]atomic.Int64, len(filters))
+			removes := make([]func() error, len(filters))
 			for i, f := range filters {
 				i := i
-				if err := svc.Subscribe(f, func(*event.Event) { calls[i].Add(1) }); err != nil {
+				var err error
+				if removes[i], err = svc.Handle(f, func(*event.Event) { calls[i].Add(1) }); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,18 +98,18 @@ func TestLocalDispatchCallsMatchingHandlers(t *testing.T) {
 			expect(event.NewTyped("alarm").SetStr("kind", "hr"), 0, 0, 0, 0, 0, 1)
 			expect(event.NewTyped("other"), 0, 0, 0, 0, 0, 0)
 
-			// Unsubscribe takes the older of the two equal handlers and
-			// leaves the other one working.
-			if err := svc.Unsubscribe(filters[0]); err != nil {
+			// Removing one of two handlers with equal filters leaves the
+			// other one working, whichever was installed first.
+			if err := removes[1](); err != nil {
 				t.Fatal(err)
 			}
-			expect(hr, 0, 1, 0, 1, 1, 0)
-			if err := svc.Unsubscribe(filters[1]); err != nil {
+			expect(hr, 1, 0, 0, 1, 1, 0)
+			if err := removes[0](); err != nil {
 				t.Fatal(err)
 			}
 			expect(hr, 0, 0, 0, 1, 1, 0)
-			if err := svc.Unsubscribe(filters[1]); !errors.Is(err, matcher.ErrNoSuchSubscription) {
-				t.Fatalf("third Unsubscribe of a filter installed twice: %v, want ErrNoSuchSubscription", err)
+			if err := removes[0](); !errors.Is(err, matcher.ErrNoSuchSubscription) {
+				t.Fatalf("second removal of one handler: %v, want ErrNoSuchSubscription", err)
 			}
 			if st := b.Stats(); st.Matched != 5 || st.NoMatch != 1 {
 				t.Fatalf("Matched/NoMatch = %d/%d, want 5/1", st.Matched, st.NoMatch)
@@ -150,11 +152,11 @@ func TestLocalUnsubscribeRacesPublish(t *testing.T) {
 					default:
 					}
 					// The steady handlers' filters plus a guard every event
-					// passes: Unsubscribe finds the churned handler, not
-					// the steady one of the same type.
+					// passes, so the churned handler is never the only one
+					// its filter's type reaches.
 					want := types[i%2]
 					f := event.NewFilter().WhereType(want).Where("n", event.OpGe, event.Int(0))
-					err := svc.Subscribe(f, func(e *event.Event) {
+					remove, err := svc.Handle(f, func(e *event.Event) {
 						churned.Add(1)
 						if got := e.Type(); got != want {
 							t.Errorf("handler subscribed to %q called with %q", want, got)
@@ -165,7 +167,7 @@ func TestLocalUnsubscribeRacesPublish(t *testing.T) {
 						return
 					}
 					runtime.Gosched()
-					if err := svc.Unsubscribe(f); err != nil {
+					if err := remove(); err != nil {
 						t.Error(err)
 						return
 					}

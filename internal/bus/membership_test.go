@@ -9,6 +9,7 @@ import (
 
 	"github.com/amuse/smc/internal/event"
 	"github.com/amuse/smc/internal/ident"
+	"github.com/amuse/smc/internal/matcher"
 )
 
 // TestMembershipOrderedWithMemberTraffic: a member whose events hash
@@ -191,5 +192,65 @@ func waitSeen(t *testing.T, saw <-chan struct{}, n int) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("saw %d of %d events", i, n)
 		}
+	}
+}
+
+// stallAuthorizer holds the receive loop in admit on the first member
+// publish until release closes.
+type stallAuthorizer struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (a *stallAuthorizer) AuthorizePublish(ident.ID, string, *event.Event) error {
+	a.once.Do(func() { close(a.entered); <-a.release })
+	return nil
+}
+
+func (a *stallAuthorizer) AuthorizeSubscribe(ident.ID, string, *event.Filter) error { return nil }
+
+// TestRemoveMemberAdmitsAcknowledgedPublishes: publishes the bus channel
+// has acknowledged, but the receive loop has not read yet, are admitted
+// even when the member is removed in between — as when its graceful
+// leave reaches discovery, on another endpoint, first.
+func TestRemoveMemberAdmitsAcknowledgedPublishes(t *testing.T) {
+	r := newStoppedRig(t, matcher.NewFast())
+	gate := &stallAuthorizer{entered: make(chan struct{}), release: make(chan struct{})}
+	r.bus.SetAuthorizer(gate)
+	r.bus.Start()
+	sub := r.member(t, 1, "generic")
+	pub := r.member(t, 2, "generic")
+	subscribe(t, sub, event.NewFilter().WhereType("reading"))
+	waitForSubs(t, r.bus, 1)
+
+	publish(t, pub, event.NewTyped("reading").SetInt("n", 0))
+	<-gate.entered
+	// The loop is held on reading 0; the channel still takes and
+	// acknowledges readings 1 and 2.
+	for n := int64(1); n <= 2; n++ {
+		publish(t, pub, event.NewTyped("reading").SetInt("n", n))
+	}
+	removed := make(chan struct{})
+	go func() {
+		r.bus.RemoveMember(pub.LocalID(), "left")
+		close(removed)
+	}()
+	// A removal that does not wait for the loop is done long before
+	// this; one that waits is still waiting.
+	select {
+	case <-removed:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate.release)
+	<-removed
+
+	for want := int64(0); want <= 2; want++ {
+		e := expectEvent(t, sub, 5*time.Second)
+		if v, _ := e.Get("n"); !v.Equal(event.Int(want)) {
+			t.Fatalf("reading %d: got %s", want, e)
+		}
+	}
+	if st := r.bus.Stats(); st.NonMember != 0 {
+		t.Errorf("NonMember = %d, want 0", st.NonMember)
 	}
 }

@@ -17,7 +17,7 @@ func TestWithProxyConfigApplies(t *testing.T) {
 	// in-flight window) absorbs the backlog and the tiny cap is
 	// observable.
 	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, Pipeline: 1, BatchEvents: 1}
-	r := newRig(t, WithProxyConfig(cfg))
+	r := newRig(t, withProxyConfig(cfg))
 	pub := r.member(t, 1, "generic")
 
 	// An unreachable member: its queue should respect the tiny cap.
@@ -47,7 +47,7 @@ func TestWithProxyConfigApplies(t *testing.T) {
 
 func TestWithQueueDepthBoundsBacklog(t *testing.T) {
 	// Depth 1 behind a handler that blocks the shard worker: a burst
-	// overflows into ErrBusy (surfaced as Stats.Dropped for remote
+	// overflows into errBusy (surfaced as Stats.Dropped for remote
 	// publishes, as TryPublish's error for local ones).
 	r := newRig(t, WithQueueDepth(1))
 	unblock := make(chan struct{})
@@ -58,7 +58,7 @@ func TestWithQueueDepthBoundsBacklog(t *testing.T) {
 	}
 	var busy int
 	for i := 0; i < 20; i++ {
-		if err := svc.TryPublish(event.NewTyped("t")); errors.Is(err, ErrBusy) {
+		if err := svc.TryPublish(event.NewTyped("t")); errors.Is(err, errBusy) {
 			busy++
 		} else if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWithQueueDepthBoundsBacklog(t *testing.T) {
 
 // TestLocalPublishWaitsForRoom: on a full shard queue Publish waits
 // instead of refusing. It completes once the queue drains, or returns
-// ErrClosed when the bus closes first.
+// errClosed when the bus closes first.
 func TestLocalPublishWaitsForRoom(t *testing.T) {
 	for _, closeBus := range []bool{false, true} {
 		t.Run(map[bool]string{false: "drain", true: "close"}[closeBus], func(t *testing.T) {
@@ -107,7 +107,7 @@ func TestLocalPublishWaitsForRoom(t *testing.T) {
 			if closeBus {
 				closed := make(chan error, 1)
 				go func() { closed <- r.bus.Close() }()
-				if err := <-done; !errors.Is(err, ErrClosed) {
+				if err := <-done; !errors.Is(err, errClosed) {
 					t.Errorf("Publish after Close = %v, want ErrClosed", err)
 				}
 				release()
@@ -132,8 +132,8 @@ func TestLocalPublishWaitsForRoom(t *testing.T) {
 func TestLocalServiceName(t *testing.T) {
 	r := newRig(t)
 	ls := r.bus.Local("monitoring")
-	if ls.Name() != "monitoring" {
-		t.Errorf("name = %q", ls.Name())
+	if ls.name != "monitoring" {
+		t.Errorf("name = %q", ls.name)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestBusHotPathZeroAlloc(t *testing.T) {
 				// goroutine falls behind the flood by, so the consumer stays
 				// attached — fed by the appending shards — throughout; the
 				// warm-up still fills the member queues to their bound.
-				opts = append(opts, WithProxyConfig(proxy.Config{QueueCap: 1 << 16}))
+				opts = append(opts, withProxyConfig(proxy.Config{QueueCap: 1 << 16}))
 			}
 			bus, flood := newHotPath(t, tc.delivery, tc.fan, tc.durables, opts...)
 			// Warm the event pools, fill the member proxies' queues and

@@ -214,7 +214,7 @@ func TestBatchingRawDataOrdering(t *testing.T) {
 	}
 	// Two batched events, then raw data (generic proxy decodes it as an
 	// event): the long flush delay means only the raw publish's
-	// implicit Flush can have pushed the batch out first.
+	// implicit flush can have pushed the batch out first.
 	for i := 0; i < 2; i++ {
 		if _, err := pub.PublishAsync(event.NewTyped("x").SetInt("n", int64(i))); err != nil {
 			t.Fatal(err)

@@ -131,9 +131,6 @@ func New(ch *reliable.Channel, busID ident.ID, opts ...Option) *Client {
 // ID returns the client's service ID.
 func (c *Client) ID() ident.ID { return c.ch.LocalID() }
 
-// BusID returns the bus the client talks to.
-func (c *Client) BusID() ident.ID { return c.bus }
-
 // Stats returns a snapshot of the counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
@@ -225,7 +222,7 @@ func (c *Client) publishBatched(e *event.Event) *reliable.Completion {
 		b.bp = wire.GetEncodeBuf()
 		*b.bp = wire.AppendBatchHeader((*b.bp)[:0])
 		if b.timer == nil {
-			b.timer = time.AfterFunc(b.delay, c.Flush)
+			b.timer = time.AfterFunc(b.delay, c.flush)
 		} else {
 			b.timer.Reset(b.delay)
 		}
@@ -240,11 +237,11 @@ func (c *Client) publishBatched(e *event.Event) *reliable.Completion {
 	return comp
 }
 
-// Flush sends any pending publish batch immediately. It is a no-op
+// flush sends any pending publish batch immediately. It is a no-op
 // when batching is disabled or nothing is pending; raw-data sends and
 // subscription changes call it so they cannot overtake events already
 // accepted for publish.
-func (c *Client) Flush() {
+func (c *Client) flush() {
 	if !c.batch.enabled {
 		return
 	}
@@ -287,7 +284,7 @@ func (c *Client) PublishRaw(data []byte) error {
 		c.mu.Unlock()
 		return ErrQuenched
 	}
-	c.Flush() // raw data must not overtake batched events
+	c.flush() // raw data must not overtake batched events
 	if err := c.ch.Send(c.bus, wire.PktData, data); err != nil {
 		return err
 	}
@@ -309,7 +306,7 @@ func (c *Client) PublishRawUnreliable(data []byte) error {
 		c.mu.Unlock()
 		return ErrQuenched
 	}
-	c.Flush() // keep ordering relative to batched events
+	c.flush() // keep ordering relative to batched events
 	if err := c.ch.SendUnreliable(c.bus, wire.PktData, data); err != nil {
 		return err
 	}
@@ -324,13 +321,13 @@ func (c *Client) Subscribe(f *event.Filter) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	c.Flush()
+	c.flush()
 	return c.ch.Send(c.bus, wire.PktSubscribe, wire.EncodeFilter(f))
 }
 
 // Unsubscribe removes a previously installed filter.
 func (c *Client) Unsubscribe(f *event.Filter) error {
-	c.Flush()
+	c.flush()
 	return c.ch.Send(c.bus, wire.PktUnsubscribe, wire.EncodeFilter(f))
 }
 
@@ -371,7 +368,7 @@ func (c *Client) NextEvent(d time.Duration) (*event.Event, error) {
 // Close shuts the client and its channel down.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
-		c.Flush()
+		c.flush()
 		close(c.done)
 		c.closeErr = c.ch.Close()
 		c.wg.Wait()

@@ -94,9 +94,6 @@ func TestClientPublishSubscribe(t *testing.T) {
 	if pub.Stats().Published != 1 || sub.Stats().EventsReceived != 1 {
 		t.Errorf("stats = %+v / %+v", pub.Stats(), sub.Stats())
 	}
-	if pub.BusID() != ident.New(busID) {
-		t.Errorf("BusID = %s", pub.BusID())
-	}
 }
 
 func TestClientSeqIncrements(t *testing.T) {

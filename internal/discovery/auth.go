@@ -36,8 +36,8 @@ func AuthDigest(secret []byte, id ident.ID, cell string) []byte {
 	return mac.Sum(nil)[:authDigestLen]
 }
 
-// VerifyAuth checks a credential in constant time.
-func VerifyAuth(secret []byte, id ident.ID, cell string, digest []byte) bool {
+// verifyAuth checks a credential in constant time.
+func verifyAuth(secret []byte, id ident.ID, cell string, digest []byte) bool {
 	want := AuthDigest(secret, id, cell)
 	return hmac.Equal(want, digest)
 }

@@ -153,7 +153,7 @@ func TestJoinHappyPath(t *testing.T) {
 	}
 
 	info, ok := f.svc.Member(ch.LocalID())
-	if !ok || info.DeviceType != "hr-sensor" || info.Name != "hr-1" || info.State != StateActive {
+	if !ok || info.DeviceType != "hr-sensor" || info.Name != "hr-1" || info.State != stateActive {
 		t.Errorf("member = %+v, %v", info, ok)
 	}
 	if adds := f.members.added(); len(adds) != 1 || adds[0].id != ch.LocalID() || adds[0].deviceType != "hr-sensor" {
@@ -265,7 +265,7 @@ func TestHeartbeatsKeepMemberAlive(t *testing.T) {
 
 	time.Sleep(600 * time.Millisecond) // several leases
 	info, ok := f.svc.Member(ch.LocalID())
-	if !ok || info.State != StateActive {
+	if !ok || info.State != stateActive {
 		t.Errorf("member = %+v, %v after heartbeats", info, ok)
 	}
 	if rm := f.members.removed(); len(rm) != 0 {
@@ -283,7 +283,7 @@ func TestSilenceLeadsToGraceThenPurge(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	sawGrace := false
 	for time.Now().Before(deadline) {
-		if info, ok := f.svc.Member(ch.LocalID()); ok && info.State == StateGrace {
+		if info, ok := f.svc.Member(ch.LocalID()); ok && info.State == stateGrace {
 			sawGrace = true
 			break
 		}
@@ -322,7 +322,7 @@ func TestHeartbeatDuringGraceRecovers(t *testing.T) {
 	// Fall silent long enough to enter grace.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if info, _ := f.svc.Member(ch.LocalID()); info.State == StateGrace {
+		if info, _ := f.svc.Member(ch.LocalID()); info.State == stateGrace {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -332,7 +332,7 @@ func TestHeartbeatDuringGraceRecovers(t *testing.T) {
 	defer hb.Stop()
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if info, ok := f.svc.Member(ch.LocalID()); ok && info.State == StateActive {
+		if info, ok := f.svc.Member(ch.LocalID()); ok && info.State == stateActive {
 			if f.svc.Stats().GraceReturns == 0 {
 				t.Error("grace return not counted")
 			}
@@ -421,13 +421,13 @@ func TestAuthDigestProperties(t *testing.T) {
 		fmt.Sprintf("%x", d1) == fmt.Sprintf("%x", d4) {
 		t.Error("digests collide across inputs")
 	}
-	if !VerifyAuth(secret, ident.New(1), "cell", d1) {
+	if !verifyAuth(secret, ident.New(1), "cell", d1) {
 		t.Error("valid digest rejected")
 	}
-	if VerifyAuth(secret, ident.New(1), "cell", d2) {
+	if verifyAuth(secret, ident.New(1), "cell", d2) {
 		t.Error("wrong digest accepted")
 	}
-	if VerifyAuth(secret, ident.New(1), "cell", nil) {
+	if verifyAuth(secret, ident.New(1), "cell", nil) {
 		t.Error("nil digest accepted")
 	}
 }

@@ -29,16 +29,16 @@ type MemberState int
 // for a short period of time before returning") — and is purged only
 // when the grace period also lapses.
 const (
-	StateActive MemberState = iota + 1
-	StateGrace
+	stateActive MemberState = iota + 1
+	stateGrace
 )
 
 // String names the state.
 func (s MemberState) String() string {
 	switch s {
-	case StateActive:
+	case stateActive:
 		return "active"
-	case StateGrace:
+	case stateGrace:
 		return "grace"
 	default:
 		return "unknown"
@@ -260,7 +260,7 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		s.reject(pkt.Sender, "malformed join request")
 		return
 	}
-	if !VerifyAuth(s.cfg.Secret, pkt.Sender, s.cfg.Cell, req.Auth) {
+	if !verifyAuth(s.cfg.Secret, pkt.Sender, s.cfg.Cell, req.Auth) {
 		s.reject(pkt.Sender, "authentication failed")
 		return
 	}
@@ -284,13 +284,13 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 	if rejoin {
 		// Refresh the record; do not duplicate the New Member event.
 		rec.LastSeen = now
-		rec.State = StateActive
+		rec.State = stateActive
 	} else {
 		s.members[pkt.Sender] = &MemberInfo{
 			ID:         pkt.Sender,
 			DeviceType: req.DeviceType,
 			Name:       req.DeviceName,
-			State:      StateActive,
+			State:      stateActive,
 			LastSeen:   now,
 			JoinedAt:   now,
 		}
@@ -345,8 +345,8 @@ func (s *Service) handleHeartbeat(id ident.ID) {
 	}
 	s.stats.Heartbeats++
 	rec.LastSeen = time.Now()
-	if rec.State == StateGrace {
-		rec.State = StateActive
+	if rec.State == stateGrace {
+		rec.State = stateActive
 		s.stats.GraceReturns++
 	}
 }
@@ -388,12 +388,12 @@ func (s *Service) checkExpiry() {
 	for id, rec := range s.members {
 		silence := now.Sub(rec.LastSeen)
 		switch rec.State {
-		case StateActive:
+		case stateActive:
 			if silence > s.cfg.Lease {
-				rec.State = StateGrace
+				rec.State = stateGrace
 				s.stats.GraceEntries++
 			}
-		case StateGrace:
+		case stateGrace:
 			if silence > s.cfg.Lease+s.cfg.Grace {
 				toPurge = append(toPurge, id)
 			}

@@ -4,12 +4,12 @@ package event
 // subscription model (Carzaniga et al., TOCS 2001). A filter F1 covers
 // F2 when every event matching F2 also matches F1. The relation is
 // conservative: Covers may return false for pairs that do cover, but
-// never returns true for pairs that do not. SienaMatcher uses covering
+// never returns true for pairs that do not. The Siena engine uses covering
 // to suppress redundant subscriptions.
 
-// CoversConstraint reports (conservatively) whether constraint a covers
+// coversConstraint reports (conservatively) whether constraint a covers
 // constraint b on the same attribute name.
-func CoversConstraint(a, b Constraint) bool {
+func coversConstraint(a, b Constraint) bool {
 	if a.Name != b.Name {
 		return false
 	}
@@ -116,7 +116,7 @@ func coversRange(a, b Constraint) bool {
 	}
 }
 
-// coversRangeOrdered covers ordered non-numeric kinds via Compare. It
+// coversRangeOrdered covers ordered non-numeric kinds via compare. It
 // only applies when b is itself a range or equality constraint — any
 // other operator (!=, prefix, ...) admits values a range cannot bound.
 func coversRangeOrdered(a, b Constraint) bool {
@@ -125,7 +125,7 @@ func coversRangeOrdered(a, b Constraint) bool {
 	default:
 		return false
 	}
-	cmp, err := b.Value.Compare(a.Value)
+	cmp, err := b.Value.compare(a.Value)
 	if err != nil {
 		return false
 	}
@@ -210,7 +210,7 @@ func (f *Filter) Covers(g *Filter) bool {
 	for _, fc := range f.constraints {
 		covered := false
 		for _, gc := range g.constraints {
-			if CoversConstraint(fc, gc) {
+			if coversConstraint(fc, gc) {
 				covered = true
 				break
 			}

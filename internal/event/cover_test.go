@@ -41,13 +41,13 @@ func TestCoversConstraintBasics(t *testing.T) {
 		{Constraint{"x", OpNe, Int(1)}, Constraint{"x", OpNe, Int(1)}, true},
 		{Constraint{"x", OpNe, Int(1)}, Constraint{"x", OpEq, Int(2)}, true},
 		{Constraint{"x", OpNe, Int(1)}, Constraint{"x", OpEq, Int(1)}, false},
-		// string ranges via Compare.
+		// string ranges via compare.
 		{Constraint{"x", OpLt, Str("m")}, Constraint{"x", OpEq, Str("a")}, true},
 		{Constraint{"x", OpLt, Str("m")}, Constraint{"x", OpEq, Str("z")}, false},
 		{Constraint{"x", OpLt, Str("m")}, Constraint{"x", OpLt, Str("f")}, true},
 	}
 	for _, c := range cases {
-		if got := CoversConstraint(c.a, c.b); got != c.want {
+		if got := coversConstraint(c.a, c.b); got != c.want {
 			t.Errorf("Covers(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

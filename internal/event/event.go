@@ -32,11 +32,10 @@ const (
 // Limits on event structure, keeping the memory footprint bounded for
 // the constrained target platform (§II-C).
 const (
-	MaxAttrs      = 64
-	MaxNameLen    = 255
-	MaxStringLen  = 64 * 1024
-	MaxBytesLen   = 64 * 1024
-	MaxEventBytes = 128 * 1024
+	MaxAttrs     = 64
+	maxNameLen   = 255
+	maxStringLen = 64 * 1024
+	maxBytesLen  = 64 * 1024
 )
 
 // InlineAttrs is the number of attributes an Event stores inline in its
@@ -46,12 +45,12 @@ const (
 const InlineAttrs = 8
 
 var (
-	// ErrTooManyAttrs reports an event exceeding MaxAttrs.
-	ErrTooManyAttrs = errors.New("event: too many attributes")
-	// ErrBadName reports an empty or over-long attribute name.
-	ErrBadName = errors.New("event: bad attribute name")
-	// ErrBadValue reports an invalid or over-long attribute value.
-	ErrBadValue = errors.New("event: bad attribute value")
+	// errTooManyAttrs reports an event exceeding MaxAttrs.
+	errTooManyAttrs = errors.New("event: too many attributes")
+	// errBadName reports an empty or over-long attribute name.
+	errBadName = errors.New("event: bad attribute name")
+	// errBadValue reports an invalid or over-long attribute value.
+	errBadValue = errors.New("event: bad attribute value")
 )
 
 // attr is one named attribute. Events keep attrs sorted by name, so
@@ -264,9 +263,6 @@ func (e *Event) SetFloat(name string, v float64) *Event { return e.Set(name, Flo
 // SetStr is shorthand for Set(name, Str(v)).
 func (e *Event) SetStr(name, v string) *Event { return e.Set(name, Str(v)) }
 
-// SetBool is shorthand for Set(name, Bool(v)).
-func (e *Event) SetBool(name string, v bool) *Event { return e.Set(name, Bool(v)) }
-
 // SetBytes is shorthand for Set(name, Bytes(v)).
 func (e *Event) SetBytes(name string, v []byte) *Event { return e.Set(name, Bytes(v)) }
 
@@ -287,8 +283,8 @@ func (e *Event) Has(name string) bool {
 	return found
 }
 
-// Delete removes the attribute under name if present.
-func (e *Event) Delete(name string) {
+// delete removes the attribute under name if present.
+func (e *Event) delete(name string) {
 	i, found := e.search(name)
 	if !found {
 		return
@@ -331,9 +327,9 @@ func (e *Event) Type() string {
 	return s
 }
 
-// Names returns the attribute names in sorted order. The slice is fresh
+// names returns the attribute names in sorted order. The slice is fresh
 // on every call.
-func (e *Event) Names() []string {
+func (e *Event) names() []string {
 	s := e.attrSlice()
 	names := make([]string, len(s))
 	for i := range s {
@@ -489,7 +485,7 @@ func (e *Event) Equal(o *Event) bool {
 // Validate checks the event against the structural limits.
 func (e *Event) Validate() error {
 	if e.n > MaxAttrs {
-		return fmt.Errorf("%w: %d > %d", ErrTooManyAttrs, e.n, MaxAttrs)
+		return fmt.Errorf("%w: %d > %d", errTooManyAttrs, e.n, MaxAttrs)
 	}
 	s := e.attrSlice()
 	for i := range s {
@@ -504,8 +500,8 @@ func (e *Event) Validate() error {
 }
 
 func validateName(n string) error {
-	if n == "" || len(n) > MaxNameLen {
-		return fmt.Errorf("%w: %q", ErrBadName, n)
+	if n == "" || len(n) > maxNameLen {
+		return fmt.Errorf("%w: %q", errBadName, n)
 	}
 	return nil
 }
@@ -513,15 +509,15 @@ func validateName(n string) error {
 func validateValue(v Value) error {
 	switch v.typ {
 	case TypeString:
-		if len(v.str) > MaxStringLen {
-			return fmt.Errorf("%w: string of %d bytes", ErrBadValue, len(v.str))
+		if len(v.str) > maxStringLen {
+			return fmt.Errorf("%w: string of %d bytes", errBadValue, len(v.str))
 		}
 	case TypeBytes:
-		if len(v.raw) > MaxBytesLen {
-			return fmt.Errorf("%w: %d bytes", ErrBadValue, len(v.raw))
+		if len(v.raw) > maxBytesLen {
+			return fmt.Errorf("%w: %d bytes", errBadValue, len(v.raw))
 		}
-	case TypeInvalid:
-		return fmt.Errorf("%w: invalid value", ErrBadValue)
+	case typeInvalid:
+		return fmt.Errorf("%w: invalid value", errBadValue)
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 
 func TestEventSetGetDelete(t *testing.T) {
 	e := New()
-	e.SetInt("a", 1).SetStr("b", "x").SetBool("c", true).SetFloat("d", 2.5)
+	e.SetInt("a", 1).SetStr("b", "x").Set("c", Bool(true)).SetFloat("d", 2.5)
 	if e.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", e.Len())
 	}
@@ -17,7 +17,7 @@ func TestEventSetGetDelete(t *testing.T) {
 	if !e.Has("b") {
 		t.Error("missing b")
 	}
-	e.Delete("b")
+	e.delete("b")
 	if e.Has("b") {
 		t.Error("b survived delete")
 	}
@@ -42,7 +42,7 @@ func TestEventTypeHelper(t *testing.T) {
 
 func TestNamesSortedAndRangeOrder(t *testing.T) {
 	e := New().SetInt("z", 1).SetInt("a", 2).SetInt("m", 3)
-	names := e.Names()
+	names := e.names()
 	want := []string{"a", "m", "z"}
 	for i, n := range want {
 		if names[i] != n {
@@ -125,7 +125,7 @@ func TestValidateLimits(t *testing.T) {
 		t.Error("empty attribute name validated")
 	}
 
-	long := New().SetStr("s", strings.Repeat("x", MaxStringLen+1))
+	long := New().SetStr("s", strings.Repeat("x", maxStringLen+1))
 	if err := long.Validate(); err == nil {
 		t.Error("oversized string validated")
 	}

@@ -14,7 +14,7 @@ type Op int
 // Constraint operators. OpExists matches any value under the name;
 // string operators apply to string and bytes values only.
 const (
-	OpInvalid Op = iota
+	opInvalid Op = iota
 	OpEq
 	OpNe
 	OpLt
@@ -79,7 +79,7 @@ func ParseOp(s string) (Op, error) {
 	case "exists":
 		return OpExists, nil
 	default:
-		return OpInvalid, fmt.Errorf("event: unknown operator %q", s)
+		return opInvalid, fmt.Errorf("event: unknown operator %q", s)
 	}
 }
 
@@ -100,7 +100,7 @@ type Constraint struct {
 func (c *Constraint) MatchValue(v Value) bool {
 	switch c.Op {
 	case OpExists:
-		return v.IsValid()
+		return v.isValid()
 	case OpEq:
 		return equalForMatch(v, c.Value)
 	case OpNe:
@@ -112,7 +112,7 @@ func (c *Constraint) MatchValue(v Value) bool {
 		}
 		return !equalForMatch(v, c.Value)
 	case OpLt, OpLe, OpGt, OpGe:
-		cmp, err := v.Compare(c.Value)
+		cmp, err := v.compare(c.Value)
 		if err != nil {
 			return false
 		}
@@ -195,7 +195,7 @@ func (c Constraint) Validate() error {
 	if err := validateName(c.Name); err != nil {
 		return err
 	}
-	if c.Op <= OpInvalid || c.Op > OpExists {
+	if c.Op <= opInvalid || c.Op > OpExists {
 		return fmt.Errorf("%w: invalid op on %q", ErrBadFilter, c.Name)
 	}
 	if c.Op != OpExists {

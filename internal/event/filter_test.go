@@ -135,7 +135,7 @@ func TestFilterValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("empty name accepted")
 	}
-	badOp := NewFilter().Where("x", OpInvalid, Int(1))
+	badOp := NewFilter().Where("x", opInvalid, Int(1))
 	if err := badOp.Validate(); err == nil {
 		t.Error("invalid op accepted")
 	}

@@ -53,7 +53,7 @@ func TestInlineSpillBoundary(t *testing.T) {
 			if v, _ := e.Get("k000"); !v.Equal(Int(999)) {
 				t.Fatal("overwrite lost")
 			}
-			e.Delete("k000")
+			e.delete("k000")
 			if e.Len() != n-1 || e.Has("k000") {
 				t.Fatal("delete failed")
 			}
@@ -219,7 +219,7 @@ func TestPoolLifecycle(t *testing.T) {
 		t.Fatal("Release touched a non-pooled event")
 	}
 
-	acq, rec := PoolStats()
+	acq, rec := poolStats()
 	if acq == 0 || rec == 0 {
 		t.Fatalf("pool stats not counting: acquired=%d recycled=%d", acq, rec)
 	}
@@ -243,7 +243,7 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			e.Set(name, v)
 			oracle[name] = v
 		case 1:
-			e.Delete(name)
+			e.delete(name)
 			delete(oracle, name)
 		case 2:
 			v, ok := e.Get(name)

@@ -99,7 +99,7 @@ func LookupIntern(b []byte) (string, bool) {
 	if s, ok := interned.Load().m[string(b)]; ok {
 		return s, true
 	}
-	if len(b) > 0 && len(b) <= MaxNameLen && internCounting.Load() {
+	if len(b) > 0 && len(b) <= maxNameLen && internCounting.Load() {
 		noteInternMiss(b)
 	}
 	return "", false
@@ -151,9 +151,9 @@ func noteInternMiss(b []byte) {
 	interned.Store(&internTable{m: next})
 }
 
-// InternStats reports the intern table size and the number of names
+// internStats reports the intern table size and the number of names
 // currently tracked for promotion (observability and tests).
-func InternStats() (entries, tracked int) {
+func internStats() (entries, tracked int) {
 	internMu.Lock()
 	defer internMu.Unlock()
 	return len(interned.Load().m), len(internMisses)

@@ -77,7 +77,7 @@ func TestInternConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n, _ := InternStats(); n == 0 {
+	if n, _ := internStats(); n == 0 {
 		t.Fatal("intern table empty after concurrent load")
 	}
 }

@@ -72,8 +72,8 @@ func (e *Event) Release() {
 	eventPool.Put(e)
 }
 
-// PoolStats reports the number of events acquired from and recycled to
+// poolStats reports the number of events acquired from and recycled to
 // the free list since process start.
-func PoolStats() (acquired, recycled uint64) {
+func poolStats() (acquired, recycled uint64) {
 	return poolAcquired.Load(), poolRecycled.Load()
 }

@@ -18,10 +18,10 @@ import (
 // Type identifies the dynamic type of an attribute Value.
 type Type int
 
-// Attribute value types. TypeInvalid is the zero value so that an unset
+// Attribute value types. typeInvalid is the zero value so that an unset
 // Value is detectably invalid.
 const (
-	TypeInvalid Type = iota
+	typeInvalid Type = iota
 	TypeInt
 	TypeFloat
 	TypeString
@@ -47,8 +47,8 @@ func (t Type) String() string {
 	}
 }
 
-// ErrTypeMismatch reports an operation across incomparable value types.
-var ErrTypeMismatch = errors.New("event: type mismatch")
+// errTypeMismatch reports an operation across incomparable value types.
+var errTypeMismatch = errors.New("event: type mismatch")
 
 // Value is a typed attribute value: one of int64, float64, string, bool
 // or a byte slice. The zero Value is invalid.
@@ -95,8 +95,8 @@ func BytesAlias(v []byte) Value { return Value{typ: TypeBytes, raw: v} }
 // Type reports the dynamic type of the value.
 func (v Value) Type() Type { return v.typ }
 
-// IsValid reports whether the value carries a type.
-func (v Value) IsValid() bool { return v.typ != TypeInvalid }
+// isValid reports whether the value carries a type.
+func (v Value) isValid() bool { return v.typ != typeInvalid }
 
 // Int returns the integer payload; ok is false for other types.
 func (v Value) Int() (int64, bool) {
@@ -184,15 +184,15 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// Compare orders two values. Numeric values (int/float) compare across
+// compare orders two values. Numeric values (int/float) compare across
 // types by magnitude; strings and bytes compare lexicographically; bools
 // compare false < true. Comparing across incompatible kinds returns
-// ErrTypeMismatch.
-func (v Value) Compare(o Value) (int, error) {
+// errTypeMismatch.
+func (v Value) compare(o Value) (int, error) {
 	if vn, ok := v.numeric(); ok {
 		on, ok2 := o.numeric()
 		if !ok2 {
-			return 0, fmt.Errorf("%w: %s vs %s", ErrTypeMismatch, v.typ, o.typ)
+			return 0, fmt.Errorf("%w: %s vs %s", errTypeMismatch, v.typ, o.typ)
 		}
 		switch {
 		case vn < on:
@@ -204,7 +204,7 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 	}
 	if v.typ != o.typ {
-		return 0, fmt.Errorf("%w: %s vs %s", ErrTypeMismatch, v.typ, o.typ)
+		return 0, fmt.Errorf("%w: %s vs %s", errTypeMismatch, v.typ, o.typ)
 	}
 	switch v.typ {
 	case TypeString:
@@ -228,7 +228,7 @@ func (v Value) Compare(o Value) (int, error) {
 			return 0, nil
 		}
 	default:
-		return 0, fmt.Errorf("%w: invalid value", ErrTypeMismatch)
+		return 0, fmt.Errorf("%w: invalid value", errTypeMismatch)
 	}
 }
 

@@ -26,12 +26,12 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		if c.v.String() != c.want {
 			t.Errorf("String = %q, want %q", c.v.String(), c.want)
 		}
-		if !c.v.IsValid() {
+		if !c.v.isValid() {
 			t.Errorf("%v not valid", c.v)
 		}
 	}
 	var zero Value
-	if zero.IsValid() {
+	if zero.isValid() {
 		t.Error("zero Value is valid")
 	}
 	if zero.Type().String() != "invalid" {
@@ -89,38 +89,38 @@ func TestValueEqualStrictTypes(t *testing.T) {
 }
 
 func TestCompareNumericCrossType(t *testing.T) {
-	cmp, err := Int(2).Compare(Float(2.5))
+	cmp, err := Int(2).compare(Float(2.5))
 	if err != nil || cmp != -1 {
 		t.Errorf("Int(2) vs Float(2.5) = %d, %v", cmp, err)
 	}
-	cmp, err = Float(3).Compare(Int(3))
+	cmp, err = Float(3).compare(Int(3))
 	if err != nil || cmp != 0 {
 		t.Errorf("Float(3) vs Int(3) = %d, %v", cmp, err)
 	}
-	if _, err := Int(1).Compare(Str("a")); err == nil {
+	if _, err := Int(1).compare(Str("a")); err == nil {
 		t.Error("numeric vs string compared")
 	}
-	if _, err := Bool(true).Compare(Str("a")); err == nil {
+	if _, err := Bool(true).compare(Str("a")); err == nil {
 		t.Error("bool vs string compared")
 	}
 }
 
 func TestCompareStringsBytesBools(t *testing.T) {
-	if c, err := Str("a").Compare(Str("b")); err != nil || c != -1 {
+	if c, err := Str("a").compare(Str("b")); err != nil || c != -1 {
 		t.Errorf("a vs b = %d, %v", c, err)
 	}
-	if c, err := Bytes([]byte("b")).Compare(Bytes([]byte("a"))); err != nil || c != 1 {
+	if c, err := Bytes([]byte("b")).compare(Bytes([]byte("a"))); err != nil || c != 1 {
 		t.Errorf("bytes b vs a = %d, %v", c, err)
 	}
-	if c, err := Bool(false).Compare(Bool(true)); err != nil || c != -1 {
+	if c, err := Bool(false).compare(Bool(true)); err != nil || c != -1 {
 		t.Errorf("false vs true = %d, %v", c, err)
 	}
 }
 
 func TestCompareAntisymmetric(t *testing.T) {
 	err := quick.Check(func(a, b int64) bool {
-		c1, err1 := Int(a).Compare(Int(b))
-		c2, err2 := Int(b).Compare(Int(a))
+		c1, err1 := Int(a).compare(Int(b))
+		c2, err2 := Int(b).compare(Int(a))
 		return err1 == nil && err2 == nil && c1 == -c2
 	}, nil)
 	if err != nil {

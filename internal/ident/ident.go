@@ -19,31 +19,31 @@ import (
 // always zero.
 type ID uint64
 
-// Mask is the bit mask for valid IDs: only the low 48 bits may be set.
-const Mask ID = (1 << 48) - 1
+// mask is the bit mask for valid IDs: only the low 48 bits may be set.
+const mask ID = (1 << 48) - 1
 
 // Nil is the zero ID; it never identifies a live service.
 const Nil ID = 0
 
 // Broadcast addresses every member of the cell. It is the all-ones ID,
 // mirroring link-layer broadcast addressing.
-const Broadcast ID = Mask
+const Broadcast ID = mask
 
 var (
-	// ErrBadFormat reports an unparseable ID string.
-	ErrBadFormat = errors.New("ident: bad ID format")
-	// ErrOutOfRange reports a value that does not fit in 48 bits.
-	ErrOutOfRange = errors.New("ident: value exceeds 48 bits")
+	// errBadFormat reports an unparseable ID string.
+	errBadFormat = errors.New("ident: bad ID format")
+	// errOutOfRange reports a value that does not fit in 48 bits.
+	errOutOfRange = errors.New("ident: value exceeds 48 bits")
 )
 
 // New builds an ID from a raw value, masking it to 48 bits.
 func New(v uint64) ID {
-	return ID(v) & Mask
+	return ID(v) & mask
 }
 
-// FromAddr derives an ID from an IPv4 address and port, matching the
+// fromAddr derives an ID from an IPv4 address and port, matching the
 // paper's prototype: 32 bits of address, 16 bits of port.
-func FromAddr(ip net.IP, port int) (ID, error) {
+func fromAddr(ip net.IP, port int) (ID, error) {
 	v4 := ip.To4()
 	if v4 == nil {
 		return Nil, fmt.Errorf("ident: non-IPv4 address %v", ip)
@@ -61,11 +61,11 @@ func FromUDPAddr(addr *net.UDPAddr) (ID, error) {
 	if addr == nil {
 		return Nil, errors.New("ident: nil UDP address")
 	}
-	return FromAddr(addr.IP, addr.Port)
+	return fromAddr(addr.IP, addr.Port)
 }
 
-// Random draws a non-nil, non-broadcast ID from rng.
-func Random(rng *rand.Rand) ID {
+// random draws a non-nil, non-broadcast ID from rng.
+func random(rng *rand.Rand) ID {
 	for {
 		id := New(rng.Uint64())
 		if id != Nil && id != Broadcast {
@@ -75,7 +75,7 @@ func Random(rng *rand.Rand) ID {
 }
 
 // Addr recovers the IPv4 address and port an ID encodes. The mapping is
-// only meaningful for IDs produced by FromAddr.
+// only meaningful for IDs produced by fromAddr.
 func (id ID) Addr() (net.IP, int) {
 	ip := net.IPv4(byte(id>>40), byte(id>>32), byte(id>>24), byte(id>>16))
 	return ip, int(id & 0xFFFF)
@@ -87,8 +87,8 @@ func (id ID) IsNil() bool { return id == Nil }
 // IsBroadcast reports whether the ID is the broadcast ID.
 func (id ID) IsBroadcast() bool { return id == Broadcast }
 
-// Valid reports whether the ID fits in 48 bits.
-func (id ID) Valid() bool { return id&^Mask == 0 }
+// valid reports whether the ID fits in 48 bits.
+func (id ID) valid() bool { return id&^mask == 0 }
 
 // String renders the ID as six colon-separated hex octets, in the style
 // of a MAC address (the natural rendering of a 48-bit identifier).
@@ -113,13 +113,13 @@ func Parse(s string) (ID, error) {
 	if strings.Contains(s, ":") {
 		parts := strings.Split(s, ":")
 		if len(parts) != 6 {
-			return Nil, fmt.Errorf("%w: %q", ErrBadFormat, s)
+			return Nil, fmt.Errorf("%w: %q", errBadFormat, s)
 		}
 		var v uint64
 		for _, p := range parts {
 			octet, err := strconv.ParseUint(p, 16, 8)
 			if err != nil {
-				return Nil, fmt.Errorf("%w: %q", ErrBadFormat, s)
+				return Nil, fmt.Errorf("%w: %q", errBadFormat, s)
 			}
 			v = v<<8 | octet
 		}
@@ -127,10 +127,10 @@ func Parse(s string) (ID, error) {
 	}
 	v, err := strconv.ParseUint(s, 0, 64)
 	if err != nil {
-		return Nil, fmt.Errorf("%w: %q", ErrBadFormat, s)
+		return Nil, fmt.Errorf("%w: %q", errBadFormat, s)
 	}
-	if ID(v)&^Mask != 0 {
-		return Nil, fmt.Errorf("%w: %q", ErrOutOfRange, s)
+	if ID(v)&^mask != 0 {
+		return Nil, fmt.Errorf("%w: %q", errOutOfRange, s)
 	}
 	return ID(v), nil
 }

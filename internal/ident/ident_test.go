@@ -9,7 +9,7 @@ import (
 
 func TestNewMasksTo48Bits(t *testing.T) {
 	id := New(0xFFFF_FFFF_FFFF_FFFF)
-	if !id.Valid() {
+	if !id.valid() {
 		t.Fatalf("New produced invalid ID %x", uint64(id))
 	}
 	if id != Broadcast {
@@ -28,7 +28,7 @@ func TestFromAddrRoundTrip(t *testing.T) {
 		{net.IPv4(0, 0, 0, 1), 0},
 	}
 	for _, c := range cases {
-		id, err := FromAddr(c.ip, c.port)
+		id, err := fromAddr(c.ip, c.port)
 		if err != nil {
 			t.Fatalf("FromAddr(%v, %d): %v", c.ip, c.port, err)
 		}
@@ -40,13 +40,13 @@ func TestFromAddrRoundTrip(t *testing.T) {
 }
 
 func TestFromAddrRejectsIPv6AndBadPorts(t *testing.T) {
-	if _, err := FromAddr(net.ParseIP("2001:db8::1"), 80); err == nil {
+	if _, err := fromAddr(net.ParseIP("2001:db8::1"), 80); err == nil {
 		t.Error("IPv6 accepted")
 	}
-	if _, err := FromAddr(net.IPv4(1, 2, 3, 4), -1); err == nil {
+	if _, err := fromAddr(net.IPv4(1, 2, 3, 4), -1); err == nil {
 		t.Error("negative port accepted")
 	}
-	if _, err := FromAddr(net.IPv4(1, 2, 3, 4), 70000); err == nil {
+	if _, err := fromAddr(net.IPv4(1, 2, 3, 4), 70000); err == nil {
 		t.Error("oversized port accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 func TestRandomAvoidsReserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		id := Random(rng)
+		id := random(rng)
 		if id.IsNil() || id.IsBroadcast() {
 			t.Fatalf("Random produced reserved ID %s", id)
 		}

@@ -52,7 +52,7 @@ func (b *book[S, E]) init(entry func(ident.ID, *event.Filter) (E, error), edit f
 // Subscribe implements Matcher.
 func (b *book[S, E]) Subscribe(sub ident.ID, f *event.Filter) error {
 	if f == nil {
-		return ErrNilFilter
+		return errNilFilter
 	}
 	if err := f.Validate(); err != nil {
 		return err
@@ -78,7 +78,7 @@ func (b *book[S, E]) Subscribe(sub ident.ID, f *event.Filter) error {
 // Unsubscribe implements Matcher.
 func (b *book[S, E]) Unsubscribe(sub ident.ID, f *event.Filter) error {
 	if f == nil {
-		return ErrNilFilter
+		return errNilFilter
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -5,7 +5,7 @@
 // ("The 'EventBus' interface ... has allowed us to replace Siena with a
 // more lightweight mechanism"). Two engines are provided:
 //
-//   - SienaMatcher mirrors the Siena-based prototype: a general engine
+//   - sienaMatcher mirrors the Siena-based prototype: a general engine
 //     with its own internal attribute model, requiring translation of
 //     every event and filter to and from that model — the overhead §V
 //     blames for the Siena bus's lower performance.
@@ -15,7 +15,7 @@
 //     one equality constraint each, and the per-constraint counting
 //     indexes run only inside the partitions an event hits.
 //
-// TypedMatcher adds the type-based engine §VI names as future work. All
+// typedMatcher adds the type-based engine §VI names as future work. All
 // three share one writer: the per-subscriber filter book and the
 // copy-on-write snapshot its writers publish for the lock-free read
 // path. An engine contributes only its entry and its snapshot edit.
@@ -57,8 +57,8 @@ type Matcher interface {
 // ErrNoSuchSubscription reports an unsubscribe for an unknown pair.
 var ErrNoSuchSubscription = errors.New("matcher: no such subscription")
 
-// ErrNilFilter reports a nil filter argument.
-var ErrNilFilter = errors.New("matcher: nil filter")
+// errNilFilter reports a nil filter argument.
+var errNilFilter = errors.New("matcher: nil filter")
 
 // Kind selects a matcher implementation by name.
 type Kind string
@@ -74,11 +74,11 @@ const (
 func New(kind Kind) (Matcher, error) {
 	switch kind {
 	case KindSiena:
-		return NewSiena(), nil
+		return newSiena(), nil
 	case KindFast:
 		return NewFast(), nil
 	case KindTyped:
-		return NewTypedMatcher(), nil
+		return newTypedMatcher(), nil
 	default:
 		return nil, errors.New("matcher: unknown kind " + string(kind))
 	}

@@ -368,14 +368,14 @@ func partitionWorkload() randomWorkload {
 		event.New().SetInt("x", 1),
 		event.New().SetFloat("x", 1),
 		event.New().SetFloat("x", 1.5),
-		event.New().SetBool("x", true),
+		event.New().Set("x", event.Bool(true)),
 		event.New().SetFloat("x", math.NaN()),
 		event.New().SetInt("x", 1).SetInt("y", 2),
 		event.New().SetInt("x", 2).SetFloat("y", 2),
 		event.New().SetStr("kind", "a"),
 		event.New().SetStr("kind", "b").SetInt("value", 5),
 		event.New().SetStr("kind", "a").SetInt("value", 5).SetInt("x", 1),
-		event.New().SetStr("kind", "a").SetFloat("value", 4.5).SetBool("flag", false),
+		event.New().SetStr("kind", "a").SetFloat("value", 4.5).Set("flag", event.Bool(false)),
 		event.New().SetStr("kind", "ab").SetInt("value", 3),
 		event.New().SetBytes("raw", []byte("a")),
 		event.New().SetBytes("raw", []byte("b")).SetInt("value", 2).SetStr("flag", ""),
@@ -394,7 +394,7 @@ func TestEngineEquivalence(t *testing.T) {
 		workloads = append(workloads, makeWorkload(seed, 60, 200))
 	}
 	for wi, w := range workloads {
-		siena, fast := NewSiena(), NewFast()
+		siena, fast := newSiena(), NewFast()
 		for i, f := range w.filters {
 			if err := siena.Subscribe(w.subs[i], f); err != nil {
 				t.Fatalf("siena subscribe: %v", err)
@@ -404,7 +404,7 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 		}
 		for _, f := range w.rejected {
-			for _, m := range []Matcher{siena, fast, NewTypedMatcher()} {
+			for _, m := range []Matcher{siena, fast, newTypedMatcher()} {
 				if err := m.Subscribe(ident.New(1), f); !errors.Is(err, event.ErrBadFilter) {
 					t.Fatalf("workload %d: %T subscribe %s: got %v, want ErrBadFilter", wi, m, f, err)
 				}
@@ -445,7 +445,7 @@ func TestEngineEquivalenceUnderChurn(t *testing.T) {
 	w, pw := makeWorkload(42, 40, 1), partitionWorkload()
 	w.filters = append(w.filters, pw.filters...)
 	w.subs = append(w.subs, pw.subs...)
-	siena, fast := NewSiena(), NewFast()
+	siena, fast := newSiena(), NewFast()
 	installed := map[int]bool{}
 
 	subscribe := func(i int) {

@@ -10,8 +10,8 @@ import "github.com/amuse/smc/internal/ident"
 // pays it. A Scratch must only be used by one goroutine at a time.
 //
 // One Scratch works with every matcher kind: FastMatcher uses the
-// counting arrays and the dedup set, TypedMatcher only the dedup set,
-// and SienaMatcher ignores it entirely (its per-match allocations are
+// counting arrays and the dedup set, typedMatcher only the dedup set,
+// and sienaMatcher ignores it entirely (its per-match allocations are
 // the §V overhead under measurement and are pinned — see
 // TestSienaTranslationAllocsPinned).
 type Scratch struct {

@@ -7,7 +7,7 @@ import (
 	"github.com/amuse/smc/internal/ident"
 )
 
-// SienaMatcher models the Siena-based prototype of §IV: a general
+// sienaMatcher models the Siena-based prototype of §IV: a general
 // pub/sub engine with its own internal attribute model. Every published
 // event is translated into that model before matching ("translation to
 // or from our own data types", §V — the overhead the paper attributes
@@ -24,11 +24,11 @@ import (
 // published snapshots immutable does not change Subscribe's complexity
 // class. The per-match translation allocations are untouched: they are
 // the §V overhead under measurement (TestSienaTranslationAllocsPinned).
-type SienaMatcher struct {
+type sienaMatcher struct {
 	book[sienaIndex, *sienaNode]
 }
 
-var _ Matcher = (*SienaMatcher)(nil)
+var _ Matcher = (*sienaMatcher)(nil)
 
 // sienaIndex is one immutable poset snapshot.
 type sienaIndex struct {
@@ -75,9 +75,9 @@ type sienaConstraint struct {
 
 type sienaFilter []sienaConstraint
 
-// NewSiena returns an empty SienaMatcher.
-func NewSiena() *SienaMatcher {
-	m := &SienaMatcher{}
+// newSiena returns an empty sienaMatcher.
+func newSiena() *sienaMatcher {
+	m := &sienaMatcher{}
 	m.init(func(sub ident.ID, f *event.Filter) (*sienaNode, error) {
 		return &sienaNode{sub: sub, original: f, filter: translateFilter(f)}, nil
 	}, editPoset)
@@ -85,7 +85,7 @@ func NewSiena() *SienaMatcher {
 }
 
 // Name implements Matcher.
-func (m *SienaMatcher) Name() string { return string(KindSiena) }
+func (m *sienaMatcher) Name() string { return string(KindSiena) }
 
 // translateValue boxes a bus-native value into Siena's model. Byte
 // slices are copied — the translation boundary owns its data.
@@ -357,7 +357,7 @@ func editPoset(cur *sienaIndex, added, removed []*sienaNode) *sienaIndex {
 // allocations (translation, memo, dedup map) are the §V general-engine
 // overhead under measurement and must stay byte-for-byte with the seed
 // (TestSienaTranslationAllocsPinned).
-func (m *SienaMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, _ *Scratch) []ident.ID {
+func (m *sienaMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, _ *Scratch) []ident.ID {
 	nodes := m.snap.Load().nodes
 
 	notif := translateEvent(e)

@@ -37,7 +37,7 @@ func seedTranslateEvent(e *event.Event) sienaNotification {
 // seed guarded the poset with an RWMutex where the snapshot rewrite
 // loads an atomic pointer; neither allocates, so the allocation pin
 // below still compares exactly the translation/memo/dedup work.
-func seedMatchAppend(m *SienaMatcher, e *event.Event, dst []ident.ID) []ident.ID {
+func seedMatchAppend(m *sienaMatcher, e *event.Event, dst []ident.ID) []ident.ID {
 	nodes := m.snap.Load().nodes
 
 	notif := seedTranslateEvent(e)
@@ -69,9 +69,9 @@ func seedMatchAppend(m *SienaMatcher, e *event.Event, dst []ident.ID) []ident.ID
 
 // sienaAllocWorkload builds a matcher with n installed filters and a
 // representative small event (the §V reading shape).
-func sienaAllocWorkload(t testing.TB, n int) (*SienaMatcher, *event.Event) {
+func sienaAllocWorkload(t testing.TB, n int) (*sienaMatcher, *event.Event) {
 	t.Helper()
-	m := NewSiena()
+	m := newSiena()
 	for i := 0; i < n; i++ {
 		f := event.NewFilter().WhereType("reading").
 			Where("value", event.OpGt, event.Int(int64(i%50)))

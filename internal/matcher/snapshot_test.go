@@ -143,9 +143,9 @@ func TestMatchCompletesUnderWriterLock(t *testing.T) {
 		switch v := m.(type) {
 		case *FastMatcher:
 			return &v.mu
-		case *SienaMatcher:
+		case *sienaMatcher:
 			return &v.mu
-		case *TypedMatcher:
+		case *typedMatcher:
 			return &v.mu
 		}
 		return nil
@@ -265,7 +265,7 @@ func TestTypedOracleRandomized(t *testing.T) {
 	types := []string{"a", "a/b", "a/b/c", "a/x", "d", "d/e"}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewTypedMatcher()
+		m := newTypedMatcher()
 
 		type sub struct {
 			id     ident.ID

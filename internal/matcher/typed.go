@@ -8,7 +8,7 @@ import (
 	"github.com/amuse/smc/internal/ident"
 )
 
-// TypedMatcher implements the type-based publish/subscribe mechanism
+// typedMatcher implements the type-based publish/subscribe mechanism
 // the paper names as intended future work (§VI: "we also intend to
 // replace the content-based publish/subscribe mechanism with a
 // type-based publish/subscribe mechanism, to remove the reliance on
@@ -21,7 +21,7 @@ import (
 // filter are still applied as content guards after the type check —
 // the hybrid Eugster et al. describe.
 //
-// TypedMatcher implements the same Matcher interface as the two
+// typedMatcher implements the same Matcher interface as the two
 // content-based engines, so the bus can host it unchanged. A filter
 // installed without a type-equality constraint is rejected: under
 // type-based pub/sub the type is the unit of subscription.
@@ -32,11 +32,11 @@ import (
 // the nodes on each changed subscription's type path (plus shallow
 // copies of their child maps) are cloned, everything off-path is
 // shared with the previous snapshot.
-type TypedMatcher struct {
+type typedMatcher struct {
 	book[typeNode, *typedSub]
 }
 
-var _ Matcher = (*TypedMatcher)(nil)
+var _ Matcher = (*typedMatcher)(nil)
 
 // typeNode is one node of an immutable snapshot: never mutated after
 // publication. Writers clone nodes along the changed path.
@@ -56,9 +56,9 @@ type typedSub struct {
 	path   []string
 }
 
-// NewTypedMatcher returns an empty TypedMatcher.
-func NewTypedMatcher() *TypedMatcher {
-	m := &TypedMatcher{}
+// newTypedMatcher returns an empty typedMatcher.
+func newTypedMatcher() *typedMatcher {
+	m := &typedMatcher{}
 	m.init(newTypedSub, editTypeTree)
 	return m
 }
@@ -81,7 +81,7 @@ func (n *typeNode) shallowClone() *typeNode {
 }
 
 // Name implements Matcher.
-func (m *TypedMatcher) Name() string { return string(KindTyped) }
+func (m *typedMatcher) Name() string { return string(KindTyped) }
 
 // typePathOf extracts the subscription's type path and residual
 // content guards. The first type equality is the path; any later one
@@ -107,7 +107,7 @@ func typePathOf(f *event.Filter) (path []string, guards []event.Constraint, ok b
 func newTypedSub(sub ident.ID, f *event.Filter) (*typedSub, error) {
 	path, guards, ok := typePathOf(f)
 	if !ok {
-		return nil, ErrUntypedSubscription
+		return nil, errUntypedSubscription
 	}
 	return &typedSub{sub: sub, guards: guards, path: path}, nil
 }
@@ -143,9 +143,9 @@ func clonePath(root *typeNode, path []string) (newRoot, at *typeNode) {
 	return newRoot, node
 }
 
-// ErrUntypedSubscription reports a subscription without a type
+// errUntypedSubscription reports a subscription without a type
 // constraint, which type-based pub/sub cannot host.
-var ErrUntypedSubscription = errors.New("matcher: typed engine requires a type-equality constraint")
+var errUntypedSubscription = errors.New("matcher: typed engine requires a type-equality constraint")
 
 // editTypeTree builds the next tree with one path copy per changed
 // subscription, chained in memory; the book publishes the final root.
@@ -178,7 +178,7 @@ func removeTypedSub(n *typeNode, ts *typedSub) {
 // "reading/heart-rate"), then apply content guards. The walk takes no
 // lock — the snapshot is immutable — and the dedup set lives in the
 // caller's scratch.
-func (m *TypedMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID {
+func (m *typedMatcher) MatchAppendScratch(e *event.Event, dst []ident.ID, sc *Scratch) []ident.ID {
 	if sc.seen == nil {
 		sc.seen = make(map[ident.ID]struct{}, 8)
 	}

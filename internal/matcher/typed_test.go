@@ -18,7 +18,7 @@ func typedFilter(path string, cs ...event.Constraint) *event.Filter {
 }
 
 func TestTypedBasicMatch(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	sub := ident.New(1)
 	if err := m.Subscribe(sub, typedFilter("alarm")); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestTypedBasicMatch(t *testing.T) {
 }
 
 func TestTypedSubtypePolymorphism(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	parent, child, sibling := ident.New(1), ident.New(2), ident.New(3)
 	if err := m.Subscribe(parent, typedFilter("reading")); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestTypedSubtypePolymorphism(t *testing.T) {
 }
 
 func TestTypedContentGuards(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	sub := ident.New(1)
 	f := typedFilter("reading/heart-rate",
 		event.Constraint{Name: "value", Op: event.OpGt, Value: event.Int(180)})
@@ -85,18 +85,18 @@ func TestTypedContentGuards(t *testing.T) {
 }
 
 func TestTypedRejectsUntypedSubscription(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	err := m.Subscribe(ident.New(1), event.NewFilter().Where("value", event.OpGt, event.Int(1)))
-	if !errors.Is(err, ErrUntypedSubscription) {
+	if !errors.Is(err, errUntypedSubscription) {
 		t.Errorf("err = %v", err)
 	}
-	if err := m.Subscribe(ident.New(1), nil); !errors.Is(err, ErrNilFilter) {
+	if err := m.Subscribe(ident.New(1), nil); !errors.Is(err, errNilFilter) {
 		t.Errorf("nil err = %v", err)
 	}
 }
 
 func TestTypedUnsubscribe(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	sub := ident.New(1)
 	f := typedFilter("a/b")
 	if err := m.Subscribe(sub, f); err != nil {
@@ -120,7 +120,7 @@ func TestTypedUnsubscribe(t *testing.T) {
 }
 
 func TestTypedUnsubscribeAll(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	a, b := ident.New(1), ident.New(2)
 	for _, path := range []string{"x", "x/y", "z"} {
 		if err := m.Subscribe(a, typedFilter(path)); err != nil {
@@ -177,7 +177,7 @@ func TestTypedViaNewAndBusCompatible(t *testing.T) {
 }
 
 func TestTypedPathNormalisation(t *testing.T) {
-	m := NewTypedMatcher()
+	m := newTypedMatcher()
 	sub := ident.New(1)
 	if err := m.Subscribe(sub, typedFilter("a//b/")); err != nil {
 		t.Fatal(err)

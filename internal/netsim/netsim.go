@@ -22,7 +22,6 @@ type Network struct {
 	isolated map[ident.ID]bool
 	nextFree map[linkKey]time.Time // link busy-until, for bandwidth serialisation
 	rng      *rand.Rand
-	scale    float64
 	closed   bool
 	stats    Stats
 
@@ -137,15 +136,6 @@ func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithTimeScale multiplies every simulated delay (0.1 = 10x faster).
-func WithTimeScale(s float64) Option {
-	return func(n *Network) {
-		if s > 0 {
-			n.scale = s
-		}
-	}
-}
-
 // New builds a network whose links default to the given profile.
 func New(def Profile, opts ...Option) *Network {
 	n := &Network{
@@ -156,7 +146,6 @@ func New(def Profile, opts ...Option) *Network {
 		isolated: make(map[ident.ID]bool),
 		nextFree: make(map[linkKey]time.Time),
 		rng:      rand.New(rand.NewSource(1)),
-		scale:    1,
 	}
 	for _, o := range opts {
 		o(n)
@@ -187,14 +176,6 @@ func (n *Network) SetLinkProfile(from, to ident.ID, p Profile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.links[linkKey{from, to}] = p
-}
-
-// SetLinkProfileBoth overrides both directions between a and b.
-func (n *Network) SetLinkProfileBoth(a, b ident.ID, p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[linkKey{a, b}] = p
-	n.links[linkKey{b, a}] = p
 }
 
 // Partition blocks both directions between a and b (failure injection).
@@ -315,12 +296,12 @@ func (n *Network) sendOneLocked(from, to ident.ID, data []byte) {
 	delay := n.linkDelayLocked(key, p, len(data))
 	if p.Reorder > 0 && n.rng.Float64() < p.Reorder {
 		n.stats.Reordered++
-		delay += n.scaled(p.reorderBy())
+		delay += p.reorderBy()
 	}
 	n.scheduleLocked(from, to, data, delay)
 	if p.Duplicate > 0 && n.rng.Float64() < p.Duplicate {
 		n.stats.Duplicated++
-		n.scheduleLocked(from, to, data, delay+n.scaled(p.Latency)/2+time.Millisecond)
+		n.scheduleLocked(from, to, data, delay+p.Latency/2+time.Millisecond)
 	}
 }
 
@@ -343,16 +324,9 @@ func (n *Network) linkDelayLocked(key linkKey, p Profile, size int) time.Duratio
 	if busyUntil, ok := n.nextFree[key]; ok && busyUntil.After(now) {
 		start = busyUntil
 	}
-	finish := start.Add(n.scaled(tx))
+	finish := start.Add(tx)
 	n.nextFree[key] = finish
-	return finish.Sub(now) + n.scaled(prop)
-}
-
-func (n *Network) scaled(d time.Duration) time.Duration {
-	if n.scale == 1 {
-		return d
-	}
-	return time.Duration(float64(d) * n.scale)
+	return finish.Sub(now) + prop
 }
 
 // scheduleLocked arranges delivery after delay. Caller holds n.mu.

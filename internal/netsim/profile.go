@@ -39,8 +39,8 @@ type Profile struct {
 	MTU int
 }
 
-// DefaultMTU is used when a profile leaves MTU zero.
-const DefaultMTU = 60 * 1024
+// defaultMTU is used when a profile leaves MTU zero.
+const defaultMTU = 60 * 1024
 
 // Link profiles. USBLink is calibrated to the paper's measured numbers:
 // latency 1.5 ms average over a 0.6–2.3 ms range, raw sustainable
@@ -118,7 +118,7 @@ func (p Profile) reorderBy() time.Duration {
 // mtu returns the effective MTU.
 func (p Profile) mtu() int {
 	if p.MTU <= 0 {
-		return DefaultMTU
+		return defaultMTU
 	}
 	return p.MTU
 }

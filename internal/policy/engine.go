@@ -26,14 +26,9 @@ type Engine struct {
 	auths       []installedAuth
 	typeCount   map[string]int // live members per device type
 	stats       Stats
-	defaultEff  Effect
 }
 
 var _ bus.Authorizer = (*Engine)(nil)
-
-// errDefaultDeny refuses what no authorisation policy matched when the
-// default effect is deny.
-var errDefaultDeny = fmt.Errorf("%w: default deny", bus.ErrUnauthorized)
 
 // installedAuth is an authorisation policy with its refusal built at
 // install time, so a denial allocates nothing.
@@ -46,7 +41,7 @@ type obligationState struct {
 	pol *Obligation
 	// remove takes the obligation's handler off the bus.
 	remove func() error
-	// enabled is the management switch (Enable/Disable).
+	// enabled is the management switch (enable/disable).
 	enabled bool
 	// deployed tracks device-type scoping: scoped policies are
 	// deployed while a member of the type is in the cell.
@@ -76,12 +71,6 @@ func WithLogf(f Logf) Option {
 	return func(e *Engine) { e.logf = f }
 }
 
-// WithDefaultEffect sets the verdict when no authorisation policy
-// matches (default allow — an open cell; deploy deny rules to close).
-func WithDefaultEffect(eff Effect) Option {
-	return func(e *Engine) { e.defaultEff = eff }
-}
-
 // NewEngine attaches a policy service to the bus as the local service
 // "policy". The engine immediately subscribes to membership events so
 // that device-type-scoped policies deploy and withdraw automatically.
@@ -91,7 +80,6 @@ func NewEngine(b *bus.Bus, opts ...Option) (*Engine, error) {
 		logf:        func(string, ...interface{}) {},
 		obligations: make(map[string]*obligationState),
 		typeCount:   make(map[string]int),
-		defaultEff:  EffectAllow,
 	}
 	for _, o := range opts {
 		o(e)
@@ -107,9 +95,6 @@ func NewEngine(b *bus.Bus, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// ID returns the engine's local service ID on the bus.
-func (e *Engine) ID() ident.ID { return e.svc.ID() }
-
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -123,28 +108,28 @@ func (e *Engine) LoadString(src string) error {
 	if err != nil {
 		return err
 	}
-	return e.Install(f)
+	return e.install(f)
 }
 
-// Install adds the policies of a parsed file.
-func (e *Engine) Install(f *File) error {
+// install adds the policies of a parsed file.
+func (e *Engine) install(f *File) error {
 	for _, o := range f.Obligations {
-		if err := e.AddObligation(o); err != nil {
+		if err := e.addObligation(o); err != nil {
 			return err
 		}
 	}
 	for _, a := range f.Authorizations {
-		if err := e.AddAuthorization(a); err != nil {
+		if err := e.addAuthorization(a); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// AddObligation installs one obligation policy (enabled). Scoped
+// addObligation installs one obligation policy (enabled). Scoped
 // policies deploy when a member of their device type is present.
-func (e *Engine) AddObligation(o *Obligation) error {
-	if err := o.Validate(); err != nil {
+func (e *Engine) addObligation(o *Obligation) error {
+	if err := o.validate(); err != nil {
 		return err
 	}
 	// The handler fires nothing until the obligation is installed:
@@ -169,8 +154,8 @@ func (e *Engine) AddObligation(o *Obligation) error {
 	return nil
 }
 
-// RemoveObligation uninstalls an obligation policy.
-func (e *Engine) RemoveObligation(name string) error {
+// removeObligation uninstalls an obligation policy.
+func (e *Engine) removeObligation(name string) error {
 	e.mu.Lock()
 	st, ok := e.obligations[name]
 	delete(e.obligations, name)
@@ -181,9 +166,9 @@ func (e *Engine) RemoveObligation(name string) error {
 	return st.remove()
 }
 
-// AddAuthorization installs one authorisation policy.
-func (e *Engine) AddAuthorization(a *Authorization) error {
-	if err := a.Validate(); err != nil {
+// addAuthorization installs one authorisation policy.
+func (e *Engine) addAuthorization(a *Authorization) error {
+	if err := a.validate(); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -198,24 +183,11 @@ func (e *Engine) AddAuthorization(a *Authorization) error {
 	return nil
 }
 
-// RemoveAuthorization uninstalls an authorisation policy by name.
-func (e *Engine) RemoveAuthorization(name string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, a := range e.auths {
-		if a.Name == name {
-			e.auths = append(e.auths[:i], e.auths[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("policy: no authorization %q", name)
-}
+// enable switches an obligation policy on.
+func (e *Engine) enable(name string) error { return e.setEnabled(name, true) }
 
-// Enable switches an obligation policy on.
-func (e *Engine) Enable(name string) error { return e.setEnabled(name, true) }
-
-// Disable switches an obligation policy off without removing it.
-func (e *Engine) Disable(name string) error { return e.setEnabled(name, false) }
+// disable switches an obligation policy off without removing it.
+func (e *Engine) disable(name string) error { return e.setEnabled(name, false) }
 
 func (e *Engine) setEnabled(name string, on bool) error {
 	e.mu.Lock()
@@ -294,7 +266,7 @@ func (e *Engine) runAction(pol *Obligation, a Action, trigger *event.Event) {
 	e.stats.ActionsRun++
 	e.mu.Unlock()
 	switch a.Kind {
-	case ActionPublish:
+	case actionPublish:
 		out := event.New()
 		out.Stamp = time.Now()
 		for _, asg := range a.Attrs {
@@ -321,15 +293,15 @@ func (e *Engine) runAction(pol *Obligation, a Action, trigger *event.Event) {
 		if err != nil && n&(n-1) == 0 {
 			e.logf("policy %s: action output refused, %d so far: %v", pol.Name, n, err)
 		}
-	case ActionLog:
+	case actionLog:
 		e.mu.Lock()
 		e.stats.LogActions++
 		e.mu.Unlock()
 		e.logf("policy %s: %s (trigger %s)", pol.Name, a.Message, trigger)
-	case ActionEnable:
-		_ = e.Enable(a.Message)
-	case ActionDisable:
-		_ = e.Disable(a.Message)
+	case actionEnable:
+		_ = e.enable(a.Message)
+	case actionDisable:
+		_ = e.disable(a.Message)
 	}
 }
 
@@ -387,10 +359,11 @@ func deviceTypeOf(ev *event.Event) string {
 
 // ---- authorisation (bus.Authorizer) ----
 
-// AuthorizePublish implements bus.Authorizer: deny rules override allow
-// rules; with no match the default effect applies.
+// AuthorizePublish implements bus.Authorizer: a publish a deny rule
+// matches is refused, and any other is allowed — an open cell, which
+// deny rules close; an allow rule changes no verdict.
 func (e *Engine) AuthorizePublish(member ident.ID, deviceType string, ev *event.Event) error {
-	return e.decide(VerbPublish, deviceType, func(a *Authorization) bool {
+	return e.decide(verbPublish, deviceType, func(a *Authorization) bool {
 		return a.Target == nil || a.Target.Matches(ev)
 	})
 }
@@ -407,7 +380,7 @@ func (e *Engine) AuthorizeSubscribe(member ident.ID, deviceType string, f *event
 			proj.Set(c.Name, c.Value)
 		}
 	}
-	return e.decide(VerbSubscribe, deviceType, func(a *Authorization) bool {
+	return e.decide(verbSubscribe, deviceType, func(a *Authorization) bool {
 		if a.Target == nil {
 			return true
 		}
@@ -429,31 +402,17 @@ func (e *Engine) AuthorizeSubscribe(member ident.ID, deviceType string, f *event
 func (e *Engine) decide(verb Verb, deviceType string, targetMatch func(*Authorization) bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	verdict := e.defaultEff
-	matched := false
 	for _, a := range e.auths {
-		if a.Verb != VerbAny && a.Verb != verb {
+		if a.Effect != effectDeny || a.Verb != verbAny && a.Verb != verb {
 			continue
 		}
 		if a.Subject != "*" && a.Subject != deviceType {
 			continue
 		}
-		if !targetMatch(a.Authorization) {
-			continue
-		}
-		if a.Effect == EffectDeny {
-			// Deny overrides: stop immediately.
+		if targetMatch(a.Authorization) {
 			e.stats.DenyDecisions++
 			return a.denied
 		}
-		matched = true
-	}
-	if matched {
-		verdict = EffectAllow
-	}
-	if verdict == EffectDeny {
-		e.stats.DenyDecisions++
-		return errDefaultDeny
 	}
 	e.stats.AllowDecisions++
 	return nil

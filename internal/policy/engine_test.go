@@ -131,7 +131,7 @@ func TestEnableDisable(t *testing.T) {
 	if err := r.eng.LoadString(`obligation p { on type = "t" do log("x") }`); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.eng.Disable("p"); err != nil {
+	if err := r.eng.disable("p"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.app.Publish(event.NewTyped("t")); err != nil {
@@ -141,7 +141,7 @@ func TestEnableDisable(t *testing.T) {
 	if r.eng.Stats().Fires != 0 {
 		t.Error("disabled policy fired")
 	}
-	if err := r.eng.Enable("p"); err != nil {
+	if err := r.eng.enable("p"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.app.Publish(event.NewTyped("t")); err != nil {
@@ -149,7 +149,7 @@ func TestEnableDisable(t *testing.T) {
 	}
 	r.waitFires(t, 1)
 
-	if err := r.eng.Enable("nope"); err == nil {
+	if err := r.eng.enable("nope"); err == nil {
 		t.Error("enable of unknown policy succeeded")
 	}
 }
@@ -244,18 +244,18 @@ func TestAddRemoveObligation(t *testing.T) {
 	o := &Obligation{
 		Name:    "direct",
 		On:      event.NewFilter().WhereType("x"),
-		Actions: []Action{{Kind: ActionLog, Message: "m"}},
+		Actions: []Action{{Kind: actionLog, Message: "m"}},
 	}
-	if err := r.eng.AddObligation(o); err != nil {
+	if err := r.eng.addObligation(o); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.eng.AddObligation(o); err == nil {
+	if err := r.eng.addObligation(o); err == nil {
 		t.Error("duplicate obligation accepted")
 	}
-	if err := r.eng.RemoveObligation("direct"); err != nil {
+	if err := r.eng.removeObligation("direct"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.eng.RemoveObligation("direct"); err == nil {
+	if err := r.eng.removeObligation("direct"); err == nil {
 		t.Error("double remove succeeded")
 	}
 	// After removal the policy never fires.
@@ -279,7 +279,7 @@ obligation second { on type = "reading" do log("second") }
 `); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.eng.RemoveObligation("second"); err != nil {
+	if err := r.eng.removeObligation("second"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.app.Publish(event.NewTyped("reading")); err != nil {
@@ -300,7 +300,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation pin")
 	}
-	r := newEngineRig(t, WithDefaultEffect(EffectDeny))
+	r := newEngineRig(t)
 	if err := r.eng.LoadString(`
 authorization allow-readings { effect allow subject * action publish target type = "reading" }
 authorization deny-actuate { effect deny subject * action publish target type = "actuate" }
@@ -312,7 +312,7 @@ authorization deny-actuate { effect deny subject * action publish target type = 
 		name string
 		ev   *event.Event
 		deny string
-	}{{"allow", reading, ""}, {"deny", actuate, `denied by policy "deny-actuate"`}, {"default deny", other, "default deny"}} {
+	}{{"allow", reading, ""}, {"deny", actuate, `denied by policy "deny-actuate"`}, {"unmatched", other, ""}} {
 		err := r.eng.AuthorizePublish(1, "hr-sensor", tc.ev)
 		if tc.deny == "" && err != nil || tc.deny != "" && (!errors.Is(err, bus.ErrUnauthorized) || !strings.Contains(err.Error(), tc.deny)) {
 			t.Fatalf("%s: verdict %v", tc.name, err)
@@ -355,27 +355,6 @@ authorization deny-actuate {
 	}
 }
 
-func TestAuthorizationDefaultDeny(t *testing.T) {
-	r := newEngineRig(t, WithDefaultEffect(EffectDeny))
-	err := r.eng.LoadString(`
-authorization allow-readings {
-  effect allow
-  subject *
-  action publish
-  target type = "reading"
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.eng.AuthorizePublish(1, "x", event.NewTyped("reading")); err != nil {
-		t.Errorf("explicitly allowed publish denied: %v", err)
-	}
-	if err := r.eng.AuthorizePublish(1, "x", event.NewTyped("anything-else")); err == nil {
-		t.Error("default deny not applied")
-	}
-}
-
 func TestAuthorizeSubscribeTargets(t *testing.T) {
 	r := newEngineRig(t)
 	err := r.eng.LoadString(`
@@ -413,26 +392,17 @@ authorization no-actuate-subs {
 
 func TestAddRemoveAuthorization(t *testing.T) {
 	r := newEngineRig(t)
-	a := &Authorization{Name: "a1", Effect: EffectDeny, Subject: "*", Verb: VerbPublish}
-	if err := r.eng.AddAuthorization(a); err != nil {
+	a := &Authorization{Name: "a1", Effect: effectDeny, Subject: "*", Verb: verbPublish}
+	if err := r.eng.addAuthorization(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.eng.AddAuthorization(a); err == nil {
+	if err := r.eng.addAuthorization(a); err == nil {
 		t.Error("duplicate authorization accepted")
 	}
 	if err := r.eng.AuthorizePublish(1, "x", event.New()); err == nil {
 		t.Error("deny-all rule inert")
 	}
-	if err := r.eng.RemoveAuthorization("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.eng.RemoveAuthorization("a1"); err == nil {
-		t.Error("double remove succeeded")
-	}
-	if err := r.eng.AuthorizePublish(1, "x", event.New()); err != nil {
-		t.Errorf("removal not effective: %v", err)
-	}
-	if got := r.eng.Authorizations(); len(got) != 0 {
+	if got := r.eng.Authorizations(); len(got) != 1 || got[0] != "a1" {
 		t.Errorf("auths = %v", got)
 	}
 }

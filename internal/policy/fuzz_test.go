@@ -26,12 +26,12 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, o := range file.Obligations {
-			if err := o.Validate(); err != nil {
+			if err := o.validate(); err != nil {
 				t.Fatalf("Parse accepted obligation %q that fails Validate: %v", o.Name, err)
 			}
 		}
 		for _, a := range file.Authorizations {
-			if err := a.Validate(); err != nil {
+			if err := a.validate(); err != nil {
 				t.Fatalf("Parse accepted authorization %q that fails Validate: %v", a.Name, err)
 			}
 		}

@@ -94,7 +94,7 @@ func lex(src string) ([]token, error) {
 				j++
 			}
 			if j >= len(src) {
-				return nil, fmt.Errorf("%w: line %d: unterminated string", ErrParse, line)
+				return nil, fmt.Errorf("%w: line %d: unterminated string", errParse, line)
 			}
 			toks = append(toks, token{kind: tokString, text: sb.String(), line: line})
 			i = j + 1
@@ -131,7 +131,7 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{kind: tokSymbol, text: string(c), line: line})
 				i++
 			default:
-				return nil, fmt.Errorf("%w: line %d: unexpected character %q", ErrParse, line, string(c))
+				return nil, fmt.Errorf("%w: line %d: unexpected character %q", errParse, line, string(c))
 			}
 		}
 	}
@@ -195,7 +195,7 @@ func (p *parser) expect(text string) error {
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: line %d: %s", ErrParse, p.peek().line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: line %d: %s", errParse, p.peek().line, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) ident() (string, error) {
@@ -323,7 +323,7 @@ func (p *parser) obligation() (*Obligation, error) {
 	if err := p.expect("}"); err != nil {
 		return nil, err
 	}
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -339,7 +339,7 @@ func (p *parser) action() (Action, error) {
 	}
 	switch kw {
 	case "publish":
-		a := Action{Kind: ActionPublish}
+		a := Action{Kind: actionPublish}
 		for {
 			name, err := p.ident()
 			if err != nil {
@@ -370,7 +370,7 @@ func (p *parser) action() (Action, error) {
 			return Action{}, err
 		}
 		kind := map[string]ActionKind{
-			"log": ActionLog, "enable": ActionEnable, "disable": ActionDisable,
+			"log": actionLog, "enable": actionEnable, "disable": actionDisable,
 		}[kw]
 		return Action{Kind: kind, Message: msg}, nil
 	default:
@@ -400,9 +400,9 @@ func (p *parser) authorization() (*Authorization, error) {
 			}
 			switch eff {
 			case "allow":
-				a.Effect = EffectAllow
+				a.Effect = effectAllow
 			case "deny":
-				a.Effect = EffectDeny
+				a.Effect = effectDeny
 			default:
 				return nil, p.errf("bad effect %q", eff)
 			}
@@ -418,7 +418,7 @@ func (p *parser) authorization() (*Authorization, error) {
 			a.Subject = s
 		case "action":
 			if p.accept("*") {
-				a.Verb = VerbAny
+				a.Verb = verbAny
 				continue
 			}
 			v, err := p.ident()
@@ -427,9 +427,9 @@ func (p *parser) authorization() (*Authorization, error) {
 			}
 			switch v {
 			case "publish":
-				a.Verb = VerbPublish
+				a.Verb = verbPublish
 			case "subscribe":
-				a.Verb = VerbSubscribe
+				a.Verb = verbSubscribe
 			default:
 				return nil, p.errf("bad action verb %q", v)
 			}
@@ -441,7 +441,7 @@ func (p *parser) authorization() (*Authorization, error) {
 			return nil, p.errf("unknown authorization field %q", kw)
 		}
 	}
-	if err := a.Validate(); err != nil {
+	if err := a.validate(); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -46,16 +46,16 @@ obligation hr-high for "hr-sensor" {
 		t.Fatalf("actions = %d", len(o.Actions))
 	}
 	pub := o.Actions[0]
-	if pub.Kind != ActionPublish || len(pub.Attrs) != 4 {
+	if pub.Kind != actionPublish || len(pub.Attrs) != 4 {
 		t.Errorf("publish action = %+v", pub)
 	}
 	if pub.Attrs[3].Name != "joules" || !pub.Attrs[3].Value.Equal(event.Int(150)) {
 		t.Errorf("joules attr = %+v", pub.Attrs[3])
 	}
-	if o.Actions[1].Kind != ActionLog || o.Actions[1].Message != "tachycardia" {
+	if o.Actions[1].Kind != actionLog || o.Actions[1].Message != "tachycardia" {
 		t.Errorf("log action = %+v", o.Actions[1])
 	}
-	if o.Actions[2].Kind != ActionDisable || o.Actions[2].Message != "hr-low" {
+	if o.Actions[2].Kind != actionDisable || o.Actions[2].Message != "hr-low" {
 		t.Errorf("disable action = %+v", o.Actions[2])
 	}
 }
@@ -82,14 +82,14 @@ authorization allow-all {
 		t.Fatalf("auths = %d", len(f.Authorizations))
 	}
 	a := f.Authorizations[0]
-	if a.Effect != EffectDeny || a.Subject != "hr-sensor" || a.Verb != VerbPublish {
+	if a.Effect != effectDeny || a.Subject != "hr-sensor" || a.Verb != verbPublish {
 		t.Errorf("auth = %+v", a)
 	}
 	if a.Target == nil || !a.Target.Matches(event.NewTyped("actuate")) {
 		t.Error("target filter wrong")
 	}
 	b := f.Authorizations[1]
-	if b.Effect != EffectAllow || b.Subject != "*" || b.Verb != VerbAny || b.Target != nil {
+	if b.Effect != effectAllow || b.Subject != "*" || b.Verb != verbAny || b.Target != nil {
 		t.Errorf("auth = %+v", b)
 	}
 }
@@ -112,8 +112,8 @@ obligation ops {
 	e := event.New().
 		SetStr("a", "y").SetInt("b", 0).SetInt("c", 2).SetInt("d", 4).
 		SetFloat("e", 4.5).SetStr("f", "px").SetStr("g", "xs").
-		SetStr("h", "aca").SetInt("i", 0).SetBool("j", true).
-		SetBool("k", false).SetInt("l", -7)
+		SetStr("h", "aca").SetInt("i", 0).Set("j", event.Bool(true)).
+		Set("k", event.Bool(false)).SetInt("l", -7)
 	if !on.Matches(e) {
 		t.Error("combined filter does not match crafted event")
 	}
@@ -140,7 +140,7 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("accepted: %s", strings.TrimSpace(src))
-		} else if !errors.Is(err, ErrParse) {
+		} else if !errors.Is(err, errParse) {
 			t.Errorf("non-parse error for %q: %v", src, err)
 		}
 	}
@@ -184,29 +184,29 @@ func TestStringEscapes(t *testing.T) {
 }
 
 func TestValidateDirect(t *testing.T) {
-	o := &Obligation{Name: "x", On: event.NewFilter(), Actions: []Action{{Kind: ActionLog}}}
-	if err := o.Validate(); err != nil {
+	o := &Obligation{Name: "x", On: event.NewFilter(), Actions: []Action{{Kind: actionLog}}}
+	if err := o.validate(); err != nil {
 		t.Errorf("valid obligation rejected: %v", err)
 	}
-	bad := &Obligation{On: event.NewFilter(), Actions: []Action{{Kind: ActionLog}}}
-	if err := bad.Validate(); err == nil {
+	bad := &Obligation{On: event.NewFilter(), Actions: []Action{{Kind: actionLog}}}
+	if err := bad.validate(); err == nil {
 		t.Error("nameless obligation accepted")
 	}
-	a := &Authorization{Name: "a", Effect: EffectAllow, Subject: "*", Verb: VerbAny}
-	if err := a.Validate(); err != nil {
+	a := &Authorization{Name: "a", Effect: effectAllow, Subject: "*", Verb: verbAny}
+	if err := a.validate(); err != nil {
 		t.Errorf("valid authorization rejected: %v", err)
 	}
-	if err := (&Authorization{Name: "a", Effect: EffectAllow, Subject: "*"}).Validate(); err == nil {
+	if err := (&Authorization{Name: "a", Effect: effectAllow, Subject: "*"}).validate(); err == nil {
 		t.Error("verbless authorization accepted")
 	}
 }
 
 func TestEnumStrings(t *testing.T) {
-	if EffectAllow.String() != "allow" || EffectDeny.String() != "deny" || Effect(0).String() != "invalid" {
+	if effectAllow.String() != "allow" || effectDeny.String() != "deny" || Effect(0).String() != "invalid" {
 		t.Error("effect strings")
 	}
-	if VerbPublish.String() != "publish" || VerbSubscribe.String() != "subscribe" ||
-		VerbAny.String() != "*" || Verb(0).String() != "invalid" {
+	if verbPublish.String() != "publish" || verbSubscribe.String() != "subscribe" ||
+		verbAny.String() != "*" || Verb(0).String() != "invalid" {
 		t.Error("verb strings")
 	}
 }

@@ -49,16 +49,16 @@ type Effect int
 
 // Authorisation effects.
 const (
-	EffectAllow Effect = iota + 1
-	EffectDeny
+	effectAllow Effect = iota + 1
+	effectDeny
 )
 
 // String names the effect.
 func (e Effect) String() string {
 	switch e {
-	case EffectAllow:
+	case effectAllow:
 		return "allow"
-	case EffectDeny:
+	case effectDeny:
 		return "deny"
 	default:
 		return "invalid"
@@ -70,19 +70,19 @@ type Verb int
 
 // Authorisation verbs.
 const (
-	VerbPublish Verb = iota + 1
-	VerbSubscribe
-	VerbAny
+	verbPublish Verb = iota + 1
+	verbSubscribe
+	verbAny
 )
 
 // String names the verb.
 func (v Verb) String() string {
 	switch v {
-	case VerbPublish:
+	case verbPublish:
 		return "publish"
-	case VerbSubscribe:
+	case verbSubscribe:
 		return "subscribe"
-	case VerbAny:
+	case verbAny:
 		return "*"
 	default:
 		return "invalid"
@@ -94,10 +94,10 @@ type ActionKind int
 
 // Obligation action kinds.
 const (
-	ActionPublish ActionKind = iota + 1
-	ActionLog
-	ActionEnable
-	ActionDisable
+	actionPublish ActionKind = iota + 1
+	actionLog
+	actionEnable
+	actionDisable
 )
 
 // Action is one step of an obligation's "do" clause.
@@ -150,19 +150,19 @@ type File struct {
 	Authorizations []*Authorization
 }
 
-// ErrParse reports a syntax error; the message carries line context.
-var ErrParse = errors.New("policy: parse error")
+// errParse reports a syntax error; the message carries line context.
+var errParse = errors.New("policy: parse error")
 
-// Validate checks structural validity of an obligation.
-func (o *Obligation) Validate() error {
+// validate checks structural validity of an obligation.
+func (o *Obligation) validate() error {
 	if o.Name == "" {
-		return fmt.Errorf("%w: obligation without name", ErrParse)
+		return fmt.Errorf("%w: obligation without name", errParse)
 	}
 	if o.On == nil {
-		return fmt.Errorf("%w: obligation %q without on-clause", ErrParse, o.Name)
+		return fmt.Errorf("%w: obligation %q without on-clause", errParse, o.Name)
 	}
 	if len(o.Actions) == 0 {
-		return fmt.Errorf("%w: obligation %q without actions", ErrParse, o.Name)
+		return fmt.Errorf("%w: obligation %q without actions", errParse, o.Name)
 	}
 	if err := o.On.Validate(); err != nil {
 		return fmt.Errorf("obligation %q on-clause: %w", o.Name, err)
@@ -175,19 +175,19 @@ func (o *Obligation) Validate() error {
 	return nil
 }
 
-// Validate checks structural validity of an authorisation.
-func (a *Authorization) Validate() error {
+// validate checks structural validity of an authorisation.
+func (a *Authorization) validate() error {
 	if a.Name == "" {
-		return fmt.Errorf("%w: authorization without name", ErrParse)
+		return fmt.Errorf("%w: authorization without name", errParse)
 	}
-	if a.Effect != EffectAllow && a.Effect != EffectDeny {
-		return fmt.Errorf("%w: authorization %q without effect", ErrParse, a.Name)
+	if a.Effect != effectAllow && a.Effect != effectDeny {
+		return fmt.Errorf("%w: authorization %q without effect", errParse, a.Name)
 	}
 	if a.Subject == "" {
-		return fmt.Errorf("%w: authorization %q without subject", ErrParse, a.Name)
+		return fmt.Errorf("%w: authorization %q without subject", errParse, a.Name)
 	}
 	if a.Verb == 0 {
-		return fmt.Errorf("%w: authorization %q without action", ErrParse, a.Name)
+		return fmt.Errorf("%w: authorization %q without action", errParse, a.Name)
 	}
 	if a.Target != nil {
 		if err := a.Target.Validate(); err != nil {

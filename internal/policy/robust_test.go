@@ -51,12 +51,12 @@ authorization a { effect deny subject "s" action publish target type = "actuate"
 			continue
 		}
 		for _, o := range f.Obligations {
-			if verr := o.Validate(); verr != nil {
+			if verr := o.validate(); verr != nil {
 				t.Fatalf("accepted obligation fails validation: %v\nsource: %s", verr, b)
 			}
 		}
 		for _, a := range f.Authorizations {
-			if verr := a.Validate(); verr != nil {
+			if verr := a.validate(); verr != nil {
 				t.Fatalf("accepted authorization fails validation: %v", verr)
 			}
 		}

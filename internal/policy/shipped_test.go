@@ -22,7 +22,7 @@ func TestShippedPolicyFileParses(t *testing.T) {
 			len(f.Obligations), len(f.Authorizations))
 	}
 	for _, o := range f.Obligations {
-		if err := o.Validate(); err != nil {
+		if err := o.validate(); err != nil {
 			t.Errorf("obligation %q invalid: %v", o.Name, err)
 		}
 	}

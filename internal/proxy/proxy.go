@@ -60,19 +60,19 @@ type AsyncSender interface {
 // Publisher lets a proxy inject translated device data into the bus.
 type Publisher func(e *event.Event) error
 
-// EventMutator is optionally implemented by Devices whose TranslateOut
+// eventMutator is optionally implemented by Devices whose TranslateOut
 // modifies the event it is handed. The bus delivers one shared,
 // immutable event to every subscriber's proxy (zero-copy dispatch); a
-// proxy whose device declares MutatesEvents()==true receives a private
+// proxy whose device declares mutatesEvents()==true receives a private
 // clone instead — clone-on-write at the only place a copy is needed.
-type EventMutator interface {
-	MutatesEvents() bool
+type eventMutator interface {
+	mutatesEvents() bool
 }
 
 // Device is the concrete half of a proxy: the device-type-specific
 // translation logic. Implementations must be safe for use from the
 // proxy's goroutines. TranslateOut must treat the event as read-only
-// unless the device also implements EventMutator.
+// unless the device also implements eventMutator.
 type Device interface {
 	// DeviceType names the device class this translator serves.
 	DeviceType() string
@@ -252,17 +252,14 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if m, ok := dev.(EventMutator); ok {
-		p.cloneOut = m.MutatesEvents()
+	if m, ok := dev.(eventMutator); ok {
+		p.cloneOut = m.mutatesEvents()
 	}
 	return p
 }
 
-// Member returns the represented member's ID.
-func (p *Proxy) Member() ident.ID { return p.member }
-
-// DeviceType returns the concrete device class.
-func (p *Proxy) DeviceType() string { return p.dev.DeviceType() }
+// deviceType returns the concrete device class.
+func (p *Proxy) deviceType() string { return p.dev.DeviceType() }
 
 // InitialSubscriptions exposes the device's implicit filters.
 func (p *Proxy) InitialSubscriptions() []*event.Filter {

@@ -275,8 +275,8 @@ func TestTranslateOutProducesDataPackets(t *testing.T) {
 	if p.Stats().TranslatedOut != 1 {
 		t.Errorf("TranslatedOut = %d", p.Stats().TranslatedOut)
 	}
-	if p.DeviceType() != "xlate" {
-		t.Errorf("DeviceType = %s", p.DeviceType())
+	if p.deviceType() != "xlate" {
+		t.Errorf("DeviceType = %s", p.deviceType())
 	}
 	if len(p.InitialSubscriptions()) != 1 {
 		t.Error("initial subscriptions lost")
@@ -325,7 +325,7 @@ func TestGenericDeviceDefaults(t *testing.T) {
 }
 
 // mutatingDevice stamps every outbound event in TranslateOut and
-// declares it via EventMutator, so the proxy must hand it a private
+// declares it via eventMutator, so the proxy must hand it a private
 // clone rather than the shared dispatch copy.
 type mutatingDevice struct {
 	GenericDevice
@@ -336,11 +336,11 @@ func (d *mutatingDevice) TranslateOut(e *event.Event) ([]byte, bool, error) {
 	return []byte{0xAB}, true, nil
 }
 
-func (d *mutatingDevice) MutatesEvents() bool { return true }
+func (d *mutatingDevice) mutatesEvents() bool { return true }
 
 // TestMutatingDeviceGetsPrivateClone locks in the zero-copy dispatch
 // contract: events are enqueued shared, and only a device that
-// declares MutatesEvents sees (and pays for) a private copy.
+// declares mutatesEvents sees (and pays for) a private copy.
 func TestMutatingDeviceGetsPrivateClone(t *testing.T) {
 	fs := &fakeSender{}
 	pub, _, _ := collectPublishes()

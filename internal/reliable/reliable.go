@@ -49,9 +49,9 @@ var (
 	ErrGaveUp = errors.New("reliable: gave up after retries")
 	// ErrClosed reports use of a closed channel.
 	ErrClosed = errors.New("reliable: closed")
-	// ErrBacklog reports a per-destination send backlog overflow: the
+	// errBacklog reports a per-destination send backlog overflow: the
 	// caller is enqueueing faster than the destination acknowledges.
-	ErrBacklog = errors.New("reliable: send backlog full")
+	errBacklog = errors.New("reliable: send backlog full")
 
 	errBroadcast = errors.New("reliable: broadcast sends must be unreliable")
 )
@@ -168,14 +168,14 @@ type Config struct {
 	// stop-and-wait.
 	Window int
 	// MaxPending bounds the per-destination send backlog (default
-	// 1024); SendAsync beyond it fails with ErrBacklog.
+	// 1024); SendAsync beyond it fails with errBacklog.
 	MaxPending int
 	// QueueDepth sizes the inbound delivery queue.
 	QueueDepth int
 }
 
-// DefaultConfig suits the simulated wireless profiles.
-func DefaultConfig() Config {
+// defaultConfig suits the simulated wireless profiles.
+func defaultConfig() Config {
 	return Config{
 		RetryTimeout: 50 * time.Millisecond,
 		MaxRetries:   6,
@@ -377,6 +377,15 @@ func (ds *destState) kick() {
 	}
 }
 
+// epochFloor is what Forget leaves of a peer's streams, so that no
+// straggler of a forgotten stream reaches a fresh one: out is the epoch
+// the next stream to the peer opens under, and in, once inSet, the
+// oldest epoch a new stream from the peer may use.
+type epochFloor struct {
+	out, in byte
+	inSet   bool
+}
+
 // recvState is the per-sender receiver ordering state.
 type recvState struct {
 	epoch byte
@@ -397,14 +406,15 @@ type Channel struct {
 
 	mu     sync.Mutex
 	dests  map[ident.ID]*destState
-	epochs map[ident.ID]byte // outbound epoch floor surviving Forget
 	closed bool
 
 	// rmu guards the receiver ordering state separately from the
 	// sender maps: the receive path must not serialise against the
-	// SendAsync hot path.
-	rmu sync.Mutex
-	rst map[ident.ID]*recvState
+	// SendAsync hot path. The epoch floors Forget leaves are under it
+	// too, both directions in one map.
+	rmu    sync.Mutex
+	rst    map[ident.ID]*recvState
+	floors map[ident.ID]epochFloor
 
 	// inbox queues released packets for Recv; its Done channel is the
 	// channel's stop signal.
@@ -415,7 +425,7 @@ type Channel struct {
 // New wraps a transport endpoint and starts the receive loop. Close the
 // channel (not the transport directly) when done.
 func New(tr transport.Transport, cfg Config) *Channel {
-	def := DefaultConfig()
+	def := defaultConfig()
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = def.RetryTimeout
 	}
@@ -442,7 +452,7 @@ func New(tr transport.Transport, cfg Config) *Channel {
 		pktPool: wire.NewPacketPool(),
 		dests:   make(map[ident.ID]*destState),
 		rst:     make(map[ident.ID]*recvState),
-		epochs:  make(map[ident.ID]byte),
+		floors:  make(map[ident.ID]epochFloor),
 		inbox:   transport.NewInbox(cfg.QueueDepth, ErrClosed, (*wire.Packet).Release),
 	}
 	c.wg.Add(1)
@@ -522,7 +532,10 @@ func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, 
 		}
 		ds, ok := c.dests[dst]
 		if !ok {
-			ds = &destState{id: dst, epoch: c.epochs[dst], notify: make(chan struct{}, 1)}
+			c.rmu.Lock()
+			epoch := c.floors[dst].out
+			c.rmu.Unlock()
+			ds = &destState{id: dst, epoch: epoch, notify: make(chan struct{}, 1)}
 			c.dests[dst] = ds
 			c.wg.Add(1)
 			go c.runSender(ds)
@@ -547,7 +560,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 		return nil, false, nil
 	}
 	if ds.queue.len() >= c.cfg.MaxPending {
-		return nil, true, fmt.Errorf("%w: %d pending to %s", ErrBacklog, ds.queue.len(), ds.id)
+		return nil, true, fmt.Errorf("%w: %d pending to %s", errBacklog, ds.queue.len(), ds.id)
 	}
 	var op *sendOp
 	if len(ds.stash) > 0 {
@@ -855,17 +868,22 @@ func (c *Channel) SendUnreliable(dst ident.ID, ptype wire.PacketType, payload []
 // up as an acquired/recycled gap in Stats.
 func (c *Channel) Recv() (*wire.Packet, error) { return c.inbox.Get() }
 
+// Inject queues p in the inbox behind every packet the channel has
+// taken so far, so Recv hands it out after them. It reports false when
+// the inbox is closed or full.
+func (c *Channel) Inject(p *wire.Packet) bool { return c.inbox.Put(p) }
+
 // RecvTimeout is Recv with a deadline.
 func (c *Channel) RecvTimeout(d time.Duration) (*wire.Packet, error) { return c.inbox.GetTimeout(d) }
 
-// Pending reports how many reliable sends are still unresolved: queued
+// pending reports how many reliable sends are still unresolved: queued
 // or in flight towards any destination, not yet acknowledged and not
 // yet failed. Stashed give-up packets (kept only for resume-by-
 // identical-resend) are already settled and therefore not counted. A
-// channel whose Pending has reached zero has settled every send a
+// channel whose pending has reached zero has settled every send a
 // caller could still be waiting on — the precondition for a graceful
 // shutdown.
-func (c *Channel) Pending() int {
+func (c *Channel) pending() int {
 	c.mu.Lock()
 	dests := make([]*destState, 0, len(c.dests))
 	for _, ds := range c.dests {
@@ -881,9 +899,9 @@ func (c *Channel) Pending() int {
 	return pending
 }
 
-// ErrDrainTimeout reports that Drain gave up before the send queues
+// errDrainTimeout reports that Drain gave up before the send queues
 // emptied.
-var ErrDrainTimeout = errors.New("reliable: drain timed out")
+var errDrainTimeout = errors.New("reliable: drain timed out")
 
 // Drain waits until every queued reliable send has resolved (been
 // acknowledged or failed by the retry budget) or the timeout lapses.
@@ -893,7 +911,7 @@ var ErrDrainTimeout = errors.New("reliable: drain timed out")
 func (c *Channel) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		if c.Pending() == 0 {
+		if c.pending() == 0 {
 			return nil
 		}
 		if c.inbox.Closed() {
@@ -901,7 +919,7 @@ func (c *Channel) Drain(timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: %d sends still pending", ErrDrainTimeout, c.Pending())
+			return fmt.Errorf("%w: %d sends still pending", errDrainTimeout, c.pending())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -909,36 +927,46 @@ func (c *Channel) Drain(timeout time.Duration) error {
 
 // Forget discards reliability state for a purged member so that a
 // returning device with the same ID starts a fresh stream. Packets
-// still pending towards the member fail with ErrGaveUp. The outbound
-// epoch floor survives: the next stream to the same ID opens under a
-// fresh epoch, so stragglers of the old stream cannot pollute it.
+// still pending towards the member fail with ErrGaveUp. An epoch floor
+// survives in each direction: the next stream to the same ID opens
+// under a fresh epoch, and a packet of the forgotten inbound stream
+// arriving late is refused rather than taken for a new stream's, so
+// stragglers of the old streams cannot pollute the new ones.
 func (c *Channel) Forget(id ident.ID) {
+	// Lock order c.mu, then ds.mu, then rmu (see stampBatchAck). Bumping
+	// the outbound floor in the critical section that removes the dest
+	// guarantees a racing SendAsync either finds the old state (and
+	// fails, retrying against fresh state) or opens the new epoch —
+	// never a fresh stream under the forgotten stream's epoch.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds := c.dests[id]
+	if ds != nil {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		ds.gone = true
+		c.failPendingLocked(ds, fmt.Errorf("%w: %s forgotten", ErrGaveUp, id))
+		ds.kick()
+		delete(c.dests, id)
+	}
 	c.rmu.Lock()
-	if st := c.rst[id]; st != nil {
+	defer c.rmu.Unlock()
+	st := c.rst[id]
+	if ds == nil && st == nil {
+		return
+	}
+	f := c.floors[id]
+	if ds != nil {
+		f.out = ds.epoch + 1
+	}
+	if st != nil {
 		for _, parked := range st.buf {
 			parked.Release()
 		}
 		delete(c.rst, id)
+		f.in, f.inSet = st.epoch+1, true
 	}
-	c.rmu.Unlock()
-	c.mu.Lock()
-	ds := c.dests[id]
-	if ds != nil {
-		// Taking ds.mu under c.mu is safe: no path acquires c.mu
-		// while holding a destState mutex. Bumping the epoch floor in
-		// the same critical section that removes the dest guarantees
-		// a racing SendAsync either finds the old state (and fails,
-		// retrying against fresh state) or opens the new epoch —
-		// never a fresh stream under the forgotten stream's epoch.
-		ds.mu.Lock()
-		ds.gone = true
-		c.failPendingLocked(ds, fmt.Errorf("%w: %s forgotten", ErrGaveUp, id))
-		ds.kick()
-		c.epochs[id] = ds.epoch + 1
-		ds.mu.Unlock()
-		delete(c.dests, id)
-	}
-	c.mu.Unlock()
+	c.floors[id] = f
 }
 
 // Close stops the machinery, fails every in-flight send with ErrClosed
@@ -1159,7 +1187,18 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 	c.rmu.Lock()
 	st, ok := c.rst[sender]
 	if !ok {
-		// First contact with this sender (or first after Forget).
+		// First contact with this sender, or the first since Forget: a
+		// packet below the floor Forget left is a straggler of the
+		// forgotten stream. Refuse it, and name the floor in the ack; a
+		// live sender behind the floor takes that as its cue to open a
+		// fresh stream (applyAck).
+		if f := c.floors[sender]; f.inSet && pkt.Epoch != f.in && !epochNewer(pkt.Epoch, f.in) {
+			c.ctr.staleEpoch.Add(1)
+			c.rmu.Unlock()
+			pkt.Release()
+			c.sendAck(sender, f.in, 0)
+			return
+		}
 		st = &recvState{epoch: pkt.Epoch}
 		c.rst[sender] = st
 	}

@@ -1,7 +1,9 @@
 package reliable
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -412,7 +414,7 @@ func TestReceiverRestartResumeNoDuplicate(t *testing.T) {
 
 // TestDrainWaitsForAcks pins the graceful-shutdown surface: Drain
 // returns only after every queued send has resolved, and reports
-// ErrDrainTimeout when the destination never acknowledges.
+// errDrainTimeout when the destination never acknowledges.
 func TestDrainWaitsForAcks(t *testing.T) {
 	sw := transport.NewSwitch()
 	defer sw.Close()
@@ -447,13 +449,13 @@ func TestDrainWaitsForAcks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		comps = append(comps, sender.SendAsync(recvID, 100, []byte{byte(i)}))
 	}
-	if sender.Pending() == 0 {
+	if sender.pending() == 0 {
 		t.Fatal("sends resolved before drain could observe them")
 	}
 	if err := sender.Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got := sender.Pending(); got != 0 {
+	if got := sender.pending(); got != 0 {
 		t.Fatalf("pending after drain = %d", got)
 	}
 	for _, c := range comps {
@@ -470,15 +472,15 @@ func TestDrainWaitsForAcks(t *testing.T) {
 		pkt.Release()
 	}
 
-	// Black-holed destination: Drain must give up with ErrDrainTimeout
+	// Black-holed destination: Drain must give up with errDrainTimeout
 	// once it is clear the queue cannot empty in time.
 	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
 		return to == recvID, 0
 	})
 	comp := sender.SendAsync(recvID, 100, []byte{0xFF})
 	err = sender.Drain(20 * time.Millisecond)
-	if err != nil && !errors.Is(err, ErrDrainTimeout) {
-		t.Fatalf("want ErrDrainTimeout, got %v", err)
+	if err != nil && !errors.Is(err, errDrainTimeout) {
+		t.Fatalf("want errDrainTimeout, got %v", err)
 	}
 	// err == nil is also acceptable here if the retry budget failed the
 	// send before the drain deadline; either way the queue must empty
@@ -581,5 +583,111 @@ func TestStaleAcksAheadOfRetransmitRoundDoNotResetStream(t *testing.T) {
 	}
 	if pkt, err := recv.RecvTimeout(150 * time.Millisecond); err == nil {
 		t.Fatalf("duplicate delivery of %v after a false reset", pkt.Payload)
+	}
+}
+
+// TestForgottenStreamStragglerRefused holds one packet of a sender's
+// stream in the network while the receiver forgets the sender and the
+// sender's process is replaced by a fresh one under the same ID, then
+// lets the packet through. The fresh sender opens at the epoch its
+// predecessor used, so the straggler must be refused on the strength
+// of the floor Forget left, not taken for the new stream's: the new
+// session's packets arrive exactly once and in order, none of the old
+// one's among them.
+func TestForgottenStreamStragglerRefused(t *testing.T) {
+	sw := transport.NewSwitch()
+	defer sw.Close()
+	senderID, recvID := ident.New(1), ident.New(2)
+	senderTr, err := sw.Attach(senderID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvTr, err := sw.Attach(recvID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{RetryTimeout: 10 * time.Millisecond, MaxRetryTimeout: 40 * time.Millisecond, MaxRetries: 50, Window: 8}
+	sender := New(senderTr, cfg)
+	recv := New(recvTr, cfg)
+	defer recv.Close()
+
+	for _, p := range []string{"o0", "o1"} {
+		if err := sender.Send(recvID, 100, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		pkt, err := recv.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt.Release()
+	}
+
+	// Hold the first transmission of the old stream's seq 3 and drop
+	// its retransmissions.
+	held := make(chan []byte, 1)
+	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		if from != senderID || to != recvID || !bytes.Contains(data, []byte("o2")) {
+			return false, 0
+		}
+		select {
+		case held <- bytes.Clone(data):
+		default:
+		}
+		return true, 0
+	})
+	comp := sender.SendAsync(recvID, 100, []byte("o2"))
+	straggler := <-held
+
+	// The receiver purges the sender; the sender's process dies.
+	recv.Forget(senderID)
+	if err := sender.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = comp.Wait()
+	sw.SetDeliveryHook(nil)
+
+	// A fresh process attaches under the same ID, and the held packet
+	// arrives from it.
+	senderTr2, err := sw.Attach(senderID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := senderTr2.Send(recvID, straggler); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := recv.Stats(); st.StaleEpoch+st.Buffered > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the straggler never reached the receiver")
+		}
+	}
+	sender2 := New(senderTr2, cfg)
+	defer sender2.Close()
+
+	want := []string{"n0", "n1", "n2", "n3", "n4"}
+	for _, p := range want {
+		if err := sender2.Send(recvID, 100, []byte(p)); err != nil {
+			t.Fatalf("new session send %s: %v", p, err)
+		}
+	}
+	var got []string
+	for len(got) < len(want) {
+		pkt, err := recv.RecvTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("after %v: %v", got, err)
+		}
+		got = append(got, string(pkt.Payload))
+		pkt.Release()
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	if pkt, err := recv.RecvTimeout(100 * time.Millisecond); err == nil {
+		t.Fatalf("extra delivery %q", pkt.Payload)
+	}
+	if st := recv.Stats(); st.StaleEpoch == 0 {
+		t.Errorf("straggler not counted in StaleEpoch: %+v", st)
 	}
 }

@@ -380,7 +380,7 @@ func TestBacklogBound(t *testing.T) {
 			t.Fatal("nil completion")
 		}
 	}
-	if err := a.SendAsync(dst, wire.PktEvent, []byte{4}).Wait(); !errors.Is(err, ErrBacklog) {
+	if err := a.SendAsync(dst, wire.PktEvent, []byte{4}).Wait(); !errors.Is(err, errBacklog) {
 		t.Errorf("overflow err = %v, want ErrBacklog", err)
 	}
 }

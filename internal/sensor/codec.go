@@ -21,7 +21,7 @@ type Kind byte
 
 // Sensor kinds with their conventional units.
 const (
-	KindInvalid     Kind = iota
+	kindInvalid     Kind = iota
 	KindHeartRate        // beats per minute
 	KindSpO2             // percent saturation
 	KindTemperature      // degrees Celsius
@@ -50,8 +50,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Unit returns the measurement unit for the kind.
-func (k Kind) Unit() string {
+// unit returns the measurement unit for the kind.
+func (k Kind) unit() string {
 	switch k {
 	case KindHeartRate:
 		return "bpm"
@@ -80,8 +80,8 @@ type Reading struct {
 // value(8).
 const readingLen = 1 + 2 + 8 + 8
 
-// ErrBadReading reports an undecodable native sample.
-var ErrBadReading = errors.New("sensor: bad reading encoding")
+// errBadReading reports an undecodable native sample.
+var errBadReading = errors.New("sensor: bad reading encoding")
 
 // EncodeReading produces the device-native byte encoding.
 func EncodeReading(r Reading) []byte {
@@ -93,10 +93,10 @@ func EncodeReading(r Reading) []byte {
 	return buf
 }
 
-// DecodeReading parses the device-native byte encoding.
-func DecodeReading(buf []byte) (Reading, error) {
+// decodeReading parses the device-native byte encoding.
+func decodeReading(buf []byte) (Reading, error) {
 	if len(buf) != readingLen {
-		return Reading{}, fmt.Errorf("%w: %d bytes", ErrBadReading, len(buf))
+		return Reading{}, fmt.Errorf("%w: %d bytes", errBadReading, len(buf))
 	}
 	r := Reading{
 		Kind:   Kind(buf[0]),
@@ -104,8 +104,8 @@ func DecodeReading(buf []byte) (Reading, error) {
 		Millis: int64(binary.BigEndian.Uint64(buf[3:11])),
 		Value:  math.Float64frombits(binary.BigEndian.Uint64(buf[11:19])),
 	}
-	if r.Kind == KindInvalid || r.Kind > KindGlucose {
-		return Reading{}, fmt.Errorf("%w: kind %d", ErrBadReading, buf[0])
+	if r.Kind == kindInvalid || r.Kind > KindGlucose {
+		return Reading{}, fmt.Errorf("%w: kind %d", errBadReading, buf[0])
 	}
 	return r, nil
 }
@@ -120,22 +120,22 @@ type Command struct {
 const (
 	// OpAnalyse asks a defibrillator to run rhythm analysis.
 	OpAnalyse byte = iota + 1
-	// OpShock asks a defibrillator to deliver a shock (arg: joules).
-	OpShock
-	// OpInfuse asks an infusion pump to deliver a dose (arg: units).
-	OpInfuse
-	// OpBeep asks a bedside unit to sound an alert (arg: severity).
-	OpBeep
+	// opShock asks a defibrillator to deliver a shock (arg: joules).
+	opShock
+	// opInfuse asks an infusion pump to deliver a dose (arg: units).
+	opInfuse
+	// opBeep asks a bedside unit to sound an alert (arg: severity).
+	opBeep
 )
 
 // commandLen is the encoded command size: opcode(1) arg(8).
 const commandLen = 1 + 8
 
-// ErrBadCommand reports an undecodable native command.
-var ErrBadCommand = errors.New("sensor: bad command encoding")
+// errBadCommand reports an undecodable native command.
+var errBadCommand = errors.New("sensor: bad command encoding")
 
-// EncodeCommand produces the actuator-native byte encoding.
-func EncodeCommand(c Command) []byte {
+// encodeCommand produces the actuator-native byte encoding.
+func encodeCommand(c Command) []byte {
 	buf := make([]byte, commandLen)
 	buf[0] = c.Opcode
 	binary.BigEndian.PutUint64(buf[1:9], math.Float64bits(c.Arg))
@@ -145,45 +145,45 @@ func EncodeCommand(c Command) []byte {
 // DecodeCommand parses the actuator-native byte encoding.
 func DecodeCommand(buf []byte) (Command, error) {
 	if len(buf) != commandLen {
-		return Command{}, fmt.Errorf("%w: %d bytes", ErrBadCommand, len(buf))
+		return Command{}, fmt.Errorf("%w: %d bytes", errBadCommand, len(buf))
 	}
 	c := Command{
 		Opcode: buf[0],
 		Arg:    math.Float64frombits(binary.BigEndian.Uint64(buf[1:9])),
 	}
-	if c.Opcode == 0 || c.Opcode > OpBeep {
-		return Command{}, fmt.Errorf("%w: opcode %d", ErrBadCommand, buf[0])
+	if c.Opcode == 0 || c.Opcode > opBeep {
+		return Command{}, fmt.Errorf("%w: opcode %d", errBadCommand, buf[0])
 	}
 	return c, nil
 }
 
-// OpcodeForAction maps an action name carried in "actuate" events to a
+// opcodeForAction maps an action name carried in "actuate" events to a
 // native opcode.
-func OpcodeForAction(action string) (byte, bool) {
+func opcodeForAction(action string) (byte, bool) {
 	switch action {
 	case "analyse":
 		return OpAnalyse, true
 	case "shock":
-		return OpShock, true
+		return opShock, true
 	case "infuse":
-		return OpInfuse, true
+		return opInfuse, true
 	case "beep":
-		return OpBeep, true
+		return opBeep, true
 	default:
 		return 0, false
 	}
 }
 
-// ActionForOpcode is the inverse of OpcodeForAction.
+// ActionForOpcode is the inverse of opcodeForAction.
 func ActionForOpcode(op byte) (string, bool) {
 	switch op {
 	case OpAnalyse:
 		return "analyse", true
-	case OpShock:
+	case opShock:
 		return "shock", true
-	case OpInfuse:
+	case opInfuse:
 		return "infuse", true
-	case OpBeep:
+	case opBeep:
 		return "beep", true
 	default:
 		return "", false

@@ -48,8 +48,8 @@ type Sim struct {
 // SimOption configures a Sim.
 type SimOption func(*Sim)
 
-// WithClock overrides the device clock (tests).
-func WithClock(now func() time.Time) SimOption {
+// withClock overrides the device clock (tests).
+func withClock(now func() time.Time) SimOption {
 	return func(s *Sim) { s.clock = now }
 }
 
@@ -115,7 +115,7 @@ func (s *Sim) EmitOnce() error {
 		Kind:   s.kind,
 		Seq:    s.seq,
 		Millis: s.clock().UnixMilli(),
-		Value:  s.wave.Next(),
+		Value:  s.wave.next(),
 	}
 	s.mu.Unlock()
 	var err error
@@ -215,8 +215,8 @@ func (a *ActuatorSim) Actions() []Command {
 	return out
 }
 
-// DecodeErrors reports undecodable commands received.
-func (a *ActuatorSim) DecodeErrors() uint64 {
+// decodeErrors reports undecodable commands received.
+func (a *ActuatorSim) decodeErrors() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.decodeErrs

@@ -12,12 +12,12 @@ import (
 const (
 	AttrKind   = "kind"
 	AttrValue  = "value"
-	AttrUnit   = "unit"
+	attrUnit   = "unit"
 	AttrSeq    = "reading-seq"
-	AttrMillis = "device-millis"
+	attrMillis = "device-millis"
 	AttrTarget = "target"
 	AttrAction = "action"
-	AttrArg    = "arg"
+	attrArg    = "arg"
 )
 
 // Event classes.
@@ -58,11 +58,11 @@ func (d *SensorProxyDevice) DeviceType() string { return d.deviceType }
 
 // TranslateIn implements proxy.Device: native reading bytes → event.
 func (d *SensorProxyDevice) TranslateIn(data []byte) ([]*event.Event, error) {
-	r, err := DecodeReading(data)
+	r, err := decodeReading(data)
 	if err != nil {
 		return nil, err
 	}
-	e := ReadingEvent(d.deviceType, r)
+	e := readingEvent(d.deviceType, r)
 	return []*event.Event{e}, nil
 }
 
@@ -75,15 +75,15 @@ func (d *SensorProxyDevice) TranslateOut(*event.Event) ([]byte, bool, error) {
 // nothing.
 func (d *SensorProxyDevice) InitialSubscriptions() []*event.Filter { return nil }
 
-// ReadingEvent builds the bus event for a native reading.
-func ReadingEvent(deviceType string, r Reading) *event.Event {
+// readingEvent builds the bus event for a native reading.
+func readingEvent(deviceType string, r Reading) *event.Event {
 	e := event.NewTyped(TypeReading).
 		Set(event.AttrDeviceType, event.Str(deviceType)).
 		SetStr(AttrKind, r.Kind.String()).
 		SetFloat(AttrValue, r.Value).
-		SetStr(AttrUnit, r.Kind.Unit()).
+		SetStr(attrUnit, r.Kind.unit()).
 		SetInt(AttrSeq, int64(r.Seq)).
-		SetInt(AttrMillis, r.Millis)
+		SetInt(attrMillis, r.Millis)
 	e.Stamp = time.UnixMilli(r.Millis)
 	return e
 }
@@ -124,12 +124,12 @@ func (d *ActuatorProxyDevice) TranslateOut(e *event.Event) ([]byte, bool, error)
 		return nil, false, fmt.Errorf("sensor: actuate event without action")
 	}
 	action, _ := actionV.Str()
-	op, ok := OpcodeForAction(action)
+	op, ok := opcodeForAction(action)
 	if !ok {
 		return nil, false, fmt.Errorf("sensor: unknown action %q", action)
 	}
 	var arg float64
-	if v, ok := e.Get(AttrArg); ok {
+	if v, ok := e.Get(attrArg); ok {
 		switch v.Type() {
 		case event.TypeFloat:
 			arg, _ = v.Float()
@@ -138,7 +138,7 @@ func (d *ActuatorProxyDevice) TranslateOut(e *event.Event) ([]byte, bool, error)
 			arg = float64(i)
 		}
 	}
-	return EncodeCommand(Command{Opcode: op, Arg: arg}), true, nil
+	return encodeCommand(Command{Opcode: op, Arg: arg}), true, nil
 }
 
 // InitialSubscriptions implements proxy.Device: actuate events for

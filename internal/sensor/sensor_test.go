@@ -20,7 +20,7 @@ func TestReadingRoundTrip(t *testing.T) {
 			value = 0
 		}
 		r := Reading{Kind: kind, Seq: seq, Millis: millis, Value: value}
-		got, err := DecodeReading(EncodeReading(r))
+		got, err := decodeReading(EncodeReading(r))
 		return err == nil && got == r
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
@@ -31,27 +31,27 @@ func TestReadingRoundTrip(t *testing.T) {
 func TestReadingDecodeRejectsBadInput(t *testing.T) {
 	r := Reading{Kind: KindHeartRate, Seq: 1, Millis: 2, Value: 3}
 	buf := EncodeReading(r)
-	if _, err := DecodeReading(buf[:len(buf)-1]); err == nil {
+	if _, err := decodeReading(buf[:len(buf)-1]); err == nil {
 		t.Error("short reading accepted")
 	}
-	if _, err := DecodeReading(append(buf, 0)); err == nil {
+	if _, err := decodeReading(append(buf, 0)); err == nil {
 		t.Error("long reading accepted")
 	}
 	bad := EncodeReading(r)
 	bad[0] = 0
-	if _, err := DecodeReading(bad); err == nil {
+	if _, err := decodeReading(bad); err == nil {
 		t.Error("zero kind accepted")
 	}
 	bad[0] = 200
-	if _, err := DecodeReading(bad); err == nil {
+	if _, err := decodeReading(bad); err == nil {
 		t.Error("out-of-range kind accepted")
 	}
 }
 
 func TestCommandRoundTrip(t *testing.T) {
-	for _, op := range []byte{OpAnalyse, OpShock, OpInfuse, OpBeep} {
+	for _, op := range []byte{OpAnalyse, opShock, opInfuse, opBeep} {
 		c := Command{Opcode: op, Arg: 42.5}
-		got, err := DecodeCommand(EncodeCommand(c))
+		got, err := DecodeCommand(encodeCommand(c))
 		if err != nil || got != c {
 			t.Errorf("op %d roundtrip: %+v %v", op, got, err)
 		}
@@ -59,7 +59,7 @@ func TestCommandRoundTrip(t *testing.T) {
 	if _, err := DecodeCommand([]byte{1}); err == nil {
 		t.Error("short command accepted")
 	}
-	bad := EncodeCommand(Command{Opcode: OpBeep})
+	bad := encodeCommand(Command{Opcode: opBeep})
 	bad[0] = 0
 	if _, err := DecodeCommand(bad); err == nil {
 		t.Error("zero opcode accepted")
@@ -68,7 +68,7 @@ func TestCommandRoundTrip(t *testing.T) {
 
 func TestOpcodeActionMapping(t *testing.T) {
 	for _, action := range []string{"analyse", "shock", "infuse", "beep"} {
-		op, ok := OpcodeForAction(action)
+		op, ok := opcodeForAction(action)
 		if !ok {
 			t.Fatalf("no opcode for %q", action)
 		}
@@ -77,7 +77,7 @@ func TestOpcodeActionMapping(t *testing.T) {
 			t.Errorf("roundtrip %q -> %d -> %q", action, op, back)
 		}
 	}
-	if _, ok := OpcodeForAction("explode"); ok {
+	if _, ok := opcodeForAction("explode"); ok {
 		t.Error("unknown action mapped")
 	}
 	if _, ok := ActionForOpcode(0); ok {
@@ -93,11 +93,11 @@ func TestKindStringsAndUnits(t *testing.T) {
 			t.Errorf("kind %d renders %q", k, k)
 		}
 		seen[k.String()] = true
-		if k.Unit() == "" {
+		if k.unit() == "" {
 			t.Errorf("kind %s has no unit", k)
 		}
 	}
-	if KindInvalid.String() != "invalid" || KindInvalid.Unit() != "" {
+	if kindInvalid.String() != "invalid" || kindInvalid.unit() != "" {
 		t.Error("invalid kind rendering")
 	}
 }
@@ -106,7 +106,7 @@ func TestWaveformDeterminism(t *testing.T) {
 	a := HeartRateWaveform(7)
 	b := HeartRateWaveform(7)
 	for i := 0; i < 500; i++ {
-		if av, bv := a.Next(), b.Next(); av != bv {
+		if av, bv := a.next(), b.next(); av != bv {
 			t.Fatalf("sample %d diverges: %v vs %v", i, av, bv)
 		}
 	}
@@ -114,7 +114,7 @@ func TestWaveformDeterminism(t *testing.T) {
 	same := true
 	a2 := HeartRateWaveform(7)
 	for i := 0; i < 50; i++ {
-		if a2.Next() != c.Next() {
+		if a2.next() != c.next() {
 			same = false
 		}
 	}
@@ -138,7 +138,7 @@ func TestWaveformStaysInPhysiologicalRange(t *testing.T) {
 	for _, c := range cases {
 		w := WaveformFor(c.kind, 3)
 		for i := 0; i < 2000; i++ {
-			v := w.Next()
+			v := w.next()
 			if v < c.min || v > c.max {
 				t.Fatalf("%s sample %d = %v outside [%v, %v]", c.kind, i, v, c.min, c.max)
 			}
@@ -147,19 +147,19 @@ func TestWaveformStaysInPhysiologicalRange(t *testing.T) {
 }
 
 func TestWaveformEpisodeShiftsBaseline(t *testing.T) {
-	w := NewWaveform(70, 1, WithEpisode(10, 5, 100))
+	w := newWaveform(70, 1, WithEpisode(10, 5, 100))
 	var before, during float64
 	for i := 0; i < 10; i++ {
-		before += w.Next()
+		before += w.next()
 	}
 	for i := 0; i < 5; i++ {
-		during += w.Next()
+		during += w.next()
 	}
 	if during/5 < before/10+50 {
 		t.Errorf("episode not visible: before avg %.1f, during avg %.1f", before/10, during/5)
 	}
-	if w.Tick() != 15 {
-		t.Errorf("tick = %d", w.Tick())
+	if w.tick != 15 {
+		t.Errorf("tick = %d", w.tick)
 	}
 }
 
@@ -180,9 +180,9 @@ func TestSensorProxyDeviceTranslateIn(t *testing.T) {
 	checks := map[string]event.Value{
 		AttrKind:   event.Str("heart-rate"),
 		AttrValue:  event.Float(88.5),
-		AttrUnit:   event.Str("bpm"),
+		attrUnit:   event.Str("bpm"),
 		AttrSeq:    event.Int(3),
-		AttrMillis: event.Int(1718000000123),
+		attrMillis: event.Int(1718000000123),
 	}
 	for name, want := range checks {
 		if v, ok := e.Get(name); !ok || !v.Equal(want) {
@@ -212,17 +212,17 @@ func TestActuatorProxyDevice(t *testing.T) {
 		t.Error("initial subscription targets wrong events")
 	}
 
-	data, ok, err := d.TranslateOut(mine.Clone().SetFloat(AttrArg, 150))
+	data, ok, err := d.TranslateOut(mine.Clone().SetFloat(attrArg, 150))
 	if err != nil || !ok {
 		t.Fatalf("translate out: %v %v", ok, err)
 	}
 	cmd, err := DecodeCommand(data)
-	if err != nil || cmd.Opcode != OpShock || cmd.Arg != 150 {
+	if err != nil || cmd.Opcode != opShock || cmd.Arg != 150 {
 		t.Errorf("cmd = %+v %v", cmd, err)
 	}
 
 	// Int args work too.
-	data, ok, err = d.TranslateOut(mine.Clone().SetInt(AttrArg, 200))
+	data, ok, err = d.TranslateOut(mine.Clone().SetInt(attrArg, 200))
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSimEmitsReadings(t *testing.T) {
 	pub := &chanPublisher{}
 	fixed := time.UnixMilli(1718000000000)
 	s := NewSim(KindTemperature, TemperatureWaveform(1), 10*time.Millisecond, pub,
-		WithClock(func() time.Time { return fixed }))
+		withClock(func() time.Time { return fixed }))
 
 	for i := 0; i < 3; i++ {
 		if err := s.EmitOnce(); err != nil {
@@ -291,7 +291,7 @@ func TestSimEmitsReadings(t *testing.T) {
 		t.Fatalf("published %d", pub.count())
 	}
 	for i, buf := range pub.data {
-		r, err := DecodeReading(buf)
+		r, err := decodeReading(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,22 +324,22 @@ func TestActuatorSimRecordsCommands(t *testing.T) {
 	a := NewActuatorSim("defib-1")
 	data := make(chan []byte, 4)
 	a.Start(data)
-	data <- EncodeCommand(Command{Opcode: OpAnalyse, Arg: 0})
-	data <- EncodeCommand(Command{Opcode: OpShock, Arg: 120})
+	data <- encodeCommand(Command{Opcode: OpAnalyse, Arg: 0})
+	data <- encodeCommand(Command{Opcode: opShock, Arg: 120})
 	data <- []byte("garbage")
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(a.Actions()) == 2 && a.DecodeErrors() == 1 {
+		if len(a.Actions()) == 2 && a.decodeErrors() == 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	a.Stop()
 	acts := a.Actions()
-	if len(acts) != 2 || acts[0].Opcode != OpAnalyse || acts[1].Opcode != OpShock {
+	if len(acts) != 2 || acts[0].Opcode != OpAnalyse || acts[1].Opcode != opShock {
 		t.Errorf("actions = %+v", acts)
 	}
-	if a.DecodeErrors() != 1 {
-		t.Errorf("decode errors = %d", a.DecodeErrors())
+	if a.decodeErrors() != 1 {
+		t.Errorf("decode errors = %d", a.decodeErrors())
 	}
 }

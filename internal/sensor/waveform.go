@@ -30,8 +30,8 @@ type episode struct {
 // WaveformOption configures a Waveform.
 type WaveformOption func(*Waveform)
 
-// WithDrift sets the slow-drift amplitude and period (in samples).
-func WithDrift(amplitude float64, periodSamples float64) WaveformOption {
+// withDrift sets the slow-drift amplitude and period (in samples).
+func withDrift(amplitude float64, periodSamples float64) WaveformOption {
 	return func(w *Waveform) {
 		w.drift = amplitude
 		if periodSamples > 0 {
@@ -40,13 +40,13 @@ func WithDrift(amplitude float64, periodSamples float64) WaveformOption {
 	}
 }
 
-// WithNoise sets the uniform noise half-width.
-func WithNoise(halfWidth float64) WaveformOption {
+// withNoise sets the uniform noise half-width.
+func withNoise(halfWidth float64) WaveformOption {
 	return func(w *Waveform) { w.noise = halfWidth }
 }
 
-// WithClamp bounds generated samples.
-func WithClamp(min, max float64) WaveformOption {
+// withClamp bounds generated samples.
+func withClamp(min, max float64) WaveformOption {
 	return func(w *Waveform) { w.min, w.max = min, max }
 }
 
@@ -60,8 +60,8 @@ func WithEpisode(start, duration int, delta float64) WaveformOption {
 	}
 }
 
-// NewWaveform builds a generator with the given baseline and seed.
-func NewWaveform(baseline float64, seed int64, opts ...WaveformOption) *Waveform {
+// newWaveform builds a generator with the given baseline and seed.
+func newWaveform(baseline float64, seed int64, opts ...WaveformOption) *Waveform {
 	w := &Waveform{
 		baseline: baseline,
 		period:   240,
@@ -75,8 +75,8 @@ func NewWaveform(baseline float64, seed int64, opts ...WaveformOption) *Waveform
 	return w
 }
 
-// Next produces the next sample.
-func (w *Waveform) Next() float64 {
+// next produces the next sample.
+func (w *Waveform) next() float64 {
 	v := w.baseline
 	if w.drift != 0 {
 		v += w.drift * math.Sin(2*math.Pi*float64(w.tick)/w.period)
@@ -93,70 +93,67 @@ func (w *Waveform) Next() float64 {
 	return math.Min(w.max, math.Max(w.min, v))
 }
 
-// Tick reports how many samples have been generated.
-func (w *Waveform) Tick() int { return w.tick }
-
 // Standard physiological generators. The seeds keep multiple sensors
 // decorrelated while staying reproducible.
 
 // HeartRateWaveform models a resting adult heart rate (~72 bpm).
 func HeartRateWaveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(6, 300),
-		WithNoise(2.5),
-		WithClamp(30, 230),
+		withDrift(6, 300),
+		withNoise(2.5),
+		withClamp(30, 230),
 	}
-	return NewWaveform(72, seed, append(base, opts...)...)
+	return newWaveform(72, seed, append(base, opts...)...)
 }
 
 // SpO2Waveform models oxygen saturation (~97 %).
 func SpO2Waveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(0.8, 500),
-		WithNoise(0.4),
-		WithClamp(70, 100),
+		withDrift(0.8, 500),
+		withNoise(0.4),
+		withClamp(70, 100),
 	}
-	return NewWaveform(97.2, seed, append(base, opts...)...)
+	return newWaveform(97.2, seed, append(base, opts...)...)
 }
 
 // TemperatureWaveform models core body temperature (~36.9 °C).
 func TemperatureWaveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(0.3, 2000),
-		WithNoise(0.05),
-		WithClamp(33, 43),
+		withDrift(0.3, 2000),
+		withNoise(0.05),
+		withClamp(33, 43),
 	}
-	return NewWaveform(36.9, seed, append(base, opts...)...)
+	return newWaveform(36.9, seed, append(base, opts...)...)
 }
 
 // BPSystolicWaveform models systolic pressure (~118 mmHg).
 func BPSystolicWaveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(7, 400),
-		WithNoise(3),
-		WithClamp(60, 260),
+		withDrift(7, 400),
+		withNoise(3),
+		withClamp(60, 260),
 	}
-	return NewWaveform(118, seed, append(base, opts...)...)
+	return newWaveform(118, seed, append(base, opts...)...)
 }
 
-// BPDiastolicWaveform models diastolic pressure (~76 mmHg).
-func BPDiastolicWaveform(seed int64, opts ...WaveformOption) *Waveform {
+// bpDiastolicWaveform models diastolic pressure (~76 mmHg).
+func bpDiastolicWaveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(4, 400),
-		WithNoise(2),
-		WithClamp(40, 160),
+		withDrift(4, 400),
+		withNoise(2),
+		withClamp(40, 160),
 	}
-	return NewWaveform(76, seed, append(base, opts...)...)
+	return newWaveform(76, seed, append(base, opts...)...)
 }
 
-// GlucoseWaveform models blood glucose (~5.4 mmol/L).
-func GlucoseWaveform(seed int64, opts ...WaveformOption) *Waveform {
+// glucoseWaveform models blood glucose (~5.4 mmol/L).
+func glucoseWaveform(seed int64, opts ...WaveformOption) *Waveform {
 	base := []WaveformOption{
-		WithDrift(0.9, 900),
-		WithNoise(0.15),
-		WithClamp(1.5, 30),
+		withDrift(0.9, 900),
+		withNoise(0.15),
+		withClamp(1.5, 30),
 	}
-	return NewWaveform(5.4, seed, append(base, opts...)...)
+	return newWaveform(5.4, seed, append(base, opts...)...)
 }
 
 // WaveformFor returns the standard generator for a sensor kind.
@@ -171,10 +168,10 @@ func WaveformFor(kind Kind, seed int64, opts ...WaveformOption) *Waveform {
 	case KindBPSystolic:
 		return BPSystolicWaveform(seed, opts...)
 	case KindBPDiastolic:
-		return BPDiastolicWaveform(seed, opts...)
+		return bpDiastolicWaveform(seed, opts...)
 	case KindGlucose:
-		return GlucoseWaveform(seed, opts...)
+		return glucoseWaveform(seed, opts...)
 	default:
-		return NewWaveform(0, seed, opts...)
+		return newWaveform(0, seed, opts...)
 	}
 }

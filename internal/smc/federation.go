@@ -157,7 +157,7 @@ func Federate(home *Cell, remoteTr transport.Transport, cfg FederateConfig) (*Fe
 		done:     make(chan struct{}),
 	}
 	l.ctx, l.cancel = context.WithCancel(context.Background())
-	if dir := home.DurableDir(); dir != "" {
+	if dir := home.durableDir; dir != "" {
 		l.cursorPath = fedCursorPath(dir, l.consumer)
 		if epoch, cursor, ok := readFedCursor(l.cursorPath); ok {
 			l.resumeEpoch.Store(epoch)

@@ -114,7 +114,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 	}
 
 	reg := bootstrap.NewRegistry()
-	RegisterStandardDevices(reg)
+	registerStandardDevices(reg)
 
 	var busOpts []bus.Option
 	if cfg.Batch != (BatchConfig{}) {
@@ -162,7 +162,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		Grace:          cfg.Grace,
 		// Management plane: any endpoint may query the cell's health
 		// and leak counters (smctap -stats, the chaos harness).
-		StatsProvider: c.StatsReport,
+		StatsProvider: c.statsReport,
 	})
 	if err != nil {
 		_ = b.Close()
@@ -230,10 +230,10 @@ func (c *Cell) LeakCheck() (acquired, recycled uint64, clean bool) {
 	return acquired, recycled, acquired == recycled
 }
 
-// StatsReport composes the management-plane snapshot answered to
+// statsReport composes the management-plane snapshot answered to
 // PktStatsRequest queries: every layer's Stats under its layer name,
 // and one row per member proxy, durable consumer and federation link.
-func (c *Cell) StatsReport() wire.CellStats {
+func (c *Cell) statsReport() wire.CellStats {
 	st := wire.CellStats{Cell: c.cellName}
 	bs, ds := c.ChannelStats()
 	st.Add("bus", c.Bus.Stats())
@@ -283,11 +283,6 @@ func QueryStats(ch *reliable.Channel, disc ident.ID, timeout time.Duration) (wir
 		return st, err
 	}
 }
-
-// DurableDir is the cell's durable-store directory ("" when the cell
-// has no disk-backed log). Federation links keep their resume cursor
-// files here.
-func (c *Cell) DurableDir() string { return c.durableDir }
 
 func (c *Cell) registerFederation(l *FederationLink) {
 	c.fedMu.Lock()
@@ -490,11 +485,11 @@ func (d *Device) Probe() error {
 	return d.ch.Send(d.Join.Discovery, wire.PktHeartbeat, nil)
 }
 
-// RegisterStandardDevices installs proxy factories for the synthetic
+// registerStandardDevices installs proxy factories for the synthetic
 // medical device types: sensors get the translating sensor proxy,
 // actuators get the command-translating actuator proxy subscribed on
 // the device's behalf.
-func RegisterStandardDevices(reg *bootstrap.Registry) {
+func registerStandardDevices(reg *bootstrap.Registry) {
 	sensorTypes := []string{
 		sensor.DeviceTypeHeartRate,
 		sensor.DeviceTypeSpO2,

@@ -52,9 +52,6 @@ import (
 // per sender within a sliding window of Config.DedupWindow appends.
 const AttrDedup = "_dedup"
 
-// ErrClosed reports use of a closed log.
-var ErrClosed = errors.New("store: closed")
-
 // Config tunes the log.
 type Config struct {
 	// Dir, when non-empty, persists segments to disk: each sealed
@@ -440,13 +437,6 @@ func (l *Log) evictLocked(seg *Segment) {
 	seg.release()
 }
 
-// OldestCursor returns the first retained cursor (0 when empty).
-func (l *Log) OldestCursor() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.oldestLocked()
-}
-
 func (l *Log) oldestLocked() uint64 {
 	for _, seg := range l.segs {
 		if len(seg.recs) > 0 {
@@ -454,13 +444,6 @@ func (l *Log) oldestLocked() uint64 {
 		}
 	}
 	return 0
-}
-
-// NewestCursor returns the last assigned cursor (0 before any append).
-func (l *Log) NewestCursor() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
 }
 
 // Record is one retained log record. Payload aliases the segment
@@ -631,9 +614,6 @@ type Segment struct {
 	mu   sync.Mutex
 	refs int32
 }
-
-// Retain adds a reader reference (for handoff to an event's backing).
-func (s *Segment) Retain() *Segment { s.retain(); return s }
 
 // Release implements event.Backing.
 func (s *Segment) Release() { s.release() }

@@ -58,7 +58,7 @@ func TestAppendNextRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: cursor=%d dup=%v", i, cur, dup)
 		}
 	}
-	if oc, nc := l.OldestCursor(), l.NewestCursor(); oc != 1 || nc != n {
+	if oc, nc := l.Stats().OldestCursor, l.Stats().NewestCursor; oc != 1 || nc != n {
 		t.Fatalf("cursor range [%d,%d], want [1,%d]", oc, nc, n)
 	}
 	got := drainAll(t, l)
@@ -91,7 +91,7 @@ func TestNextSkipsForwardAfterEviction(t *testing.T) {
 	for i := uint64(1); i <= 64; i++ {
 		l.Append(mkEvent(i, "evict"), 0, false)
 	}
-	oldest := l.OldestCursor()
+	oldest := l.Stats().OldestCursor
 	if oldest <= 1 {
 		t.Fatalf("nothing evicted (oldest=%d)", oldest)
 	}
@@ -182,7 +182,7 @@ func TestRetentionMaxAge(t *testing.T) {
 	if st.Evicted == 0 {
 		t.Fatal("MaxAge never evicted")
 	}
-	if l.OldestCursor() <= 1 {
+	if l.Stats().OldestCursor <= 1 {
 		t.Fatal("oldest cursor did not advance")
 	}
 }
@@ -223,7 +223,7 @@ func TestSegmentLeakBalance(t *testing.T) {
 	// Hold reader references across eviction and Close: the buffers
 	// must not recycle under the reader.
 	var held []Record
-	from := l.OldestCursor() - 1
+	from := l.Stats().OldestCursor - 1
 	for len(held) < 3 {
 		rec, ok := l.Next(from + 1)
 		if !ok {

@@ -14,17 +14,14 @@ import (
 // UDPTransport is the prototype transport of §IV: datagram sockets,
 // with the service ID derived from the unicast socket's address and
 // port. The OS chooses the port (the prototype "is not hardwired to use
-// a specific port for unicast traffic"); broadcast traffic goes to an
-// arbitrarily chosen port number known by all services.
+// a specific port for unicast traffic"). A send to the broadcast ID
+// reaches no one: over UDP a device joins by the discovery service's
+// ID, not by hearing its beacon.
 type UDPTransport struct {
 	id   ident.ID
 	conn *net.UDPConn
 
-	// bcast lists destinations used for the broadcast ID. On a real
-	// wireless segment this would be the subnet broadcast address;
-	// for loopback testing it is the set of peer broadcast listeners.
 	mu     sync.RWMutex
-	bcast  []*net.UDPAddr
 	hook   DeliveryHook
 	closed bool
 
@@ -43,12 +40,6 @@ type UDPOption func(*udpConfig)
 type udpConfig struct {
 	listenIP net.IP
 	port     int
-}
-
-// WithPort pins the local port (default 0: OS chooses, as in the
-// prototype's unicast socket).
-func WithPort(port int) UDPOption {
-	return func(c *udpConfig) { c.port = port }
 }
 
 // WithAddr binds the transport to a "host:port" string, the shape the
@@ -109,13 +100,6 @@ func (t *UDPTransport) SetSendHook(h DeliveryHook) {
 	t.hook = h
 }
 
-// AddBroadcastPeer registers an address reached by broadcast sends.
-func (t *UDPTransport) AddBroadcastPeer(addr *net.UDPAddr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bcast = append(t.bcast, addr)
-}
-
 // LocalAddr exposes the bound UDP address.
 func (t *UDPTransport) LocalAddr() *net.UDPAddr {
 	addr, _ := t.conn.LocalAddr().(*net.UDPAddr)
@@ -154,13 +138,15 @@ func (t *UDPTransport) Send(dst ident.ID, data []byte) error {
 	}
 	t.mu.RLock()
 	closed := t.closed
-	bcast := t.bcast
 	hook := t.hook
 	t.mu.RUnlock()
 	if closed {
 		return ErrClosed
 	}
-	if hook != nil && !dst.IsBroadcast() {
+	if dst.IsBroadcast() {
+		return nil
+	}
+	if hook != nil {
 		drop, delay := hook(t.id, dst, data)
 		if drop {
 			return nil
@@ -176,15 +162,6 @@ func (t *UDPTransport) Send(dst ident.ID, data []byte) error {
 			})
 			return nil
 		}
-	}
-	if dst.IsBroadcast() {
-		var firstErr error
-		for _, addr := range bcast {
-			if _, err := t.conn.WriteToUDP(data, addr); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
 	}
 	ip, port := dst.Addr()
 	_, err := t.conn.WriteToUDP(data, &net.UDPAddr{IP: ip, Port: port})

@@ -65,26 +65,6 @@ func TestUDPUnicastRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUDPBroadcastPeers(t *testing.T) {
-	a := newUDP(t)
-	b := newUDP(t)
-	c := newUDP(t)
-	a.AddBroadcastPeer(b.LocalAddr())
-	a.AddBroadcastPeer(c.LocalAddr())
-	if err := a.Send(ident.Broadcast, []byte("beacon")); err != nil {
-		t.Fatalf("broadcast: %v", err)
-	}
-	for _, ep := range []*UDPTransport{b, c} {
-		dg, err := ep.RecvTimeout(2 * time.Second)
-		if err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-		if string(dg.Data) != "beacon" {
-			t.Errorf("payload = %q", dg.Data)
-		}
-	}
-}
-
 func TestUDPOversizedDatagramRejected(t *testing.T) {
 	a := newUDP(t)
 	err := a.Send(ident.New(1), make([]byte, MaxUDPDatagram+1))
@@ -125,7 +105,11 @@ func TestUDPCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestUDPPinnedPort(t *testing.T) {
-	tr, err := NewUDPTransport(WithPort(0)) // OS-chosen, as the prototype
+	opt, err := WithAddr("127.0.0.1:0") // OS-chosen, as the prototype
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewUDPTransport(opt)
 	if err != nil {
 		t.Skipf("UDP unavailable: %v", err)
 	}

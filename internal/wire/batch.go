@@ -49,10 +49,10 @@ const BatchHeaderLen = 10
 const batchFlagHasAck byte = 1 << 0
 
 var (
-	// ErrNotBatch reports a payload too short to hold a batch prologue.
-	ErrNotBatch = errors.New("wire: not a batch payload")
-	// ErrBatchFrame reports a structurally invalid batch frame.
-	ErrBatchFrame = errors.New("wire: bad batch frame")
+	// errNotBatch reports a payload too short to hold a batch prologue.
+	errNotBatch = errors.New("wire: not a batch payload")
+	// errBatchFrame reports a structurally invalid batch frame.
+	errBatchFrame = errors.New("wire: bad batch frame")
 )
 
 // AppendBatchHeader appends an empty batch prologue (no ack) to dst.
@@ -88,16 +88,12 @@ func BatchFrameSize(n int) int {
 	return sz + n
 }
 
-// SetBatchAck stores a piggybacked cumulative ack into a batch
-// payload's prologue before the packet is marshalled.
-func SetBatchAck(payload []byte, epoch byte, cum uint64) error {
-	if len(payload) < BatchHeaderLen {
-		return ErrNotBatch
-	}
+// setBatchAck stores a piggybacked cumulative ack into the prologue of
+// a batch payload of at least BatchHeaderLen bytes.
+func setBatchAck(payload []byte, epoch byte, cum uint64) {
 	payload[0] |= batchFlagHasAck
 	payload[1] = epoch
 	binary.BigEndian.PutUint64(payload[2:10], cum)
-	return nil
 }
 
 // BatchAck extracts the piggybacked ack from a batch payload; ok is
@@ -116,7 +112,7 @@ func BatchAck(payload []byte) (epoch byte, cum uint64, ok bool) {
 // time and therefore differs between attempts.
 func BatchFrames(payload []byte) ([]byte, error) {
 	if len(payload) < BatchHeaderLen {
-		return nil, ErrNotBatch
+		return nil, errNotBatch
 	}
 	return payload[BatchHeaderLen:], nil
 }
@@ -127,15 +123,12 @@ func BatchFrames(payload []byte) ([]byte, error) {
 // ack onto a queued batch at transmit time without re-encoding it.
 func PatchBatchAck(buf []byte, epoch byte, cum uint64) error {
 	if len(buf) < HeaderLen+BatchHeaderLen+TrailerLen {
-		return fmt.Errorf("%w: %d bytes", ErrShortPacket, len(buf))
+		return fmt.Errorf("%w: %d bytes", errShortPacket, len(buf))
 	}
 	if buf[4]&FlagBatch == 0 {
-		return ErrNotBatch
+		return errNotBatch
 	}
-	p := buf[HeaderLen:]
-	p[0] |= batchFlagHasAck
-	p[1] = epoch
-	binary.BigEndian.PutUint64(p[2:10], cum)
+	setBatchAck(buf[HeaderLen:], epoch, cum)
 	body := buf[: len(buf)-TrailerLen : len(buf)]
 	binary.BigEndian.PutUint32(buf[len(buf)-TrailerLen:], crc32.ChecksumIEEE(body))
 	return nil
@@ -166,7 +159,7 @@ func PacketFrames(pkt *Packet) (BatchReader, error) {
 // the first frame.
 func NewBatchReader(payload []byte) (BatchReader, error) {
 	if len(payload) < BatchHeaderLen {
-		return BatchReader{}, ErrNotBatch
+		return BatchReader{}, errNotBatch
 	}
 	return BatchReader{buf: payload, off: BatchHeaderLen}, nil
 }
@@ -176,7 +169,7 @@ func (r *BatchReader) More() bool { return r.lone || r.off < len(r.buf) }
 
 // Next returns the next frame's bytes (aliasing the payload). A frame
 // length that overruns the payload, a zero-length frame, or a frame
-// too short to hold an event header is ErrBatchFrame: oversize and
+// too short to hold an event header is errBatchFrame: oversize and
 // truncated frames fail O(1) here, before any event decode runs.
 func (r *BatchReader) Next() ([]byte, error) {
 	if r.lone {
@@ -185,17 +178,17 @@ func (r *BatchReader) Next() ([]byte, error) {
 	}
 	n, sz := binary.Uvarint(r.buf[r.off:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad frame length prefix", ErrBatchFrame)
+		return nil, fmt.Errorf("%w: bad frame length prefix", errBatchFrame)
 	}
 	r.off += sz
 	rem := len(r.buf) - r.off
 	if n > uint64(rem) {
-		return nil, fmt.Errorf("%w: frame of %d bytes with %d remaining", ErrBatchFrame, n, rem)
+		return nil, fmt.Errorf("%w: frame of %d bytes with %d remaining", errBatchFrame, n, rem)
 	}
 	// 26 bytes is the fixed event header (sender, seq, stamp, count);
 	// nothing shorter can be a valid frame.
 	if n < 26 {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrBatchFrame, n)
+		return nil, fmt.Errorf("%w: frame of %d bytes", errBatchFrame, n)
 	}
 	f := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
@@ -233,7 +226,7 @@ func (r *BatchReader) NextDurable() (cursor uint64, frame []byte, err error) {
 // the caller must keep pkt alive for as long as the event is used.
 func DecodeBatchFrameInto(e *event.Event, frame []byte, pkt *Packet) error {
 	if e.Len() != 0 {
-		return ErrDecodeTarget
+		return errDecodeTarget
 	}
 	borrowed, err := decodeEvent(e, frame, true)
 	if err != nil {
@@ -242,7 +235,7 @@ func DecodeBatchFrameInto(e *event.Event, frame []byte, pkt *Packet) error {
 	}
 	if borrowed {
 		if e.Pooled() && pkt != nil && pkt.pool != nil {
-			pkt.Retain()
+			pkt.retain()
 			e.Borrow(pkt)
 		} else {
 			e.Borrow(nil)

@@ -60,9 +60,7 @@ func TestBatchRoundTripBorrowed(t *testing.T) {
 		events[i] = randomEvent(rng)
 	}
 	payload := buildBatch(events...)
-	if err := SetBatchAck(payload, 3, 41); err != nil {
-		t.Fatal(err)
-	}
+	setBatchAck(payload, 3, 41)
 	pkt := &Packet{Type: PktEvent, Flags: FlagBatch, Sender: ident.New(9), Seq: 1, Payload: payload}
 	buf, err := pkt.MarshalBytes()
 	if err != nil {
@@ -133,7 +131,7 @@ func TestPatchBatchAck(t *testing.T) {
 	if err := PatchBatchAck(buf, 7, 12345); err != nil {
 		t.Fatal(err)
 	}
-	in, err := Unmarshal(buf)
+	in, err := unmarshal(buf)
 	if err != nil {
 		t.Fatalf("patched packet fails CRC: %v", err)
 	}
@@ -232,15 +230,15 @@ func TestPacketFrames(t *testing.T) {
 		{name: "batch in order", flags: FlagBatch, payload: frames(a, b, c), want: [][]byte{a, b, c}},
 		{name: "batch of one", flags: FlagBatch | FlagRetransmit, payload: frames(c), want: [][]byte{c}},
 		{name: "empty batch", flags: FlagBatch, payload: frames(), want: nil},
-		{name: "short prologue", flags: FlagBatch, payload: make([]byte, BatchHeaderLen-1), openErr: ErrNotBatch},
+		{name: "short prologue", flags: FlagBatch, payload: make([]byte, BatchHeaderLen-1), openErr: errNotBatch},
 		{name: "corrupt prefix after a good frame", flags: FlagBatch,
 			payload: append(frames(a), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80),
-			want:    [][]byte{a}, nextErr: ErrBatchFrame},
+			want:    [][]byte{a}, nextErr: errBatchFrame},
 		{name: "frame overruns the payload", flags: FlagBatch,
 			payload: append(appendUvarint(frames(a, b), 1<<20), make([]byte, 64)...),
-			want:    [][]byte{a, b}, nextErr: ErrBatchFrame},
+			want:    [][]byte{a, b}, nextErr: errBatchFrame},
 		{name: "frame too short for an event", flags: FlagBatch,
-			payload: append(appendUvarint(AppendBatchHeader(nil), 4), 1, 2, 3, 4), nextErr: ErrBatchFrame},
+			payload: append(appendUvarint(AppendBatchHeader(nil), 4), 1, 2, 3, 4), nextErr: errBatchFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := PacketFrames(&Packet{Type: PktEvent, Flags: tc.flags, Payload: tc.payload})
@@ -310,7 +308,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		payload := buildBatch(events...)
 		if n%2 == 0 {
-			_ = SetBatchAck(payload, byte(n), uint64(n)*100)
+			setBatchAck(payload, byte(n), uint64(n)*100)
 		}
 		f.Add(payload)
 	}

@@ -163,7 +163,7 @@ func TestDecodeEventIntoTargetNotEmpty(t *testing.T) {
 	}
 	defer pkt.Release()
 	e := event.New().SetInt("already", 1)
-	if err := DecodeEventInto(e, pkt); !errors.Is(err, ErrDecodeTarget) {
+	if err := DecodeEventInto(e, pkt); !errors.Is(err, errDecodeTarget) {
 		t.Fatalf("got %v, want ErrDecodeTarget", err)
 	}
 }
@@ -205,7 +205,7 @@ func TestDecodeEventTruncatedCountFailsFast(t *testing.T) {
 	// 8+8+8 header bytes then count=MaxAttrs and nothing else.
 	payload := make([]byte, 26)
 	payload[24], payload[25] = 0, event.MaxAttrs
-	if _, err := DecodeEvent(payload); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeEvent(payload); !errors.Is(err, errTruncated) {
 		t.Fatalf("got %v, want ErrTruncated", err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

@@ -41,7 +41,7 @@ func DecodeBeacon(buf []byte) (Beacon, error) {
 		return Beacon{}, err
 	}
 	if r.remaining() != 0 {
-		return Beacon{}, fmt.Errorf("%w: beacon trailing bytes", ErrBadEncoding)
+		return Beacon{}, fmt.Errorf("%w: beacon trailing bytes", errBadEncoding)
 	}
 	return Beacon{Cell: cell, Epoch: uint32(epoch)}, nil
 }
@@ -80,7 +80,7 @@ func DecodeJoinRequest(buf []byte) (JoinRequest, error) {
 		return JoinRequest{}, err
 	}
 	if r.remaining() != 0 {
-		return JoinRequest{}, fmt.Errorf("%w: join-request trailing bytes", ErrBadEncoding)
+		return JoinRequest{}, fmt.Errorf("%w: join-request trailing bytes", errBadEncoding)
 	}
 	cp := make([]byte, len(auth))
 	copy(cp, auth)
@@ -132,7 +132,7 @@ func DecodeJoinAccept(buf []byte) (JoinAccept, error) {
 		return JoinAccept{}, err
 	}
 	if r.remaining() != 0 {
-		return JoinAccept{}, fmt.Errorf("%w: join-accept trailing bytes", ErrBadEncoding)
+		return JoinAccept{}, fmt.Errorf("%w: join-accept trailing bytes", errBadEncoding)
 	}
 	return JoinAccept{
 		Cell:        cell,
@@ -160,7 +160,7 @@ func DecodeJoinReject(buf []byte) (JoinReject, error) {
 		return JoinReject{}, err
 	}
 	if r.remaining() != 0 {
-		return JoinReject{}, fmt.Errorf("%w: join-reject trailing bytes", ErrBadEncoding)
+		return JoinReject{}, fmt.Errorf("%w: join-reject trailing bytes", errBadEncoding)
 	}
 	return JoinReject{Reason: reason}, nil
 }

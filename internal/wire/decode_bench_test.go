@@ -85,14 +85,14 @@ func decodeShapes() (interned, borrowed *event.Event) {
 	interned.SetFloat("value", 72.5)
 	interned.SetInt("seq", 12345)
 
-	// Names and string value longer than event.MaxNameLen: LookupIntern
+	// Names and string value longer than the event name limit: LookupIntern
 	// never counts them, so the intern table cannot learn them mid-run
 	// and every iteration measures the true borrow-alias path. (The
 	// event violates Validate's name limit, but this benchmark only
 	// exercises the decoder, which — like the seed's — does not enforce
 	// it.)
 	longName := func(prefix string) string {
-		return prefix + strings.Repeat("x", event.MaxNameLen)
+		return prefix + strings.Repeat("x", 255) // the limit
 	}
 	borrowed = event.New()
 	borrowed.Sender = ident.New(0x52)

@@ -47,7 +47,7 @@ func DecodeDurableResume(buf []byte) (DurableResume, error) {
 		return DurableResume{}, err
 	}
 	if r.remaining() != 0 {
-		return DurableResume{}, fmt.Errorf("%w: durable-resume trailing bytes", ErrBadEncoding)
+		return DurableResume{}, fmt.Errorf("%w: durable-resume trailing bytes", errBadEncoding)
 	}
 	return DurableResume{Name: name, Epoch: epoch, Cursor: cursor}, nil
 }
@@ -78,19 +78,19 @@ func DecodeDurableAck(buf []byte) (DurableAck, error) {
 		return DurableAck{}, err
 	}
 	if r.remaining() != 0 {
-		return DurableAck{}, fmt.Errorf("%w: durable-ack trailing bytes", ErrBadEncoding)
+		return DurableAck{}, fmt.Errorf("%w: durable-ack trailing bytes", errBadEncoding)
 	}
 	return DurableAck{Epoch: epoch, From: from}, nil
 }
 
-// DurableCursorLen is the fixed cursor prefix of a PktEventDurable
+// durableCursorLen is the fixed cursor prefix of a PktEventDurable
 // payload.
-const DurableCursorLen = 8
+const durableCursorLen = 8
 
 // AppendDurableEvent frames one durable delivery: cursor prefix, then
 // the frozen single-event encoding.
 func AppendDurableEvent(dst []byte, cursor uint64, e *event.Event) []byte {
-	var tmp [DurableCursorLen]byte
+	var tmp [durableCursorLen]byte
 	binary.BigEndian.PutUint64(tmp[:], cursor)
 	dst = append(dst, tmp[:]...)
 	return AppendEvent(dst, e)
@@ -100,10 +100,10 @@ func AppendDurableEvent(dst []byte, cursor uint64, e *event.Event) []byte {
 // and the inner event encoding (which decodes with the standard event
 // decoders, e.g. DecodeBatchFrameInto against the carrying packet).
 func SplitDurableEvent(payload []byte) (cursor uint64, frame []byte, err error) {
-	if len(payload) < DurableCursorLen {
-		return 0, nil, fmt.Errorf("%w: durable event %d bytes", ErrTruncated, len(payload))
+	if len(payload) < durableCursorLen {
+		return 0, nil, fmt.Errorf("%w: durable event %d bytes", errTruncated, len(payload))
 	}
-	return binary.BigEndian.Uint64(payload[:DurableCursorLen]), payload[DurableCursorLen:], nil
+	return binary.BigEndian.Uint64(payload[:durableCursorLen]), payload[durableCursorLen:], nil
 }
 
 // DecodeEventBacked decodes an event payload into e — which must be
@@ -117,7 +117,7 @@ func SplitDurableEvent(payload []byte) (cursor uint64, frame []byte, err error) 
 // false and the caller still owns the reference.
 func DecodeEventBacked(e *event.Event, payload []byte, b event.Backing) (bound bool, err error) {
 	if e.Len() != 0 {
-		return false, ErrDecodeTarget
+		return false, errDecodeTarget
 	}
 	borrowed, err := decodeEvent(e, payload, true)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestDurableEventFramingPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if gotCursor != cursor || !bytes.Equal(frame, single[DurableCursorLen:]) {
+		if gotCursor != cursor || !bytes.Equal(frame, single[durableCursorLen:]) {
 			t.Fatalf("frame %d: cursor %d, frame differs from the standalone payload", i, gotCursor)
 		}
 		d, err := DecodeEvent(frame)
@@ -73,7 +73,7 @@ func FuzzDurableBatchRoundTrip(f *testing.F) {
 		}
 		payload := buildDurableBatch(uint64(n)*1000, events...)
 		if n%2 == 0 {
-			_ = SetBatchAck(payload, byte(n), uint64(n)*100)
+			setBatchAck(payload, byte(n), uint64(n)*100)
 		}
 		f.Add(payload)
 	}

@@ -19,10 +19,10 @@ import (
 // single uint16.
 
 var (
-	// ErrTruncated reports a payload ending mid-structure.
-	ErrTruncated = errors.New("wire: truncated payload")
-	// ErrBadEncoding reports a structurally invalid payload.
-	ErrBadEncoding = errors.New("wire: bad encoding")
+	// errTruncated reports a payload ending mid-structure.
+	errTruncated = errors.New("wire: truncated payload")
+	// errBadEncoding reports a structurally invalid payload.
+	errBadEncoding = errors.New("wire: bad encoding")
 )
 
 type reader struct {
@@ -34,7 +34,7 @@ func (r *reader) remaining() int { return len(r.buf) - r.off }
 
 func (r *reader) byte() (byte, error) {
 	if r.off >= len(r.buf) {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	b := r.buf[r.off]
 	r.off++
@@ -43,7 +43,7 @@ func (r *reader) byte() (byte, error) {
 
 func (r *reader) uint16() (uint16, error) {
 	if r.remaining() < 2 {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	v := binary.BigEndian.Uint16(r.buf[r.off:])
 	r.off += 2
@@ -52,7 +52,7 @@ func (r *reader) uint16() (uint16, error) {
 
 func (r *reader) uint64() (uint64, error) {
 	if r.remaining() < 8 {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	v := binary.BigEndian.Uint64(r.buf[r.off:])
 	r.off += 8
@@ -62,7 +62,7 @@ func (r *reader) uint64() (uint64, error) {
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	r.off += n
 	return v, nil
@@ -74,7 +74,7 @@ func (r *reader) bytes() ([]byte, error) {
 		return nil, err
 	}
 	if n > uint64(r.remaining()) {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
@@ -102,8 +102,8 @@ func appendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// AppendValue encodes a value: 1 type byte then the payload.
-func AppendValue(dst []byte, v event.Value) []byte {
+// appendValue encodes a value: 1 type byte then the payload.
+func appendValue(dst []byte, v event.Value) []byte {
 	dst = append(dst, byte(v.Type()))
 	switch v.Type() {
 	case event.TypeInt:
@@ -198,7 +198,7 @@ func readValueBorrow(r *reader, borrow bool, borrowed *bool) (event.Value, error
 			return event.Value{}, err
 		}
 		if b > 1 {
-			return event.Value{}, fmt.Errorf("%w: bool byte %d", ErrBadEncoding, b)
+			return event.Value{}, fmt.Errorf("%w: bool byte %d", errBadEncoding, b)
 		}
 		return event.Bool(b == 1), nil
 	case event.TypeBytes:
@@ -214,7 +214,7 @@ func readValueBorrow(r *reader, borrow bool, borrowed *bool) (event.Value, error
 		}
 		return event.Bytes(b), nil
 	default:
-		return event.Value{}, fmt.Errorf("%w: value type %d", ErrBadEncoding, tb)
+		return event.Value{}, fmt.Errorf("%w: value type %d", errBadEncoding, tb)
 	}
 }
 
@@ -238,7 +238,7 @@ func AppendEvent(dst []byte, e *event.Event) []byte {
 	for i, n := 0, e.Len(); i < n; i++ {
 		name, v := e.At(i)
 		dst = appendString(dst, name)
-		dst = AppendValue(dst, v)
+		dst = appendValue(dst, v)
 	}
 	return dst
 }
@@ -269,9 +269,9 @@ func DecodeEvent(buf []byte) (*event.Event, error) {
 	return e, nil
 }
 
-// ErrDecodeTarget reports a DecodeEventInto target that already
+// errDecodeTarget reports a DecodeEventInto target that already
 // carries attributes.
-var ErrDecodeTarget = errors.New("wire: decode target event not empty")
+var errDecodeTarget = errors.New("wire: decode target event not empty")
 
 // DecodeEventInto decodes the lone event payload of an unbatched
 // packet into e: DecodeBatchFrameInto with the whole payload as the
@@ -301,10 +301,10 @@ func decodeEvent(e *event.Event, buf []byte, borrow bool) (bool, error) {
 		return false, err
 	}
 	if int(count) > event.MaxAttrs {
-		return false, fmt.Errorf("%w: %d attributes", ErrBadEncoding, count)
+		return false, fmt.Errorf("%w: %d attributes", errBadEncoding, count)
 	}
 	if int(count)*minAttrEncoded > r.remaining() {
-		return false, fmt.Errorf("%w: %d attributes in %d bytes", ErrTruncated, count, r.remaining())
+		return false, fmt.Errorf("%w: %d attributes in %d bytes", errTruncated, count, r.remaining())
 	}
 	e.Sender = ident.New(sender)
 	e.Seq = seq
@@ -334,14 +334,14 @@ func decodeEvent(e *event.Event, buf []byte, borrow bool) (bool, error) {
 		}
 	}
 	if r.remaining() != 0 {
-		return borrowed, fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, r.remaining())
+		return borrowed, fmt.Errorf("%w: %d trailing bytes", errBadEncoding, r.remaining())
 	}
 	return borrowed, nil
 }
 
-// AppendFilter encodes a filter payload: count then constraints
+// appendFilter encodes a filter payload: count then constraints
 // (name, op byte, value; OpExists omits the value).
-func AppendFilter(dst []byte, f *event.Filter) []byte {
+func appendFilter(dst []byte, f *event.Filter) []byte {
 	cs := f.Constraints()
 	var tmp [2]byte
 	binary.BigEndian.PutUint16(tmp[:], uint16(len(cs)))
@@ -350,7 +350,7 @@ func AppendFilter(dst []byte, f *event.Filter) []byte {
 		dst = appendString(dst, c.Name)
 		dst = append(dst, byte(c.Op))
 		if c.Op != event.OpExists {
-			dst = AppendValue(dst, c.Value)
+			dst = appendValue(dst, c.Value)
 		}
 	}
 	return dst
@@ -358,7 +358,7 @@ func AppendFilter(dst []byte, f *event.Filter) []byte {
 
 // EncodeFilter encodes a filter into a fresh payload slice.
 func EncodeFilter(f *event.Filter) []byte {
-	return AppendFilter(make([]byte, 0, 16+f.Len()*24), f)
+	return appendFilter(make([]byte, 0, 16+f.Len()*24), f)
 }
 
 // DecodeFilter decodes a filter payload.
@@ -369,12 +369,12 @@ func DecodeFilter(buf []byte) (*event.Filter, error) {
 		return nil, err
 	}
 	if int(count) > event.MaxAttrs {
-		return nil, fmt.Errorf("%w: %d constraints", ErrBadEncoding, count)
+		return nil, fmt.Errorf("%w: %d constraints", errBadEncoding, count)
 	}
 	// Smallest constraint: 1-byte name prefix + 1 op byte (OpExists
 	// carries no value) — same O(1) truncation rejection as events.
 	if int(count)*2 > r.remaining() {
-		return nil, fmt.Errorf("%w: %d constraints in %d bytes", ErrTruncated, count, r.remaining())
+		return nil, fmt.Errorf("%w: %d constraints in %d bytes", errTruncated, count, r.remaining())
 	}
 	cs := make([]event.Constraint, 0, count)
 	for i := 0; i < int(count); i++ {
@@ -396,12 +396,12 @@ func DecodeFilter(buf []byte) (*event.Filter, error) {
 			c.Value = v
 		}
 		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
+			return nil, fmt.Errorf("%w: %v", errBadEncoding, err)
 		}
 		cs = append(cs, c)
 	}
 	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEncoding, r.remaining())
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadEncoding, r.remaining())
 	}
 	return event.NewFilter(cs...), nil
 }

@@ -14,7 +14,7 @@ func sampleEvent() *event.Event {
 		SetInt("i", -42).
 		SetFloat("f", 3.1415).
 		SetStr("s", "text value").
-		SetBool("b", true).
+		Set("b", event.Bool(true)).
 		SetBytes("raw", []byte{0, 1, 2, 254, 255})
 	e.Sender = ident.New(0xABCDEF)
 	e.Seq = 77

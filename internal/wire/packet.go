@@ -42,7 +42,7 @@ type PacketType byte
 
 // Packet types used by the SMC core.
 const (
-	PktInvalid PacketType = iota
+	_ PacketType = iota // 0 is no packet type
 	// PktEvent carries one encoded event.
 	PktEvent
 	// PktAck acknowledges receipt of the packet with the echoed
@@ -76,9 +76,9 @@ const (
 	// PktStatsRequest asks a discovery service for a cell health
 	// snapshot (management/observation plane; no admission required).
 	PktStatsRequest
-	// PktStatsResponse is reserved: it carried the fixed-layout
+	// pktStatsResponse is reserved: it carried the fixed-layout
 	// snapshot PktStatsSnapshot replaced, and its number is not reused.
-	PktStatsResponse
+	pktStatsResponse
 	// PktDurableResume binds the sending member to a named durable
 	// consumer and asks the bus to replay the log from a position
 	// (durable.go). Sent right after admission, before any subscribe.
@@ -103,7 +103,7 @@ var packetTypeNames = [...]string{
 	PktJoinRequest: "join-request", PktJoinReject: "join-reject",
 	PktJoinAccept: "join-accept", PktLeave: "leave", PktHeartbeat: "heartbeat",
 	PktQuench: "quench", PktUnquench: "unquench", PktData: "data",
-	PktStatsRequest: "stats-request", PktStatsResponse: "stats-response",
+	PktStatsRequest: "stats-request", pktStatsResponse: "stats-response",
 	PktDurableResume: "durable-resume", PktDurableAck: "durable-ack",
 	PktEventDurable: "event-durable", PktStatsSnapshot: "stats-snapshot",
 }
@@ -133,8 +133,8 @@ const (
 	// framing layout it governs.
 )
 
-// Version is the current wire format version.
-const Version byte = 1
+// version is the current wire format version.
+const version byte = 1
 
 // HeaderLen is the fixed header size in bytes.
 const HeaderLen = 24
@@ -142,21 +142,21 @@ const HeaderLen = 24
 // TrailerLen is the CRC trailer size in bytes.
 const TrailerLen = 4
 
-// MaxPayload bounds a packet payload, keeping datagrams bounded for the
+// maxPayload bounds a packet payload, keeping datagrams bounded for the
 // constrained target platform.
-const MaxPayload = 256 * 1024
+const maxPayload = 256 * 1024
 
 var (
-	// ErrShortPacket reports a truncated packet.
-	ErrShortPacket = errors.New("wire: short packet")
-	// ErrBadMagic reports a packet without the SM magic.
-	ErrBadMagic = errors.New("wire: bad magic")
-	// ErrBadVersion reports an unsupported wire version.
-	ErrBadVersion = errors.New("wire: unsupported version")
-	// ErrBadChecksum reports a CRC mismatch (corrupted packet).
-	ErrBadChecksum = errors.New("wire: checksum mismatch")
-	// ErrPayloadTooLarge reports a payload above MaxPayload.
-	ErrPayloadTooLarge = errors.New("wire: payload too large")
+	// errShortPacket reports a truncated packet.
+	errShortPacket = errors.New("wire: short packet")
+	// errBadMagic reports a packet without the SM magic.
+	errBadMagic = errors.New("wire: bad magic")
+	// errBadVersion reports an unsupported wire version.
+	errBadVersion = errors.New("wire: unsupported version")
+	// errBadChecksum reports a CRC mismatch (corrupted packet).
+	errBadChecksum = errors.New("wire: checksum mismatch")
+	// errPayloadTooLarge reports a payload above maxPayload.
+	errPayloadTooLarge = errors.New("wire: payload too large")
 )
 
 var magic = [2]byte{'S', 'M'}
@@ -178,7 +178,7 @@ type Packet struct {
 	Payload []byte
 
 	// Pooled lifecycle (see PacketPool). pool is nil for packets built
-	// by hand or by the plain Unmarshal, making Retain/Release no-ops
+	// by hand or by the plain unmarshal, making Retain/Release no-ops
 	// for them. buf is the packet-owned payload buffer a pooled decode
 	// copies into; it survives recycling so steady-state receive pays
 	// no per-packet allocation. refs is a plain int32 updated with
@@ -188,23 +188,23 @@ type Packet struct {
 	refs int32
 }
 
-// EncodedLen reports the encoded size of the packet.
-func (p *Packet) EncodedLen() int {
+// encodedLen reports the encoded size of the packet.
+func (p *Packet) encodedLen() int {
 	return HeaderLen + len(p.Payload) + TrailerLen
 }
 
 // Marshal encodes the packet, appending to dst (which may be nil) and
 // returning the extended slice.
 func (p *Packet) Marshal(dst []byte) ([]byte, error) {
-	if len(p.Payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(p.Payload))
+	if len(p.Payload) > maxPayload {
+		return nil, fmt.Errorf("%w: %d bytes", errPayloadTooLarge, len(p.Payload))
 	}
 	start := len(dst)
-	need := p.EncodedLen()
+	need := p.encodedLen()
 	dst = append(dst, make([]byte, need)...)
 	buf := dst[start:]
 	buf[0], buf[1] = magic[0], magic[1]
-	buf[2] = Version
+	buf[2] = version
 	buf[3] = byte(p.Type)
 	buf[4] = p.Flags
 	buf[5] = p.Epoch
@@ -219,13 +219,13 @@ func (p *Packet) Marshal(dst []byte) ([]byte, error) {
 
 // MarshalBytes encodes the packet into a fresh slice.
 func (p *Packet) MarshalBytes() ([]byte, error) {
-	return p.Marshal(make([]byte, 0, p.EncodedLen()))
+	return p.Marshal(make([]byte, 0, p.encodedLen()))
 }
 
-// Unmarshal decodes a packet from buf. The payload aliases buf; callers
+// unmarshal decodes a packet from buf. The payload aliases buf; callers
 // that retain the packet beyond the life of buf must copy it. For the
 // allocation-free receive path see PacketPool.Unmarshal.
-func Unmarshal(buf []byte) (*Packet, error) {
+func unmarshal(buf []byte) (*Packet, error) {
 	p := &Packet{}
 	if err := unmarshalInto(p, buf); err != nil {
 		return nil, err
@@ -237,26 +237,26 @@ func Unmarshal(buf []byte) (*Packet, error) {
 // p.Payload aliasing buf. It allocates nothing.
 func unmarshalInto(p *Packet, buf []byte) error {
 	if len(buf) < HeaderLen+TrailerLen {
-		return fmt.Errorf("%w: %d bytes", ErrShortPacket, len(buf))
+		return fmt.Errorf("%w: %d bytes", errShortPacket, len(buf))
 	}
 	if buf[0] != magic[0] || buf[1] != magic[1] {
-		return ErrBadMagic
+		return errBadMagic
 	}
-	if buf[2] != Version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
+	if buf[2] != version {
+		return fmt.Errorf("%w: %d", errBadVersion, buf[2])
 	}
 	plen := int(binary.BigEndian.Uint32(buf[20:24]))
-	if plen > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, plen)
+	if plen > maxPayload {
+		return fmt.Errorf("%w: %d bytes", errPayloadTooLarge, plen)
 	}
 	total := HeaderLen + plen + TrailerLen
 	if len(buf) < total {
-		return fmt.Errorf("%w: have %d want %d", ErrShortPacket, len(buf), total)
+		return fmt.Errorf("%w: have %d want %d", errShortPacket, len(buf), total)
 	}
 	want := binary.BigEndian.Uint32(buf[HeaderLen+plen : total])
 	got := crc32.ChecksumIEEE(buf[:HeaderLen+plen])
 	if want != got {
-		return ErrBadChecksum
+		return errBadChecksum
 	}
 	p.Type = PacketType(buf[3])
 	p.Flags = buf[4]
@@ -274,7 +274,7 @@ func unmarshalInto(p *Packet, buf []byte) error {
 // payload (the point of pooling marshal buffers across retransmits).
 func PatchHeader(buf []byte, flags, epoch byte, seq uint64) error {
 	if len(buf) < HeaderLen+TrailerLen {
-		return fmt.Errorf("%w: %d bytes", ErrShortPacket, len(buf))
+		return fmt.Errorf("%w: %d bytes", errShortPacket, len(buf))
 	}
 	buf[4] = flags
 	buf[5] = epoch
@@ -282,17 +282,6 @@ func PatchHeader(buf []byte, flags, epoch byte, seq uint64) error {
 	body := buf[: len(buf)-TrailerLen : len(buf)]
 	binary.BigEndian.PutUint32(buf[len(buf)-TrailerLen:], crc32.ChecksumIEEE(body))
 	return nil
-}
-
-// ClonePayload replaces the payload with a private copy, detaching the
-// packet from the decode buffer.
-func (p *Packet) ClonePayload() {
-	if p.Payload == nil {
-		return
-	}
-	cp := make([]byte, len(p.Payload))
-	copy(cp, p.Payload)
-	p.Payload = cp
 }
 
 func putID48(dst []byte, id ident.ID) {

@@ -22,10 +22,10 @@ func TestPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if len(buf) != p.EncodedLen() {
-		t.Errorf("len = %d, want %d", len(buf), p.EncodedLen())
+	if len(buf) != p.encodedLen() {
+		t.Errorf("len = %d, want %d", len(buf), p.encodedLen())
 	}
-	got, err := Unmarshal(buf)
+	got, err := unmarshal(buf)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestPatchHeader(t *testing.T) {
 	if err := PatchHeader(buf, FlagRetransmit, 9, 41); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
-	got, err := Unmarshal(buf)
+	got, err := unmarshal(buf)
 	if err != nil {
 		t.Fatalf("unmarshal after patch: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestPatchHeader(t *testing.T) {
 	if string(got.Payload) != "steady payload" || got.Sender != p.Sender || got.Type != p.Type {
 		t.Errorf("patch disturbed unrelated fields: %s", got)
 	}
-	if err := PatchHeader(buf[:HeaderLen], 0, 0, 0); !errors.Is(err, ErrShortPacket) {
+	if err := PatchHeader(buf[:HeaderLen], 0, 0, 0); !errors.Is(err, errShortPacket) {
 		t.Errorf("short buf err = %v", err)
 	}
 }
@@ -89,9 +89,9 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		}
 		buf, err := p.MarshalBytes()
 		if err != nil {
-			return len(payload) > MaxPayload
+			return len(payload) > maxPayload
 		}
-		got, err := Unmarshal(buf)
+		got, err := unmarshal(buf)
 		if err != nil {
 			return false
 		}
@@ -127,7 +127,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		corrupt := make([]byte, len(buf))
 		copy(corrupt, buf)
 		corrupt[i] ^= 0xFF
-		if _, err := Unmarshal(corrupt); err == nil {
+		if _, err := unmarshal(corrupt); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
 	}
@@ -140,7 +140,7 @@ func TestUnmarshalTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(buf); i++ {
-		if _, err := Unmarshal(buf[:i]); err == nil {
+		if _, err := unmarshal(buf[:i]); err == nil {
 			t.Fatalf("truncated packet of %d bytes accepted", i)
 		}
 	}
@@ -152,34 +152,20 @@ func TestUnmarshalBadMagicAndVersion(t *testing.T) {
 	bad := make([]byte, len(buf))
 	copy(bad, buf)
 	bad[0] = 'X'
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := unmarshal(bad); !errors.Is(err, errBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 	copy(bad, buf)
 	bad[2] = 99
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadVersion) {
+	if _, err := unmarshal(bad); !errors.Is(err, errBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
 }
 
 func TestOversizedPayloadRejected(t *testing.T) {
-	p := &Packet{Type: PktEvent, Payload: make([]byte, MaxPayload+1)}
-	if _, err := p.MarshalBytes(); !errors.Is(err, ErrPayloadTooLarge) {
+	p := &Packet{Type: PktEvent, Payload: make([]byte, maxPayload+1)}
+	if _, err := p.MarshalBytes(); !errors.Is(err, errPayloadTooLarge) {
 		t.Errorf("oversized marshal: %v", err)
-	}
-}
-
-func TestClonePayloadDetaches(t *testing.T) {
-	p := &Packet{Type: PktEvent, Sender: 1, Seq: 1, Payload: []byte("data")}
-	buf, _ := p.MarshalBytes()
-	got, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.ClonePayload()
-	buf[HeaderLen] = 'X' // scribble over the original buffer
-	if string(got.Payload) != "data" {
-		t.Error("payload not detached from decode buffer")
 	}
 }
 
@@ -193,7 +179,7 @@ func TestMarshalAppendsToDst(t *testing.T) {
 	if out[0] != 0xAA || out[1] != 0xBB {
 		t.Error("prefix clobbered")
 	}
-	if _, err := Unmarshal(out[2:]); err != nil {
+	if _, err := unmarshal(out[2:]); err != nil {
 		t.Errorf("appended packet corrupt: %v", err)
 	}
 }
@@ -224,6 +210,6 @@ func TestUnmarshalRandomGarbage(t *testing.T) {
 		buf := make([]byte, n)
 		rng.Read(buf)
 		// Must never panic; almost always errors.
-		_, _ = Unmarshal(buf)
+		_, _ = unmarshal(buf)
 	}
 }

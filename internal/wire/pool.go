@@ -30,7 +30,7 @@ func PutEncodeBuf(bp *[]byte) {
 }
 
 // PacketPool recycles inbound packets. The seed receive path paid an
-// allocation pair for every packet — the Packet struct from Unmarshal
+// allocation pair for every packet — the Packet struct from unmarshal
 // plus the payload clone detaching it from the transport buffer
 // (ROADMAP names this the residual remote-path cost). A pooled decode
 // copies the payload straight into a buffer the packet owns and keeps
@@ -79,7 +79,7 @@ func (pp *PacketPool) Stats() (acquired, recycled uint64) {
 	return pp.acquired.Load(), pp.recycled.Load()
 }
 
-// Unmarshal decodes a packet from buf like the package-level Unmarshal
+// Unmarshal decodes a packet from buf like the package-level unmarshal
 // but into a pooled packet whose payload is copied into packet-owned
 // reusable storage: the caller may recycle buf immediately, and must
 // Release the packet when done with it.
@@ -94,9 +94,9 @@ func (pp *PacketPool) Unmarshal(buf []byte) (*Packet, error) {
 	return p, nil
 }
 
-// Retain adds a reference to a pooled packet and returns it; it is a
+// retain adds a reference to a pooled packet and returns it; it is a
 // no-op for non-pooled packets.
-func (p *Packet) Retain() *Packet {
+func (p *Packet) retain() *Packet {
 	if p != nil && p.pool != nil {
 		atomic.AddInt32(&p.refs, 1)
 	}

@@ -134,7 +134,7 @@ func TestEventThroughPacketProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		got, err := Unmarshal(buf)
+		got, err := unmarshal(buf)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}

@@ -48,7 +48,7 @@ func seedEncodeEvent(e *event.Event) []byte {
 	dst = append(dst, tmp[:2]...)
 	for _, name := range names {
 		dst = appendString(dst, name)
-		dst = AppendValue(dst, attrs[name])
+		dst = appendValue(dst, attrs[name])
 	}
 	return dst
 }

@@ -12,9 +12,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// ValueSize returns len(AppendValue(nil, v)) without encoding: the type
+// valueSize returns len(appendValue(nil, v)) without encoding: the type
 // byte plus the payload.
-func ValueSize(v event.Value) int {
+func valueSize(v event.Value) int {
 	switch v.Type() {
 	case event.TypeInt, event.TypeFloat:
 		return 1 + 8
@@ -39,7 +39,7 @@ func EventSize(e *event.Event) int {
 	n := 26
 	for i, cnt := 0, e.Len(); i < cnt; i++ {
 		name, v := e.At(i)
-		n += uvarintLen(uint64(len(name))) + len(name) + ValueSize(v)
+		n += uvarintLen(uint64(len(name))) + len(name) + valueSize(v)
 	}
 	return n
 }

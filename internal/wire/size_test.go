@@ -18,7 +18,7 @@ func TestEventSizeMatchesEncoding(t *testing.T) {
 		event.NewTyped("reading").
 			SetInt("n", -42).
 			SetFloat("v", 36.6).
-			SetBool("ok", true).
+			Set("ok", event.Bool(true)).
 			SetStr("unit", "bpm").
 			SetBytes("raw", []byte{1, 2, 3}),
 		event.NewTyped("big").

@@ -105,7 +105,7 @@ func DecodeCellStats(buf []byte) (_ CellStats, err error) {
 	// A pair takes at least two bytes, which bounds the count before
 	// anything is allocated.
 	if n > uint64(r.remaining()/2) {
-		return CellStats{}, fmt.Errorf("%w: cell-stats count %d", ErrBadEncoding, n)
+		return CellStats{}, fmt.Errorf("%w: cell-stats count %d", errBadEncoding, n)
 	}
 	if n > 0 {
 		s.Stats = make([]Stat, n)
@@ -119,11 +119,11 @@ func DecodeCellStats(buf []byte) (_ CellStats, err error) {
 			return CellStats{}, err
 		}
 		if i > 0 && p.Name <= s.Stats[i-1].Name {
-			return CellStats{}, fmt.Errorf("%w: cell-stats name %q out of order", ErrBadEncoding, p.Name)
+			return CellStats{}, fmt.Errorf("%w: cell-stats name %q out of order", errBadEncoding, p.Name)
 		}
 	}
 	if !bytes.Equal(AppendCellStats(nil, s), buf) {
-		return CellStats{}, fmt.Errorf("%w: cell-stats not canonical", ErrBadEncoding)
+		return CellStats{}, fmt.Errorf("%w: cell-stats not canonical", errBadEncoding)
 	}
 	return s, nil
 }

@@ -85,14 +85,14 @@ func TestCellStatsDecodeRejectsTruncationAndTrailer(t *testing.T) {
 }
 
 func TestStatsPacketTypesNamed(t *testing.T) {
-	if PktStatsRequest.String() != "stats-request" || PktStatsResponse.String() != "stats-response" ||
+	if PktStatsRequest.String() != "stats-request" || pktStatsResponse.String() != "stats-response" ||
 		PktStatsSnapshot.String() != "stats-snapshot" {
-		t.Fatalf("packet type names: %s / %s / %s", PktStatsRequest, PktStatsResponse, PktStatsSnapshot)
+		t.Fatalf("packet type names: %s / %s / %s", PktStatsRequest, pktStatsResponse, PktStatsSnapshot)
 	}
 	// The snapshot took a new number; the fixed-layout response's
 	// stays reserved.
-	if PktStatsResponse != 15 || PktStatsSnapshot != 19 {
-		t.Fatalf("packet numbers: response %d, snapshot %d", PktStatsResponse, PktStatsSnapshot)
+	if pktStatsResponse != 15 || PktStatsSnapshot != 19 {
+		t.Fatalf("packet numbers: response %d, snapshot %d", pktStatsResponse, PktStatsSnapshot)
 	}
 }
 

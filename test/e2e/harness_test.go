@@ -339,7 +339,8 @@ func (h *harness) joinActor(a *actor) error {
 	var tr *transport.UDPTransport
 	var err error
 	if a.port != 0 {
-		tr, err = transport.NewUDPTransport(transport.WithPort(a.port))
+		opt, _ := transport.WithAddr(":" + strconv.Itoa(a.port)) // a valid port cannot fail
+		tr, err = transport.NewUDPTransport(opt)
 	}
 	if tr == nil {
 		if tr, err = transport.NewUDPTransport(); err != nil {
