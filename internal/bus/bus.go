@@ -645,6 +645,10 @@ func (b *Bus) handlePacket(pkt *wire.Packet) {
 		b.handleSubscriptionPacket(pkt)
 	case wire.PktDurableResume:
 		b.handleDurableResume(pkt)
+	case wire.PktBeacon:
+		// Discovery beacons are broadcast, and every endpoint on the
+		// medium hears them, the bus's included: not its traffic, and
+		// not a fault.
 	default:
 		b.mu.Lock()
 		if pkt == b.fence {

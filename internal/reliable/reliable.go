@@ -94,6 +94,11 @@ type Stats struct {
 	// without Release (a pool leak — see TestPacketPoolLeakDetection).
 	PacketsAcquired uint64
 	PacketsRecycled uint64
+	// RTTSamples counts round trips timed for the retransmit timer
+	// (Karn's rule: only acks of packets sent exactly once); MaxRTOMicros
+	// is the largest current RTO over live destinations, before backoff.
+	RTTSamples   uint64
+	MaxRTOMicros uint64
 }
 
 // counters is the hot-path representation of Stats. It splits the
@@ -116,8 +121,9 @@ type counters struct {
 	acked, received, dupsDropped, buffered atomic.Uint64
 	staleAcks, staleEpoch                  atomic.Uint64
 	unreliableIn, piggybackAcks            atomic.Uint64
+	rttSamples                             atomic.Uint64
 
-	_ [128 - (8*8)%128]byte
+	_ [128 - (9*8)%128]byte
 }
 
 // Stats snapshots the channel's counters.
@@ -142,8 +148,16 @@ func (c *Channel) Stats() Stats {
 		PiggybackAcks:    ctr.piggybackAcks.Load(),
 		InboxDropped:     c.inbox.Dropped(),
 		TransportDropped: c.tr.Dropped(),
+		RTTSamples:       ctr.rttSamples.Load(),
 	}
 	st.PacketsAcquired, st.PacketsRecycled = c.pktPool.Stats()
+	c.mu.Lock()
+	for _, ds := range c.dests {
+		ds.mu.Lock()
+		st.MaxRTOMicros = max(st.MaxRTOMicros, uint64(ds.rto/time.Microsecond))
+		ds.mu.Unlock()
+	}
+	c.mu.Unlock()
 	return st
 }
 
@@ -152,16 +166,29 @@ func (c *Channel) Stats() Stats {
 // retransmission.
 const reorderDepth = 64
 
+// minRTO floors a measured retransmit timeout: below it, scheduling
+// noise at either end rather than the link would decide when a
+// retransmit round fires.
+const minRTO = 10 * time.Millisecond
+
 // Config tunes the retransmission machinery.
 type Config struct {
-	// RetryTimeout is the initial ack wait; it doubles per retransmit
-	// round up to MaxRetryTimeout.
+	// RetryTimeout is the retransmit timeout (RTO) a destination uses
+	// before its first round-trip sample (default 50 ms); from then on
+	// the RTO is measured (RFC 6298: smoothed RTT plus four times its
+	// variance), clamped to [10 ms, MaxRetryTimeout]. It doubles per
+	// retransmit round up to MaxRetryTimeout.
 	RetryTimeout time.Duration
-	// MaxRetryTimeout caps the backoff (default 10× RetryTimeout).
+	// MaxRetryTimeout caps the backoff and the measured RTO (default
+	// 10× RetryTimeout).
 	MaxRetryTimeout time.Duration
 	// MaxRetries bounds retransmission rounds per destination before
 	// the queued packets fail with ErrGaveUp. Zero means the default
-	// (6); a negative value disables retransmission entirely.
+	// (6); a negative value disables retransmission entirely. Giving
+	// up also takes no ack progress for as long as the unmeasured
+	// schedule spends the budget in (2.25 s at the defaults), so a
+	// measured RTO brings rounds sooner but never fails a destination
+	// sooner.
 	MaxRetries int
 	// Window is the maximum number of unacknowledged packets in
 	// flight per destination (default 16). Window=1 reproduces
@@ -308,6 +335,11 @@ type sendOp struct {
 	bufp  *[]byte // marshalled packet, pooled
 	comp  *Completion
 	next  *sendOp // free-list link
+	// sentAt is the op's first transmission; resent marks an op
+	// transmitted again since (timer round, fast retransmit, stream
+	// reset, resume), whose ack can time no round trip (Karn's rule).
+	sentAt time.Time
+	resent bool
 }
 
 // maxFreeOps bounds a destination's op free list; churn beyond it falls
@@ -344,6 +376,13 @@ type destState struct {
 	fastRetx bool
 	deadline time.Time // retransmit deadline while inflight > 0
 	gone     bool      // forgotten or channel closed
+
+	// The retransmit timer's estimator (RFC 6298 §2): srtt is zero
+	// until the first sample, and rto is Config.RetryTimeout until then.
+	// progressAt (last ack progress, or first transmission since)
+	// starts the give-up horizon.
+	srtt, rttvar, rto time.Duration
+	progressAt        time.Time
 
 	notify chan struct{} // kicks the sender goroutine, cap 1
 }
@@ -398,6 +437,9 @@ type Channel struct {
 	tr  transport.Transport
 	cfg Config
 	ctr counters
+	// horizon is how long a destination must go without ack progress
+	// before it may give up (giveUpHorizon).
+	horizon time.Duration
 
 	// pktPool recycles inbound packets: the receive loop decodes every
 	// datagram into a pooled packet (no per-packet struct or payload
@@ -449,6 +491,7 @@ func New(tr transport.Transport, cfg Config) *Channel {
 	c := &Channel{
 		tr:      tr,
 		cfg:     cfg,
+		horizon: giveUpHorizon(cfg),
 		pktPool: wire.NewPacketPool(),
 		dests:   make(map[ident.ID]*destState),
 		rst:     make(map[ident.ID]*recvState),
@@ -535,7 +578,7 @@ func (c *Channel) sendReliable(dst ident.ID, ptype wire.PacketType, flags byte, 
 			c.rmu.Lock()
 			epoch := c.floors[dst].out
 			c.rmu.Unlock()
-			ds = &destState{id: dst, epoch: epoch, notify: make(chan struct{}, 1)}
+			ds = &destState{id: dst, epoch: epoch, rto: c.cfg.RetryTimeout, notify: make(chan struct{}, 1)}
 			c.dests[dst] = ds
 			c.wg.Add(1)
 			go c.runSender(ds)
@@ -658,9 +701,9 @@ func (c *Channel) resetStreamLocked(ds *destState) {
 }
 
 // backoff returns the retransmit timeout after the given number of
-// consecutive retransmission rounds.
-func (c *Channel) backoff(rounds int) time.Duration {
-	d := c.cfg.RetryTimeout
+// consecutive retransmission rounds, doubling from rto.
+func (c *Channel) backoff(rto time.Duration, rounds int) time.Duration {
+	d := rto
 	for i := 0; i < rounds; i++ {
 		d *= 2
 		if d >= c.cfg.MaxRetryTimeout {
@@ -668,6 +711,52 @@ func (c *Channel) backoff(rounds int) time.Duration {
 		}
 	}
 	return d
+}
+
+// giveUpHorizon is how long the unmeasured schedule takes to spend the
+// retry budget: Σ backoff(RetryTimeout, i) for i = 0..MaxRetries.
+func giveUpHorizon(cfg Config) time.Duration {
+	var h time.Duration
+	d := cfg.RetryTimeout
+	for i := 0; i <= cfg.MaxRetries; i++ {
+		h += d
+		d = min(2*d, cfg.MaxRetryTimeout)
+	}
+	return h
+}
+
+// sampleRTTLocked folds one round-trip sample into the destination's
+// estimator (RFC 6298 §2.2–2.3, α = 1/8, β = 1/4) and recomputes its
+// RTO. Caller holds ds.mu.
+func (c *Channel) sampleRTTLocked(ds *destState, r time.Duration) {
+	if ds.srtt == 0 {
+		ds.srtt, ds.rttvar = r, r/2
+	} else {
+		ds.rttvar += (max(ds.srtt-r, r-ds.srtt) - ds.rttvar) / 4
+		ds.srtt += (r - ds.srtt) / 8
+	}
+	ds.rto = min(max(ds.srtt+4*ds.rttvar, minRTO), c.cfg.MaxRetryTimeout)
+	c.ctr.rttSamples.Add(1)
+}
+
+// retransmitRoundLocked resends every in-flight packet (go-back-N) and
+// arms the next, doubled deadline, never past the give-up horizon once
+// the budget's rounds are spent. Caller holds ds.mu.
+func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
+	for i := 0; i < ds.inflight; i++ {
+		op := ds.queue.at(i)
+		op.flags |= wire.FlagRetransmit
+		op.resent = true
+		_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
+		c.stampBatchAck(ds, op)
+		c.transmit(ds.id, *op.bufp)
+		c.ctr.retransmits.Add(1)
+	}
+	ds.attempts++
+	ds.deadline = now.Add(c.backoff(ds.rto, ds.attempts))
+	if h := ds.progressAt.Add(c.horizon); ds.attempts >= c.cfg.MaxRetries && h.Before(ds.deadline) {
+		ds.deadline = h
+	}
 }
 
 // transmit sends one marshalled packet. Most transport-level errors
@@ -704,19 +793,15 @@ func (c *Channel) runSender(ds *destState) {
 		}
 		now := time.Now()
 		if ds.inflight > 0 && !ds.deadline.IsZero() && !now.Before(ds.deadline) {
-			if ds.attempts >= c.cfg.MaxRetries {
+			switch {
+			case ds.attempts >= c.cfg.MaxRetries && !now.Before(ds.progressAt.Add(c.horizon)):
 				c.giveUpLocked(ds)
-			} else {
-				for i := 0; i < ds.inflight; i++ {
-					op := ds.queue.at(i)
-					op.flags |= wire.FlagRetransmit
-					_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
-					c.stampBatchAck(ds, op)
-					c.transmit(ds.id, *op.bufp)
-					c.ctr.retransmits.Add(1)
-				}
-				ds.attempts++
-				ds.deadline = now.Add(c.backoff(ds.attempts))
+			case c.cfg.MaxRetries == 0:
+				// Retransmission is off: only the horizon is left to
+				// wait out.
+				ds.deadline = ds.progressAt.Add(c.horizon)
+			default:
+				c.retransmitRoundLocked(ds, now)
 			}
 		}
 		if ds.fastRetx && ds.inflight > 0 {
@@ -726,6 +811,7 @@ func (c *Channel) runSender(ds *destState) {
 			ds.fastRetx = false
 			op := ds.queue.at(0)
 			op.flags |= wire.FlagRetransmit
+			op.resent = true
 			_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 			c.stampBatchAck(ds, op)
 			c.transmit(ds.id, *op.bufp)
@@ -752,9 +838,15 @@ func (c *Channel) runSender(ds *destState) {
 				ds.putOpLocked(op)
 				continue
 			}
+			if op.sentAt.IsZero() {
+				op.sentAt = now
+			} else {
+				op.resent = true // after a stream reset or a resume
+			}
 			if ds.inflight == 0 {
 				ds.attempts = 0
-				ds.deadline = time.Now().Add(c.backoff(0))
+				ds.progressAt = now
+				ds.deadline = now.Add(c.backoff(ds.rto, 0))
 			}
 			ds.inflight++
 		}
@@ -1093,11 +1185,17 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		return
 	}
 	progress := 0
+	// The newest settled op times the round trip, unless an op this ack
+	// settles was sent more than once: the ack may answer the resend.
+	var sentAt time.Time
+	timed := true
 	for ds.queue.len() > 0 && ds.queue.at(0).seq <= cum {
 		op := ds.queue.popFront()
 		if ds.inflight > 0 {
 			ds.inflight--
 		}
+		timed = timed && !op.resent && !op.sentAt.IsZero()
+		sentAt = op.sentAt
 		putBuf(op.bufp)
 		op.bufp = nil
 		settleOp(op, nil) // success
@@ -1107,11 +1205,16 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 	switch {
 	case progress > 0:
 		c.ctr.acked.Add(uint64(progress))
+		now := time.Now()
+		if timed {
+			c.sampleRTTLocked(ds, now.Sub(sentAt))
+		}
 		ds.attempts = 0
 		ds.dupAcks = 0
 		ds.gapAcks = 0
+		ds.progressAt = now
 		if ds.inflight > 0 {
-			ds.deadline = time.Now().Add(c.backoff(0))
+			ds.deadline = now.Add(c.backoff(ds.rto, 0))
 		} else {
 			ds.deadline = time.Time{}
 		}

@@ -427,3 +427,47 @@ func TestDeliverySemanticsProperty(t *testing.T) {
 		})
 	}
 }
+
+// TestGiveUpHorizonHeldForMeasuredDestination: a destination whose
+// round trips have been timed retransmits sooner than RetryTimeout, but
+// a black hole must still take as long to fail as the fixed schedule
+// did: 20+40+40+40 ms for three rounds from a 20 ms timeout capped at
+// 40 ms.
+func TestGiveUpHorizonHeldForMeasuredDestination(t *testing.T) {
+	sw := transport.NewSwitch()
+	defer sw.Close()
+	ta, _ := sw.Attach(ident.New(1))
+	recvID := ident.New(2)
+	tb, _ := sw.Attach(recvID)
+	cfg := Config{RetryTimeout: 20 * time.Millisecond, MaxRetryTimeout: 40 * time.Millisecond, MaxRetries: 3}
+	a, b := New(ta, cfg), New(tb, cfg)
+	defer a.Close()
+	defer b.Close()
+	for i := 0; i < 20; i++ {
+		if err := a.Send(recvID, wire.PktEvent, []byte{byte(i)}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		pkt, err := b.RecvTimeout(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkt.Release()
+	}
+	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		return to == recvID, 0
+	})
+	before := a.Stats().Retransmits
+	const horizon = 140 * time.Millisecond
+	start := time.Now()
+	err := a.Send(recvID, wire.PktEvent, []byte("lost"))
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrGaveUp) {
+		t.Fatalf("send into a black hole: %v, want ErrGaveUp", err)
+	}
+	if elapsed < horizon {
+		t.Errorf("gave up after %v, want ≥ %v", elapsed, horizon)
+	}
+	if n := a.Stats().Retransmits - before; n < uint64(cfg.MaxRetries) {
+		t.Errorf("%d retransmit rounds before giving up, want ≥ %d", n, cfg.MaxRetries)
+	}
+}

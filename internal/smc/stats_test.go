@@ -12,6 +12,7 @@ import (
 	"github.com/amuse/smc/internal/bus"
 	"github.com/amuse/smc/internal/discovery"
 	"github.com/amuse/smc/internal/event"
+	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/policy"
 	"github.com/amuse/smc/internal/proxy"
@@ -153,12 +154,58 @@ func TestStatsSnapshotCoversEveryStatsField(t *testing.T) {
 	}
 }
 
+// TestBusIgnoresDiscoveryBeacons: on a shared medium the cell's own
+// discovery beacons reach the bus endpoint too. They are not bad
+// packets; a malformed event frame from a member still is.
+func TestBusIgnoresDiscoveryBeacons(t *testing.T) {
+	net := netsim.New(netsim.Perfect, netsim.WithSeed(39))
+	defer net.Close()
+	cell := newTestCell(t, net, defaultCellConfig())
+	const beacons = 4
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, err := wire.DecodeCellStats(wire.AppendCellStats(nil, cell.StatsReport()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := st.Get("reliable.bus.unreliable_in"); n >= beacons {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the bus endpoint heard fewer than %d beacons", beacons)
+		}
+	}
+	const memberID = 0x10101
+	ch := reliable.New(attach(t, net, memberID), reliable.Config{})
+	defer ch.Close()
+	if err := cell.Bus.AddMember(ident.New(memberID), "generic", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	// The bus handles its inbox in order, so once the junk frame is
+	// counted every beacon before it has been handled too.
+	if err := ch.Send(ident.New(0x10001), wire.PktEvent, []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); cell.Bus.Stats().BadPackets == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the malformed event frame was not counted")
+		}
+	}
+	if n := cell.Bus.Stats().BadPackets; n != 1 {
+		t.Errorf("BadPackets = %d, want 1: the junk frame and no beacon", n)
+	}
+}
+
 // rowNames are the string fields a snapshot row is named after.
 var rowNames = map[string]bool{"DurableRow.Name": true, "FederationStats.RemoteCell": true}
 
-var wordStart = regexp.MustCompile(`([a-z0-9])([A-Z])`)
+var (
+	wordStart     = regexp.MustCompile(`([a-z0-9])([A-Z])`)
+	initialismEnd = regexp.MustCompile(`([A-Z])([A-Z][a-z])`)
+)
 
-// statName derives a field's stat name apart from package wire.
+// statName derives a field's stat name apart from package wire: an
+// initialism stays one word (MaxRTOMicros is max_rto_micros).
 func statName(field string) string {
+	field = initialismEnd.ReplaceAllString(field, "${1}_${2}")
 	return strings.ToLower(wordStart.ReplaceAllString(field, "${1}_${2}"))
 }
