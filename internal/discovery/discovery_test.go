@@ -23,13 +23,15 @@ type change struct {
 }
 
 // cellMembers is a fake Members that records adds and removes. While
-// hook is set, AddMember calls it first and fails with its error.
+// hook is set, AddMember calls it first and fails with its error; while
+// onRemove is set, RemoveMember calls it first.
 type cellMembers struct {
-	mu      sync.Mutex
-	hook    func(id ident.ID) error
-	adds    []change
-	removes []change
-	renews  []ident.ID
+	mu       sync.Mutex
+	hook     func(id ident.ID) error
+	onRemove func(id ident.ID)
+	adds     []change
+	removes  []change
+	renews   []ident.ID
 }
 
 func (m *cellMembers) AddMember(id ident.ID, deviceType, name string) error {
@@ -48,6 +50,12 @@ func (m *cellMembers) AddMember(id ident.ID, deviceType, name string) error {
 }
 
 func (m *cellMembers) RemoveMember(id ident.ID, reason string) {
+	m.mu.Lock()
+	onRemove := m.onRemove
+	m.mu.Unlock()
+	if onRemove != nil {
+		onRemove(id)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.removes = append(m.removes, change{id: id, reason: reason})
@@ -353,23 +361,61 @@ func TestLeavePurgesImmediately(t *testing.T) {
 	if err := Leave(ch, res.Discovery); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	// purge drops the member from its table before it removes it from
-	// the cell, so the member's absence does not yet mean the removal
-	// is done: poll for both.
+	// purge removes the member from the cell before it drops it from
+	// its table, so the member's absence means the removal is done.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		_, member := f.svc.Member(ch.LocalID())
-		rm := f.members.removed()
-		if member || len(rm) == 0 {
+		if _, member := f.svc.Member(ch.LocalID()); member {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		if len(rm) != 1 || rm[0].reason != "leave" {
+		if rm := f.members.removed(); len(rm) != 1 || rm[0].reason != "leave" {
 			t.Errorf("removes = %+v", rm)
 		}
 		return
 	}
 	t.Fatal("leave did not purge")
+}
+
+// TestPurgeKeepsMemberUntilCellRemoves: while the cell is still
+// removing a leaving member, the table keeps listing it, so discovery
+// never shows fewer members than the bus.
+func TestPurgeKeepsMemberUntilCellRemoves(t *testing.T) {
+	f := newFixture(t, ServiceConfig{Lease: 10 * time.Second, Grace: 10 * time.Second})
+	ch := f.device(t, 12)
+	res, err := Join(ch, JoinConfig{DeviceType: "x", DeviceName: "a", Secret: secret, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+	f.members.mu.Lock()
+	f.members.onRemove = func(ident.ID) {
+		close(entered)
+		<-release
+	}
+	f.members.mu.Unlock()
+	if err := Leave(ch, res.Discovery); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("leave did not reach the cell")
+	}
+	if _, member := f.svc.Member(ch.LocalID()); !member {
+		t.Error("member left the table before the cell removed it")
+	}
+	releaseOnce.Do(func() { close(release) })
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if _, member := f.svc.Member(ch.LocalID()); !member {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("member still listed after the cell removed it")
 }
 
 func TestRejoinOfLiveMemberDoesNotDuplicateNewMember(t *testing.T) {

@@ -111,6 +111,10 @@ type Service struct {
 	cell Members
 	cfg  ServiceConfig
 
+	// lifeMu runs joins and purges one at a time, across their calls
+	// into the cell; mu guards the table and counters, never held
+	// across those calls.
+	lifeMu  sync.Mutex
 	mu      sync.Mutex
 	members map[ident.ID]*MemberInfo
 	stats   Stats
@@ -266,6 +270,7 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 	}
 
 	now := time.Now()
+	s.lifeMu.Lock()
 	s.mu.Lock()
 	rec, rejoin := s.members[pkt.Sender]
 	s.mu.Unlock()
@@ -277,6 +282,7 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		s.ch.Forget(pkt.Sender)
 		s.cell.RenewMember(pkt.Sender)
 	} else if err := s.cell.AddMember(pkt.Sender, req.DeviceType, req.DeviceName); err != nil {
+		s.lifeMu.Unlock()
 		s.reject(pkt.Sender, err.Error())
 		return
 	}
@@ -286,7 +292,7 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		rec.LastSeen = now
 		rec.State = stateActive
 	} else {
-		s.members[pkt.Sender] = &MemberInfo{
+		rec = &MemberInfo{
 			ID:         pkt.Sender,
 			DeviceType: req.DeviceType,
 			Name:       req.DeviceName,
@@ -294,9 +300,11 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 			LastSeen:   now,
 			JoinedAt:   now,
 		}
+		s.members[pkt.Sender] = rec
 		s.stats.Admitted++
 	}
 	s.mu.Unlock()
+	s.lifeMu.Unlock()
 
 	accept := wire.AppendJoinAccept(nil, wire.JoinAccept{
 		Cell:        s.cfg.Cell,
@@ -304,15 +312,10 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 		LeaseMillis: uint32(s.cfg.Lease / time.Millisecond),
 		GraceMillis: uint32(s.cfg.Grace / time.Millisecond),
 	})
-	if err := s.ch.Send(pkt.Sender, wire.PktJoinAccept, accept); err != nil {
+	if err := s.ch.Send(pkt.Sender, wire.PktJoinAccept, accept); err != nil && !rejoin {
 		// Could not confirm admission: roll back so the device can
 		// retry cleanly.
-		if !rejoin {
-			s.mu.Lock()
-			delete(s.members, pkt.Sender)
-			s.mu.Unlock()
-			s.cell.RemoveMember(pkt.Sender, "join-unconfirmed")
-		}
+		s.purge(pkt.Sender, rec, "join-unconfirmed")
 	}
 }
 
@@ -359,7 +362,7 @@ func (s *Service) handleLeave(id ident.ID) {
 	}
 	s.mu.Unlock()
 	if ok {
-		s.purge(id, "leave")
+		s.purge(id, nil, "leave")
 	}
 }
 
@@ -401,22 +404,26 @@ func (s *Service) checkExpiry() {
 	}
 	s.mu.Unlock()
 	for _, id := range toPurge {
-		s.purge(id, "lease-expired")
+		s.purge(id, nil, "lease-expired")
 	}
 }
 
-// purge removes a member from the table and from the cell.
-func (s *Service) purge(id ident.ID, reason string) {
+// purge takes a member out of the cell, then out of the table, so the
+// table never lacks a member the bus still has. A non-nil want purges
+// only that record, not one a later join put in its place.
+func (s *Service) purge(id ident.ID, want *MemberInfo, reason string) {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
 	s.mu.Lock()
-	_, ok := s.members[id]
-	if ok {
-		delete(s.members, id)
-		s.stats.Purged++
-	}
+	rec, ok := s.members[id]
 	s.mu.Unlock()
-	if !ok {
+	if !ok || (want != nil && rec != want) {
 		return
 	}
 	s.ch.Forget(id)
 	s.cell.RemoveMember(id, reason)
+	s.mu.Lock()
+	delete(s.members, id)
+	s.stats.Purged++
+	s.mu.Unlock()
 }

@@ -96,7 +96,8 @@ type Stats struct {
 	PacketsRecycled uint64
 	// RTTSamples counts round trips timed for the retransmit timer
 	// (Karn's rule: only acks of packets sent exactly once); MaxRTOMicros
-	// is the largest current RTO over live destinations, before backoff.
+	// is the largest current RTO over live destinations, backoff
+	// included.
 	RTTSamples   uint64
 	MaxRTOMicros uint64
 }
@@ -176,8 +177,9 @@ type Config struct {
 	// RetryTimeout is the retransmit timeout (RTO) a destination uses
 	// before its first round-trip sample (default 50 ms); from then on
 	// the RTO is measured (RFC 6298: smoothed RTT plus four times its
-	// variance), clamped to [10 ms, MaxRetryTimeout]. It doubles per
-	// retransmit round up to MaxRetryTimeout.
+	// variance), clamped to [10 ms, MaxRetryTimeout]. Each retransmit
+	// round doubles it, up to MaxRetryTimeout, until the next sample or
+	// a give-up.
 	RetryTimeout time.Duration
 	// MaxRetryTimeout caps the backoff and the measured RTO (default
 	// 10× RetryTimeout).
@@ -335,11 +337,11 @@ type sendOp struct {
 	bufp  *[]byte // marshalled packet, pooled
 	comp  *Completion
 	next  *sendOp // free-list link
-	// sentAt is the op's first transmission; resent marks an op
-	// transmitted again since (timer round, fast retransmit, stream
-	// reset, resume), whose ack can time no round trip (Karn's rule).
+	// sentAt is the op's first transmission under its sequence number.
+	// An op with FlagRetransmit set was sent again since (timer round,
+	// fast retransmit, resume), so its ack times no round trip (Karn's
+	// rule).
 	sentAt time.Time
-	resent bool
 }
 
 // maxFreeOps bounds a destination's op free list; churn beyond it falls
@@ -378,7 +380,8 @@ type destState struct {
 	gone     bool      // forgotten or channel closed
 
 	// The retransmit timer's estimator (RFC 6298 §2): srtt is zero
-	// until the first sample, and rto is Config.RetryTimeout until then.
+	// until the first sample, and rto is Config.RetryTimeout until then;
+	// a timer round doubles rto until the next sample or give-up.
 	// progressAt (last ack progress, or first transmission since)
 	// starts the give-up horizon.
 	srtt, rttvar, rto time.Duration
@@ -689,6 +692,9 @@ func (c *Channel) resetStreamLocked(ds *destState) {
 		op := ds.queue.at(i)
 		ds.nextSeq++
 		op.seq = ds.nextSeq
+		// An ack can only answer the packet under its new epoch and
+		// sequence number, so the fill loop times it afresh.
+		op.sentAt = time.Time{}
 		_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 	}
 	ds.inflight = 0 // retransmit everything under the new epoch
@@ -700,21 +706,9 @@ func (c *Channel) resetStreamLocked(ds *destState) {
 	c.ctr.streamResets.Add(1)
 }
 
-// backoff returns the retransmit timeout after the given number of
-// consecutive retransmission rounds, doubling from rto.
-func (c *Channel) backoff(rto time.Duration, rounds int) time.Duration {
-	d := rto
-	for i := 0; i < rounds; i++ {
-		d *= 2
-		if d >= c.cfg.MaxRetryTimeout {
-			return c.cfg.MaxRetryTimeout
-		}
-	}
-	return d
-}
-
 // giveUpHorizon is how long the unmeasured schedule takes to spend the
-// retry budget: Σ backoff(RetryTimeout, i) for i = 0..MaxRetries.
+// retry budget: MaxRetries+1 timeouts doubling from RetryTimeout, each
+// capped at MaxRetryTimeout.
 func giveUpHorizon(cfg Config) time.Duration {
 	var h time.Duration
 	d := cfg.RetryTimeout
@@ -727,7 +721,7 @@ func giveUpHorizon(cfg Config) time.Duration {
 
 // sampleRTTLocked folds one round-trip sample into the destination's
 // estimator (RFC 6298 §2.2–2.3, α = 1/8, β = 1/4) and recomputes its
-// RTO. Caller holds ds.mu.
+// RTO from it. Caller holds ds.mu.
 func (c *Channel) sampleRTTLocked(ds *destState, r time.Duration) {
 	if ds.srtt == 0 {
 		ds.srtt, ds.rttvar = r, r/2
@@ -735,25 +729,40 @@ func (c *Channel) sampleRTTLocked(ds *destState, r time.Duration) {
 		ds.rttvar += (max(ds.srtt-r, r-ds.srtt) - ds.rttvar) / 4
 		ds.srtt += (r - ds.srtt) / 8
 	}
-	ds.rto = min(max(ds.srtt+4*ds.rttvar, minRTO), c.cfg.MaxRetryTimeout)
+	c.resetRTOLocked(ds)
 	c.ctr.rttSamples.Add(1)
 }
 
-// retransmitRoundLocked resends every in-flight packet (go-back-N) and
-// arms the next, doubled deadline, never past the give-up horizon once
-// the budget's rounds are spent. Caller holds ds.mu.
+// resetRTOLocked sets the destination's RTO from its estimator, without
+// the backoff of earlier timer rounds: SRTT + 4·RTTVAR clamped to
+// [minRTO, MaxRetryTimeout], or RetryTimeout before the first sample.
+// Caller holds ds.mu.
+func (c *Channel) resetRTOLocked(ds *destState) {
+	ds.rto = c.cfg.RetryTimeout
+	if ds.srtt != 0 {
+		ds.rto = min(max(ds.srtt+4*ds.rttvar, minRTO), c.cfg.MaxRetryTimeout)
+	}
+}
+
+// retransmitRoundLocked resends every in-flight packet (go-back-N),
+// doubles the destination's RTO and arms the next deadline on it, never
+// past the give-up horizon once the budget's rounds are spent. Caller
+// holds ds.mu.
 func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
 	for i := 0; i < ds.inflight; i++ {
 		op := ds.queue.at(i)
 		op.flags |= wire.FlagRetransmit
-		op.resent = true
 		_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 		c.stampBatchAck(ds, op)
 		c.transmit(ds.id, *op.bufp)
 		c.ctr.retransmits.Add(1)
 	}
 	ds.attempts++
-	ds.deadline = now.Add(c.backoff(ds.rto, ds.attempts))
+	// Karn & Partridge's timer backoff (RFC 6298 §5.5): the doubled RTO
+	// stands until a valid sample replaces it, so a link that has grown
+	// slower than its RTO is timed again instead of resent forever.
+	ds.rto = min(2*ds.rto, c.cfg.MaxRetryTimeout)
+	ds.deadline = now.Add(ds.rto)
 	if h := ds.progressAt.Add(c.horizon); ds.attempts >= c.cfg.MaxRetries && h.Before(ds.deadline) {
 		ds.deadline = h
 	}
@@ -811,7 +820,6 @@ func (c *Channel) runSender(ds *destState) {
 			ds.fastRetx = false
 			op := ds.queue.at(0)
 			op.flags |= wire.FlagRetransmit
-			op.resent = true
 			_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 			c.stampBatchAck(ds, op)
 			c.transmit(ds.id, *op.bufp)
@@ -824,10 +832,10 @@ func (c *Channel) runSender(ds *destState) {
 				// Permanently unsendable (over the transport MTU):
 				// fail this op now and close the sequence gap by
 				// renumbering the untransmitted ops behind it.
+				c.ctr.failures.Add(1)
 				settleOp(op, fmt.Errorf("reliable send: %w", err))
 				putBuf(op.bufp)
 				op.bufp = nil
-				c.ctr.failures.Add(1)
 				ds.queue.removeAt(ds.inflight)
 				for i := ds.inflight; i < ds.queue.len(); i++ {
 					later := ds.queue.at(i)
@@ -840,13 +848,11 @@ func (c *Channel) runSender(ds *destState) {
 			}
 			if op.sentAt.IsZero() {
 				op.sentAt = now
-			} else {
-				op.resent = true // after a stream reset or a resume
 			}
 			if ds.inflight == 0 {
 				ds.attempts = 0
 				ds.progressAt = now
-				ds.deadline = now.Add(c.backoff(ds.rto, 0))
+				ds.deadline = now.Add(ds.rto)
 			}
 			ds.inflight++
 		}
@@ -886,9 +892,9 @@ func (c *Channel) giveUpLocked(ds *destState) {
 	failed := make([]*sendOp, 0, ds.queue.len())
 	for ds.queue.len() > 0 {
 		op := ds.queue.popFront()
+		c.ctr.failures.Add(1) // before the waiter can read Stats
 		settleOp(op, fmt.Errorf("%w: %s epoch=%d seq=%d to %s",
 			ErrGaveUp, op.ptype, ds.epoch, op.seq, ds.id))
-		c.ctr.failures.Add(1)
 		failed = append(failed, op)
 	}
 	// Failed queue entries carry lower sequence numbers than whatever
@@ -899,6 +905,9 @@ func (c *Channel) giveUpLocked(ds *destState) {
 	ds.dupAcks = 0
 	ds.fastRetx = false
 	ds.deadline = time.Time{}
+	// The backoff ends with the episode it grew in: the next stream to
+	// this destination starts from the estimator's RTO again.
+	c.resetRTOLocked(ds)
 }
 
 // failPendingLocked resolves every queued packet with err and drops all
@@ -1194,7 +1203,7 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		if ds.inflight > 0 {
 			ds.inflight--
 		}
-		timed = timed && !op.resent && !op.sentAt.IsZero()
+		timed = timed && op.flags&wire.FlagRetransmit == 0 && !op.sentAt.IsZero()
 		sentAt = op.sentAt
 		putBuf(op.bufp)
 		op.bufp = nil
@@ -1214,7 +1223,7 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		ds.gapAcks = 0
 		ds.progressAt = now
 		if ds.inflight > 0 {
-			ds.deadline = now.Add(c.backoff(ds.rto, 0))
+			ds.deadline = now.Add(ds.rto)
 		} else {
 			ds.deadline = time.Time{}
 		}

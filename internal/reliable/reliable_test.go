@@ -467,7 +467,13 @@ func TestGiveUpHorizonHeldForMeasuredDestination(t *testing.T) {
 	if elapsed < horizon {
 		t.Errorf("gave up after %v, want ≥ %v", elapsed, horizon)
 	}
-	if n := a.Stats().Retransmits - before; n < uint64(cfg.MaxRetries) {
+	st := a.Stats()
+	if n := st.Retransmits - before; n < uint64(cfg.MaxRetries) {
 		t.Errorf("%d retransmit rounds before giving up, want ≥ %d", n, cfg.MaxRetries)
+	}
+	// The rounds' backoff ends with the give-up: the next stream starts
+	// from the measured RTO, on the floor for this switch.
+	if rto := time.Duration(st.MaxRTOMicros) * time.Microsecond; rto != minRTO {
+		t.Errorf("RTO after giving up = %v, want the measured %v", rto, minRTO)
 	}
 }

@@ -177,3 +177,53 @@ func TestKarnResentPacketGivesNoSample(t *testing.T) {
 		t.Errorf("RTTSamples = %d, want 1: the resent packet's ack was timed", st.RTTSamples)
 	}
 }
+
+// TestRTOBackoffRemeasuresSlowerLink: a destination measured onto the
+// RTO floor whose link then slows past it has every packet still in
+// flight when its first deadline fires, so no ack can be timed. The
+// timer round's doubled RTO must stand until the next sample, or the
+// RTO stays on the floor and every packet is resent for good.
+func TestRTOBackoffRemeasuresSlowerLink(t *testing.T) {
+	sw, a, b := switchPair(t, Config{})
+	senderID := a.LocalID()
+	var mu sync.Mutex
+	delay := time.Millisecond
+	sw.SetDeliveryHook(func(from, to ident.ID, data []byte) (bool, time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		if from == senderID {
+			return false, delay
+		}
+		return false, 0
+	})
+	for i := 0; i < 20; i++ {
+		if err := a.Send(b.LocalID(), wire.PktEvent, []byte{byte(i)}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	settled(a, b.LocalID())
+	if rto := a.Stats().MaxRTOMicros; rto != uint64(minRTO/time.Microsecond) {
+		t.Fatalf("RTO on a 1 ms link = %d µs, want the %v floor", rto, minRTO)
+	}
+
+	const slow = 30 * time.Millisecond
+	mu.Lock()
+	delay = slow
+	mu.Unlock()
+	before := a.Stats()
+	for i := 0; i < 10; i++ {
+		if err := a.Send(b.LocalID(), wire.PktEvent, []byte{byte(i)}); err != nil {
+			t.Fatalf("slow send %d: %v", i, err)
+		}
+	}
+	settled(a, b.LocalID())
+	st := a.Stats()
+	t.Logf("10 sends at %v: %d retransmits, %d new samples, RTO %d µs",
+		slow, st.Retransmits-before.Retransmits, st.RTTSamples-before.RTTSamples, st.MaxRTOMicros)
+	if st.RTTSamples == before.RTTSamples {
+		t.Errorf("no round trip timed after the link slowed to %v", slow)
+	}
+	if rto := time.Duration(st.MaxRTOMicros) * time.Microsecond; rto <= slow {
+		t.Errorf("RTO = %v after the link slowed to %v, want above it", rto, slow)
+	}
+}

@@ -173,12 +173,10 @@ func TestMembershipChurn(t *testing.T) {
 		t.Fatalf("received %d of %d", received, churners)
 	}
 
-	// Eventually only the stayer remains, and the bus agrees: discovery
-	// drops a member from its table before the bus's RemoveMember
-	// returns, so the bus may trail it briefly.
+	// Eventually only the stayer remains.
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(cell.Discovery.Members()) == 1 && len(cell.Bus.Members()) == 1 {
+		if len(cell.Discovery.Members()) == 1 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -187,6 +185,7 @@ func TestMembershipChurn(t *testing.T) {
 	if len(members) != 1 || members[0].Name != "stayer" {
 		t.Fatalf("final members = %+v", members)
 	}
+	// The bus agrees with discovery.
 	if got := len(cell.Bus.Members()); got != 1 {
 		t.Errorf("bus members = %d", got)
 	}
