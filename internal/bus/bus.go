@@ -158,18 +158,13 @@ func WithQuench(on bool) Option {
 	return func(b *Bus) { b.quenchOn = on }
 }
 
-// withProxyConfig overrides proxy queue/redelivery tuning.
-func withProxyConfig(cfg proxy.Config) Option {
-	return func(b *Bus) { b.proxyCfg = cfg }
-}
-
 // WithBatching tunes outbound coalescing on every member proxy: up to
 // events deliveries or maxBytes of payload per batch packet, a partial
 // batch waiting delay for more once the queue runs dry. Zeros take the
 // proxy defaults — 16 events, 8 KiB, and no wait at all (opportunistic:
 // only what is already queued coalesces); events == 1 turns coalescing
 // off (see proxy.Config). It sets the three batching fields of the
-// proxy configuration, so give it after withProxyConfig, not before.
+// proxy configuration.
 func WithBatching(events, maxBytes int, delay time.Duration) Option {
 	return func(b *Bus) {
 		b.proxyCfg.BatchEvents, b.proxyCfg.BatchBytes, b.proxyCfg.FlushDelay = events, maxBytes, delay
@@ -810,9 +805,8 @@ func (b *Bus) shardLoop(w *shardWorker) {
 // so the matcher's verdict names exactly whom to serve and no filter is
 // evaluated twice; a hit that no longer resolves — a member purged or a
 // handler unsubscribed between match and dispatch — is skipped. The
-// event is delivered shared and immutable: proxies and handlers must
-// not mutate it (proxies whose devices do mutate clone on write — see
-// the proxy's eventMutator).
+// event is delivered shared and immutable: proxies, their devices and
+// handlers must not mutate it.
 //
 // The bus owns the publisher's reference on the event for the duration
 // of dispatch: each proxy takes its own reference when it enqueues the

@@ -171,3 +171,9 @@ func TestUnsubscribeUnknownFilterIgnored(t *testing.T) {
 		t.Errorf("phantom unsubscription recorded: %+v", st)
 	}
 }
+
+// withProxyConfig overrides proxy queue/redelivery tuning. It replaces
+// the whole proxy configuration, so give it before WithBatching.
+func withProxyConfig(cfg proxy.Config) Option {
+	return func(b *Bus) { b.proxyCfg = cfg }
+}

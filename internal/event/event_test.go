@@ -153,3 +153,33 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// delete removes the attribute under name if present.
+func (e *Event) delete(name string) {
+	i, found := e.search(name)
+	if !found {
+		return
+	}
+	if e.spill != nil {
+		e.ensureOwned(false)
+		s := e.spill.attrs
+		copy(s[i:e.n-1], s[i+1:e.n])
+		s[e.n-1] = attr{}
+		e.spill.attrs = s[:e.n-1]
+	} else {
+		copy(e.inline[i:e.n-1], e.inline[i+1:e.n])
+		e.inline[e.n-1] = attr{}
+	}
+	e.n--
+}
+
+// names returns the attribute names in sorted order. The slice is fresh
+// on every call.
+func (e *Event) names() []string {
+	s := e.attrSlice()
+	names := make([]string, len(s))
+	for i := range s {
+		names[i] = s[i].name
+	}
+	return names
+}

@@ -150,11 +150,3 @@ func noteInternMiss(b []byte) {
 	next[name] = name
 	interned.Store(&internTable{m: next})
 }
-
-// internStats reports the intern table size and the number of names
-// currently tracked for promotion (observability and tests).
-func internStats() (entries, tracked int) {
-	internMu.Lock()
-	defer internMu.Unlock()
-	return len(interned.Load().m), len(internMisses)
-}

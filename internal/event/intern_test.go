@@ -81,3 +81,11 @@ func TestInternConcurrent(t *testing.T) {
 		t.Fatal("intern table empty after concurrent load")
 	}
 }
+
+// internStats reports the intern table size and the number of names
+// currently tracked for promotion (observability and tests).
+func internStats() (entries, tracked int) {
+	internMu.Lock()
+	defer internMu.Unlock()
+	return len(interned.Load().m), len(internMisses)
+}

@@ -31,10 +31,6 @@ import (
 // eventPool recycles Event structs released via Release.
 var eventPool = sync.Pool{New: func() interface{} { return new(Event) }}
 
-// poolStats counts pool traffic for observability (leak detection in
-// tests mirrors the wire.PacketPool counters).
-var poolAcquired, poolRecycled atomic.Uint64
-
 // Acquire returns an empty event from the free list with a reference
 // count of one. Release it (directly, or by publishing it on a bus
 // that manages the lifecycle) to recycle it.
@@ -42,7 +38,6 @@ func Acquire() *Event {
 	e := eventPool.Get().(*Event)
 	e.pooled = true
 	atomic.StoreInt32(&e.refs, 1)
-	poolAcquired.Add(1)
 	return e
 }
 
@@ -68,12 +63,5 @@ func (e *Event) Release() {
 	e.dropSpill()
 	e.releaseBacking() // borrowed decode: let the backing packet recycle
 	*e = Event{}       // clear attribute names/values so recycled events pin nothing
-	poolRecycled.Add(1)
 	eventPool.Put(e)
-}
-
-// poolStats reports the number of events acquired from and recycled to
-// the free list since process start.
-func poolStats() (acquired, recycled uint64) {
-	return poolAcquired.Load(), poolRecycled.Load()
 }

@@ -9,7 +9,6 @@ package ident
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strconv"
 	"strings"
@@ -64,16 +63,6 @@ func FromUDPAddr(addr *net.UDPAddr) (ID, error) {
 	return fromAddr(addr.IP, addr.Port)
 }
 
-// random draws a non-nil, non-broadcast ID from rng.
-func random(rng *rand.Rand) ID {
-	for {
-		id := New(rng.Uint64())
-		if id != Nil && id != Broadcast {
-			return id
-		}
-	}
-}
-
 // Addr recovers the IPv4 address and port an ID encodes. The mapping is
 // only meaningful for IDs produced by fromAddr.
 func (id ID) Addr() (net.IP, int) {
@@ -86,9 +75,6 @@ func (id ID) IsNil() bool { return id == Nil }
 
 // IsBroadcast reports whether the ID is the broadcast ID.
 func (id ID) IsBroadcast() bool { return id == Broadcast }
-
-// valid reports whether the ID fits in 48 bits.
-func (id ID) valid() bool { return id&^mask == 0 }
 
 // String renders the ID as six colon-separated hex octets, in the style
 // of a MAC address (the natural rendering of a 48-bit identifier).

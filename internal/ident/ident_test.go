@@ -112,3 +112,16 @@ func TestReservedPredicates(t *testing.T) {
 		t.Error("Broadcast predicates wrong")
 	}
 }
+
+// random draws a non-nil, non-broadcast ID from rng.
+func random(rng *rand.Rand) ID {
+	for {
+		id := New(rng.Uint64())
+		if id != Nil && id != Broadcast {
+			return id
+		}
+	}
+}
+
+// valid reports whether the ID fits in 48 bits.
+func (id ID) valid() bool { return id&^mask == 0 }

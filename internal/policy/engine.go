@@ -154,18 +154,6 @@ func (e *Engine) addObligation(o *Obligation) error {
 	return nil
 }
 
-// removeObligation uninstalls an obligation policy.
-func (e *Engine) removeObligation(name string) error {
-	e.mu.Lock()
-	st, ok := e.obligations[name]
-	delete(e.obligations, name)
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("policy: no obligation %q", name)
-	}
-	return st.remove()
-}
-
 // addAuthorization installs one authorisation policy.
 func (e *Engine) addAuthorization(a *Authorization) error {
 	if err := a.validate(); err != nil {

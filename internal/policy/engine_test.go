@@ -584,3 +584,15 @@ func TestActionRefusedOnFullShard(t *testing.T) {
 		t.Errorf("logs = %q; want one refusal", logs)
 	}
 }
+
+// removeObligation uninstalls an obligation policy.
+func (e *Engine) removeObligation(name string) error {
+	e.mu.Lock()
+	st, ok := e.obligations[name]
+	delete(e.obligations, name)
+	e.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("policy: no obligation %q", name)
+	}
+	return st.remove()
+}

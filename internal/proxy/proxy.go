@@ -60,19 +60,11 @@ type AsyncSender interface {
 // Publisher lets a proxy inject translated device data into the bus.
 type Publisher func(e *event.Event) error
 
-// eventMutator is optionally implemented by Devices whose TranslateOut
-// modifies the event it is handed. The bus delivers one shared,
-// immutable event to every subscriber's proxy (zero-copy dispatch); a
-// proxy whose device declares mutatesEvents()==true receives a private
-// clone instead — clone-on-write at the only place a copy is needed.
-type eventMutator interface {
-	mutatesEvents() bool
-}
-
 // Device is the concrete half of a proxy: the device-type-specific
 // translation logic. Implementations must be safe for use from the
-// proxy's goroutines. TranslateOut must treat the event as read-only
-// unless the device also implements eventMutator.
+// proxy's goroutines. TranslateOut must treat the event as read-only:
+// the bus delivers one shared event to every subscriber's proxy
+// (zero-copy dispatch).
 type Device interface {
 	// DeviceType names the device class this translator serves.
 	DeviceType() string
@@ -189,12 +181,11 @@ type Stats struct {
 // Proxy is the generic proxy: outbound FIFO queue, delivery worker,
 // inbound translation.
 type Proxy struct {
-	member   ident.ID
-	dev      Device
-	sender   AsyncSender
-	pub      Publisher
-	cfg      Config
-	cloneOut bool // device mutates events: clone before TranslateOut
+	member ident.ID
+	dev    Device
+	sender AsyncSender
+	pub    Publisher
+	cfg    Config
 
 	mu sync.Mutex
 	// queue[head:] awaits delivery. A pop advances head; the slack it
@@ -252,14 +243,8 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if m, ok := dev.(eventMutator); ok {
-		p.cloneOut = m.mutatesEvents()
-	}
 	return p
 }
-
-// deviceType returns the concrete device class.
-func (p *Proxy) deviceType() string { return p.dev.DeviceType() }
 
 // InitialSubscriptions exposes the device's implicit filters.
 func (p *Proxy) InitialSubscriptions() []*event.Filter {
@@ -437,11 +422,7 @@ func (p *Proxy) translateOut(q queued) (outItem, bool) {
 		*bp = payload
 		return outItem{ptype: wire.PktEventDurable, payload: payload, bufp: bp, events: 1}, true
 	}
-	src := e
-	if p.cloneOut {
-		src = e.Clone() // device mutates events; shed the shared copy
-	}
-	raw, ok, err := p.dev.TranslateOut(src)
+	raw, ok, err := p.dev.TranslateOut(e)
 	switch {
 	case err != nil:
 		return outItem{}, false
@@ -452,7 +433,7 @@ func (p *Proxy) translateOut(q queued) (outItem, bool) {
 		return outItem{ptype: wire.PktData, payload: raw, events: 1}, true
 	default:
 		bp := wire.GetEncodeBuf()
-		payload := wire.AppendEvent((*bp)[:0], src)
+		payload := wire.AppendEvent((*bp)[:0], e)
 		*bp = payload
 		return outItem{ptype: wire.PktEvent, payload: payload, bufp: bp, events: 1}, true
 	}

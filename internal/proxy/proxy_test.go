@@ -324,39 +324,5 @@ func TestGenericDeviceDefaults(t *testing.T) {
 	}
 }
 
-// mutatingDevice stamps every outbound event in TranslateOut and
-// declares it via eventMutator, so the proxy must hand it a private
-// clone rather than the shared dispatch copy.
-type mutatingDevice struct {
-	GenericDevice
-}
-
-func (d *mutatingDevice) TranslateOut(e *event.Event) ([]byte, bool, error) {
-	e.SetStr("stamped-by", "mutator")
-	return []byte{0xAB}, true, nil
-}
-
-func (d *mutatingDevice) mutatesEvents() bool { return true }
-
-// TestMutatingDeviceGetsPrivateClone locks in the zero-copy dispatch
-// contract: events are enqueued shared, and only a device that
-// declares mutatesEvents sees (and pays for) a private copy.
-func TestMutatingDeviceGetsPrivateClone(t *testing.T) {
-	fs := &fakeSender{}
-	pub, _, _ := collectPublishes()
-	p := New(ident.New(9), &mutatingDevice{}, fs, pub, fastCfg())
-	p.Start()
-	defer p.Purge()
-
-	shared := event.NewTyped("x").SetInt("n", 1)
-	shared.Sender, shared.Seq = 1, 1
-	p.Enqueue(shared)
-	waitFor(t, 2*time.Second, func() bool { return len(fs.snapshot()) == 1 })
-
-	if shared.Has("stamped-by") {
-		t.Error("device mutation leaked into the shared event")
-	}
-	if got := fs.snapshot()[0]; got.ptype != wire.PktData || got.payload[0] != 0xAB {
-		t.Errorf("translated send = %v %x", got.ptype, got.payload)
-	}
-}
+// deviceType returns the concrete device class.
+func (p *Proxy) deviceType() string { return p.dev.DeviceType() }

@@ -13,7 +13,14 @@
 //     sequence order, so packets cannot overtake one another; its
 //     cumulative acknowledgement covers only what Recv's queue took;
 //   - at-most-once: duplicates created by retransmission are
-//     suppressed by the cumulative sequence state.
+//     suppressed by the cumulative sequence state;
+//   - selective acks (RFC 2018): while its reorder buffer holds packets,
+//     the receiver's ack also reports which ones (wire.FlagSack). The
+//     sender resends an op the receiver lacks below one it holds at
+//     once, once per loss, and a timer round resends only the ops not
+//     known held; a second round without ack progress resends the
+//     whole window, because a held report is advisory (a receiver may
+//     drop what it reported: a full inbox sheds it).
 //
 // Give-up and stream resets. When the retry budget for a destination
 // is exhausted every queued packet fails with ErrGaveUp, but the
@@ -58,9 +65,12 @@ var (
 
 // Stats counts channel activity.
 type Stats struct {
-	Sent            uint64
-	Acked           uint64
-	Retransmits     uint64
+	Sent        uint64
+	Acked       uint64
+	Retransmits uint64
+	// FastRetransmits counts loss-triggered resends: ops a selective
+	// ack showed missing below one the receiver holds, resent before
+	// their retransmit deadline.
 	FastRetransmits uint64
 	Failures        uint64
 	Resumed         uint64
@@ -68,10 +78,14 @@ type Stats struct {
 	Received        uint64
 	DupsDropped     uint64
 	Buffered        uint64
-	StaleAcks       uint64
-	StaleEpoch      uint64
-	UnreliableIn    uint64
-	UnreliableOut   uint64
+	// ReorderDropped counts out-of-order packets dropped because their
+	// sender's reorder buffer here already held reorderDepth packets;
+	// the sender resends them.
+	ReorderDropped uint64
+	StaleAcks      uint64
+	StaleEpoch     uint64
+	UnreliableIn   uint64
+	UnreliableOut  uint64
 	// BatchesSent counts reliable batch packets enqueued
 	// (SendBatchAsync); PiggybackAcks counts cumulative acks applied
 	// from inbound batch prologues rather than standalone PktAck
@@ -122,9 +136,9 @@ type counters struct {
 	acked, received, dupsDropped, buffered atomic.Uint64
 	staleAcks, staleEpoch                  atomic.Uint64
 	unreliableIn, piggybackAcks            atomic.Uint64
-	rttSamples                             atomic.Uint64
+	rttSamples, reorderDropped             atomic.Uint64
 
-	_ [128 - (9*8)%128]byte
+	_ [128 - (10*8)%128]byte
 }
 
 // Stats snapshots the channel's counters.
@@ -141,6 +155,7 @@ func (c *Channel) Stats() Stats {
 		Received:         ctr.received.Load(),
 		DupsDropped:      ctr.dupsDropped.Load(),
 		Buffered:         ctr.buffered.Load(),
+		ReorderDropped:   ctr.reorderDropped.Load(),
 		StaleAcks:        ctr.staleAcks.Load(),
 		StaleEpoch:       ctr.staleEpoch.Load(),
 		UnreliableIn:     ctr.unreliableIn.Load(),
@@ -334,12 +349,18 @@ type sendOp struct {
 	seq   uint64
 	ptype wire.PacketType
 	flags byte
-	bufp  *[]byte // marshalled packet, pooled
-	comp  *Completion
-	next  *sendOp // free-list link
+	// held: a selective ack showed the receiver holding the op. resent:
+	// the op was resent for a hole a selective ack showed, so later acks
+	// showing the same hole resend it no more. A stream reset or a
+	// resume clears both. (Beside flags, they keep the op in 64 bytes.)
+	held, resent bool
+
+	bufp *[]byte // marshalled packet, pooled
+	comp *Completion
+	next *sendOp // free-list link
 	// sentAt is the op's first transmission under its sequence number.
 	// An op with FlagRetransmit set was sent again since (timer round,
-	// fast retransmit, resume), so its ack times no round trip (Karn's
+	// hole resend, resume), so its ack times no round trip (Karn's
 	// rule).
 	sentAt time.Time
 }
@@ -372,10 +393,9 @@ type destState struct {
 	stash    []*sendOp // ops failed by give-up, resumable by identical resend
 	free     *sendOp   // recycled ops (guarded by mu like the queue)
 	nfree    int
-	attempts int // retransmit rounds since last ack progress
-	dupAcks  int
-	gapAcks  int // consecutive acks regressed below the window base
-	fastRetx bool
+	attempts int       // retransmit rounds since last ack progress
+	gapAcks  int       // consecutive acks regressed below the window base
+	holes    bool      // an ack showed an op missing below a held one
 	deadline time.Time // retransmit deadline while inflight > 0
 	gone     bool      // forgotten or channel closed
 
@@ -617,6 +637,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 			// (acks lost) dedups instead of delivering twice.
 			ds.stash = ds.stash[1:]
 			op = s
+			op.held, op.resent = false, false
 			op.flags |= wire.FlagRetransmit
 			_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 			c.ctr.resumed.Add(1)
@@ -695,13 +716,13 @@ func (c *Channel) resetStreamLocked(ds *destState) {
 		// An ack can only answer the packet under its new epoch and
 		// sequence number, so the fill loop times it afresh.
 		op.sentAt = time.Time{}
+		op.held, op.resent = false, false
 		_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
 	}
 	ds.inflight = 0 // retransmit everything under the new epoch
 	ds.attempts = 0
-	ds.dupAcks = 0
 	ds.gapAcks = 0
-	ds.fastRetx = false
+	ds.holes = false
 	ds.deadline = time.Time{}
 	c.ctr.streamResets.Add(1)
 }
@@ -744,18 +765,18 @@ func (c *Channel) resetRTOLocked(ds *destState) {
 	}
 }
 
-// retransmitRoundLocked resends every in-flight packet (go-back-N),
+// retransmitRoundLocked resends the in-flight packets the receiver is
+// not known to hold, or every one of them from the second round without
+// ack progress on (a held mark is advisory),
 // doubles the destination's RTO and arms the next deadline on it, never
 // past the give-up horizon once the budget's rounds are spent. Caller
 // holds ds.mu.
 func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
 	for i := 0; i < ds.inflight; i++ {
-		op := ds.queue.at(i)
-		op.flags |= wire.FlagRetransmit
-		_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
-		c.stampBatchAck(ds, op)
-		c.transmit(ds.id, *op.bufp)
-		c.ctr.retransmits.Add(1)
+		if op := ds.queue.at(i); !op.held || ds.attempts > 0 {
+			c.resendLocked(ds, op)
+			c.ctr.retransmits.Add(1)
+		}
 	}
 	ds.attempts++
 	// Karn & Partridge's timer backoff (RFC 6298 §5.5): the doubled RTO
@@ -766,6 +787,31 @@ func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
 	if h := ds.progressAt.Add(c.horizon); ds.attempts >= c.cfg.MaxRetries && h.Before(ds.deadline) {
 		ds.deadline = h
 	}
+}
+
+// resendHolesLocked resends, once each, the in-flight packets the
+// receiver lacks below the highest one it holds. Caller holds ds.mu.
+func (c *Channel) resendHolesLocked(ds *destState) {
+	top := ds.inflight - 1
+	for top >= 0 && !ds.queue.at(top).held {
+		top--
+	}
+	for i := 0; i < top; i++ {
+		if op := ds.queue.at(i); !op.held && !op.resent {
+			op.resent = true
+			c.resendLocked(ds, op)
+			c.ctr.fastRetransmits.Add(1)
+		}
+	}
+}
+
+// resendLocked transmits an op again, marked as a retransmission.
+// Caller holds ds.mu.
+func (c *Channel) resendLocked(ds *destState, op *sendOp) {
+	op.flags |= wire.FlagRetransmit
+	_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
+	c.stampBatchAck(ds, op)
+	c.transmit(ds.id, *op.bufp)
 }
 
 // transmit sends one marshalled packet. Most transport-level errors
@@ -784,9 +830,10 @@ func (c *Channel) transmit(dst ident.ID, buf []byte) error {
 
 // runSender drains one destination's queue: it keeps up to Window
 // packets in flight, retransmits them on a single per-destination
-// deadline with exponential backoff, and fails the queue when the
-// retry budget is exhausted. Every packet — window fill, retransmit
-// round, fast retransmit — goes out as one transport Send.
+// deadline with exponential backoff, resends the holes selective acks
+// show, and fails the queue when the retry budget is exhausted. Every
+// packet — window fill, retransmit round, hole resend — goes out as one
+// transport Send.
 func (c *Channel) runSender(ds *destState) {
 	defer c.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -813,17 +860,9 @@ func (c *Channel) runSender(ds *destState) {
 				c.retransmitRoundLocked(ds, now)
 			}
 		}
-		if ds.fastRetx && ds.inflight > 0 {
-			// Three duplicate cumulative acks: the base packet is
-			// likely lost while later ones were buffered. Retransmit
-			// it without waiting for the deadline.
-			ds.fastRetx = false
-			op := ds.queue.at(0)
-			op.flags |= wire.FlagRetransmit
-			_ = wire.PatchHeader(*op.bufp, op.flags, ds.epoch, op.seq)
-			c.stampBatchAck(ds, op)
-			c.transmit(ds.id, *op.bufp)
-			c.ctr.fastRetransmits.Add(1)
+		if ds.holes {
+			ds.holes = false
+			c.resendHolesLocked(ds)
 		}
 		for ds.inflight < c.cfg.Window && ds.inflight < ds.queue.len() {
 			op := ds.queue.at(ds.inflight)
@@ -902,8 +941,7 @@ func (c *Channel) giveUpLocked(ds *destState) {
 	ds.stash = append(failed, ds.stash...)
 	ds.inflight = 0
 	ds.attempts = 0
-	ds.dupAcks = 0
-	ds.fastRetx = false
+	ds.holes = false
 	ds.deadline = time.Time{}
 	// The backoff ends with the episode it grew in: the next stream to
 	// this destination starts from the estimator's RTO again.
@@ -1135,7 +1173,7 @@ func (c *Channel) recvLoop() {
 func (c *Channel) handle(pkt *wire.Packet) {
 	switch {
 	case pkt.Type == wire.PktAck:
-		c.applyAck(pkt.Sender, pkt.Epoch, pkt.Seq)
+		c.applyAck(pkt.Sender, pkt.Epoch, pkt.Seq, wire.AckSack(pkt))
 		pkt.Release()
 	case pkt.Flags&wire.FlagNoAck != 0:
 		c.ctr.unreliableIn.Add(1)
@@ -1147,7 +1185,7 @@ func (c *Channel) handle(pkt *wire.Packet) {
 			// path, exactly as if a standalone PktAck had arrived.
 			if ep, cum, ok := wire.BatchAck(pkt.Payload); ok {
 				c.ctr.piggybackAcks.Add(1)
-				c.applyAck(pkt.Sender, ep, cum)
+				c.applyAck(pkt.Sender, ep, cum, 0)
 			}
 		}
 		c.handleData(pkt)
@@ -1155,8 +1193,10 @@ func (c *Channel) handle(pkt *wire.Packet) {
 }
 
 // applyAck applies a cumulative acknowledgement — standalone PktAck or
-// piggybacked batch prologue — to the destination's send queue.
-func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
+// piggybacked batch prologue — to the destination's send queue, and a
+// standalone ack's selective-ack bitmap (wire.AckSack; 0 for none) to
+// the ops in flight past it.
+func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 	c.mu.Lock()
 	ds := c.dests[sender]
 	c.mu.Unlock()
@@ -1211,6 +1251,15 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		ds.putOpLocked(op)
 		progress++
 	}
+	if ds.queue.len() > 0 && ds.queue.at(0).seq == cum+1 {
+		// The receiver waits for the base, so it does not hold it, even
+		// if an earlier ack said so: its inbox refused the packet and
+		// shed it.
+		ds.queue.at(0).held = false
+		if sack != 0 {
+			c.markHeldLocked(ds, cum, sack)
+		}
+	}
 	switch {
 	case progress > 0:
 		c.ctr.acked.Add(uint64(progress))
@@ -1219,7 +1268,6 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 			c.sampleRTTLocked(ds, now.Sub(sentAt))
 		}
 		ds.attempts = 0
-		ds.dupAcks = 0
 		ds.gapAcks = 0
 		ds.progressAt = now
 		if ds.inflight > 0 {
@@ -1230,13 +1278,8 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		ds.kick()
 	case ds.inflight > 0 && cum+1 == ds.queue.at(0).seq:
 		// Duplicate cumulative ack: the receiver is waiting for our
-		// base packet.
-		ds.dupAcks++
+		// base packet, and its selective ack, if any, said what else.
 		ds.gapAcks = 0
-		if ds.dupAcks == 3 && c.cfg.Window > 1 {
-			ds.fastRetx = true
-			ds.kick()
-		}
 	case ds.inflight > 0 && cum+1 < ds.queue.at(0).seq:
 		// The receiver is waiting for packets below our window base —
 		// sequence numbers this stream already settled and will never
@@ -1259,6 +1302,26 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum uint64) {
 		}
 	case ds.queue.len() == 0:
 		c.ctr.staleAcks.Add(1)
+	}
+}
+
+// markHeldLocked marks the in-flight ops a selective ack shows the
+// receiver holding (bit i: seq cum+2+i) and has runSender resend at once
+// any op it lacks below one it holds, unless already resent for that
+// hole. Caller holds ds.mu.
+func (c *Channel) markHeldLocked(ds *destState, cum, sack uint64) {
+	held, hole := false, false
+	for i := ds.inflight - 1; i >= 0; i-- {
+		op := ds.queue.at(i)
+		if d := op.seq - cum - 2; d < 64 && sack&(1<<d) != 0 {
+			op.held = true
+		}
+		held = held || op.held
+		hole = hole || held && !op.held && !op.resent
+	}
+	if hole && c.cfg.MaxRetries > 0 {
+		ds.holes = true
+		ds.kick()
 	}
 }
 
@@ -1308,7 +1371,7 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 			c.ctr.staleEpoch.Add(1)
 			c.rmu.Unlock()
 			pkt.Release()
-			c.sendAck(sender, f.in, 0)
+			c.sendAck(sender, f.in, 0, 0)
 			return
 		}
 		st = &recvState{epoch: pkt.Epoch}
@@ -1334,7 +1397,7 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 			// restarted sender stuck behind state we hold for its
 			// previous incarnation learns of it from this ack and
 			// resets its stream (see handleAck).
-			c.sendAck(sender, epoch, cum)
+			c.sendAck(sender, epoch, cum, 0)
 			return
 		}
 	}
@@ -1365,25 +1428,44 @@ func (c *Channel) handleData(pkt *wire.Packet) {
 			c.ctr.buffered.Add(1)
 		} else {
 			// Buffer full — drop; sender retransmission recovers.
+			c.ctr.reorderDropped.Add(1)
 			pkt.Release()
 		}
 	}
-	epoch, cum := st.epoch, st.cum
+	epoch, cum, sack := st.epoch, st.cum, st.sack()
 	c.rmu.Unlock()
 	// Always (re-)acknowledge, including for duplicates: the sender
 	// may have missed the previous ack.
-	c.sendAck(sender, epoch, cum)
+	c.sendAck(sender, epoch, cum, sack)
+}
+
+// sack is the reorder buffer as a selective-ack bitmap: bit i set when
+// the buffer holds seq cum+2+i (cum+1 is never parked). Caller holds rmu.
+func (st *recvState) sack() uint64 {
+	var bits uint64
+	for seq := range st.buf {
+		if d := seq - st.cum - 2; d < 64 {
+			bits |= 1 << d
+		}
+	}
+	return bits
 }
 
 // sendAck emits a cumulative acknowledgement covering every packet of
-// the epoch up to and including cum.
-func (c *Channel) sendAck(dst ident.ID, epoch byte, cum uint64) {
+// the epoch up to and including cum, with a selective-ack bitmap of the
+// packets held past it when sack is not 0.
+func (c *Channel) sendAck(dst ident.ID, epoch byte, cum, sack uint64) {
 	ack := wire.Packet{
 		Type:   wire.PktAck,
 		Flags:  wire.FlagCumAck,
 		Epoch:  epoch,
 		Sender: c.tr.LocalID(),
 		Seq:    cum,
+	}
+	var bits [8]byte
+	if sack != 0 {
+		ack.Flags |= wire.FlagSack
+		ack.Payload = wire.AppendSack(bits[:0], sack)
 	}
 	bp := getBuf()
 	b, err := ack.Marshal((*bp)[:0])

@@ -554,7 +554,7 @@ func TestStaleAcksAheadOfRetransmitRoundDoNotResetStream(t *testing.T) {
 	// Reordered stragglers — acks for packets settled long ago — trickle
 	// in before any retransmission round.
 	for i := 0; i < 4; i++ {
-		sender.applyAck(recvID, 0, 2)
+		sender.applyAck(recvID, 0, 2, 0)
 	}
 	if st := sender.Stats(); st.Retransmits != 0 {
 		t.Skipf("box too slow: a retransmission round fired before the stale acks (%+v)", st)
@@ -568,7 +568,7 @@ func TestStaleAcksAheadOfRetransmitRoundDoNotResetStream(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sender.applyAck(recvID, 0, 2)
+	sender.applyAck(recvID, 0, 2, 0)
 
 	// The link heals: the next round's acks get through.
 	sw.SetDeliveryHook(nil)

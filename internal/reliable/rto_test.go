@@ -16,6 +16,15 @@ import (
 // receiver's packets are drained and released in the background.
 func switchPair(t *testing.T, cfg Config) (*transport.Switch, *Channel, *Channel) {
 	t.Helper()
+	sw, a, b := switchChannels(t, cfg, cfg)
+	go drain(b)
+	return sw, a, b
+}
+
+// switchChannels is switchPair with a configuration per side, leaving
+// the receiver's packets to the caller.
+func switchChannels(t *testing.T, cfgA, cfgB Config) (*transport.Switch, *Channel, *Channel) {
+	t.Helper()
 	sw := transport.NewSwitch()
 	ta, err := sw.Attach(ident.New(1))
 	if err != nil {
@@ -25,8 +34,7 @@ func switchPair(t *testing.T, cfg Config) (*transport.Switch, *Channel, *Channel
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := New(ta, cfg), New(tb, cfg)
-	go drain(b)
+	a, b := New(ta, cfgA), New(tb, cfgB)
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
@@ -92,8 +100,8 @@ func TestRTOSlowLinkNoRetransmitStorm(t *testing.T) {
 
 // TestRTOFastLinkRetransmitsSooner: on a lossless 2 ms link the
 // measured RTO falls below the default, and a lost tail packet — no
-// later packet draws the duplicate acks that fast retransmit needs —
-// is resent on it instead of after RetryTimeout.
+// later packet reaches the receiver, so no selective ack shows the
+// hole — is resent on it instead of after RetryTimeout.
 func TestRTOFastLinkRetransmitsSooner(t *testing.T) {
 	sw, a, b := switchPair(t, Config{})
 	senderID := a.LocalID()

@@ -48,11 +48,6 @@ type Sim struct {
 // SimOption configures a Sim.
 type SimOption func(*Sim)
 
-// withClock overrides the device clock (tests).
-func withClock(now func() time.Time) SimOption {
-	return func(s *Sim) { s.clock = now }
-}
-
 // WithUnreliable makes the sim transmit without awaiting
 // acknowledgements (§III-B's periodic sensor that "may periodically
 // transmit data and not require any acknowledgement prior to the next
@@ -213,11 +208,4 @@ func (a *ActuatorSim) Actions() []Command {
 	out := make([]Command, len(a.actions))
 	copy(out, a.actions)
 	return out
-}
-
-// decodeErrors reports undecodable commands received.
-func (a *ActuatorSim) decodeErrors() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.decodeErrs
 }

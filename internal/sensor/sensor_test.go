@@ -343,3 +343,15 @@ func TestActuatorSimRecordsCommands(t *testing.T) {
 		t.Errorf("decode errors = %d", a.decodeErrors())
 	}
 }
+
+// decodeErrors reports undecodable commands received.
+func (a *ActuatorSim) decodeErrors() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.decodeErrs
+}
+
+// withClock overrides the device clock (tests).
+func withClock(now func() time.Time) SimOption {
+	return func(s *Sim) { s.clock = now }
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -93,4 +94,41 @@ func reDecodes[T any](t *testing.T, v T, enc func([]byte, T) []byte, dec func([]
 	if !reflect.DeepEqual(got, v) {
 		t.Fatalf("%T re-decodes differently\n got %+v\nwant %+v", v, got, v)
 	}
+}
+
+// FuzzAckSack: acks arrive from any endpoint. A FlagSack ack survives a
+// marshal → unmarshal round trip with its bitmap; arbitrary bytes never
+// panic the packet decoder or AckSack; and AckSack reads a bitmap only
+// from a FlagSack packet whose payload is exactly 8 bytes.
+func FuzzAckSack(f *testing.F) {
+	sack, _ := (&Packet{Type: PktAck, Flags: FlagCumAck | FlagSack, Epoch: 3, Sender: ident.New(2),
+		Seq: 41, Payload: AppendSack(nil, 0b1011)}).MarshalBytes()
+	plain, _ := (&Packet{Type: PktAck, Flags: FlagCumAck, Sender: ident.New(2), Seq: 41}).MarshalBytes()
+	for _, b := range [][]byte{sack, plain, sack[:len(sack)-1], {}} {
+		f.Add(b, uint64(0b1011), uint64(41))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits, cum uint64) {
+		if p, err := unmarshal(data); err == nil {
+			got := AckSack(p)
+			if p.Flags&FlagSack == 0 || len(p.Payload) != sackLen {
+				if got != 0 {
+					t.Fatalf("AckSack = %#x from flags %#x and a %d-byte payload, want 0", got, p.Flags, len(p.Payload))
+				}
+			} else if want := binary.BigEndian.Uint64(p.Payload); got != want {
+				t.Fatalf("AckSack = %#x, want %#x", got, want)
+			}
+		}
+		b, err := (&Packet{Type: PktAck, Flags: FlagCumAck | FlagSack, Sender: ident.New(2),
+			Seq: cum, Payload: AppendSack(nil, bits)}).MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := unmarshal(b)
+		if err != nil {
+			t.Fatalf("a FlagSack ack does not decode: %v", err)
+		}
+		if p.Type != PktAck || p.Flags != FlagCumAck|FlagSack || p.Seq != cum || AckSack(p) != bits {
+			t.Fatalf("round trip gave %s with bitmap %#x, want seq %d bitmap %#x", p, AckSack(p), cum, bits)
+		}
+	})
 }

@@ -133,6 +133,30 @@ const (
 	// framing layout it governs.
 )
 
+// FlagSack marks a PktAck that also carries a selective ack: an 8-byte
+// big-endian bitmap payload whose bit i is set when the receiver holds
+// sequence number Seq+2+i past the cumulative point (Seq+1 is the one
+// it waits for). Like FlagBatch it layers over the frozen format: an
+// ack without it is the plain FlagCumAck ack, with no payload.
+const FlagSack byte = 1 << 4
+
+// sackLen is the size of a FlagSack ack's payload.
+const sackLen = 8
+
+// AppendSack appends the payload of a FlagSack ack carrying bits.
+func AppendSack(dst []byte, bits uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, bits)
+}
+
+// AckSack returns the selective-ack bitmap a PktAck carries; it is 0
+// unless FlagSack is set and the payload is exactly 8 bytes.
+func AckSack(p *Packet) uint64 {
+	if p.Flags&FlagSack == 0 || len(p.Payload) != sackLen {
+		return 0
+	}
+	return binary.BigEndian.Uint64(p.Payload)
+}
+
 // version is the current wire format version.
 const version byte = 1
 
@@ -178,7 +202,7 @@ type Packet struct {
 	Payload []byte
 
 	// Pooled lifecycle (see PacketPool). pool is nil for packets built
-	// by hand or by the plain unmarshal, making Retain/Release no-ops
+	// by hand, making Retain/Release no-ops
 	// for them. buf is the packet-owned payload buffer a pooled decode
 	// copies into; it survives recycling so steady-state receive pays
 	// no per-packet allocation. refs is a plain int32 updated with
@@ -220,17 +244,6 @@ func (p *Packet) Marshal(dst []byte) ([]byte, error) {
 // MarshalBytes encodes the packet into a fresh slice.
 func (p *Packet) MarshalBytes() ([]byte, error) {
 	return p.Marshal(make([]byte, 0, p.encodedLen()))
-}
-
-// unmarshal decodes a packet from buf. The payload aliases buf; callers
-// that retain the packet beyond the life of buf must copy it. For the
-// allocation-free receive path see PacketPool.Unmarshal.
-func unmarshal(buf []byte) (*Packet, error) {
-	p := &Packet{}
-	if err := unmarshalInto(p, buf); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // unmarshalInto validates buf and fills p's header fields, leaving

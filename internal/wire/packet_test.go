@@ -213,3 +213,12 @@ func TestUnmarshalRandomGarbage(t *testing.T) {
 		_, _ = unmarshal(buf)
 	}
 }
+
+// unmarshal decodes a packet from buf. The payload aliases buf.
+func unmarshal(buf []byte) (*Packet, error) {
+	p := &Packet{}
+	if err := unmarshalInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
