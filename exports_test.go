@@ -41,6 +41,35 @@ var exportAllowlist = []struct {
 		[]string{"discovery.AuthDigest", "wire.SplitDurableEvent"}},
 	{"device API the chaos harness's unsubscribe action drives",
 		[]string{"client.Client.Unsubscribe"}},
+
+	// Struct fields no other package's product code names, kept because
+	// a test or preset sets or reads a value the product never does.
+	{"tests and the chaos harness shorten timeouts with it: smc's TestDeliveryContractOverLossyLink, " +
+		"TestRolledBackJoinAnnouncesPurge and federation tests, test/e2e's actors",
+		[]string{"smc.Config.Reliable", "smc.DeviceConfig.Reliable"}},
+	{"tests and the chaos harness shorten joins with it: smc's TestJoinTimeoutWithoutCell, " +
+		"TestJoinCellWithRetry*, test/e2e's actors and relays",
+		[]string{"smc.DeviceConfig.JoinTimeout", "smc.RetryConfig.Attempts", "smc.RetryConfig.BaseDelay", "smc.RetryConfig.MaxDelay"}},
+	{"tests set a federation link's redial, probe and device tuning: smc's " +
+		"TestFederationReconnectResumesAfterRemoteRestart and TestFederationEpochMismatchReplaysFromOldest",
+		[]string{"smc.FederateConfig.Device", "smc.FederateConfig.Dial", "smc.FederateConfig.ProbeInterval", "smc.FederateConfig.Retry"}},
+	{"tests shorten it to see redelivery: proxy's TestPipelined*, TestCoalescedRedeliveryExactlyOnce, " +
+		"TestBurstBehindStalledSenderCoalesces, bus's TestWithProxyConfigApplies",
+		[]string{"proxy.Config.RedeliveryInterval"}},
+	{"tests force segment rotation with it: store's retention, recovery and tail-sync tests",
+		[]string{"store.Config.SegmentBytes"}},
+	{"the device simulator's reading, which client and smc tests encode with sensor.EncodeReading: " +
+		"TestSensorTranslationThroughProxy, TestPolicyAlarmToActuator, TestPolicyEscalationScenario",
+		[]string{"sensor.Reading.Kind", "sensor.Reading.Millis", "sensor.Reading.Seq", "sensor.Reading.Value"}},
+	{"a device's raw-data counters (DESIGN's buffer table), which client's " +
+		"TestClientDataChannelForActuator and TestDataOverflowIsCounted read",
+		[]string{"client.Stats.DataReceived", "client.Stats.DataDropped"}},
+	{"state other packages' tests read: smc's TestTransientDisconnectionMasked, TestPolicyEscalationScenario, " +
+		"TestRolledBackJoinAnnouncesPurge, the root TestPublicAPIPolicyRoundTrip",
+		[]string{"discovery.MemberInfo.State", "policy.PolicyInfo.Name", "policy.PolicyInfo.Enabled",
+			"policy.PolicyInfo.Deployed", "policy.File.Authorizations"}},
+	{"a field of a frozen wire payload, which the codec must round-trip",
+		[]string{"wire.Beacon.Epoch"}},
 }
 
 // TestEveryExportIsReached type-checks the non-test files of this module
@@ -50,7 +79,11 @@ var exportAllowlist = []struct {
 // an interface are reached through it, so String, Error and the
 // implementations of the product's own interfaces need no entry, and so
 // are the types a reached name's exported fields and signature name.
-// Struct fields themselves are not audited.
+// Exported struct fields are audited too: a field is reached when a
+// non-test file of another package names it (a selector or a composite
+// literal key), or when non-test code passes its struct to
+// wire.CellStats.Add, which reads its uint64 and bool fields by
+// reflection. A root façade alias of a type does not reach its fields.
 func TestEveryExportIsReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks both modules and the standard library they import")
@@ -72,12 +105,13 @@ func TestEveryExportIsReached(t *testing.T) {
 	}
 	// The allowlist's entries are API, and so is what their signatures
 	// name; an entry the audit reaches without it has gone stale.
-	for _, key := range unreachedExports(pkgs, audited, allowed.has) {
+	reflective := keySet{mod + "/internal/wire.CellStats.Add": true}.has
+	for _, key := range unreachedExports(pkgs, audited, allowed.has, reflective) {
 		t.Errorf("%s: exported, but no non-test file outside its package references it; unexport or delete it",
 			strings.TrimPrefix(key, mod+"/internal/"))
 	}
 	flagged := keySet{}
-	for _, key := range unreachedExports(pkgs, audited, keySet{}.has) {
+	for _, key := range unreachedExports(pkgs, audited, keySet{}.has, reflective) {
 		flagged[key] = true
 	}
 	for key := range allowed {
@@ -93,7 +127,10 @@ func (s keySet) has(key string) bool { return s[key] }
 
 // TestExportAuditFlagsOnlyUnreached runs the audit over a small module:
 // one export nothing references, one method that only implements an
-// interface, one String method. Only the first may be flagged.
+// interface, one String method, and four struct fields: one nothing
+// reads, one only a test sets, one another package reads, and one only
+// a reflective reader (a CellStats.Add stand-in) reaches. Only the
+// first export and the first two fields may be flagged.
 func TestExportAuditFlagsOnlyUnreached(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -111,6 +148,24 @@ func (s Square) Area() int { return s.side * s.side }
 func (s Square) String() string { return "square" }
 
 func Unused() {}
+
+type Config struct {
+	Unread   int
+	TestOnly int
+	Read     int
+}
+
+type Stats struct{ Count uint64 }
+
+func Current() Stats { return Stats{} }
+
+type Sink struct{}
+
+func (Sink) Add(prefix string, v any) {}
+`,
+		"internal/lib/lib_test.go": `package lib
+
+var _ = Config{TestOnly: 1}
 `,
 		"main.go": `package main
 
@@ -122,7 +177,8 @@ import (
 
 func main() {
 	var s lib.Shape = lib.NewSquare(2)
-	fmt.Println(s.Area(), lib.NewSquare(3))
+	fmt.Println(s.Area(), lib.NewSquare(3), lib.Config{}.Read)
+	lib.Sink{}.Add("lib", lib.Current())
 }
 `,
 	}
@@ -142,8 +198,13 @@ func main() {
 	}
 	got := unreachedExports(pkgs, func(path string) bool {
 		return strings.HasPrefix(path, "example.com/fixture/internal/")
-	}, keySet{}.has)
-	if want := []string{"example.com/fixture/internal/lib.Unused"}; strings.Join(got, ",") != strings.Join(want, ",") {
+	}, keySet{}.has, keySet{"example.com/fixture/internal/lib.Sink.Add": true}.has)
+	want := []string{
+		"example.com/fixture/internal/lib.Config.TestOnly",
+		"example.com/fixture/internal/lib.Config.Unread",
+		"example.com/fixture/internal/lib.Unused",
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
 }
@@ -152,6 +213,7 @@ func main() {
 type auditPkg struct {
 	types *types.Package
 	info  *types.Info
+	files []*ast.File
 }
 
 // exportLoader type-checks module packages from source, with function
@@ -243,7 +305,7 @@ func (l *exportLoader) check(path, dir string, mine bool) (*types.Package, error
 	}
 	l.pkgs[path] = pkg
 	if mine {
-		l.mine[path] = &auditPkg{types: pkg, info: info}
+		l.mine[path] = &auditPkg{types: pkg, info: info, files: files}
 	}
 	return pkg, nil
 }
@@ -314,16 +376,19 @@ func (l *exportLoader) importPath(dir string) (string, bool) {
 	return best, best != ""
 }
 
-// unreachedExports returns, sorted, the keys ("path.Name" or
-// "path.Type.Method") of the exported package-level objects and methods
-// of the audited packages that nothing reaches. An object is reached
-// when a file of another package names it or holds an expression of its
-// type; when it is the type of an exported field, parameter or result
-// of a reached object, the API it belongs to; when it is a method that
-// satisfies an interface its type implements; or, as an interface
-// method, when a type of another package implements the interface. Keys
-// kept reports true for count as reached.
-func unreachedExports(pkgs []*auditPkg, audited func(path string) bool, kept func(key string) bool) []string {
+// unreachedExports returns, sorted, the keys ("path.Name",
+// "path.Type.Method" or "path.Type.Field") of the exported package-level
+// objects, methods and struct fields of the audited packages that
+// nothing reaches. An object is reached when a file of another package
+// names it or holds an expression of its type; when it is the type of
+// an exported field, parameter or result of a reached object, the API
+// it belongs to; when it is a method that satisfies an interface its
+// type implements; or, as an interface method, when a type of another
+// package implements the interface. A field is reached when a file of
+// another package names it, or when a struct holding it is passed to a
+// method reflective reports true for, which reads the struct's uint64
+// and bool fields. Keys kept reports true for count as reached.
+func unreachedExports(pkgs []*auditPkg, audited func(path string) bool, kept, reflective func(key string) bool) []string {
 	reached := map[types.Object]bool{}
 	var work []types.Object
 	reach := func(obj types.Object) {
@@ -375,6 +440,38 @@ func unreachedExports(pkgs []*auditPkg, audited func(path string) bool, kept fun
 		for _, tv := range p.info.Types {
 			markType(tv.Type, self, seen)
 		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if fn, ok := p.info.Uses[sel.Sel].(*types.Func); !ok || !reflective(methodKey(fn)) {
+					return true
+				}
+				for _, arg := range call.Args {
+					t := p.info.Types[arg].Type
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						f := st.Field(i)
+						if b, ok := f.Type().Underlying().(*types.Basic); ok && f.Exported() && (b.Kind() == types.Uint64 || b.Kind() == types.Bool) {
+							reach(origin(f))
+						}
+					}
+				}
+				return true
+			})
+		}
 	}
 
 	// The candidates, and every interface with methods that a checked
@@ -421,6 +518,13 @@ func unreachedExports(pkgs []*auditPkg, audited func(path string) bool, kept fun
 			}
 			if !isCand {
 				continue
+			}
+			if st, ok := n.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						cands = append(cands, candidate{key + "." + f.Name(), f, nil})
+					}
+				}
 			}
 			if isIface {
 				for i := 0; i < it.NumExplicitMethods(); i++ {
@@ -515,6 +619,24 @@ func unreachedExports(pkgs []*auditPkg, audited func(path string) bool, kept fun
 	}
 	sort.Strings(out)
 	return out
+}
+
+// methodKey is the audit key "path.Type.Method" of a method, or "" for
+// a function.
+func methodKey(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
 }
 
 // origin maps an instantiated generic function, method or field to the

@@ -114,7 +114,7 @@ func NewEnv(flavor Flavor, cfg EnvConfig) (*Env, error) {
 		opts = append(opts, bus.WithShards(cfg.Shards))
 	}
 	if cfg.BatchEvents > 0 || cfg.BatchFlush > 0 {
-		opts = append(opts, bus.WithBatching(cfg.BatchEvents, 0, cfg.BatchFlush))
+		opts = append(opts, bus.WithBatching(cfg.BatchEvents, cfg.BatchFlush))
 	}
 	b := bus.New(reliable.New(busTr, relConfig(cfg.Window)), m, bootstrap.NewRegistry(), opts...)
 	b.Start()
@@ -131,7 +131,7 @@ func NewEnv(flavor Flavor, cfg EnvConfig) (*Env, error) {
 		}
 		var copts []client.Option
 		if cfg.BatchEvents > 1 {
-			copts = append(copts, client.WithPublishBatching(cfg.BatchEvents, 0, cfg.BatchFlush))
+			copts = append(copts, client.WithPublishBatching(cfg.BatchEvents, cfg.BatchFlush))
 		}
 		return client.New(reliable.New(tr, relConfig(cfg.Window)), b.ID(), copts...), nil
 	}

@@ -49,10 +49,19 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
+// namedDevice is a pass-through device that reports the name it was
+// built with, so a test can tell which factory made it.
+type namedDevice struct {
+	proxy.GenericDevice
+	name string
+}
+
+func (d *namedDevice) DeviceType() string { return d.name }
+
 func TestRegisterReplaces(t *testing.T) {
 	r := NewRegistry()
-	_ = r.Register("t", func(ident.ID, string) proxy.Device { return &proxy.GenericDevice{Type: "v1"} })
-	_ = r.Register("t", func(ident.ID, string) proxy.Device { return &proxy.GenericDevice{Type: "v2"} })
+	_ = r.Register("t", func(ident.ID, string) proxy.Device { return &namedDevice{name: "v1"} })
+	_ = r.Register("t", func(ident.ID, string) proxy.Device { return &namedDevice{name: "v2"} })
 	if dev := r.Make("t", 1, ""); dev.DeviceType() != "v2" {
 		t.Errorf("got %s", dev.DeviceType())
 	}

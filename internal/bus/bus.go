@@ -159,15 +159,15 @@ func WithQuench(on bool) Option {
 }
 
 // WithBatching tunes outbound coalescing on every member proxy: up to
-// events deliveries or maxBytes of payload per batch packet, a partial
+// events deliveries (and 8 KiB of payload) per batch packet, a partial
 // batch waiting delay for more once the queue runs dry. Zeros take the
-// proxy defaults — 16 events, 8 KiB, and no wait at all (opportunistic:
-// only what is already queued coalesces); events == 1 turns coalescing
-// off (see proxy.Config). It sets the three batching fields of the
-// proxy configuration.
-func WithBatching(events, maxBytes int, delay time.Duration) Option {
+// proxy defaults — 16 events and no wait at all (opportunistic: only
+// what is already queued coalesces); events == 1 turns coalescing off
+// (see proxy.Config). It sets the two batching fields of the proxy
+// configuration.
+func WithBatching(events int, delay time.Duration) Option {
 	return func(b *Bus) {
-		b.proxyCfg.BatchEvents, b.proxyCfg.BatchBytes, b.proxyCfg.FlushDelay = events, maxBytes, delay
+		b.proxyCfg.BatchEvents, b.proxyCfg.FlushDelay = events, delay
 	}
 }
 

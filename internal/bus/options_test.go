@@ -13,10 +13,9 @@ import (
 )
 
 func TestWithProxyConfigApplies(t *testing.T) {
-	// One delivery in flight, uncoalesced, so the queue (not the
-	// in-flight window) absorbs the backlog and the tiny cap is
-	// observable.
-	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, Pipeline: 1, BatchEvents: 1}
+	// Uncoalesced, so past the proxy's eight in-flight deliveries the
+	// queue absorbs the backlog and the tiny cap is observable.
+	cfg := proxy.Config{QueueCap: 2, RedeliveryInterval: time.Hour, BatchEvents: 1}
 	r := newRig(t, withProxyConfig(cfg))
 	pub := r.member(t, 1, "generic")
 
@@ -28,7 +27,7 @@ func TestWithProxyConfigApplies(t *testing.T) {
 	if err := r.bus.match.Subscribe(ghost, event.NewFilter().WhereType("x")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		publish(t, pub, event.NewTyped("x").SetInt("n", int64(i)))
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -126,9 +126,9 @@ func TestBatchingEndToEnd(t *testing.T) {
 				if mode == "trickle" {
 					n = 40 // sync publishes pay a deadline flush each
 				}
-				r := newBatchRig(t, p, 99, bus.WithBatching(16, 0, 0))
+				r := newBatchRig(t, p, 99, bus.WithBatching(16, 0))
 				pub, pubCh := r.client(t, 1,
-					client.WithPublishBatching(16, 0, 500*time.Microsecond))
+					client.WithPublishBatching(16, 500*time.Microsecond))
 				sub, _ := r.client(t, 2)
 				if err := sub.Subscribe(event.NewFilter().WhereType("x")); err != nil {
 					t.Fatal(err)
@@ -171,7 +171,7 @@ func TestBatchingEndToEnd(t *testing.T) {
 // then survive loss, duplication and reordering.
 func TestProxyBatchDeliveryUnderTorture(t *testing.T) {
 	const events = 300
-	r := newBatchRig(t, netsim.Torture, 7, bus.WithBatching(16, 0, 0))
+	r := newBatchRig(t, netsim.Torture, 7, bus.WithBatching(16, 0))
 	pub, _ := r.client(t, 1)
 	sub, _ := r.client(t, 2)
 	if err := sub.Subscribe(event.NewFilter().WhereType("x")); err != nil {
@@ -206,8 +206,8 @@ func TestProxyBatchDeliveryUnderTorture(t *testing.T) {
 // data flushing the pending publish batch so it cannot overtake events
 // accepted earlier.
 func TestBatchingRawDataOrdering(t *testing.T) {
-	r := newBatchRig(t, netsim.Perfect, 3, bus.WithBatching(16, 0, 0))
-	pub, _ := r.client(t, 1, client.WithPublishBatching(16, 0, 50*time.Millisecond))
+	r := newBatchRig(t, netsim.Perfect, 3, bus.WithBatching(16, 0))
+	pub, _ := r.client(t, 1, client.WithPublishBatching(16, 50*time.Millisecond))
 	sub, _ := r.client(t, 2)
 	if err := sub.Subscribe(event.NewFilter().WhereType("x")); err != nil {
 		t.Fatal(err)

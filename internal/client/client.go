@@ -84,25 +84,21 @@ type Client struct {
 type Option func(*Client)
 
 // WithPublishBatching coalesces Publish/PublishAsync traffic into
-// batch packets (wire.FlagBatch): up to maxEvents events or maxBytes
-// of payload are framed into one reliable packet, and a partial batch
-// is flushed after delay. Each publish still gets its own completion,
-// resolved when the batch it rode in is acknowledged. Zero or
-// negative arguments fall back to 16 events, 8 KiB, 1ms.
-func WithPublishBatching(maxEvents, maxBytes int, delay time.Duration) Option {
+// batch packets (wire.FlagBatch): up to maxEvents events or 8 KiB of
+// payload are framed into one reliable packet, and a partial batch is
+// flushed after delay. Each publish still gets its own completion,
+// resolved when the batch it rode in is acknowledged. Zero or negative
+// arguments fall back to 16 events and 1ms.
+func WithPublishBatching(maxEvents int, delay time.Duration) Option {
 	return func(c *Client) {
 		if maxEvents <= 1 {
 			maxEvents = 16
-		}
-		if maxBytes <= 0 {
-			maxBytes = 8 << 10
 		}
 		if delay <= 0 {
 			delay = time.Millisecond
 		}
 		c.batch.enabled = true
 		c.batch.maxEvents = maxEvents
-		c.batch.maxBytes = maxBytes
 		c.batch.delay = delay
 	}
 }
@@ -196,6 +192,10 @@ func (c *Client) PublishAsync(e *event.Event) (*reliable.Completion, error) {
 	return comp, nil
 }
 
+// batchBytes caps a publish batch's payload: a batch reaching it is
+// flushed.
+const batchBytes = 8 << 10
+
 // pubBatcher accumulates encoded events between flushes. The payload
 // under construction lives in a pooled encode buffer; every batched
 // publish holds a detached completion that resolves when the carrying
@@ -203,7 +203,6 @@ func (c *Client) PublishAsync(e *event.Event) (*reliable.Completion, error) {
 type pubBatcher struct {
 	enabled   bool
 	maxEvents int
-	maxBytes  int
 	delay     time.Duration
 
 	mu    sync.Mutex
@@ -230,7 +229,7 @@ func (c *Client) publishBatched(e *event.Event) *reliable.Completion {
 	*b.bp = wire.AppendBatchEvent(*b.bp, e)
 	comp := reliable.NewCompletion()
 	b.comps = append(b.comps, comp)
-	if len(b.comps) >= b.maxEvents || len(*b.bp) >= b.maxBytes {
+	if len(b.comps) >= b.maxEvents || len(*b.bp) >= batchBytes {
 		c.flushLocked()
 	}
 	b.mu.Unlock()

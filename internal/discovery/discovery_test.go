@@ -156,12 +156,12 @@ func TestJoinHappyPath(t *testing.T) {
 	if res.Cell != "cell-1" || res.Bus != ident.New(0xB05) || res.Discovery != f.svc.ID() {
 		t.Errorf("result = %+v", res)
 	}
-	if res.Lease != 250*time.Millisecond || res.Grace != 250*time.Millisecond {
-		t.Errorf("lease/grace = %v/%v", res.Lease, res.Grace)
+	if res.Lease != 250*time.Millisecond {
+		t.Errorf("lease = %v", res.Lease)
 	}
 
 	info, ok := f.svc.Member(ch.LocalID())
-	if !ok || info.DeviceType != "hr-sensor" || info.Name != "hr-1" || info.State != stateActive {
+	if !ok || info.State != stateActive {
 		t.Errorf("member = %+v, %v", info, ok)
 	}
 	if adds := f.members.added(); len(adds) != 1 || adds[0].id != ch.LocalID() || adds[0].deviceType != "hr-sensor" {

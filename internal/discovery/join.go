@@ -27,9 +27,7 @@ type JoinResult struct {
 	Cell      string
 	Discovery ident.ID
 	Bus       ident.ID
-	Epoch     uint32
 	Lease     time.Duration
-	Grace     time.Duration
 }
 
 // JoinConfig parameterises a join attempt.
@@ -135,9 +133,7 @@ func Join(ch *reliable.Channel, cfg JoinConfig) (*JoinResult, error) {
 				Cell:      ja.Cell,
 				Discovery: discSvc,
 				Bus:       ja.Bus,
-				Epoch:     beacon.Epoch,
 				Lease:     time.Duration(ja.LeaseMillis) * time.Millisecond,
-				Grace:     time.Duration(ja.GraceMillis) * time.Millisecond,
 			}, nil
 		case wire.PktJoinReject:
 			jr, err := wire.DecodeJoinReject(pkt.Payload)

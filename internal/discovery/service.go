@@ -47,12 +47,8 @@ func (s MemberState) String() string {
 
 // MemberInfo is a snapshot of one member's record.
 type MemberInfo struct {
-	ID         ident.ID
-	DeviceType string
-	Name       string
-	State      MemberState
-	LastSeen   time.Time
-	JoinedAt   time.Time
+	State    MemberState
+	lastSeen time.Time
 }
 
 // ServiceConfig configures a discovery service.
@@ -63,8 +59,6 @@ type ServiceConfig struct {
 	Secret []byte
 	// BusID is the event bus's service ID, handed to admitted devices.
 	BusID ident.ID
-	// Epoch distinguishes service restarts.
-	Epoch uint32
 	// BeaconInterval is the broadcast period (default 500 ms).
 	BeaconInterval time.Duration
 	// Lease is the heartbeat lease (default 2 s).
@@ -206,7 +200,7 @@ func (s *Service) Close() error {
 
 func (s *Service) beaconLoop() {
 	defer s.wg.Done()
-	payload := wire.AppendBeacon(nil, wire.Beacon{Cell: s.cfg.Cell, Epoch: s.cfg.Epoch})
+	payload := wire.AppendBeacon(nil, wire.Beacon{Cell: s.cfg.Cell})
 	ticker := time.NewTicker(s.cfg.BeaconInterval)
 	defer ticker.Stop()
 	// Send one beacon immediately so joins don't wait a full period.
@@ -289,17 +283,10 @@ func (s *Service) handleJoin(pkt *wire.Packet) {
 	s.mu.Lock()
 	if rejoin {
 		// Refresh the record; do not duplicate the New Member event.
-		rec.LastSeen = now
+		rec.lastSeen = now
 		rec.State = stateActive
 	} else {
-		rec = &MemberInfo{
-			ID:         pkt.Sender,
-			DeviceType: req.DeviceType,
-			Name:       req.DeviceName,
-			State:      stateActive,
-			LastSeen:   now,
-			JoinedAt:   now,
-		}
+		rec = &MemberInfo{State: stateActive, lastSeen: now}
 		s.members[pkt.Sender] = rec
 		s.stats.Admitted++
 	}
@@ -347,7 +334,7 @@ func (s *Service) handleHeartbeat(id ident.ID) {
 		return // not a member; heartbeats don't admit
 	}
 	s.stats.Heartbeats++
-	rec.LastSeen = time.Now()
+	rec.lastSeen = time.Now()
 	if rec.State == stateGrace {
 		rec.State = stateActive
 		s.stats.GraceReturns++
@@ -389,7 +376,7 @@ func (s *Service) checkExpiry() {
 	var toPurge []ident.ID
 	s.mu.Lock()
 	for id, rec := range s.members {
-		silence := now.Sub(rec.LastSeen)
+		silence := now.Sub(rec.lastSeen)
 		switch rec.State {
 		case stateActive:
 			if silence > s.cfg.Lease {

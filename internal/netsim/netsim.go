@@ -119,11 +119,9 @@ type linkKey struct{ from, to ident.ID }
 // Stats counts network activity since creation.
 type Stats struct {
 	Sent       uint64
-	Delivered  uint64
 	Dropped    uint64
 	Duplicated uint64
 	Reordered  uint64
-	Blocked    uint64
 	BytesSent  uint64
 }
 
@@ -278,14 +276,13 @@ func (n *Network) send(from, dst ident.ID, data []byte) error {
 func (n *Network) sendOneLocked(from, to ident.ID, data []byte) {
 	key := linkKey{from, to}
 	if n.blocked[key] || n.isolated[from] || n.isolated[to] {
-		n.stats.Blocked++
 		return
 	}
 	p, ok := n.links[key]
 	if !ok {
 		p = n.def
 	}
-	if len(data) > p.mtu() {
+	if len(data) > p.effectiveMTU() {
 		n.stats.Dropped++
 		return
 	}
@@ -316,8 +313,8 @@ func (n *Network) linkDelayLocked(key linkKey, p Profile, size int) time.Duratio
 		}
 	}
 	var tx time.Duration
-	if p.Bandwidth > 0 {
-		tx = time.Duration(float64(size) / float64(p.Bandwidth) * float64(time.Second))
+	if p.bandwidth > 0 {
+		tx = time.Duration(float64(size) / float64(p.bandwidth) * float64(time.Second))
 	}
 	now := time.Now()
 	start := now
@@ -333,11 +330,10 @@ func (n *Network) linkDelayLocked(key linkKey, p Profile, size int) time.Duratio
 // Zero-delay deliveries happen inline so that a perfect link preserves
 // send order, as a real point-to-point link does.
 func (n *Network) scheduleLocked(from, to ident.ID, data []byte, delay time.Duration) {
-	dg := transport.NewPooledDatagram(from, data)
+	dg := transport.NewPooledDatagram(data)
 	if delay <= 0 {
 		ep, ok := n.eps[to]
 		if ok {
-			n.stats.Delivered++
 			ep.inbox.Put(dg)
 		} else {
 			dg.Recycle()
@@ -389,7 +385,6 @@ func (n *Network) schedLoop() {
 			dg, to := d.dg, d.to
 			n.putDelLocked(d)
 			if ep, ok := n.eps[to]; ok {
-				n.stats.Delivered++
 				ep.inbox.Put(dg) // non-blocking: drops on overflow
 			} else {
 				dg.Recycle()

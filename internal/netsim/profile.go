@@ -20,10 +20,10 @@ type Profile struct {
 	// Jitter is the half-width of a uniform random delay added to
 	// Latency (delay drawn from [Latency-Jitter, Latency+Jitter]).
 	Jitter time.Duration
-	// Bandwidth is the link rate in bytes per second; 0 means
+	// bandwidth is the link rate in bytes per second; 0 means
 	// unlimited. Transmission of a datagram occupies the link for
-	// size/Bandwidth, serialising back-to-back sends.
-	Bandwidth int64
+	// size/bandwidth, serialising back-to-back sends.
+	bandwidth int64
 	// Loss is the independent drop probability per datagram.
 	Loss float64
 	// Duplicate is the probability a datagram is delivered twice.
@@ -35,11 +35,11 @@ type Profile struct {
 	// ReorderBy is the extra delay applied to reordered datagrams;
 	// 0 means 2×Latency + 2 ms.
 	ReorderBy time.Duration
-	// MTU bounds datagram size; 0 means the default (60 KiB).
-	MTU int
+	// mtu bounds datagram size; 0 means the default (60 KiB).
+	mtu int
 }
 
-// defaultMTU is used when a profile leaves MTU zero.
+// defaultMTU is used when a profile leaves mtu zero.
 const defaultMTU = 60 * 1024
 
 // Link profiles. USBLink is calibrated to the paper's measured numbers:
@@ -54,7 +54,7 @@ var (
 		Name:      "usb-link",
 		Latency:   1500 * time.Microsecond,
 		Jitter:    850 * time.Microsecond,
-		Bandwidth: 575 * 1024,
+		bandwidth: 575 * 1024,
 	}
 
 	// Bluetooth models the Bluetooth 1.2 links the project was
@@ -63,7 +63,7 @@ var (
 		Name:      "bluetooth",
 		Latency:   15 * time.Millisecond,
 		Jitter:    5 * time.Millisecond,
-		Bandwidth: 90 * 1024,
+		bandwidth: 90 * 1024,
 		Loss:      0.005,
 	}
 
@@ -72,9 +72,9 @@ var (
 		Name:      "zigbee",
 		Latency:   10 * time.Millisecond,
 		Jitter:    4 * time.Millisecond,
-		Bandwidth: 20 * 1024,
+		bandwidth: 20 * 1024,
 		Loss:      0.01,
-		MTU:       8 * 1024,
+		mtu:       8 * 1024,
 	}
 
 	// WiFi models an 802.11b in-room link.
@@ -82,7 +82,7 @@ var (
 		Name:      "wifi",
 		Latency:   2 * time.Millisecond,
 		Jitter:    1 * time.Millisecond,
-		Bandwidth: 600 * 1024,
+		bandwidth: 600 * 1024,
 		Loss:      0.002,
 	}
 )
@@ -115,10 +115,10 @@ func (p Profile) reorderBy() time.Duration {
 	return 2*p.Latency + 2*time.Millisecond
 }
 
-// mtu returns the effective MTU.
-func (p Profile) mtu() int {
-	if p.MTU <= 0 {
+// effectiveMTU returns the MTU a send is held to.
+func (p Profile) effectiveMTU() int {
+	if p.mtu <= 0 {
 		return defaultMTU
 	}
-	return p.MTU
+	return p.mtu
 }

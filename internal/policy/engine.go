@@ -46,7 +46,6 @@ type obligationState struct {
 	// deployed tracks device-type scoping: scoped policies are
 	// deployed while a member of the type is in the cell.
 	deployed bool
-	fires    uint64
 }
 
 // Stats counts engine activity.
@@ -137,19 +136,19 @@ func (e *Engine) addObligation(o *Obligation) error {
 	st := &obligationState{pol: o, enabled: true}
 	remove, err := e.svc.Handle(o.On, func(ev *event.Event) { e.fire(st, ev) })
 	if err != nil {
-		return fmt.Errorf("policy: subscribe obligation %q: %w", o.Name, err)
+		return fmt.Errorf("policy: subscribe obligation %q: %w", o.name, err)
 	}
 	e.mu.Lock()
-	_, dup := e.obligations[o.Name]
+	_, dup := e.obligations[o.name]
 	if !dup {
 		st.remove = remove
-		st.deployed = o.DeviceType == "" || e.typeCount[o.DeviceType] > 0
-		e.obligations[o.Name] = st
+		st.deployed = o.deviceType == "" || e.typeCount[o.deviceType] > 0
+		e.obligations[o.name] = st
 	}
 	e.mu.Unlock()
 	if dup {
 		_ = remove()
-		return fmt.Errorf("policy: duplicate obligation %q", o.Name)
+		return fmt.Errorf("policy: duplicate obligation %q", o.name)
 	}
 	return nil
 }
@@ -162,11 +161,11 @@ func (e *Engine) addAuthorization(a *Authorization) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, have := range e.auths {
-		if have.Name == a.Name {
-			return fmt.Errorf("policy: duplicate authorization %q", a.Name)
+		if have.name == a.name {
+			return fmt.Errorf("policy: duplicate authorization %q", a.name)
 		}
 	}
-	denied := fmt.Errorf("%w: denied by policy %q", bus.ErrUnauthorized, a.Name)
+	denied := fmt.Errorf("%w: denied by policy %q", bus.ErrUnauthorized, a.name)
 	e.auths = append(e.auths, installedAuth{a, denied})
 	return nil
 }
@@ -193,11 +192,9 @@ func (e *Engine) setEnabled(name string, on bool) error {
 
 // PolicyInfo is a management snapshot of one obligation.
 type PolicyInfo struct {
-	Name       string
-	DeviceType string
-	Enabled    bool
-	Deployed   bool
-	Fires      uint64
+	Name     string
+	Enabled  bool
+	Deployed bool
 }
 
 // Obligations lists installed obligations.
@@ -207,11 +204,9 @@ func (e *Engine) Obligations() []PolicyInfo {
 	out := make([]PolicyInfo, 0, len(e.obligations))
 	for _, st := range e.obligations {
 		out = append(out, PolicyInfo{
-			Name:       st.pol.Name,
-			DeviceType: st.pol.DeviceType,
-			Enabled:    st.enabled,
-			Deployed:   st.deployed,
-			Fires:      st.fires,
+			Name:     st.pol.name,
+			Enabled:  st.enabled,
+			Deployed: st.deployed,
 		})
 	}
 	return out
@@ -223,7 +218,7 @@ func (e *Engine) Authorizations() []string {
 	defer e.mu.Unlock()
 	out := make([]string, 0, len(e.auths))
 	for _, a := range e.auths {
-		out = append(out, a.Name)
+		out = append(out, a.name)
 	}
 	return out
 }
@@ -237,32 +232,31 @@ func (e *Engine) fire(st *obligationState, ev *event.Event) {
 	if !active {
 		return
 	}
-	if st.pol.When != nil && !st.pol.When.Matches(ev) {
+	if st.pol.when != nil && !st.pol.when.Matches(ev) {
 		return
 	}
 	e.mu.Lock()
-	st.fires++
 	e.stats.Fires++
 	e.mu.Unlock()
-	for _, a := range st.pol.Actions {
+	for _, a := range st.pol.actions {
 		e.runAction(st.pol, a, ev)
 	}
 }
 
-func (e *Engine) runAction(pol *Obligation, a Action, trigger *event.Event) {
+func (e *Engine) runAction(pol *Obligation, a action, trigger *event.Event) {
 	e.mu.Lock()
 	e.stats.ActionsRun++
 	e.mu.Unlock()
-	switch a.Kind {
+	switch a.kind {
 	case actionPublish:
 		out := event.New()
 		out.Stamp = time.Now()
-		for _, asg := range a.Attrs {
-			out.Set(asg.Name, asg.Value)
+		for _, asg := range a.attrs {
+			out.Set(asg.name, asg.value)
 		}
 		// Correlation: record which policy and triggering event
 		// produced this event.
-		out.SetStr("policy", pol.Name)
+		out.SetStr("policy", pol.name)
 		out.SetInt("trigger-sender", int64(trigger.Sender))
 		out.SetInt("trigger-seq", int64(trigger.Seq))
 		// Actions run on a shard worker, which must never wait on a
@@ -279,17 +273,17 @@ func (e *Engine) runAction(pol *Obligation, a Action, trigger *event.Event) {
 		n := e.stats.ActionFailures
 		e.mu.Unlock()
 		if err != nil && n&(n-1) == 0 {
-			e.logf("policy %s: action output refused, %d so far: %v", pol.Name, n, err)
+			e.logf("policy %s: action output refused, %d so far: %v", pol.name, n, err)
 		}
 	case actionLog:
 		e.mu.Lock()
 		e.stats.LogActions++
 		e.mu.Unlock()
-		e.logf("policy %s: %s (trigger %s)", pol.Name, a.Message, trigger)
+		e.logf("policy %s: %s (trigger %s)", pol.name, a.message, trigger)
 	case actionEnable:
-		_ = e.enable(a.Message)
+		_ = e.enable(a.message)
 	case actionDisable:
-		_ = e.disable(a.Message)
+		_ = e.disable(a.message)
 	}
 }
 
@@ -304,7 +298,7 @@ func (e *Engine) onNewMember(ev *event.Event) {
 	e.typeCount[dt]++
 	if e.typeCount[dt] == 1 {
 		for _, st := range e.obligations {
-			if st.pol.DeviceType == dt {
+			if st.pol.deviceType == dt {
 				st.deployed = true
 			}
 		}
@@ -324,7 +318,7 @@ func (e *Engine) onPurgeMember(ev *event.Event) {
 	}
 	if e.typeCount[dt] == 0 {
 		for _, st := range e.obligations {
-			if st.pol.DeviceType == dt {
+			if st.pol.deviceType == dt {
 				st.deployed = false
 			}
 		}
@@ -349,10 +343,10 @@ func deviceTypeOf(ev *event.Event) string {
 
 // AuthorizePublish implements bus.Authorizer: a publish a deny rule
 // matches is refused, and any other is allowed — an open cell, which
-// deny rules close; an allow rule changes no verdict.
+// deny rules close (the parser refuses allow rules).
 func (e *Engine) AuthorizePublish(member ident.ID, deviceType string, ev *event.Event) error {
 	return e.decide(verbPublish, deviceType, func(a *Authorization) bool {
-		return a.Target == nil || a.Target.Matches(ev)
+		return a.target == nil || a.target.Matches(ev)
 	})
 }
 
@@ -369,10 +363,10 @@ func (e *Engine) AuthorizeSubscribe(member ident.ID, deviceType string, f *event
 		}
 	}
 	return e.decide(verbSubscribe, deviceType, func(a *Authorization) bool {
-		if a.Target == nil {
+		if a.target == nil {
 			return true
 		}
-		for _, tc := range a.Target.Constraints() {
+		for _, tc := range a.target.Constraints() {
 			v, ok := proj.Get(tc.Name)
 			if !ok {
 				// Subscription does not pin this attribute: it can
@@ -387,14 +381,14 @@ func (e *Engine) AuthorizeSubscribe(member ident.ID, deviceType string, f *event
 	})
 }
 
-func (e *Engine) decide(verb Verb, deviceType string, targetMatch func(*Authorization) bool) error {
+func (e *Engine) decide(verb authVerb, deviceType string, targetMatch func(*Authorization) bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, a := range e.auths {
-		if a.Effect != effectDeny || a.Verb != verbAny && a.Verb != verb {
+		if a.verb != verbAny && a.verb != verb {
 			continue
 		}
-		if a.Subject != "*" && a.Subject != deviceType {
+		if a.subject != "*" && a.subject != deviceType {
 			continue
 		}
 		if targetMatch(a.Authorization) {

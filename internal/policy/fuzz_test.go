@@ -17,7 +17,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(string(shipped))
 	f.Add("")
 	f.Add(`obligation o { on type = "a" do log("x") }`)
-	f.Add(`authorization a { effect allow subject "*" action subscribe target value >= 1.5 }`)
+	f.Add(`authorization a { effect deny subject "*" action subscribe target value >= 1.5 }`)
 	f.Add(`obligation o { on x != 0x }`)
 
 	f.Fuzz(func(t *testing.T, src string) {
@@ -27,12 +27,12 @@ func FuzzParse(f *testing.F) {
 		}
 		for _, o := range file.Obligations {
 			if err := o.validate(); err != nil {
-				t.Fatalf("Parse accepted obligation %q that fails Validate: %v", o.Name, err)
+				t.Fatalf("Parse accepted obligation %q that fails Validate: %v", o.name, err)
 			}
 		}
 		for _, a := range file.Authorizations {
 			if err := a.validate(); err != nil {
-				t.Fatalf("Parse accepted authorization %q that fails Validate: %v", a.Name, err)
+				t.Fatalf("Parse accepted authorization %q that fails Validate: %v", a.name, err)
 			}
 		}
 	})

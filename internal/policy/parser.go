@@ -285,13 +285,13 @@ func (p *parser) obligation() (*Obligation, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Obligation{Name: name}
+	o := &Obligation{name: name}
 	if p.accept("for") {
 		dt, err := p.stringLit()
 		if err != nil {
 			return nil, err
 		}
-		o.DeviceType = dt
+		o.deviceType = dt
 	}
 	if err := p.expect("{"); err != nil {
 		return nil, err
@@ -303,7 +303,7 @@ func (p *parser) obligation() (*Obligation, error) {
 		return nil, err
 	}
 	if p.accept("when") {
-		if o.When, err = p.constraints(); err != nil {
+		if o.when, err = p.constraints(); err != nil {
 			return nil, err
 		}
 	}
@@ -315,7 +315,7 @@ func (p *parser) obligation() (*Obligation, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.Actions = append(o.Actions, a)
+		o.actions = append(o.actions, a)
 		if !p.accept(",") {
 			break
 		}
@@ -329,52 +329,52 @@ func (p *parser) obligation() (*Obligation, error) {
 	return o, nil
 }
 
-func (p *parser) action() (Action, error) {
+func (p *parser) action() (action, error) {
 	kw, err := p.ident()
 	if err != nil {
-		return Action{}, err
+		return action{}, err
 	}
 	if err := p.expect("("); err != nil {
-		return Action{}, err
+		return action{}, err
 	}
 	switch kw {
 	case "publish":
-		a := Action{Kind: actionPublish}
+		a := action{kind: actionPublish}
 		for {
 			name, err := p.ident()
 			if err != nil {
-				return Action{}, err
+				return action{}, err
 			}
 			if err := p.expect("="); err != nil {
-				return Action{}, err
+				return action{}, err
 			}
 			v, err := p.literal()
 			if err != nil {
-				return Action{}, err
+				return action{}, err
 			}
-			a.Attrs = append(a.Attrs, AttrAssign{Name: name, Value: v})
+			a.attrs = append(a.attrs, attrAssign{name: name, value: v})
 			if !p.accept(",") {
 				break
 			}
 		}
 		if err := p.expect(")"); err != nil {
-			return Action{}, err
+			return action{}, err
 		}
 		return a, nil
 	case "log", "enable", "disable":
 		msg, err := p.stringLit()
 		if err != nil {
-			return Action{}, err
+			return action{}, err
 		}
 		if err := p.expect(")"); err != nil {
-			return Action{}, err
+			return action{}, err
 		}
-		kind := map[string]ActionKind{
+		kind := map[string]actionKind{
 			"log": actionLog, "enable": actionEnable, "disable": actionDisable,
 		}[kw]
-		return Action{Kind: kind, Message: msg}, nil
+		return action{kind: kind, message: msg}, nil
 	default:
-		return Action{}, p.errf("unknown action %q", kw)
+		return action{}, p.errf("unknown action %q", kw)
 	}
 }
 
@@ -383,10 +383,11 @@ func (p *parser) authorization() (*Authorization, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Authorization{Name: name}
+	a := &Authorization{name: name}
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
+	denies := false
 	for !p.accept("}") {
 		kw, err := p.ident()
 		if err != nil {
@@ -400,25 +401,25 @@ func (p *parser) authorization() (*Authorization, error) {
 			}
 			switch eff {
 			case "allow":
-				a.Effect = effectAllow
+				return nil, p.errf("authorization %q: effect allow changes no verdict, the default is allow", name)
 			case "deny":
-				a.Effect = effectDeny
+				denies = true
 			default:
 				return nil, p.errf("bad effect %q", eff)
 			}
 		case "subject":
 			if p.accept("*") {
-				a.Subject = "*"
+				a.subject = "*"
 				continue
 			}
 			s, err := p.stringLit()
 			if err != nil {
 				return nil, err
 			}
-			a.Subject = s
+			a.subject = s
 		case "action":
 			if p.accept("*") {
-				a.Verb = verbAny
+				a.verb = verbAny
 				continue
 			}
 			v, err := p.ident()
@@ -427,19 +428,22 @@ func (p *parser) authorization() (*Authorization, error) {
 			}
 			switch v {
 			case "publish":
-				a.Verb = verbPublish
+				a.verb = verbPublish
 			case "subscribe":
-				a.Verb = verbSubscribe
+				a.verb = verbSubscribe
 			default:
 				return nil, p.errf("bad action verb %q", v)
 			}
 		case "target":
-			if a.Target, err = p.constraints(); err != nil {
+			if a.target, err = p.constraints(); err != nil {
 				return nil, err
 			}
 		default:
 			return nil, p.errf("unknown authorization field %q", kw)
 		}
+	}
+	if !denies {
+		return nil, fmt.Errorf("%w: authorization %q without effect", errParse, a.name)
 	}
 	if err := a.validate(); err != nil {
 		return nil, err

@@ -27,8 +27,8 @@ obligation hr-high for "hr-sensor" {
 		t.Fatalf("parsed %d/%d", len(f.Obligations), len(f.Authorizations))
 	}
 	o := f.Obligations[0]
-	if o.Name != "hr-high" || o.DeviceType != "hr-sensor" {
-		t.Errorf("header = %q for %q", o.Name, o.DeviceType)
+	if o.name != "hr-high" || o.deviceType != "hr-sensor" {
+		t.Errorf("header = %q for %q", o.name, o.deviceType)
 	}
 	if o.On.Len() != 2 {
 		t.Errorf("on constraints = %d", o.On.Len())
@@ -36,27 +36,27 @@ obligation hr-high for "hr-sensor" {
 	if !o.On.Matches(event.NewTyped("reading").SetStr("kind", "heart-rate")) {
 		t.Error("on-filter does not match intended event")
 	}
-	if o.When == nil || !o.When.Matches(event.New().SetFloat("value", 200)) {
+	if o.when == nil || !o.when.Matches(event.New().SetFloat("value", 200)) {
 		t.Error("when-filter wrong")
 	}
-	if o.When.Matches(event.New().SetFloat("value", 100)) {
+	if o.when.Matches(event.New().SetFloat("value", 100)) {
 		t.Error("when-filter matches low value")
 	}
-	if len(o.Actions) != 3 {
-		t.Fatalf("actions = %d", len(o.Actions))
+	if len(o.actions) != 3 {
+		t.Fatalf("actions = %d", len(o.actions))
 	}
-	pub := o.Actions[0]
-	if pub.Kind != actionPublish || len(pub.Attrs) != 4 {
+	pub := o.actions[0]
+	if pub.kind != actionPublish || len(pub.attrs) != 4 {
 		t.Errorf("publish action = %+v", pub)
 	}
-	if pub.Attrs[3].Name != "joules" || !pub.Attrs[3].Value.Equal(event.Int(150)) {
-		t.Errorf("joules attr = %+v", pub.Attrs[3])
+	if pub.attrs[3].name != "joules" || !pub.attrs[3].value.Equal(event.Int(150)) {
+		t.Errorf("joules attr = %+v", pub.attrs[3])
 	}
-	if o.Actions[1].Kind != actionLog || o.Actions[1].Message != "tachycardia" {
-		t.Errorf("log action = %+v", o.Actions[1])
+	if o.actions[1].kind != actionLog || o.actions[1].message != "tachycardia" {
+		t.Errorf("log action = %+v", o.actions[1])
 	}
-	if o.Actions[2].Kind != actionDisable || o.Actions[2].Message != "hr-low" {
-		t.Errorf("disable action = %+v", o.Actions[2])
+	if o.actions[2].kind != actionDisable || o.actions[2].message != "hr-low" {
+		t.Errorf("disable action = %+v", o.actions[2])
 	}
 }
 
@@ -68,8 +68,8 @@ authorization deny-sensor-actuation {
   action publish
   target type = "actuate"
 }
-authorization allow-all {
-  effect allow
+authorization deny-all {
+  effect deny
   subject *
   action *
 }
@@ -82,15 +82,24 @@ authorization allow-all {
 		t.Fatalf("auths = %d", len(f.Authorizations))
 	}
 	a := f.Authorizations[0]
-	if a.Effect != effectDeny || a.Subject != "hr-sensor" || a.Verb != verbPublish {
+	if a.name != "deny-sensor-actuation" || a.subject != "hr-sensor" || a.verb != verbPublish {
 		t.Errorf("auth = %+v", a)
 	}
-	if a.Target == nil || !a.Target.Matches(event.NewTyped("actuate")) {
+	if a.target == nil || !a.target.Matches(event.NewTyped("actuate")) {
 		t.Error("target filter wrong")
 	}
 	b := f.Authorizations[1]
-	if b.Effect != effectAllow || b.Subject != "*" || b.Verb != verbAny || b.Target != nil {
+	if b.name != "deny-all" || b.subject != "*" || b.verb != verbAny || b.target != nil {
 		t.Errorf("auth = %+v", b)
+	}
+}
+
+// TestParseRejectsAllowRule: under the constant allow default an allow
+// rule would change no verdict, so the parser refuses it and says why.
+func TestParseRejectsAllowRule(t *testing.T) {
+	_, err := Parse(`authorization open { effect allow subject * action publish }`)
+	if !errors.Is(err, errParse) || !strings.Contains(err.Error(), "the default is allow") {
+		t.Fatalf("allow rule: err = %v, want a parse error naming the allow default", err)
 	}
 }
 
@@ -131,10 +140,11 @@ func TestParseErrors(t *testing.T) {
 		`obligation x { on a = do log("x") }`,          // missing literal
 		`obligation x for hr { on a = 1 do log("x") }`, // for wants string
 		`authorization a { effect maybe subject * action * }`,
-		`authorization a { effect allow subject * action frobnicate }`,
-		`authorization a { effect allow subject * action * bogus x }`,
-		`authorization a { subject * action * }`, // missing effect
-		`obligation x { on a = 1 do publish() }`, // empty publish
+		`authorization a { effect deny subject * action frobnicate }`,
+		`authorization a { effect deny subject * action * bogus x }`,
+		`authorization a { effect allow subject * action * }`, // allow is the default
+		`authorization a { subject * action * }`,              // missing effect
+		`obligation x { on a = 1 do publish() }`,              // empty publish
 		`obligation x { on a = 1 do log("unterminated) }`,
 	}
 	for _, src := range cases {
@@ -184,29 +194,26 @@ func TestStringEscapes(t *testing.T) {
 }
 
 func TestValidateDirect(t *testing.T) {
-	o := &Obligation{Name: "x", On: event.NewFilter(), Actions: []Action{{Kind: actionLog}}}
+	o := &Obligation{name: "x", On: event.NewFilter(), actions: []action{{kind: actionLog}}}
 	if err := o.validate(); err != nil {
 		t.Errorf("valid obligation rejected: %v", err)
 	}
-	bad := &Obligation{On: event.NewFilter(), Actions: []Action{{Kind: actionLog}}}
+	bad := &Obligation{On: event.NewFilter(), actions: []action{{kind: actionLog}}}
 	if err := bad.validate(); err == nil {
 		t.Error("nameless obligation accepted")
 	}
-	a := &Authorization{Name: "a", Effect: effectAllow, Subject: "*", Verb: verbAny}
+	a := &Authorization{name: "a", subject: "*", verb: verbAny}
 	if err := a.validate(); err != nil {
 		t.Errorf("valid authorization rejected: %v", err)
 	}
-	if err := (&Authorization{Name: "a", Effect: effectAllow, Subject: "*"}).validate(); err == nil {
+	if err := (&Authorization{name: "a", subject: "*"}).validate(); err == nil {
 		t.Error("verbless authorization accepted")
 	}
 }
 
 func TestEnumStrings(t *testing.T) {
-	if effectAllow.String() != "allow" || effectDeny.String() != "deny" || Effect(0).String() != "invalid" {
-		t.Error("effect strings")
-	}
 	if verbPublish.String() != "publish" || verbSubscribe.String() != "subscribe" ||
-		verbAny.String() != "*" || Verb(0).String() != "invalid" {
+		verbAny.String() != "*" || authVerb(0).String() != "invalid" {
 		t.Error("verb strings")
 	}
 }

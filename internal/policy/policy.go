@@ -21,7 +21,7 @@
 //	                    "do" action ("," action)*
 //	                "}"
 //	authorization:= "authorization" name "{"
-//	                    "effect" ("allow"|"deny")
+//	                    "effect" "deny"
 //	                    "subject" (string|"*")
 //	                    "action" ("publish"|"subscribe"|"*")
 //	                    ["target" constraints]
@@ -44,39 +44,18 @@ import (
 	"github.com/amuse/smc/internal/event"
 )
 
-// Effect is an authorisation verdict.
-type Effect int
-
-// Authorisation effects.
-const (
-	effectAllow Effect = iota + 1
-	effectDeny
-)
-
-// String names the effect.
-func (e Effect) String() string {
-	switch e {
-	case effectAllow:
-		return "allow"
-	case effectDeny:
-		return "deny"
-	default:
-		return "invalid"
-	}
-}
-
-// Verb is the operation an authorisation policy governs.
-type Verb int
+// authVerb is the operation an authorisation policy governs.
+type authVerb int
 
 // Authorisation verbs.
 const (
-	verbPublish Verb = iota + 1
+	verbPublish authVerb = iota + 1
 	verbSubscribe
 	verbAny
 )
 
 // String names the verb.
-func (v Verb) String() string {
+func (v authVerb) String() string {
 	switch v {
 	case verbPublish:
 		return "publish"
@@ -89,59 +68,59 @@ func (v Verb) String() string {
 	}
 }
 
-// ActionKind discriminates obligation actions.
-type ActionKind int
+// actionKind discriminates obligation actions.
+type actionKind int
 
 // Obligation action kinds.
 const (
-	actionPublish ActionKind = iota + 1
+	actionPublish actionKind = iota + 1
 	actionLog
 	actionEnable
 	actionDisable
 )
 
-// Action is one step of an obligation's "do" clause.
-type Action struct {
-	Kind ActionKind
-	// Message is the log text, or the policy name for enable/disable.
-	Message string
-	// Attrs are the attributes of the event to publish.
-	Attrs []AttrAssign
+// action is one step of an obligation's "do" clause.
+type action struct {
+	kind actionKind
+	// message is the log text, or the policy name for enable/disable.
+	message string
+	// attrs are the attributes of the event to publish.
+	attrs []attrAssign
 }
 
-// AttrAssign is one attr=literal assignment in a publish action.
-type AttrAssign struct {
-	Name  string
-	Value event.Value
+// attrAssign is one attr=literal assignment in a publish action.
+type attrAssign struct {
+	name  string
+	value event.Value
 }
 
 // Obligation is an event-condition-action rule. On selects triggering
-// events; When adds a further condition on the same event; Actions run
+// events; when adds a further condition on the same event; actions run
 // when both hold and the policy is active.
 type Obligation struct {
-	Name string
-	// DeviceType scopes deployment: the policy activates while at
+	name string
+	// deviceType scopes deployment: the policy activates while at
 	// least one member of this device type is in the cell. Empty
 	// means always deployed.
-	DeviceType string
+	deviceType string
 	On         *event.Filter
-	When       *event.Filter
-	Actions    []Action
+	when       *event.Filter
+	actions    []action
 }
 
-// Authorization is an access-control rule.
+// Authorization is a deny rule: the publish or subscribe it covers is
+// refused. Everything no rule covers is allowed.
 type Authorization struct {
-	Name   string
-	Effect Effect
-	// Subject is the device type the rule applies to; "*" for all.
-	Subject string
-	// Verb is the governed operation.
-	Verb Verb
-	// Target constrains which events (for publish) or which
+	name string
+	// subject is the device type the rule applies to; "*" for all.
+	subject string
+	// verb is the governed operation.
+	verb authVerb
+	// target constrains which events (for publish) or which
 	// subscription interests (for subscribe, matched against the
 	// subscription's equality constraints) the rule covers. A nil
 	// target covers everything.
-	Target *event.Filter
+	target *event.Filter
 }
 
 // File is a parsed policy file.
@@ -155,21 +134,21 @@ var errParse = errors.New("policy: parse error")
 
 // validate checks structural validity of an obligation.
 func (o *Obligation) validate() error {
-	if o.Name == "" {
+	if o.name == "" {
 		return fmt.Errorf("%w: obligation without name", errParse)
 	}
 	if o.On == nil {
-		return fmt.Errorf("%w: obligation %q without on-clause", errParse, o.Name)
+		return fmt.Errorf("%w: obligation %q without on-clause", errParse, o.name)
 	}
-	if len(o.Actions) == 0 {
-		return fmt.Errorf("%w: obligation %q without actions", errParse, o.Name)
+	if len(o.actions) == 0 {
+		return fmt.Errorf("%w: obligation %q without actions", errParse, o.name)
 	}
 	if err := o.On.Validate(); err != nil {
-		return fmt.Errorf("obligation %q on-clause: %w", o.Name, err)
+		return fmt.Errorf("obligation %q on-clause: %w", o.name, err)
 	}
-	if o.When != nil {
-		if err := o.When.Validate(); err != nil {
-			return fmt.Errorf("obligation %q when-clause: %w", o.Name, err)
+	if o.when != nil {
+		if err := o.when.Validate(); err != nil {
+			return fmt.Errorf("obligation %q when-clause: %w", o.name, err)
 		}
 	}
 	return nil
@@ -177,21 +156,18 @@ func (o *Obligation) validate() error {
 
 // validate checks structural validity of an authorisation.
 func (a *Authorization) validate() error {
-	if a.Name == "" {
+	if a.name == "" {
 		return fmt.Errorf("%w: authorization without name", errParse)
 	}
-	if a.Effect != effectAllow && a.Effect != effectDeny {
-		return fmt.Errorf("%w: authorization %q without effect", errParse, a.Name)
+	if a.subject == "" {
+		return fmt.Errorf("%w: authorization %q without subject", errParse, a.name)
 	}
-	if a.Subject == "" {
-		return fmt.Errorf("%w: authorization %q without subject", errParse, a.Name)
+	if a.verb == 0 {
+		return fmt.Errorf("%w: authorization %q without action", errParse, a.name)
 	}
-	if a.Verb == 0 {
-		return fmt.Errorf("%w: authorization %q without action", errParse, a.Name)
-	}
-	if a.Target != nil {
-		if err := a.Target.Validate(); err != nil {
-			return fmt.Errorf("authorization %q target: %w", a.Name, err)
+	if a.target != nil {
+		if err := a.target.Validate(); err != nil {
+			return fmt.Errorf("authorization %q target: %w", a.name, err)
 		}
 	}
 	return nil

@@ -23,7 +23,7 @@ func TestShippedPolicyFileParses(t *testing.T) {
 	}
 	for _, o := range f.Obligations {
 		if err := o.validate(); err != nil {
-			t.Errorf("obligation %q invalid: %v", o.Name, err)
+			t.Errorf("obligation %q invalid: %v", o.name, err)
 		}
 	}
 }

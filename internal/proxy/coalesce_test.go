@@ -181,7 +181,7 @@ func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &asyncRecorder{holding: true}
 			p := New(ident.New(9), &GenericDevice{}, rec, nil,
-				Config{RedeliveryInterval: 5 * time.Millisecond, Pipeline: 4})
+				Config{RedeliveryInterval: 5 * time.Millisecond})
 			// The burst is queued before the worker starts, so the runs
 			// it gathers are deterministic.
 			pad := strings.Repeat("p", tc.pad)
@@ -191,8 +191,8 @@ func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
 			p.Start()
 			defer p.Purge()
 
-			// Pipeline=4 packets go out and stall.
-			waitFor(t, 2*time.Second, func() bool { return len(rec.snapshot()) == 4 })
+			// The first pipeline packets go out and stall.
+			waitFor(t, 2*time.Second, func() bool { return len(rec.snapshot()) == min(pipeline, tc.packets) })
 			stalled := rec.snapshot()
 			if tc.giveUp {
 				rec.release(fmt.Errorf("%w: scripted", reliable.ErrGaveUp))
@@ -368,7 +368,7 @@ func TestCoalescedRedeliveryExactlyOnce(t *testing.T) {
 	}
 	sender, member := reliable.New(ta, rcfg), reliable.New(tb, rcfg)
 	px := New(ident.New(2), &GenericDevice{}, sender, nil,
-		Config{RedeliveryInterval: 25 * time.Millisecond, Pipeline: 4})
+		Config{RedeliveryInterval: 25 * time.Millisecond})
 	t.Cleanup(func() {
 		px.Purge()
 		sender.Close()

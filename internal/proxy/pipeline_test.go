@@ -84,7 +84,7 @@ func recvPings(t *testing.T, ch *reliable.Channel, want int, timeout time.Durati
 // enqueue order while keeping several sends in flight.
 func TestPipelinedDeliveryFIFO(t *testing.T) {
 	r := newPipelineRig(t, netsim.Profile{Name: "lat", Latency: 2 * time.Millisecond}, 1,
-		Config{QueueCap: 64, RedeliveryInterval: 20 * time.Millisecond, Pipeline: 8})
+		Config{QueueCap: 64, RedeliveryInterval: 20 * time.Millisecond})
 	const count = 24
 	start := time.Now()
 	for i := 1; i <= count; i++ {
@@ -116,7 +116,7 @@ func TestPipelinedDeliveryFIFO(t *testing.T) {
 // member returns — every ping must arrive exactly once, in order.
 func TestPipelinedRedeliveryExactlyOnce(t *testing.T) {
 	r := newPipelineRig(t, netsim.WiFi, 2,
-		Config{QueueCap: 64, RedeliveryInterval: 25 * time.Millisecond, Pipeline: 8})
+		Config{QueueCap: 64, RedeliveryInterval: 25 * time.Millisecond})
 
 	for i := 1; i <= 3; i++ {
 		r.px.Enqueue(pingEvent(int64(i)))
@@ -151,7 +151,7 @@ func TestPipelinedRedeliveryExactlyOnce(t *testing.T) {
 // promptly and discard the backlog.
 func TestPipelinedPurgeDiscards(t *testing.T) {
 	r := newPipelineRig(t, netsim.Perfect, 3,
-		Config{QueueCap: 64, RedeliveryInterval: time.Hour, Pipeline: 4})
+		Config{QueueCap: 64, RedeliveryInterval: time.Hour})
 	r.net.Isolate(ident.New(2))
 	for i := 1; i <= 10; i++ {
 		r.px.Enqueue(pingEvent(int64(i)))

@@ -42,7 +42,7 @@ type Sender interface {
 // AsyncSender is implemented by senders that can pipeline: SendAsync
 // enqueues the packet (copying the payload before returning) and
 // resolves the completion when it is acknowledged or fails. A proxy
-// whose sender implements AsyncSender keeps up to Config.Pipeline
+// whose sender implements AsyncSender keeps up to pipeline
 // deliveries in flight instead of waiting out one network round trip
 // per queued event — the member-enqueue half of the sliding-window
 // pipeline — and coalesces runs of queued deliveries of one packet type
@@ -85,19 +85,12 @@ type Device interface {
 // GenericDevice is the pass-through Device: no translation either way
 // and no implicit subscriptions — a "mere forwarding mechanism between
 // the services".
-type GenericDevice struct {
-	Type string
-}
+type GenericDevice struct{}
 
 var _ Device = (*GenericDevice)(nil)
 
 // DeviceType implements Device.
-func (g *GenericDevice) DeviceType() string {
-	if g.Type == "" {
-		return "generic"
-	}
-	return g.Type
-}
+func (g *GenericDevice) DeviceType() string { return "generic" }
 
 // TranslateIn implements Device: raw data is decoded as a wire event.
 func (g *GenericDevice) TranslateIn(data []byte) ([]*event.Event, error) {
@@ -120,8 +113,8 @@ func (g *GenericDevice) InitialSubscriptions() []*event.Filter { return nil }
 type Config struct {
 	// QueueCap bounds the outbound queue (bounded memory on the
 	// target platform); enqueueing beyond it drops the oldest event.
-	// With a pipelining sender up to Pipeline further events are in
-	// flight outside this queue, so total buffering is QueueCap+Pipeline.
+	// With a pipelining sender up to pipeline further events are in
+	// flight outside this queue, so total buffering is QueueCap+pipeline.
 	QueueCap int
 	// RedeliveryInterval is the pause between delivery attempts after
 	// the reliable layer gave up, while the member is still in the
@@ -129,10 +122,6 @@ type Config struct {
 	// to services which are unavailable, but have not yet been
 	// declared to have left the SMC").
 	RedeliveryInterval time.Duration
-	// Pipeline bounds how many deliveries the proxy keeps in flight
-	// (default 8). A plain Sender — one that does not implement
-	// AsyncSender — always runs with Pipeline and BatchEvents at 1.
-	Pipeline int
 	// BatchEvents caps how many consecutive queued deliveries of one
 	// packet type (live events, or durable deliveries) the pipelined
 	// loop coalesces into one batch packet. Zero means the default (16);
@@ -140,9 +129,6 @@ type Config struct {
 	// single-delivery packet, so an idle proxy's traffic is
 	// byte-identical with or without coalescing.
 	BatchEvents int
-	// BatchBytes caps a batch payload's size in bytes; a frame that
-	// would push the batch past it flushes first. Zero means 8 KiB.
-	BatchBytes int
 	// FlushDelay is how long a partially filled batch waits for more
 	// queued events once the queue runs dry. Zero — the default — never
 	// waits: the run gathered from what was already queued goes out at
@@ -157,11 +143,19 @@ func DefaultConfig() Config {
 	return Config{
 		QueueCap:           512,
 		RedeliveryInterval: 250 * time.Millisecond,
-		Pipeline:           8,
 		BatchEvents:        16,
-		BatchBytes:         8 << 10,
 	}
 }
+
+const (
+	// pipeline bounds how many deliveries a proxy keeps in flight. A
+	// plain Sender — one that does not implement AsyncSender — runs
+	// with one, and with BatchEvents at 1.
+	pipeline = 8
+	// batchBytes caps a batch payload's size in bytes; a frame that
+	// would push the batch past it flushes first.
+	batchBytes = 8 << 10
+)
 
 // Stats counts proxy activity. Delivered counts acknowledged events
 // whether they travelled alone or inside a batch; Batches counts batch
@@ -186,6 +180,9 @@ type Proxy struct {
 	sender AsyncSender
 	pub    Publisher
 	cfg    Config
+	// pipeline is how many deliveries may be in flight: the pipeline
+	// constant, or one for a plain Sender.
+	pipeline int
 
 	mu sync.Mutex
 	// queue[head:] awaits delivery. A pop advances head; the slack it
@@ -200,7 +197,7 @@ type Proxy struct {
 	// Batch-gathering state, owned exclusively by the delivery worker
 	// goroutine: a one-slot holdover for the item that forced a flush
 	// (a different packet type, or a frame that would overflow
-	// BatchBytes) and the reusable frame-gathering scratch.
+	// batchBytes) and the reusable frame-gathering scratch.
 	held         outItem
 	hasHeld      bool
 	batchScratch []outItem
@@ -219,29 +216,25 @@ func New(member ident.ID, dev Device, sender Sender, pub Publisher, cfg Config) 
 	if cfg.RedeliveryInterval <= 0 {
 		cfg.RedeliveryInterval = DefaultConfig().RedeliveryInterval
 	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = DefaultConfig().Pipeline
-	}
 	if cfg.BatchEvents <= 0 {
 		cfg.BatchEvents = DefaultConfig().BatchEvents
 	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = DefaultConfig().BatchBytes
-	}
 	as, ok := sender.(AsyncSender)
+	inFlight := pipeline
 	if !ok {
 		as = serialSender{sender}
-		cfg.Pipeline, cfg.BatchEvents = 1, 1
+		inFlight, cfg.BatchEvents = 1, 1
 	}
 	p := &Proxy{
-		member: member,
-		dev:    dev,
-		sender: as,
-		pub:    pub,
-		cfg:    cfg,
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		member:   member,
+		dev:      dev,
+		sender:   as,
+		pub:      pub,
+		cfg:      cfg,
+		pipeline: inFlight,
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	return p
 }
@@ -255,9 +248,9 @@ func (p *Proxy) InitialSubscriptions() []*event.Filter {
 func (p *Proxy) Start() { go p.deliverLoopAsync() }
 
 // serialSender runs a plain Sender inside deliverLoopAsync: each Send
-// completes before SendAsync returns, so with Pipeline and BatchEvents
-// at 1 the loop delivers one event per Send, one at a time, and never
-// hands the Sender a batch.
+// completes before SendAsync returns, so with one in flight and
+// BatchEvents at 1 the loop delivers one event per Send, one at a
+// time, and never hands the Sender a batch.
 type serialSender struct{ Sender }
 
 func (s serialSender) SendAsync(dst ident.ID, ptype wire.PacketType, payload []byte) *reliable.Completion {
@@ -511,7 +504,7 @@ gather:
 				return it, true
 			}
 		} else if it.ptype != items[0].ptype ||
-			size+wire.BatchFrameSize(len(it.payload)) > p.cfg.BatchBytes {
+			size+wire.BatchFrameSize(len(it.payload)) > batchBytes {
 			p.held, p.hasHeld = it, true
 			break
 		}
@@ -552,7 +545,7 @@ func (p *Proxy) flushBatch(items []outItem) outItem {
 }
 
 // deliverLoopAsync is the windowed delivery worker: it keeps up to
-// Config.Pipeline sends — each one gathered run, see gatherBatch — in
+// p.pipeline sends — each one gathered run, see gatherBatch — in
 // flight on the reliable channel and resolves them in FIFO order. When
 // the channel gives up on the member the whole outstanding tail fails
 // together (cumulative acks: a later packet cannot be acknowledged
@@ -575,7 +568,7 @@ func (p *Proxy) deliverLoopAsync() {
 		}
 	}
 	for {
-		for len(inflight) < p.cfg.Pipeline {
+		for len(inflight) < p.pipeline {
 			var it outItem
 			if len(retry) > 0 {
 				it = retry[0]

@@ -312,10 +312,6 @@ func TestGenericDeviceDefaults(t *testing.T) {
 	if g.DeviceType() != "generic" {
 		t.Errorf("type = %s", g.DeviceType())
 	}
-	g2 := &GenericDevice{Type: "custom"}
-	if g2.DeviceType() != "custom" {
-		t.Errorf("type = %s", g2.DeviceType())
-	}
 	if data, ok, err := g.TranslateOut(event.New()); data != nil || ok || err != nil {
 		t.Error("generic TranslateOut not pass-through")
 	}

@@ -34,7 +34,6 @@ func benchCfg(window int) Config {
 		MaxRetries:      40,
 		Window:          window,
 		QueueDepth:      8192,
-		MaxPending:      8192,
 	}
 }
 

@@ -116,29 +116,12 @@ type Stats struct {
 	MaxRTOMicros uint64
 }
 
-// counters is the hot-path representation of Stats. It splits the
-// channel's atomics into a send-path group (bumped by publisher callers
-// and per-destination sender goroutines) and a receive-path group
-// (bumped only by the receive loop), padded apart to two cache lines
-// (the spatial-prefetcher granule): without the gap, a sender's
-// sent.Add and the receive loop's received.Add land on the same line
-// and every increment bounces it between cores.
+// counters is the hot-path representation of Stats.
 type counters struct {
-	// Send path.
-	sent, retransmits, fastRetransmits atomic.Uint64
-	failures, resumed, streamResets    atomic.Uint64
-	unreliableOut, batchesSent         atomic.Uint64
-
-	_ [128 - (8*8)%128]byte
-
-	// Receive path (acks are processed on the receive loop, so ack
-	// accounting lives here with the inbound counters).
-	acked, received, dupsDropped, buffered atomic.Uint64
-	staleAcks, staleEpoch                  atomic.Uint64
-	unreliableIn, piggybackAcks            atomic.Uint64
-	rttSamples, reorderDropped             atomic.Uint64
-
-	_ [128 - (10*8)%128]byte
+	sent, retransmits, fastRetransmits, failures, resumed   atomic.Uint64
+	streamResets, unreliableOut, batchesSent, acked         atomic.Uint64
+	received, dupsDropped, buffered, staleAcks, staleEpoch  atomic.Uint64
+	unreliableIn, piggybackAcks, rttSamples, reorderDropped atomic.Uint64
 }
 
 // Stats snapshots the channel's counters.
@@ -182,6 +165,10 @@ func (c *Channel) Stats() Stats {
 // retransmission.
 const reorderDepth = 64
 
+// maxPending bounds the per-destination send backlog; SendAsync beyond
+// it fails with errBacklog.
+const maxPending = 1024
+
 // minRTO floors a measured retransmit timeout: below it, scheduling
 // noise at either end rather than the link would decide when a
 // retransmit round fires.
@@ -211,9 +198,6 @@ type Config struct {
 	// flight per destination (default 16). Window=1 reproduces
 	// stop-and-wait.
 	Window int
-	// MaxPending bounds the per-destination send backlog (default
-	// 1024); SendAsync beyond it fails with errBacklog.
-	MaxPending int
 	// QueueDepth sizes the inbound delivery queue.
 	QueueDepth int
 }
@@ -224,7 +208,6 @@ func defaultConfig() Config {
 		RetryTimeout: 50 * time.Millisecond,
 		MaxRetries:   6,
 		Window:       16,
-		MaxPending:   1024,
 		QueueDepth:   1024,
 	}
 }
@@ -385,10 +368,15 @@ func (op *sendOp) payload() []byte {
 type destState struct {
 	id ident.ID
 
-	mu       sync.Mutex
-	epoch    byte
-	nextSeq  uint64
-	queue    opRing // unacked ops in seq order; the first inflight transmitted
+	mu      sync.Mutex
+	epoch   byte
+	nextSeq uint64
+	// queue[head:] holds the unacked ops in seq order, the first
+	// inflight of them transmitted. A pop advances head; a push into a
+	// full array at least half popped moves the ops to its front, so a
+	// queue in steady state keeps one backing array.
+	queue    []*sendOp
+	head     int
 	inflight int
 	stash    []*sendOp // ops failed by give-up, resumable by identical resend
 	free     *sendOp   // recycled ops (guarded by mu like the queue)
@@ -430,6 +418,31 @@ func (ds *destState) putOpLocked(op *sendOp) {
 	*op = sendOp{next: ds.free}
 	ds.free = op
 	ds.nfree++
+}
+
+// queued returns the unacked ops, oldest first. Caller holds ds.mu.
+func (ds *destState) queued() []*sendOp { return ds.queue[ds.head:] }
+
+// pushLocked appends an op to the queue. Caller holds ds.mu.
+func (ds *destState) pushLocked(op *sendOp) {
+	if len(ds.queue) == cap(ds.queue) && ds.head >= len(ds.queue)/2 {
+		n := copy(ds.queue, ds.queue[ds.head:])
+		clear(ds.queue[n:])
+		ds.queue, ds.head = ds.queue[:n], 0
+	}
+	ds.queue = append(ds.queue, op)
+}
+
+// popLocked removes the oldest op of a non-empty queue. Caller holds
+// ds.mu.
+func (ds *destState) popLocked() *sendOp {
+	op := ds.queue[ds.head]
+	ds.queue[ds.head] = nil
+	ds.head++
+	if ds.head == len(ds.queue) {
+		ds.queue, ds.head = ds.queue[:0], 0
+	}
+	return op
 }
 
 func (ds *destState) kick() {
@@ -501,9 +514,6 @@ func New(tr transport.Transport, cfg Config) *Channel {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = def.Window
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = def.MaxPending
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
@@ -625,8 +635,8 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 	if ds.gone {
 		return nil, false, nil
 	}
-	if ds.queue.len() >= c.cfg.MaxPending {
-		return nil, true, fmt.Errorf("%w: %d pending to %s", errBacklog, ds.queue.len(), ds.id)
+	if n := len(ds.queued()); n >= maxPending {
+		return nil, true, fmt.Errorf("%w: %d pending to %s", errBacklog, n, ds.id)
 	}
 	var op *sendOp
 	if len(ds.stash) > 0 {
@@ -673,7 +683,7 @@ func (c *Channel) enqueue(ds *destState, ptype wire.PacketType, flags byte, payl
 	}
 	comp := newCompletion()
 	op.comp = comp
-	ds.queue.push(op)
+	ds.pushLocked(op)
 	c.ctr.sent.Add(1)
 	ds.kick()
 	return comp, true, nil
@@ -709,8 +719,7 @@ func (c *Channel) resetStreamLocked(ds *destState) {
 	ds.stash = nil
 	ds.epoch++
 	ds.nextSeq = 0
-	for i := 0; i < ds.queue.len(); i++ {
-		op := ds.queue.at(i)
+	for _, op := range ds.queued() {
 		ds.nextSeq++
 		op.seq = ds.nextSeq
 		// An ack can only answer the packet under its new epoch and
@@ -772,8 +781,8 @@ func (c *Channel) resetRTOLocked(ds *destState) {
 // past the give-up horizon once the budget's rounds are spent. Caller
 // holds ds.mu.
 func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
-	for i := 0; i < ds.inflight; i++ {
-		if op := ds.queue.at(i); !op.held || ds.attempts > 0 {
+	for _, op := range ds.queued()[:ds.inflight] {
+		if !op.held || ds.attempts > 0 {
 			c.resendLocked(ds, op)
 			c.ctr.retransmits.Add(1)
 		}
@@ -792,12 +801,13 @@ func (c *Channel) retransmitRoundLocked(ds *destState, now time.Time) {
 // resendHolesLocked resends, once each, the in-flight packets the
 // receiver lacks below the highest one it holds. Caller holds ds.mu.
 func (c *Channel) resendHolesLocked(ds *destState) {
+	q := ds.queued()
 	top := ds.inflight - 1
-	for top >= 0 && !ds.queue.at(top).held {
+	for top >= 0 && !q[top].held {
 		top--
 	}
-	for i := 0; i < top; i++ {
-		if op := ds.queue.at(i); !op.held && !op.resent {
+	for _, op := range q[:max(top, 0)] {
+		if !op.held && !op.resent {
 			op.resent = true
 			c.resendLocked(ds, op)
 			c.ctr.fastRetransmits.Add(1)
@@ -864,8 +874,8 @@ func (c *Channel) runSender(ds *destState) {
 			ds.holes = false
 			c.resendHolesLocked(ds)
 		}
-		for ds.inflight < c.cfg.Window && ds.inflight < ds.queue.len() {
-			op := ds.queue.at(ds.inflight)
+		for ds.inflight < c.cfg.Window && ds.inflight < len(ds.queued()) {
+			op := ds.queued()[ds.inflight]
 			c.stampBatchAck(ds, op)
 			if err := c.transmit(ds.id, *op.bufp); err != nil {
 				// Permanently unsendable (over the transport MTU):
@@ -875,9 +885,11 @@ func (c *Channel) runSender(ds *destState) {
 				settleOp(op, fmt.Errorf("reliable send: %w", err))
 				putBuf(op.bufp)
 				op.bufp = nil
-				ds.queue.removeAt(ds.inflight)
-				for i := ds.inflight; i < ds.queue.len(); i++ {
-					later := ds.queue.at(i)
+				rest := ds.queued()[ds.inflight:]
+				copy(rest, rest[1:])
+				rest[len(rest)-1] = nil
+				ds.queue = ds.queue[:len(ds.queue)-1]
+				for _, later := range rest[:len(rest)-1] {
 					later.seq--
 					_ = wire.PatchHeader(*later.bufp, later.flags, ds.epoch, later.seq)
 				}
@@ -928,9 +940,9 @@ func (c *Channel) runSender(ds *destState) {
 // giveUpLocked fails every queued packet with ErrGaveUp and moves them
 // to the resume stash. Caller holds ds.mu.
 func (c *Channel) giveUpLocked(ds *destState) {
-	failed := make([]*sendOp, 0, ds.queue.len())
-	for ds.queue.len() > 0 {
-		op := ds.queue.popFront()
+	failed := make([]*sendOp, 0, len(ds.queued()))
+	for len(ds.queued()) > 0 {
+		op := ds.popLocked()
 		c.ctr.failures.Add(1) // before the waiter can read Stats
 		settleOp(op, fmt.Errorf("%w: %s epoch=%d seq=%d to %s",
 			ErrGaveUp, op.ptype, ds.epoch, op.seq, ds.id))
@@ -951,8 +963,8 @@ func (c *Channel) giveUpLocked(ds *destState) {
 // failPendingLocked resolves every queued packet with err and drops all
 // sender state. Caller holds ds.mu.
 func (c *Channel) failPendingLocked(ds *destState, err error) {
-	for ds.queue.len() > 0 {
-		op := ds.queue.popFront()
+	for len(ds.queued()) > 0 {
+		op := ds.popLocked()
 		settleOp(op, err)
 		putBuf(op.bufp)
 		op.bufp = nil
@@ -1032,7 +1044,7 @@ func (c *Channel) pending() int {
 	pending := 0
 	for _, ds := range dests {
 		ds.mu.Lock()
-		pending += ds.queue.len()
+		pending += len(ds.queued())
 		ds.mu.Unlock()
 	}
 	return pending
@@ -1238,8 +1250,8 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 	// settles was sent more than once: the ack may answer the resend.
 	var sentAt time.Time
 	timed := true
-	for ds.queue.len() > 0 && ds.queue.at(0).seq <= cum {
-		op := ds.queue.popFront()
+	for len(ds.queued()) > 0 && ds.queued()[0].seq <= cum {
+		op := ds.popLocked()
 		if ds.inflight > 0 {
 			ds.inflight--
 		}
@@ -1251,11 +1263,12 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 		ds.putOpLocked(op)
 		progress++
 	}
-	if ds.queue.len() > 0 && ds.queue.at(0).seq == cum+1 {
+	q := ds.queued()
+	if len(q) > 0 && q[0].seq == cum+1 {
 		// The receiver waits for the base, so it does not hold it, even
 		// if an earlier ack said so: its inbox refused the packet and
 		// shed it.
-		ds.queue.at(0).held = false
+		q[0].held = false
 		if sack != 0 {
 			c.markHeldLocked(ds, cum, sack)
 		}
@@ -1276,11 +1289,11 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 			ds.deadline = time.Time{}
 		}
 		ds.kick()
-	case ds.inflight > 0 && cum+1 == ds.queue.at(0).seq:
+	case ds.inflight > 0 && cum+1 == q[0].seq:
 		// Duplicate cumulative ack: the receiver is waiting for our
 		// base packet, and its selective ack, if any, said what else.
 		ds.gapAcks = 0
-	case ds.inflight > 0 && cum+1 < ds.queue.at(0).seq:
+	case ds.inflight > 0 && cum+1 < q[0].seq:
 		// The receiver is waiting for packets below our window base —
 		// sequence numbers this stream already settled and will never
 		// retransmit, so the gap is unfillable: its cumulative state
@@ -1300,7 +1313,7 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 			c.resetStreamLocked(ds)
 			ds.kick()
 		}
-	case ds.queue.len() == 0:
+	case len(q) == 0:
 		c.ctr.staleAcks.Add(1)
 	}
 }
@@ -1311,8 +1324,9 @@ func (c *Channel) applyAck(sender ident.ID, epoch byte, cum, sack uint64) {
 // hole. Caller holds ds.mu.
 func (c *Channel) markHeldLocked(ds *destState, cum, sack uint64) {
 	held, hole := false, false
+	q := ds.queued()
 	for i := ds.inflight - 1; i >= 0; i-- {
-		op := ds.queue.at(i)
+		op := q[i]
 		if d := op.seq - cum - 2; d < 64 && sack&(1<<d) != 0 {
 			op.held = true
 		}

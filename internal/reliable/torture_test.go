@@ -371,11 +371,11 @@ func TestBacklogBound(t *testing.T) {
 	n := netsim.New(netsim.Perfect, netsim.WithSeed(9))
 	defer n.Close()
 	ta, _ := n.Attach(ident.New(1))
-	a := New(ta, Config{RetryTimeout: time.Hour, MaxRetries: 100, Window: 2, MaxPending: 4})
+	a := New(ta, Config{RetryTimeout: time.Hour, MaxRetries: 100, Window: 2})
 	defer a.Close()
 
 	dst := ident.New(99) // unreachable: nothing ever completes
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxPending; i++ {
 		if comp := a.SendAsync(dst, wire.PktEvent, []byte{byte(i)}); comp == nil {
 			t.Fatal("nil completion")
 		}

@@ -113,7 +113,7 @@ func decodeReading(buf []byte) (Reading, error) {
 // Command is one native actuator instruction.
 type Command struct {
 	Opcode byte
-	Arg    float64
+	arg    float64
 }
 
 // Actuator opcodes.
@@ -138,7 +138,7 @@ var errBadCommand = errors.New("sensor: bad command encoding")
 func encodeCommand(c Command) []byte {
 	buf := make([]byte, commandLen)
 	buf[0] = c.Opcode
-	binary.BigEndian.PutUint64(buf[1:9], math.Float64bits(c.Arg))
+	binary.BigEndian.PutUint64(buf[1:9], math.Float64bits(c.arg))
 	return buf
 }
 
@@ -149,7 +149,7 @@ func DecodeCommand(buf []byte) (Command, error) {
 	}
 	c := Command{
 		Opcode: buf[0],
-		Arg:    math.Float64frombits(binary.BigEndian.Uint64(buf[1:9])),
+		arg:    math.Float64frombits(binary.BigEndian.Uint64(buf[1:9])),
 	}
 	if c.Opcode == 0 || c.Opcode > opBeep {
 		return Command{}, fmt.Errorf("%w: opcode %d", errBadCommand, buf[0])

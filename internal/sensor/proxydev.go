@@ -138,7 +138,7 @@ func (d *ActuatorProxyDevice) TranslateOut(e *event.Event) ([]byte, bool, error)
 			arg = float64(i)
 		}
 	}
-	return encodeCommand(Command{Opcode: op, Arg: arg}), true, nil
+	return encodeCommand(Command{Opcode: op, arg: arg}), true, nil
 }
 
 // InitialSubscriptions implements proxy.Device: actuate events for

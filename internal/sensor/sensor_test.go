@@ -50,7 +50,7 @@ func TestReadingDecodeRejectsBadInput(t *testing.T) {
 
 func TestCommandRoundTrip(t *testing.T) {
 	for _, op := range []byte{OpAnalyse, opShock, opInfuse, opBeep} {
-		c := Command{Opcode: op, Arg: 42.5}
+		c := Command{Opcode: op, arg: 42.5}
 		got, err := DecodeCommand(encodeCommand(c))
 		if err != nil || got != c {
 			t.Errorf("op %d roundtrip: %+v %v", op, got, err)
@@ -217,7 +217,7 @@ func TestActuatorProxyDevice(t *testing.T) {
 		t.Fatalf("translate out: %v %v", ok, err)
 	}
 	cmd, err := DecodeCommand(data)
-	if err != nil || cmd.Opcode != opShock || cmd.Arg != 150 {
+	if err != nil || cmd.Opcode != opShock || cmd.arg != 150 {
 		t.Errorf("cmd = %+v %v", cmd, err)
 	}
 
@@ -226,8 +226,8 @@ func TestActuatorProxyDevice(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	if cmd, _ := DecodeCommand(data); cmd.Arg != 200 {
-		t.Errorf("int arg = %v", cmd.Arg)
+	if cmd, _ := DecodeCommand(data); cmd.arg != 200 {
+		t.Errorf("int arg = %v", cmd.arg)
 	}
 
 	// Non-actuate events pass through untranslated.
@@ -324,8 +324,8 @@ func TestActuatorSimRecordsCommands(t *testing.T) {
 	a := NewActuatorSim("defib-1")
 	data := make(chan []byte, 4)
 	a.Start(data)
-	data <- encodeCommand(Command{Opcode: OpAnalyse, Arg: 0})
-	data <- encodeCommand(Command{Opcode: opShock, Arg: 120})
+	data <- encodeCommand(Command{Opcode: OpAnalyse, arg: 0})
+	data <- encodeCommand(Command{Opcode: opShock, arg: 120})
 	data <- []byte("garbage")
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

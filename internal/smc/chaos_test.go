@@ -181,9 +181,11 @@ func TestMembershipChurn(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	members := cell.Discovery.Members()
-	if len(members) != 1 || members[0].Name != "stayer" {
+	if members := cell.Discovery.Members(); len(members) != 1 {
 		t.Fatalf("final members = %+v", members)
+	}
+	if _, ok := cell.Discovery.Member(stayer.Client.ID()); !ok {
+		t.Fatal("the stayer is not the member left")
 	}
 	// The bus agrees with discovery.
 	if got := len(cell.Bus.Members()); got != 1 {

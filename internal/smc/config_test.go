@@ -8,7 +8,6 @@ import (
 
 	"github.com/amuse/smc/internal/discovery"
 	"github.com/amuse/smc/internal/event"
-	"github.com/amuse/smc/internal/ident"
 	"github.com/amuse/smc/internal/matcher"
 	"github.com/amuse/smc/internal/netsim"
 	"github.com/amuse/smc/internal/sensor"
@@ -211,13 +210,9 @@ func TestCellMemberListsAgree(t *testing.T) {
 	if len(discMembers) != 4 || len(busMembers) != 4 {
 		t.Fatalf("members = %d/%d", len(discMembers), len(busMembers))
 	}
-	busSet := map[ident.ID]bool{}
 	for _, id := range busMembers {
-		busSet[id] = true
-	}
-	for _, mi := range discMembers {
-		if !busSet[mi.ID] {
-			t.Errorf("member %s in discovery but not bus", mi.ID)
+		if _, ok := cell.Discovery.Member(id); !ok {
+			t.Errorf("member %s in bus but not discovery", id)
 		}
 	}
 }

@@ -46,8 +46,6 @@ type Config struct {
 	Reliable reliable.Config
 	// PolicyOptions are applied to the policy engine.
 	PolicyOptions []policy.Option
-	// Epoch distinguishes cell restarts in beacons.
-	Epoch uint32
 	// Batch tunes outbound coalescing on the cell's member proxies
 	// (bus.WithBatching); the zero value is opportunistic coalescing.
 	Batch BatchConfig
@@ -59,8 +57,8 @@ type Config struct {
 	Durable *store.Config
 }
 
-// BatchConfig tunes wire-level event batching: up to Events frames or
-// Bytes of payload per batch packet.
+// BatchConfig tunes wire-level event batching: up to Events frames (and
+// 8 KiB of payload) per batch packet.
 //
 // On a cell (Config.Batch) it tunes the member proxies' outbound
 // coalescing, which is always on: the zero value coalesces whatever is
@@ -71,11 +69,10 @@ type Config struct {
 // long for more events (fuller batches, added latency).
 //
 // On a device (DeviceConfig.Batch) it enables publish batching, which
-// stays opt-in: Events <= 1 leaves it off; zero Bytes and FlushDelay
-// take 8 KiB and 1ms (client.WithPublishBatching).
+// stays opt-in: Events <= 1 leaves it off; a zero FlushDelay takes
+// 1ms (client.WithPublishBatching).
 type BatchConfig struct {
 	Events     int
-	Bytes      int
 	FlushDelay time.Duration
 }
 
@@ -84,7 +81,6 @@ type Cell struct {
 	Bus       *bus.Bus
 	Discovery *discovery.Service
 	Policy    *policy.Engine
-	Registry  *bootstrap.Registry
 
 	cellName   string
 	busCh      *reliable.Channel
@@ -118,7 +114,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 
 	var busOpts []bus.Option
 	if cfg.Batch != (BatchConfig{}) {
-		busOpts = append(busOpts, bus.WithBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
+		busOpts = append(busOpts, bus.WithBatching(cfg.Batch.Events, cfg.Batch.FlushDelay))
 	}
 	if cfg.Durable != nil {
 		log, err := store.Open(*cfg.Durable)
@@ -156,7 +152,6 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		Cell:           cfg.Cell,
 		Secret:         cfg.Secret,
 		BusID:          b.ID(),
-		Epoch:          cfg.Epoch,
 		BeaconInterval: cfg.BeaconInterval,
 		Lease:          cfg.Lease,
 		Grace:          cfg.Grace,
@@ -170,7 +165,7 @@ func NewCell(busTr, discTr transport.Transport, cfg Config) (*Cell, error) {
 		return nil, err
 	}
 
-	c.Bus, c.Discovery, c.Policy, c.Registry = b, disc, eng, reg
+	c.Bus, c.Discovery, c.Policy = b, disc, eng
 	return c, nil
 }
 
@@ -331,7 +326,7 @@ func (cfg DeviceConfig) clientOpts() []client.Option {
 	var opts []client.Option
 	if cfg.Batch.Events > 1 {
 		opts = append(opts,
-			client.WithPublishBatching(cfg.Batch.Events, cfg.Batch.Bytes, cfg.Batch.FlushDelay))
+			client.WithPublishBatching(cfg.Batch.Events, cfg.Batch.FlushDelay))
 	}
 	if cfg.Durable != "" {
 		opts = append(opts, client.WithDurable(cfg.Durable, cfg.DurablePosition))

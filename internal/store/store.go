@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/amuse/smc/internal/event"
@@ -49,8 +50,12 @@ import (
 // ID (int). A publisher that re-sends a logical event after a restart
 // stamps the same ID; the log drops the duplicate append, making
 // redelivery idempotent across sender restarts. IDs are deduplicated
-// per sender within a sliding window of Config.DedupWindow appends.
+// per sender within a sliding window of the last dedupWindow IDs.
 const AttrDedup = "_dedup"
+
+// dedupWindow is the number of recent publisher dedup IDs a log
+// remembers.
+const dedupWindow = 4096
 
 // Config tunes the log.
 type Config struct {
@@ -75,10 +80,6 @@ type Config struct {
 	// unlimited). Enforced at segment granularity on append: a sealed
 	// segment is evicted once its newest record is older than MaxAge.
 	MaxAge time.Duration
-	// DedupWindow is the number of recent publisher dedup IDs
-	// remembered per log (default 4096, 0 keeps the default; negative
-	// disables dedup).
-	DedupWindow int
 	// SyncEvery, when > 0 on a disk-backed log, write-behind-syncs the
 	// active segment's appended tail after every N appends: the flusher
 	// persists the new record bytes to the segment's (partial) file and
@@ -99,9 +100,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBytes == 0 {
 		c.MaxBytes = 16 << 20
-	}
-	if c.DedupWindow == 0 {
-		c.DedupWindow = 4096
 	}
 }
 
@@ -134,6 +132,10 @@ type Stats struct {
 	// PacketsRecycled.
 	SegmentsAcquired uint64
 	SegmentsRecycled uint64
+	// WriteErrors counts the segment writes and tail syncs of a
+	// disk-backed log that failed. The log goes on taking appends;
+	// the first error is returned by Close.
+	WriteErrors uint64
 }
 
 // Leaked reports segment buffers acquired but not yet recycled.
@@ -179,7 +181,8 @@ type Log struct {
 	recycled uint64
 
 	// flush is the disk mirror; nil for memory-only logs.
-	flush *flusher
+	flush       *flusher
+	writeErrors atomic.Uint64 // the flusher's failures (Stats.WriteErrors)
 
 	// Write-behind tail-sync state (guarded by mu). sinceSync counts
 	// appends since the last SyncEvery-triggered sync; lastSyncSeg/
@@ -202,15 +205,13 @@ func Open(cfg Config) (*Log, error) {
 		cfg:   cfg,
 		epoch: newEpoch(),
 		next:  1,
-	}
-	if cfg.DedupWindow > 0 {
-		l.dedup = make(map[dedupKey]struct{}, cfg.DedupWindow)
+		dedup: make(map[dedupKey]struct{}, dedupWindow),
 	}
 	if cfg.Dir != "" {
 		if err := l.recover(); err != nil {
 			return nil, err
 		}
-		l.flush = newFlusher(cfg.Dir)
+		l.flush = newFlusher(cfg.Dir, &l.writeErrors)
 		if cfg.SyncInterval > 0 {
 			l.syncStop = make(chan struct{})
 			l.syncDone = make(chan struct{})
@@ -271,7 +272,7 @@ func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool, hook ...Appen
 		wire.PutEncodeBuf(bp)
 		return 0, false
 	}
-	if hasDedup && l.dedup != nil {
+	if hasDedup {
 		k := dedupKey{sender: e.Sender, id: dedupID}
 		if _, seen := l.dedup[k]; seen {
 			l.dups++
@@ -279,7 +280,7 @@ func (l *Log) Append(e *event.Event, dedupID int64, hasDedup bool, hook ...Appen
 			wire.PutEncodeBuf(bp)
 			return 0, true
 		}
-		if len(l.dedupRing) >= l.cfg.DedupWindow {
+		if len(l.dedupRing) >= dedupWindow {
 			old := l.dedupRing[0]
 			l.dedupRing = l.dedupRing[1:]
 			delete(l.dedup, old)
@@ -533,6 +534,7 @@ func (l *Log) Stats() Stats {
 		DupsDropped:      l.dups,
 		SegmentsAcquired: acquired,
 		SegmentsRecycled: recycled,
+		WriteErrors:      l.writeErrors.Load(),
 	}
 }
 
@@ -718,7 +720,10 @@ type flusher struct {
 	dir  string
 	ops  chan flushOp
 	done chan struct{}
+	// err is the first write or sync error, which close returns; errs
+	// counts every one.
 	err  error
+	errs *atomic.Uint64
 
 	// partial maps an active segment to its open tail file. An entry
 	// retires when the sealed write replaces the partial file
@@ -727,9 +732,10 @@ type flusher struct {
 	partial map[*Segment]*os.File
 }
 
-func newFlusher(dir string) *flusher {
+func newFlusher(dir string, errs *atomic.Uint64) *flusher {
 	f := &flusher{
 		dir:     dir,
+		errs:    errs,
 		ops:     make(chan flushOp, 16),
 		done:    make(chan struct{}),
 		partial: make(map[*Segment]*os.File),
@@ -767,9 +773,7 @@ func (f *flusher) loop() {
 			continue
 		}
 		if op.sync {
-			if err := f.syncTail(op.seg, op.epoch, op.data); err != nil && f.err == nil {
-				f.err = err
-			}
+			f.fail(f.syncTail(op.seg, op.epoch, op.data))
 			op.seg.release()
 			continue
 		}
@@ -777,9 +781,7 @@ func (f *flusher) loop() {
 			_ = file.Close()
 			delete(f.partial, op.seg)
 		}
-		if err := writeSegment(f.dir, op.seg, op.epoch); err != nil && f.err == nil {
-			f.err = err
-		}
+		f.fail(writeSegment(f.dir, op.seg, op.epoch))
 		op.seg.release()
 	}
 	for _, file := range f.partial {
@@ -824,6 +826,17 @@ func (f *flusher) syncTail(seg *Segment, epoch uint64, data []byte) error {
 	}
 	seg.diskSynced = len(data)
 	return nil
+}
+
+// fail counts a failed write or sync and keeps the first error.
+func (f *flusher) fail(err error) {
+	if err == nil {
+		return
+	}
+	f.errs.Add(1)
+	if f.err == nil {
+		f.err = err
+	}
 }
 
 func (f *flusher) close() error {

@@ -286,7 +286,7 @@ func TestLeakBalanceViaBorrowingDecode(t *testing.T) {
 }
 
 func TestDedupWindow(t *testing.T) {
-	l, err := Open(Config{DedupWindow: 4})
+	l, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDedupWindow(t *testing.T) {
 		t.Fatal("different sender deduplicated")
 	}
 	// Push the first key out of the window; it is then accepted again.
-	for id := int64(100); id < 104; id++ {
+	for id := int64(100); id < 100+dedupWindow; id++ {
 		l.Append(mkEvent(2, "fill"), id, true)
 	}
 	if _, dup := l.Append(e, 42, true); dup {
@@ -840,5 +840,35 @@ func TestSyncTailConcurrentAppendChurn(t *testing.T) {
 	defer r.Close()
 	if got := drainAll(t, r); len(got) == 0 {
 		t.Fatal("nothing recovered after churn")
+	}
+}
+
+// TestWriteErrorsCounted: a disk log whose directory vanishes under it
+// cannot write its sealed segments. Each failure is counted in
+// Stats.WriteErrors while appends go on, and Close returns the first.
+func TestWriteErrorsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	l, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 40; i++ {
+		l.Append(mkEvent(i, "lost"), 0, false)
+	}
+	if l.Stats().Segments < 2 {
+		t.Fatal("test needs at least one sealed segment")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for l.Stats().WriteErrors == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no write error counted for a segment the flusher could not write")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := l.Close(); err == nil {
+		t.Error("Close returned nil after failed segment writes")
 	}
 }

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"sync"
-
-	"github.com/amuse/smc/internal/ident"
-)
+import "sync"
 
 // Datagram buffer recycling. Every delivery used to allocate a fresh
 // copy of the datagram (the transport contract: data is copied before
@@ -43,16 +39,16 @@ func pooledCopy(data []byte) ([]byte, *[]byte) {
 }
 
 // pooledDatagram builds a Datagram backed by a pooled copy of data.
-func pooledDatagram(from ident.ID, data []byte) Datagram {
+func pooledDatagram(data []byte) Datagram {
 	buf, bp := pooledCopy(data)
-	return Datagram{From: from, Data: buf, bufp: bp}
+	return Datagram{Data: buf, bufp: bp}
 }
 
 // NewPooledDatagram builds a Datagram backed by a pooled copy of data.
 // Transport implementations outside this package (netsim) use it so
 // their deliveries join the same recycling cycle.
-func NewPooledDatagram(from ident.ID, data []byte) Datagram {
-	return pooledDatagram(from, data)
+func NewPooledDatagram(data []byte) Datagram {
+	return pooledDatagram(data)
 }
 
 // Recycle returns the datagram's buffer to the transport pool. Only

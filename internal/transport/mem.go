@@ -95,7 +95,7 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 			if id == from {
 				continue
 			}
-			ep.inbox.Put(pooledDatagram(from, data))
+			ep.inbox.Put(pooledDatagram(data))
 		}
 		return nil
 	}
@@ -109,7 +109,7 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 			return nil
 		}
 		if delay > 0 {
-			dg := pooledDatagram(from, data)
+			dg := pooledDatagram(data)
 			s.timers.Add(1)
 			time.AfterFunc(delay, func() {
 				defer s.timers.Done()
@@ -125,7 +125,7 @@ func (s *Switch) deliver(from, dst ident.ID, data []byte) error {
 			return nil
 		}
 	}
-	ep.inbox.Put(pooledDatagram(from, data))
+	ep.inbox.Put(pooledDatagram(data))
 	return nil
 }
 

@@ -12,11 +12,11 @@ import (
 	"github.com/amuse/smc/internal/ident"
 )
 
-// Datagram is one received byte array together with its source. The
-// receiver owns Data; if the transport drew it from the shared buffer
-// pool, the owner may hand it back with Recycle once done.
+// Datagram is one received byte array; its sender is named inside it
+// (wire.Packet.Sender). The receiver owns Data; if the transport drew
+// it from the shared buffer pool, the owner may hand it back with
+// Recycle once done.
 type Datagram struct {
-	From ident.ID
 	Data []byte
 
 	// bufp is the pool handle when Data is a pooled buffer (see

@@ -116,13 +116,12 @@ func (t *UDPTransport) readLoop() {
 			// Recv callers see closure when Close runs.
 			return
 		}
-		id, err := ident.FromUDPAddr(from)
-		if err != nil {
+		if _, err := ident.FromUDPAddr(from); err != nil {
 			continue
 		}
 		// Receive overflow drops, as real UDP does; after Close the
 		// next read fails and ends the loop.
-		t.inbox.Put(pooledDatagram(id, buf[:n]))
+		t.inbox.Put(pooledDatagram(buf[:n]))
 	}
 }
 

@@ -49,8 +49,8 @@ func TestUDPUnicastRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
-	if dg.From != a.LocalID() || string(dg.Data) != "over udp" {
-		t.Errorf("got %s %q", dg.From, dg.Data)
+	if string(dg.Data) != "over udp" {
+		t.Errorf("got %q", dg.Data)
 	}
 	// And the reverse direction.
 	if err := b.Send(a.LocalID(), []byte("reply")); err != nil {
@@ -188,9 +188,6 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 		dg, err := b.RecvTimeout(time.Until(deadline))
 		if err != nil {
 			break
-		}
-		if dg.From != a.LocalID() {
-			t.Fatalf("datagram from %s, want %s", dg.From, a.LocalID())
 		}
 		got[string(dg.Data)] = true
 		dg.Recycle()

@@ -17,8 +17,9 @@ import (
 type Beacon struct {
 	// Cell is the human-readable cell name ("ward-3-patient-7").
 	Cell string
-	// Epoch increments when the discovery service restarts, letting
-	// members detect a cell reboot and rejoin.
+	// Epoch is a field of the seed's beacon format. No cell sets it,
+	// so it is always zero, and no member reads it; a restarted cell
+	// is not told apart from a live one by its beacons.
 	Epoch uint32
 }
 
