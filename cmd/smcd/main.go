@@ -160,10 +160,9 @@ func run() error {
 		case <-sig:
 			return shutdown(cell, *drain)
 		case <-ticker.C:
-			members := cell.Discovery.Members()
 			st := cell.Bus.Stats()
 			fmt.Printf("[status] members=%d published=%d delivered=%d quenches=%d denied=%d\n",
-				len(members), st.Published, st.EnqueuedRemote+st.DeliveredLocal,
+				cell.Discovery.Stats().Members, st.Published, st.EnqueuedRemote+st.DeliveredLocal,
 				st.Quenches, st.AuthDenied)
 		}
 	}

@@ -95,7 +95,7 @@ func run() error {
 		defer dev.Close()
 		sims = append(sims, sensor.NewSim(spec.kind, spec.wave, 150*time.Millisecond, dev.Client))
 	}
-	fmt.Printf("%d sensors joined; cell members: %d\n", len(sims), len(cell.Discovery.Members()))
+	fmt.Printf("%d sensors joined; cell members: %d\n", len(sims), cell.Discovery.Stats().Members)
 
 	// A nurse's monitor watches translated readings and alarms.
 	monitor, err := smc.JoinCellWithRetry(context.Background(), attach(0x4001), smc.DeviceConfig{

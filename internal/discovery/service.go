@@ -154,13 +154,13 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Members snapshots the membership table.
-func (s *Service) Members() []MemberInfo {
+// Members snapshots the member IDs; Stats().Members counts them.
+func (s *Service) Members() []ident.ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]MemberInfo, 0, len(s.members))
-	for _, m := range s.members {
-		out = append(out, *m)
+	out := make([]ident.ID, 0, len(s.members))
+	for id := range s.members {
+		out = append(out, id)
 	}
 	return out
 }

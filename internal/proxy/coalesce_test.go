@@ -160,13 +160,14 @@ func TestIdleProxySendsPlainSingleEvent(t *testing.T) {
 }
 
 // TestBurstBehindStalledSenderCoalesces: a burst queued behind a
-// stalled member goes out in runs capped by both BatchEvents and
-// BatchBytes, in FIFO order, every event exactly once — and when the
-// member's channel gives up, the redelivery re-sends byte-identical
-// payloads (what lets the reliable layer resume the original sequence
-// numbers) before anything new.
+// stalled member goes out in runs capped by both BatchEvents and the
+// 8 KiB batchBytes constant, in FIFO order, every event exactly once —
+// and when the member's channel gives up, the redelivery re-sends
+// byte-identical payloads (what lets the reliable layer resume the
+// original sequence numbers) before anything new. The burst is longer
+// than pipeline full packets, so runs stay queued behind the stall.
 func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
-	const count = 100
+	const count = 200
 	for _, tc := range []struct {
 		name    string
 		pad     int // bytes of ballast per event
@@ -174,9 +175,9 @@ func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
 		perPkt  int // expected deliveries in a full packet
 		packets int // expected packets for the burst
 	}{
-		{"event-cap", 0, false, 16, 7},
-		{"byte-cap", 1000, false, 7, 15},
-		{"give-up-redelivery", 0, true, 16, 7},
+		{"event-cap", 0, false, 16, 13},
+		{"byte-cap", 1000, false, 7, 29},
+		{"give-up-redelivery", 0, true, 16, 13},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &asyncRecorder{holding: true}
@@ -191,9 +192,13 @@ func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
 			p.Start()
 			defer p.Purge()
 
-			// The first pipeline packets go out and stall.
-			waitFor(t, 2*time.Second, func() bool { return len(rec.snapshot()) == min(pipeline, tc.packets) })
+			// The first pipeline packets go out and stall; the rest of
+			// the burst waits behind them.
+			waitFor(t, 2*time.Second, func() bool { return len(rec.snapshot()) == pipeline })
 			stalled := rec.snapshot()
+			if len(stalled) != pipeline || tc.packets <= pipeline {
+				t.Fatalf("%d packets stalled of %d, want %d with more queued", len(stalled), tc.packets, pipeline)
+			}
 			if tc.giveUp {
 				rec.release(fmt.Errorf("%w: scripted", reliable.ErrGaveUp))
 			} else {
@@ -203,7 +208,11 @@ func TestBurstBehindStalledSenderCoalesces(t *testing.T) {
 
 			sends := rec.snapshot()
 			if tc.giveUp {
-				// The four failed packets come again first, unchanged.
+				// The pipeline failed packets come again first, unchanged,
+				// ahead of the runs queued behind them.
+				if len(sends) <= 2*len(stalled) {
+					t.Fatalf("%d sends after %d failed: nothing was queued behind the stall", len(sends), len(stalled))
+				}
 				for i, s := range stalled {
 					re := sends[len(stalled)+i]
 					if re.ptype != s.ptype || re.batched != s.batched || !bytes.Equal(re.payload, s.payload) {
@@ -376,7 +385,7 @@ func TestCoalescedRedeliveryExactlyOnce(t *testing.T) {
 		n.Close()
 	})
 
-	const count = 100
+	const count = 200 // 13 full batches: more than pipeline, so some wait queued
 	n.Isolate(ident.New(2))
 	for i := 1; i <= count; i++ {
 		px.Enqueue(pingEvent(int64(i)))

@@ -442,8 +442,8 @@ func batchable(t wire.PacketType) bool {
 // gatherBatch builds the next delivery for the pipelined loop: the run
 // of consecutive same-type deliveries already queued, coalesced into
 // one batch payload, or a single item when there is nothing to coalesce
-// with. It flushes on size (Config.BatchEvents frames or
-// Config.BatchBytes bytes), on FIFO breaks (a delivery of another
+// with. It flushes on size (Config.BatchEvents frames or the 8 KiB
+// batchBytes constant), on FIFO breaks (a delivery of another
 // packet type must not overtake the run queued before it, so it flushes
 // the run and is held over for the next call), and when the queue runs
 // dry — at once with the default zero Config.FlushDelay, otherwise after
